@@ -15,10 +15,12 @@ report simply says whether the fitted parameters happen to satisfy them.
 
 from __future__ import annotations
 
-from .core import ParamSet, validate_params
+from typing import Iterable
+
+from .core import ParamSet
 from .data import Dataset
-from .estep import SufficientStats, sufficient_stats
-from .fitting import ALGORITHM_BAUM_WELCH, FitOptions, FitReport
+from .estep import SufficientStats
+from .fitting import ALGORITHM_BAUM_WELCH, FitOptions, FitReport, _run_em
 
 __all__ = [
     "DegenerateStatsError",
@@ -72,7 +74,7 @@ def m_step_closed_form(stats: SufficientStats) -> ParamSet:
 
 
 def fit_baum_welch(
-    dataset: Dataset, init: ParamSet, options: FitOptions | None = None
+    dataset: Dataset | Iterable[object], init: ParamSet, options: FitOptions | None = None
 ) -> FitReport:
     """EM loop alternating expected counts and the closed-form update.
 
@@ -82,34 +84,13 @@ def fit_baum_welch(
     constraint verdicts say so without altering the estimate.
     """
 
-    opts = options or FitOptions()
-    theta = init
-    stats = sufficient_stats(theta, dataset)
-    trace = [stats.log_likelihood]
     boundary_hits: list[dict[str, object]] = []
-    iterations = 0
-    converged = False
-    for _ in range(opts.max_iterations):
+
+    def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
         theta_new, hits = _nudge_interior(closed_form_ratios(stats))
-        iterations += 1
         if hits:
-            boundary_hits.append({"iteration": iterations, "parameters": hits})
-        delta = max(
-            abs(new - old) for new, old in zip(theta_new.astuple(), theta.astuple())
-        )
-        theta = theta_new
-        stats = sufficient_stats(theta, dataset)
-        trace.append(stats.log_likelihood)
-        if abs(trace[-1] - trace[-2]) < opts.loglik_tolerance or delta < opts.param_tolerance:
-            converged = True
-            break
-    return FitReport(
-        algorithm=ALGORITHM_BAUM_WELCH,
-        theta_hat=theta,
-        initial_theta=init,
-        loglik_trace=tuple(trace),
-        iterations=iterations,
-        converged=converged,
-        constraints=validate_params(theta),
-        diagnostics={"boundary_hits": boundary_hits},
-    )
+            boundary_hits.append({"iteration": iteration, "parameters": hits})
+        return theta_new
+
+    diagnostics = {"boundary_hits": boundary_hits}
+    return _run_em(ALGORITHM_BAUM_WELCH, dataset, init, options, m_step, diagnostics)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .baum_welch import DegenerateStatsError, fit_baum_welch
-from .core import ParamSet, ParameterError, PARAM_NAMES, validate_values
+from .core import ParamSet, ParameterError, param_values, parse_object, validate_values
 from .data import DatasetFormatError, read_dataset, write_dataset, write_ground_truth
 from .experiment import ExperimentConfig, run_experiment, write_experiment_artifacts
 from .fitting import (
@@ -52,29 +52,19 @@ def _load_json(path: Path) -> object:
 
 
 def _load_params(path: Path) -> ParamSet:
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise ParameterError(f"{path}: expected a JSON object of parameters")
-    return ParamSet.from_dict(payload)
+    return ParamSet.from_dict(_load_json(path))
 
 
-def _sidecar_path(out: Path) -> Path:
-    return Path(str(out) + ".meta.json")
+_SIDECAR_KINDS = {"theta": dict, "learners": int, "steps": int, "seed": int}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sidecar is not None:
-        payload = _load_json(args.sidecar)
-        if not isinstance(payload, dict):
-            raise ParameterError(f"{args.sidecar}: expected a JSON object")
-        try:
-            theta = ParamSet.from_dict(payload["theta"])
-            learners = int(payload["learners"])
-            steps = int(payload["steps"])
-            seed = payload["seed"]
-        except KeyError as exc:
-            raise ParameterError(f"{args.sidecar}: missing sidecar key {exc}") from exc
-        seed = tuple(seed) if isinstance(seed, list) else int(seed)
+        fields = parse_object(
+            _load_json(args.sidecar), _SIDECAR_KINDS, "sidecar", required=_SIDECAR_KINDS
+        )
+        theta = ParamSet.from_dict(fields["theta"])
+        learners, steps, seed = fields["learners"], fields["steps"], fields["seed"]
     else:
         theta = _load_params(args.params)
         learners, steps, seed = args.learners, args.steps, args.seed
@@ -84,9 +74,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "theta": theta.to_dict(),
         "learners": learners,
         "steps": steps,
-        "seed": list(seed) if isinstance(seed, tuple) else seed,
+        "seed": seed,
     }
-    _sidecar_path(args.out).write_text(json.dumps(sidecar, indent=2) + "\n")
+    Path(str(args.out) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     if args.truth is not None:
         write_ground_truth(dataset, paths, args.truth)
     print(f"wrote {learners} learners x {steps} steps to {args.out}")
@@ -100,7 +90,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         loglik_tolerance=args.loglik_tolerance,
         param_tolerance=args.param_tolerance,
-        seed=args.init_seed,
     )
     if args.algorithm == ALGORITHM_BAUM_WELCH:
         report = fit_baum_welch(dataset, init, options)
@@ -136,28 +125,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    payload = _load_json(args.params_file)
-    if not isinstance(payload, dict):
-        raise ParameterError(f"{args.params_file}: expected a JSON object")
-    missing = [name for name in PARAM_NAMES if name not in payload]
-    if missing:
-        raise ParameterError(
-            f"{args.params_file}: missing parameter keys: {', '.join(missing)}"
-        )
-    unknown = sorted(set(payload) - set(PARAM_NAMES))
-    if unknown:
-        raise ParameterError(
-            f"{args.params_file}: unknown parameter keys: {', '.join(unknown)}"
-        )
-    values = {}
-    for name in PARAM_NAMES:
-        raw = payload[name]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ParameterError(
-                f"{args.params_file}: parameter {name!r} must be a number, got {raw!r}"
-            )
-        values[name] = float(raw)
-    report = validate_values(**values)
+    report = validate_values(**param_values(_load_json(args.params_file)))
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.satisfied else EXIT_DEGENERATE
 

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
+
+from .data import _as_bool_tuple
 
 __all__ = [
     "ParamSet",
@@ -94,20 +96,8 @@ class ParamSet:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     @classmethod
-    def from_dict(cls, mapping: Mapping[str, object]) -> "ParamSet":
-        missing = [name for name in PARAM_NAMES if name not in mapping]
-        if missing:
-            raise ParameterError(f"missing parameter keys: {', '.join(missing)}")
-        unknown = [key for key in mapping if key not in PARAM_NAMES]
-        if unknown:
-            raise ParameterError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-        values = {}
-        for name in PARAM_NAMES:
-            raw = mapping[name]
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ParameterError(f"parameter {name!r} must be a number, got {raw!r}")
-            values[name] = float(raw)
-        return cls(**values)
+    def from_dict(cls, mapping: object) -> "ParamSet":
+        return cls(**param_values(mapping))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -118,9 +108,58 @@ class ParamSet:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"invalid parameter JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParameterError("parameter JSON must be an object")
         return cls.from_dict(payload)
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", dict: "a JSON object", list: "a list"}
+
+
+def parse_object(
+    payload: object,
+    kinds: Mapping[str, type],
+    what: str,
+    *,
+    required: Iterable[str] = (),
+    error: type[ValueError] = ValueError,
+) -> dict[str, object]:
+    """Type-check a decoded JSON object and return its fields as keyword arguments.
+
+    kinds maps every allowed key to float, int, dict or list. A float field
+    takes any JSON number and returns a float; an int field refuses 2.5; no
+    field takes a boolean. Anything else raises `error`, so a malformed file
+    never reaches a constructor with a wrong type.
+    """
+
+    if not isinstance(payload, dict):
+        raise error(f"{what} must be a JSON object, got {payload!r}")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise error(f"missing {what} keys: {', '.join(missing)}")
+    unknown = sorted(set(payload) - set(kinds))
+    if unknown:
+        raise error(f"unknown {what} keys: {', '.join(unknown)}")
+    fields: dict[str, object] = {}
+    for key, value in payload.items():
+        kind = kinds[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise error(f"{what} {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        if kind is float:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise error(f"{what} {key!r} is too large for a float") from None
+        fields[key] = value
+    return fields
+
+
+def param_values(payload: object) -> dict[str, float]:
+    """The four parameters of a JSON object as floats, not yet range-checked."""
+
+    kinds = dict.fromkeys(PARAM_NAMES, float)
+    return parse_object(  # type: ignore[return-value]
+        payload, kinds, "parameter", required=PARAM_NAMES, error=ParameterError
+    )
 
 
 @dataclass(frozen=True)
@@ -163,17 +202,7 @@ class ConstraintReport:
     satisfied: bool
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "guess_in_range": self.guess_in_range,
-            "slip_in_range": self.slip_in_range,
-            "transit_in_range": self.transit_in_range,
-            "proficient_advantage": self.proficient_advantage,
-            "prior_above_fixed_point": self.prior_above_fixed_point,
-            "prior_below_one": self.prior_below_one,
-            "margin": self.margin,
-            "fixed_point": self.fixed_point,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def _in_open_unit_interval(value: float) -> bool:
@@ -274,33 +303,13 @@ def trace_sequence(theta: ParamSet, observations: Iterable[object]) -> list[floa
     entry t is the belief held after grading attempt t.
     """
 
-    obs = _as_bools(observations)
+    obs = _as_bool_tuple(observations, "observation")
     if not obs:
         raise ValueError("observations must contain at least one attempt")
     p = theta.l0
     trace: list[float] = []
-    one_minus_s = 1.0 - theta.s
-    one_minus_g = 1.0 - theta.g
     for y in obs:
-        if y:
-            hit = p * one_minus_s
-            q = hit / (hit + (1.0 - p) * theta.g)
-        else:
-            miss = p * theta.s
-            q = miss / (miss + (1.0 - p) * one_minus_g)
-        p = q + theta.r * (1.0 - q)
+        p = apply_transition(theta, posterior_given_obs(theta, MasteryState(p), y))
         trace.append(p)
     return trace
 
-
-def _as_bools(observations: Iterable[object]) -> list[bool]:
-    out: list[bool] = []
-    for value in observations:
-        if isinstance(value, bool):
-            out.append(value)
-            continue
-        number = int(value)  # type: ignore[arg-type]
-        if number != value or number not in (0, 1):
-            raise ValueError(f"observations must be 0/1 or boolean, got {value!r}")
-        out.append(bool(number))
-    return out

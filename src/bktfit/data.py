@@ -104,10 +104,7 @@ class Dataset:
     sequences: tuple[AttemptSequence, ...]
 
     def __post_init__(self) -> None:
-        sequences = tuple(
-            seq if isinstance(seq, AttemptSequence) else AttemptSequence(tuple(seq))
-            for seq in self.sequences
-        )
+        sequences = tuple(as_sequence(seq) for seq in self.sequences)
         if not sequences:
             raise ValueError("a dataset needs at least one learner")
         object.__setattr__(self, "sequences", sequences)
@@ -120,6 +117,18 @@ class Dataset:
 
     def __getitem__(self, index: int) -> AttemptSequence:
         return self.sequences[index]
+
+
+def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
+    """The sequence itself, or one validated from an iterable of answers."""
+
+    return seq if isinstance(seq, AttemptSequence) else AttemptSequence(tuple(seq))
+
+
+def as_dataset(data: Dataset | Iterable[object]) -> Dataset:
+    """The dataset itself, or one built once from an iterable of sequences."""
+
+    return data if isinstance(data, Dataset) else Dataset(tuple(data))
 
 
 def write_dataset(dataset: Dataset, destination: str | Path) -> None:

@@ -30,15 +30,13 @@ so results are bitwise reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .core import ParamSet
-from .data import AttemptSequence, Dataset
+from .data import AttemptSequence, Dataset, as_dataset, as_sequence
 
 __all__ = [
     "ForwardBackward",
@@ -49,7 +47,6 @@ __all__ = [
     "posteriors",
     "sufficient_stats",
     "log_likelihood",
-    "dump_posteriors_csv",
 ]
 
 
@@ -168,29 +165,10 @@ def _posterior_batch(
     return gamma, xi, loglik
 
 
-def _sequences_of(dataset: Dataset | Iterable[AttemptSequence]) -> list[AttemptSequence]:
-    if isinstance(dataset, Dataset):
-        sequences = list(dataset)
-    else:
-        sequences = [
-            seq if isinstance(seq, AttemptSequence) else AttemptSequence(tuple(seq))
-            for seq in dataset
-        ]
-    if not sequences:
-        raise ValueError("dataset is empty")
-    return sequences
-
-
-def _single(seq: AttemptSequence | Iterable[object]) -> np.ndarray:
-    if not isinstance(seq, AttemptSequence):
-        seq = AttemptSequence(tuple(seq))
-    return _as_obs_matrix([seq])
-
-
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
     """Scaled forward/backward pass over one sequence."""
 
-    obs = _single(seq)
+    obs = _as_obs_matrix([as_sequence(seq)])
     alpha, beta, scale, loglik, _ = _forward_backward_batch(theta, obs)
     return ForwardBackward(
         scaled_alpha=alpha[0],
@@ -203,12 +181,12 @@ def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    obs = _single(seq)
+    obs = _as_obs_matrix([as_sequence(seq)])
     gamma, xi, _ = _posterior_batch(theta, obs)
     return Posteriors(gamma=gamma[0], xi=xi[0])
 
 
-def _group_by_length(sequences: list[AttemptSequence]) -> dict[int, list[int]]:
+def _group_by_length(sequences: tuple[AttemptSequence, ...]) -> dict[int, list[int]]:
     groups: dict[int, list[int]] = {}
     for index, seq in enumerate(sequences):
         groups.setdefault(len(seq), []).append(index)
@@ -220,7 +198,7 @@ def sufficient_stats(
 ) -> SufficientStats:
     """Expected counts for every parameter plus the dataset log-likelihood."""
 
-    sequences = _sequences_of(dataset)
+    sequences = as_dataset(dataset).sequences
     count = len(sequences)
     # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
     per_learner = np.zeros((count, 9))
@@ -259,7 +237,7 @@ def sufficient_stats(
 def log_likelihood(theta: ParamSet, dataset: Dataset | Iterable[AttemptSequence]) -> float:
     """Observed-data log-likelihood, summed over learners in fixed order."""
 
-    sequences = _sequences_of(dataset)
+    sequences = as_dataset(dataset).sequences
     per_learner = np.zeros(len(sequences))
     for length, indices in _group_by_length(sequences).items():
         obs = _as_obs_matrix([sequences[i] for i in indices])
@@ -267,35 +245,3 @@ def log_likelihood(theta: ParamSet, dataset: Dataset | Iterable[AttemptSequence]
         per_learner[indices] = loglik
     return float(per_learner.sum())
 
-
-def dump_posteriors_csv(
-    theta: ParamSet,
-    dataset: Dataset | Iterable[AttemptSequence],
-    destination: str | Path,
-) -> None:
-    """Debug dump of gamma and xi, one row per learner and step.
-
-    The xi columns are empty on each learner's final step because there is
-    no following transition.
-    """
-
-    sequences = _sequences_of(dataset)
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["learner_id", "t", "gamma0", "gamma1", "xi00", "xi01", "xi11"])
-        for learner_id, seq in enumerate(sequences):
-            post = posteriors(theta, seq)
-            for t in range(len(seq)):
-                row: list[object] = [
-                    learner_id,
-                    t + 1,
-                    repr(float(post.gamma[t, 0])),
-                    repr(float(post.gamma[t, 1])),
-                ]
-                if t < len(seq) - 1:
-                    row.extend(
-                        repr(float(post.xi[t, i, j])) for i, j in ((0, 0), (0, 1), (1, 1))
-                    )
-                else:
-                    row.extend(["", "", ""])
-                writer.writerow(row)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baum_welch import fit_baum_welch
-from .core import PARAM_NAMES, ParamSet
+from .core import PARAM_NAMES, ParamSet, parse_object
 from .fitting import (
     ALGORITHM_BAUM_WELCH,
     ALGORITHM_CONSTRAINED,
@@ -56,6 +56,12 @@ __all__ = [
 MODE_DATASETS = "datasets"
 MODE_INITS = "inits"
 KNOWN_ALGORITHMS = (ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED)
+
+_CONFIG_KINDS = {
+    **dict.fromkeys(("num_datasets", "num_inits", "learners", "steps", "master_seed"), int),
+    **dict.fromkeys(("true_theta", "options", "schedule"), dict),
+    "algorithms": list,
+}
 
 _CSV_COLUMNS = (
     ["run_id", "algorithm", "converged", "iterations", "log_likelihood"]
@@ -89,11 +95,11 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise ValueError("duplicate algorithm names")
         unknown = [a for a in self.algorithms if a not in KNOWN_ALGORITHMS]
         if unknown:
-            raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
+            raise ValueError(f"unknown algorithms: {', '.join(map(repr, unknown))}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError("duplicate algorithm names")
 
     @property
     def mode(self) -> str:
@@ -127,35 +133,13 @@ class ExperimentConfig:
         return payload
 
     @classmethod
-    def from_dict(cls, mapping: Mapping[str, object]) -> "ExperimentConfig":
-        known = {
-            "true_theta",
-            "num_datasets",
-            "num_inits",
-            "learners",
-            "steps",
-            "master_seed",
-            "algorithms",
-            "options",
-            "schedule",
-        }
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        if "true_theta" not in mapping:
-            raise ValueError("config requires true_theta")
-        kwargs: dict[str, object] = {
-            "true_theta": ParamSet.from_dict(mapping["true_theta"])  # type: ignore[arg-type]
-        }
-        for key in ("num_datasets", "num_inits", "learners", "steps", "master_seed"):
-            if key in mapping:
-                kwargs[key] = mapping[key]
-        if "algorithms" in mapping:
-            kwargs["algorithms"] = tuple(mapping["algorithms"])  # type: ignore[arg-type]
-        if "options" in mapping:
-            kwargs["options"] = FitOptions.from_dict(mapping["options"])  # type: ignore[arg-type]
-        if "schedule" in mapping:
-            kwargs["schedule"] = BarrierSchedule.from_dict(mapping["schedule"])  # type: ignore[arg-type]
+    def from_dict(cls, mapping: object) -> "ExperimentConfig":
+        kwargs = parse_object(mapping, _CONFIG_KINDS, "config", required=("true_theta",))
+        kwargs["true_theta"] = ParamSet.from_dict(kwargs["true_theta"])
+        if "options" in kwargs:
+            kwargs["options"] = FitOptions.from_dict(kwargs["options"])
+        if "schedule" in kwargs:
+            kwargs["schedule"] = BarrierSchedule.from_dict(kwargs["schedule"])
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_json(self) -> str:
@@ -167,8 +151,6 @@ class ExperimentConfig:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid config JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("config JSON must be an object")
         return cls.from_dict(payload)
 
 
@@ -270,17 +252,19 @@ def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunRecord, ...]
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Execute every (run, algorithm) fit, optionally across processes.
 
+    At most min(jobs, runs) worker processes start, none when that is one.
     Results are merged in run order, so the output is independent of jobs.
     """
 
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     run_ids = range(config.runs)
-    if jobs == 1:
+    workers = min(jobs, config.runs)
+    if workers == 1:
         per_run = [_execute_run(config, run_id) for run_id in run_ids]
     else:
         worker = functools.partial(_execute_run, config)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_run = list(pool.map(worker, run_ids))
     records = tuple(record for group in per_run for record in group)
     return ExperimentResult(config=config, records=records)

@@ -32,16 +32,23 @@ rejected as degenerate up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from .baum_welch import DegenerateStatsError
-from .core import ParamSet, validate_params
+from .core import ParamSet, parse_object
 from .data import Dataset
-from .estep import SufficientStats, sufficient_stats
-from .fitting import ALGORITHM_CONSTRAINED, FitOptions, FitReport
+from .estep import SufficientStats
+from .fitting import (
+    ALGORITHM_CONSTRAINED,
+    FitOptions,
+    FitReport,
+    NewtonConvergenceError,
+    _run_em,
+)
 
 __all__ = [
     "BarrierSchedule",
@@ -80,19 +87,6 @@ class InfeasibleStateError(ValueError):
     """A barrier iterate left the strictly feasible region c(theta) > 0."""
 
 
-class NewtonConvergenceError(RuntimeError):
-    """The barrier subproblem failed to reach the residual tolerance."""
-
-    def __init__(self, message: str, *, mu: float, residual_norm: float, restarts: int):
-        super().__init__(
-            f"{message} (mu={mu:g}, residual max-norm={residual_norm:g}, "
-            f"restarts={restarts})"
-        )
-        self.mu = mu
-        self.residual_norm = residual_norm
-        self.restarts = restarts
-
-
 @dataclass(frozen=True)
 class BarrierSchedule:
     """Continuation plan for the barrier weight and Newton stop rules.
@@ -110,8 +104,9 @@ class BarrierSchedule:
     fraction_to_boundary: float = 0.995
 
     def __post_init__(self) -> None:
-        if not self.mu_initial > 0:
-            raise ValueError("mu_initial must be positive")
+        # An infinite start would never decay to the floor.
+        if not 0 < self.mu_initial < math.inf:
+            raise ValueError("mu_initial must be positive and finite")
         if not 0 < self.decay < 1:
             raise ValueError("decay must be in (0, 1)")
         if not 0 < self.mu_floor < self.mu_initial:
@@ -135,29 +130,13 @@ class BarrierSchedule:
         return mus
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "mu_initial": self.mu_initial,
-            "decay": self.decay,
-            "mu_floor": self.mu_floor,
-            "newton_tolerance": self.newton_tolerance,
-            "max_newton_steps": self.max_newton_steps,
-            "fraction_to_boundary": self.fraction_to_boundary,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, mapping: dict[str, object]) -> "BarrierSchedule":
-        known = {
-            "mu_initial",
-            "decay",
-            "mu_floor",
-            "newton_tolerance",
-            "max_newton_steps",
-            "fraction_to_boundary",
-        }
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValueError(f"unknown schedule keys: {', '.join(sorted(unknown))}")
-        return cls(**{k: mapping[k] for k in known if k in mapping})  # type: ignore[arg-type]
+    def from_dict(cls, mapping: object) -> "BarrierSchedule":
+        kinds = {field.name: float for field in fields(cls)}
+        kinds["max_newton_steps"] = int
+        return cls(**parse_object(mapping, kinds, "schedule"))  # type: ignore[arg-type]
 
 
 DEFAULT_SCHEDULE = BarrierSchedule()
@@ -501,55 +480,29 @@ def fit_constrained(
 
     Infeasible or nearly-infeasible warm starts are projected inward before
     each M-step; genuine restorations (margin <= 0, typically only the
-    initial guess) are recorded in the diagnostics.
+    initial guess) are recorded in the diagnostics. The log-likelihood
+    trace is non-decreasing from the first feasible iterate on: from an
+    infeasible init, the projection can lose likelihood at iteration 1.
     """
 
-    opts = options or FitOptions()
     sched = schedule or DEFAULT_SCHEDULE
-    theta = init
-    stats = sufficient_stats(theta, dataset)
-    trace = [stats.log_likelihood]
     restorations: list[dict[str, object]] = []
-    warm_start_adjustments = 0
-    iterations = 0
-    converged = False
-    final_state: BarrierState | None = None
-    solved_stats: SufficientStats | None = None
-    for _ in range(opts.max_iterations):
-        final_state, adjustment = _constrained_m_step(stats, theta, sched)
-        solved_stats = stats
-        theta_new = final_state.theta
-        iterations += 1
-        if adjustment is not None:
-            warm_start_adjustments += 1
-            if adjustment["margin_before"] <= 0.0:
-                restorations.append({"iteration": iterations, **adjustment})
-        delta = max(
-            abs(new - old) for new, old in zip(theta_new.astuple(), theta.astuple())
-        )
-        theta = theta_new
-        stats = sufficient_stats(theta, dataset)
-        trace.append(stats.log_likelihood)
-        if abs(trace[-1] - trace[-2]) < opts.loglik_tolerance or delta < opts.param_tolerance:
-            converged = True
-            break
     diagnostics: dict[str, object] = {
         "restorations": restorations,
-        "warm_start_adjustments": warm_start_adjustments,
+        "warm_start_adjustments": 0,
         "mu_floor": sched.mu_floor,
     }
-    if final_state is not None and solved_stats is not None:
+
+    def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
+        final, adjustment = _constrained_m_step(stats, theta, sched)
+        if adjustment is not None:
+            diagnostics["warm_start_adjustments"] += 1  # type: ignore[operator]
+            if adjustment["margin_before"] <= 0.0:
+                restorations.append({"iteration": iteration, **adjustment})
         diagnostics["final_kkt_residual"] = float(
-            np.max(np.abs(kkt_residual(final_state, solved_stats)))
+            np.max(np.abs(kkt_residual(final, stats)))
         )
-        diagnostics["final_dual"] = final_state.dual
-    return FitReport(
-        algorithm=ALGORITHM_CONSTRAINED,
-        theta_hat=theta,
-        initial_theta=init,
-        loglik_trace=tuple(trace),
-        iterations=iterations,
-        converged=converged,
-        constraints=validate_params(theta),
-        diagnostics=diagnostics,
-    )
+        diagnostics["final_dual"] = final.dual
+        return final.theta
+
+    return _run_em(ALGORITHM_CONSTRAINED, dataset, init, options, m_step, diagnostics)

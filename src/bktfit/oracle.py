@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ParamSet
-from .data import AttemptSequence, Dataset
+from .data import AttemptSequence, Dataset, as_dataset, as_sequence
 from .estep import Posteriors
 
 __all__ = [
@@ -54,8 +54,7 @@ class PathEnumeration:
 
 
 def _checked(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
-    if not isinstance(seq, AttemptSequence):
-        seq = AttemptSequence(tuple(seq))
+    seq = as_sequence(seq)
     if len(seq) > MAX_ENUMERATION_LENGTH:
         raise SequenceTooLongError(
             f"enumeration supports length <= {MAX_ENUMERATION_LENGTH}, got {len(seq)}"
@@ -153,17 +152,8 @@ def enumerate_em_objective(
     posterior weight are skipped so the sum stays finite.
     """
 
-    if isinstance(dataset, Dataset):
-        sequences = list(dataset)
-    else:
-        sequences = [
-            seq if isinstance(seq, AttemptSequence) else AttemptSequence(tuple(seq))
-            for seq in dataset
-        ]
-    if not sequences:
-        raise ValueError("dataset is empty")
     total_terms: list[float] = []
-    for seq in sequences:
+    for seq in as_dataset(dataset):
         seq = _checked(seq)
         paths = monotone_paths(len(seq))
         ref_logs = [_path_log_weight(theta_ref, states, seq.attempts) for states in paths]

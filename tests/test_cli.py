@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +274,64 @@ def test_experiment_bad_config_is_parse_error(tmp_path, capsys):
     )
     assert code == EXIT_IO
     assert "true_theta" in capsys.readouterr().err
+
+
+_TINY_CONFIG = {
+    "true_theta": TRUE_THETA.to_dict(),
+    "num_datasets": 1,
+    "learners": 10,
+    "steps": 4,
+}
+_SIDECAR = {"theta": TRUE_THETA.to_dict(), "learners": 3, "steps": 4, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("experiment", {"schedule": {"mu_initial": "big"}}),
+        ("experiment", {"schedule": {"mu_initial": 10**400}}),
+        ("experiment", {"options": {"max_iterations": "5"}}),
+        ("experiment", {"options": {"seed": 0}}),
+        ("experiment", {"learners": "10"}),
+        ("experiment", {"num_datasets": 2.5}),
+        ("experiment", {"algorithms": "constrained"}),
+        ("experiment", {"true_theta": [0.45, 0.25, 0.1, 0.3]}),
+        ("simulate", {"learners": None}),
+        ("simulate", {"learners": 2.7}),
+        ("simulate", {"theta": 5}),
+        ("simulate", {"seed": "1"}),
+    ],
+)
+def test_mistyped_json_fields_exit_3(tmp_path, capsys, command, override):
+    if command == "experiment":
+        source = tmp_path / "config.json"
+        source.write_text(json.dumps({**_TINY_CONFIG, **override}))
+        argv = ["experiment", "--config", str(source), "--out", str(tmp_path / "o")]
+    else:
+        source = tmp_path / "data.csv.meta.json"
+        source.write_text(json.dumps({**_SIDECAR, **override}))
+        argv = ["simulate", "--sidecar", str(source), "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    key, value = next(iter(override.items()))
+    assert (next(iter(value)) if isinstance(value, dict) else key) in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "d.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, theta_file):
+    violating = tmp_path / "bad.json"
+    violating.write_text('{"l0": 0.5, "g": 0.7, "s": 0.5, "r": 0.2}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for path, expected in ((theta_file, EXIT_OK), (violating, EXIT_DEGENERATE)):
+        done = subprocess.run(
+            [sys.executable, "-m", "bktfit", "validate", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == expected, done.stderr

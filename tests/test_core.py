@@ -152,6 +152,12 @@ def test_trace_rejects_empty():
         trace_sequence(TRUE_THETA, [])
 
 
+@pytest.mark.parametrize("bad", [None, 2, 0.5, "1"])
+def test_trace_rejects_non_binary_observations(bad):
+    with pytest.raises(ValueError, match="0/1 or boolean"):
+        trace_sequence(TRUE_THETA, [bad])
+
+
 _unit = st.floats(min_value=0.02, max_value=0.98)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from bktfit import (
     AttemptSequence,
-    Dataset,
     build_hmm_matrices,
     enumerate_likelihood,
     enumerate_posteriors,
@@ -19,7 +17,6 @@ from bktfit import (
     posteriors,
     sufficient_stats,
 )
-from bktfit.estep import dump_posteriors_csv
 from conftest import TRUE_THETA, random_attempts, random_theta
 
 
@@ -125,16 +122,3 @@ def test_stats_pairs_layout():
     assert pairs.shape == (4, 2)
     np.testing.assert_allclose(pairs[0], stats.prior)
     np.testing.assert_allclose(pairs[3], stats.transit)
-
-
-def test_dump_posteriors_csv(tmp_path):
-    dataset = Dataset((AttemptSequence((True, False)), AttemptSequence((True,))))
-    path = tmp_path / "post.csv"
-    dump_posteriors_csv(TRUE_THETA, dataset, path)
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 3
-    assert rows[0]["learner_id"] == "0"
-    assert rows[1]["xi00"] == ""  # final step has no transition
-    post = posteriors(TRUE_THETA, dataset[0])
-    assert float(rows[0]["gamma1"]) == pytest.approx(post.gamma[0, 1], rel=1e-15)

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ElementTree
 
 import pytest
 
+import bktfit.experiment as experiment
 from bktfit import ExperimentConfig, run_experiment, write_experiment_artifacts
 from bktfit.experiment import (
     MODE_DATASETS,
@@ -99,6 +100,34 @@ def test_jobs_do_not_change_results():
         assert a.algorithm == b.algorithm
         assert a.report.theta_hat == b.report.theta_hat
         assert a.report.loglik_trace == b.report.loglik_trace
+
+
+class _InlineExecutor:
+    """Runs the pool's work in this process and records the worker count."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs, runs, workers", [(4, 2, [2]), (2, 3, [2]), (8, 1, [])])
+def test_worker_count_is_capped_by_runs(monkeypatch, jobs, runs, workers):
+    monkeypatch.setattr(_InlineExecutor, "max_workers", [])
+    monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    config = _tiny_config(num_datasets=runs, learners=10, steps=4)
+    result = run_experiment(config, jobs=jobs)
+    assert _InlineExecutor.max_workers == workers
+    assert len(result.records) == runs * len(config.algorithms)
 
 
 def test_summary_recomputable_from_records():

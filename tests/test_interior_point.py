@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bktfit.interior_point as interior_point
 from bktfit import (
     BarrierSchedule,
     BarrierState,
     DegenerateStatsError,
     InfeasibleStateError,
+    NewtonConvergenceError,
     ParamSet,
     barrier_continuation,
     constraint_gradient,
@@ -154,6 +156,7 @@ def test_schedule_sequence_decreasing_to_floor():
         {"newton_tolerance": 0.0},
         {"max_newton_steps": 0},
         {"fraction_to_boundary": 1.0},
+        {"mu_initial": float("inf")},
     ],
 )
 def test_schedule_validation(kwargs):
@@ -308,6 +311,33 @@ def test_fit_constrained_records_restoration_of_infeasible_init():
     restorations = report.diagnostics["restorations"]
     assert restorations and restorations[0]["iteration"] == 1
     assert report.constraints.satisfied
+
+
+def test_solver_failure_keeps_the_partial_fit(monkeypatch):
+    dataset = simulate_dataset(TRUE_THETA, 50, 8, 99)
+    stages_per_m_step = len(DEFAULT_SCHEDULE.mu_sequence())
+    fail_at = 2 * stages_per_m_step + 5  # inside the third M-step
+    calls = 0
+    original = interior_point.solve_barrier_subproblem
+
+    def failing(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", failing)
+    with pytest.raises(NewtonConvergenceError) as info:
+        fit_constrained(dataset, random_init(4))
+    partial = info.value.report
+    assert partial.iterations == 2
+    assert len(partial.loglik_trace) == 3
+    assert not partial.converged
+    assert partial.constraints.satisfied
+    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", original)
+    full = fit_constrained(dataset, random_init(4))
+    assert partial.loglik_trace == full.loglik_trace[:3]
 
 
 def test_fit_constrained_agrees_with_baum_welch_when_inactive():
