@@ -26,6 +26,7 @@ from .fitting import (
     ALGORITHM_BAUM_WELCH,
     ALGORITHM_CONSTRAINED,
     FitOptions,
+    FitReport,
     random_init,
 )
 from .interior_point import (
@@ -83,6 +84,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_report(report: FitReport, out: Path | None) -> None:
+    text = json.dumps(report.to_dict(), indent=2)
+    if out is not None:
+        out.write_text(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.data)
     init = _load_params(args.init) if args.init is not None else random_init(args.init_seed)
@@ -97,12 +106,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         schedule = BarrierSchedule(
             mu_initial=args.mu_initial, decay=args.mu_decay, mu_floor=args.mu_floor
         )
-        report = fit_constrained(dataset, init, options, schedule)
-    text = json.dumps(report.to_dict(), indent=2)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    else:
-        print(text)
+        try:
+            report = fit_constrained(dataset, init, options, schedule)
+        except NewtonConvergenceError as exc:
+            # Keep the fit up to the failed M-step; main still exits 4.
+            if exc.report is not None:
+                _write_report(exc.report, args.out)
+            raise
+    _write_report(report, args.out)
     if not report.converged:
         print(
             f"did not converge within {options.max_iterations} iterations",

@@ -88,6 +88,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.num_datasets is None) == (self.num_inits is None):
             raise ValueError("set exactly one of num_datasets and num_inits")
+        if isinstance(self.runs, bool) or not isinstance(self.runs, int):
+            raise ValueError(f"run count must be an integer, got {self.runs!r}")
         if self.runs < 1:
             raise ValueError("run count must be at least 1")
         if self.learners < 1 or self.steps < 1:
@@ -108,7 +110,7 @@ class ExperimentConfig:
     @property
     def runs(self) -> int:
         count = self.num_datasets if self.num_datasets is not None else self.num_inits
-        return int(count)  # type: ignore[arg-type]
+        return count  # type: ignore[return-value]
 
     def dataset_seed(self, run_id: int) -> tuple[int, int, int]:
         return (self.master_seed, 0, run_id if self.mode == MODE_DATASETS else 0)

@@ -9,8 +9,11 @@ combine into the single inequality c(theta) >= 0 with
 
     c(theta) = (1-s-g)l0 - (1-g)r.
 
-Instead of maximizing the objective directly (which can land outside the
-feasible set), each M-step maximizes objective + mu*log(c) for a decreasing
+The objective is strictly concave, so when its unconstrained maximizer (the
+closed-form ratios) already satisfies c > 0, the constraint is inactive and
+that maximizer is the M-step's answer; fit_constrained takes it directly.
+Only when the closed form violates c (or touches the box walls) does the
+M-step need the barrier: it maximizes objective + mu*log(c) for a decreasing
 sequence of barrier weights mu, warm-starting each stage at the previous
 solution. A dual value lam tied to the constraint by lam*c = mu turns each
 stage into a square root-finding problem: the residual
@@ -38,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .baum_welch import DegenerateStatsError
+from .baum_welch import DegenerateStatsError, closed_form_ratios
 from .core import ParamSet, parse_object
 from .data import Dataset
 from .estep import SufficientStats
@@ -433,11 +436,11 @@ def _check_estimable(stats: SufficientStats) -> None:
             )
 
 
-def _constrained_m_step(
-    stats: SufficientStats, theta_star: ParamSet, schedule: BarrierSchedule
-) -> tuple[BarrierState, dict[str, object] | None]:
-    _check_estimable(stats)
-    start, adjustment = project_feasible(theta_star)
+def _barrier_m_step(
+    stats: SufficientStats, theta_star: ParamSet, start: ParamSet, schedule: BarrierSchedule
+) -> BarrierState:
+    """Barrier chain from the feasible start, checked against theta_star."""
+
     final = barrier_continuation(stats, start, schedule)
     star_margin = constraint_value(theta_star)
     if star_margin > 0.0:
@@ -452,7 +455,7 @@ def _constrained_m_step(
                 residual_norm=residual,
                 restarts=0,
             )
-    return final, adjustment
+    return final
 
 
 def interior_point_m_step(
@@ -465,8 +468,9 @@ def interior_point_m_step(
     strictly and never scores below theta_star on the objective.
     """
 
-    final, _ = _constrained_m_step(stats, theta_star, schedule or DEFAULT_SCHEDULE)
-    return final.theta
+    _check_estimable(stats)
+    start, _ = project_feasible(theta_star)
+    return _barrier_m_step(stats, theta_star, start, schedule or DEFAULT_SCHEDULE).theta
 
 
 def fit_constrained(
@@ -475,14 +479,19 @@ def fit_constrained(
     options: FitOptions | None = None,
     schedule: BarrierSchedule | None = None,
 ) -> FitReport:
-    """EM loop whose M-step is the barrier solver, so every iterate and the
-    final estimate satisfy the behavioral constraints.
+    """EM loop whose M-step keeps every iterate and the final estimate
+    inside the behavioral constraints.
 
-    Infeasible or nearly-infeasible warm starts are projected inward before
-    each M-step; genuine restorations (margin <= 0, typically only the
-    initial guess) are recorded in the diagnostics. The log-likelihood
-    trace is non-decreasing from the first feasible iterate on: from an
-    infeasible init, the projection can lose likelihood at iteration 1.
+    Each M-step first tries the closed-form update: when it lies strictly
+    inside the box and satisfies c > 0, it is the constrained maximizer
+    (the objective is separable and strictly concave) and is taken as is,
+    with the gradient norm as its certificate. Otherwise the barrier chain
+    runs from the current iterate, projected inward when it is infeasible
+    or nearly so; genuine restorations (margin <= 0, typically only the
+    initial guess) are recorded in the diagnostics, as is the count of
+    M-steps that ran the barrier. The log-likelihood trace is
+    non-decreasing from the first feasible iterate on: from an infeasible
+    init, the projection can lose likelihood at iteration 1.
     """
 
     sched = schedule or DEFAULT_SCHEDULE
@@ -490,19 +499,29 @@ def fit_constrained(
     diagnostics: dict[str, object] = {
         "restorations": restorations,
         "warm_start_adjustments": 0,
+        "barrier_m_steps": 0,
         "mu_floor": sched.mu_floor,
     }
 
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        final, adjustment = _constrained_m_step(stats, theta, sched)
+        _check_estimable(stats)
+        start, adjustment = project_feasible(theta)
+        ratios = np.array(closed_form_ratios(stats))
+        if np.all((ratios > 0.0) & (ratios < 1.0)) and _cval(ratios) > 0.0:
+            # Inactive constraint: the KKT residual with lam = 0 is the gradient.
+            theta_new, dual = _to_theta(ratios), 0.0
+            residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
+        else:
+            final = _barrier_m_step(stats, theta, start, sched)
+            theta_new, dual = final.theta, final.dual
+            residual = float(np.max(np.abs(kkt_residual(final, stats))))
+            diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
         if adjustment is not None:
             diagnostics["warm_start_adjustments"] += 1  # type: ignore[operator]
             if adjustment["margin_before"] <= 0.0:
                 restorations.append({"iteration": iteration, **adjustment})
-        diagnostics["final_kkt_residual"] = float(
-            np.max(np.abs(kkt_residual(final, stats)))
-        )
-        diagnostics["final_dual"] = final.dual
-        return final.theta
+        diagnostics["final_kkt_residual"] = residual
+        diagnostics["final_dual"] = dual
+        return theta_new
 
     return _run_em(ALGORITHM_CONSTRAINED, dataset, init, options, m_step, diagnostics)

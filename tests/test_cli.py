@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bktfit import random_init, read_dataset
+import bktfit.interior_point as interior_point
+from bktfit import NewtonConvergenceError, random_init, read_dataset
 from bktfit.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -214,6 +215,42 @@ def test_fit_degenerate_exit_for_violating_baum_welch(tmp_path, theta_file):
     code = main(["fit", "--algorithm", "constrained", *common])
     assert code == EXIT_OK
     report = json.loads(report_path.read_text())
+    assert report["constraints"]["satisfied"] is True
+
+
+def test_fit_writes_the_partial_report_on_solver_failure(
+    tmp_path, theta_file, monkeypatch, capsys
+):
+    # The Baum-Welch fit of this dataset violates c, so the constrained fit
+    # runs the barrier in several M-steps; the third barrier M-step fails.
+    data = tmp_path / "d.csv"
+    simulate = ["simulate", "--params", str(theta_file), "--learners", "100"]
+    assert main([*simulate, "--steps", "10", "--seed", "1", "--out", str(data)]) == EXIT_OK
+    stages_per_m_step = len(interior_point.DEFAULT_SCHEDULE.mu_sequence())
+    calls = 0
+    original = interior_point.solve_barrier_subproblem
+
+    def failing(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 2 * stages_per_m_step + 1:
+            raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", failing)
+    report_path = tmp_path / "report.json"
+    code = main(
+        ["fit", "--data", str(data), "--algorithm", "constrained", "--init-seed", "2"]
+        + ["--out", str(report_path)]
+    )
+    assert code == EXIT_NO_CONVERGENCE
+    assert calls == 2 * stages_per_m_step + 1
+    assert "solver failure" in capsys.readouterr().err
+    report = json.loads(report_path.read_text())
+    assert report["converged"] is False
+    assert report["iterations"] >= 2
+    assert len(report["loglik_trace"]) == report["iterations"] + 1
+    assert report["diagnostics"]["barrier_m_steps"] == 2
     assert report["constraints"]["satisfied"] is True
 
 

@@ -45,6 +45,14 @@ def test_config_mode_and_runs():
     assert config.runs == 4
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("field", ["num_datasets", "num_inits"])
+def test_config_rejects_non_integer_run_counts(field, count):
+    # runs used to truncate 2.5 to 2 while to_dict() still reported 2.5.
+    with pytest.raises(ValueError, match="run count must be an integer"):
+        ExperimentConfig(true_theta=TRUE_THETA, **{field: count})
+
+
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown algorithms"):
         _tiny_config(algorithms=("gradient-descent",))

@@ -11,10 +11,12 @@ from bktfit import (
     BarrierSchedule,
     BarrierState,
     DegenerateStatsError,
+    FitOptions,
     InfeasibleStateError,
     NewtonConvergenceError,
     ParamSet,
     barrier_continuation,
+    closed_form_ratios,
     constraint_gradient,
     constraint_value,
     enumerate_em_objective,
@@ -35,6 +37,7 @@ from bktfit import (
     validate_params,
 )
 from bktfit.estep import SufficientStats
+from bktfit.fitting import _run_em
 from bktfit.interior_point import DEFAULT_SCHEDULE
 from conftest import TRUE_THETA, random_theta, random_valid_theta
 
@@ -314,7 +317,14 @@ def test_fit_constrained_records_restoration_of_infeasible_init():
 
 
 def test_solver_failure_keeps_the_partial_fit(monkeypatch):
-    dataset = simulate_dataset(TRUE_THETA, 50, 8, 99)
+    # The Baum-Welch fit of this dataset violates c, and from this init the
+    # closed form is infeasible in each of the first three M-steps, so each
+    # of them runs all the barrier stages.
+    dataset = simulate_dataset(TRUE_THETA, 50, 8, 106)
+    init = random_init(3)
+    assert not fit_baum_welch(dataset, init).constraints.satisfied
+    first_three = fit_constrained(dataset, init, FitOptions(max_iterations=3))
+    assert first_three.diagnostics["barrier_m_steps"] == 3
     stages_per_m_step = len(DEFAULT_SCHEDULE.mu_sequence())
     fail_at = 2 * stages_per_m_step + 5  # inside the third M-step
     calls = 0
@@ -329,14 +339,14 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
 
     monkeypatch.setattr(interior_point, "solve_barrier_subproblem", failing)
     with pytest.raises(NewtonConvergenceError) as info:
-        fit_constrained(dataset, random_init(4))
+        fit_constrained(dataset, init)
     partial = info.value.report
     assert partial.iterations == 2
     assert len(partial.loglik_trace) == 3
     assert not partial.converged
     assert partial.constraints.satisfied
     monkeypatch.setattr(interior_point, "solve_barrier_subproblem", original)
-    full = fit_constrained(dataset, random_init(4))
+    full = fit_constrained(dataset, init)
     assert partial.loglik_trace == full.loglik_trace[:3]
 
 
@@ -356,3 +366,61 @@ def test_all_correct_dataset_is_degenerate_for_barrier_m_step():
     stats = sufficient_stats(TRUE_THETA, [[True, True, True] for _ in range(5)])
     with pytest.raises(DegenerateStatsError):
         interior_point_m_step(stats, TRUE_THETA)
+
+
+def test_first_m_step_takes_the_closed_form_only_when_it_is_feasible():
+    # One iteration from init is one M-step on sufficient_stats(init, data).
+    rng = np.random.default_rng(32)
+    seen = {"inactive": 0, "active": 0}
+    for _ in range(20):
+        stats, reference, dataset = _random_stats(rng)
+        report = fit_constrained(dataset, reference, FitOptions(max_iterations=1))
+        ratios = closed_form_ratios(stats)
+        if constraint_value(ParamSet(*ratios)) > 0:
+            seen["inactive"] += 1
+            assert report.theta_hat.astuple() == ratios
+            assert report.diagnostics["barrier_m_steps"] == 0
+            assert report.diagnostics["final_dual"] == 0.0
+            gradient = objective_gradient(stats, report.theta_hat)
+            assert report.diagnostics["final_kkt_residual"] == np.abs(gradient).max()
+        else:
+            seen["active"] += 1
+            assert report.theta_hat == interior_point_m_step(stats, reference)
+            assert report.diagnostics["barrier_m_steps"] == 1
+    assert seen["inactive"] >= 2 and seen["active"] >= 2
+
+
+def test_fit_constrained_matches_the_barrier_only_fit():
+    def barrier_only(dataset, init):
+        return _run_em(
+            "barrier-only",
+            dataset,
+            init,
+            None,
+            lambda stats, theta, iteration: interior_point_m_step(stats, theta),
+            {},
+        )
+
+    rng = np.random.default_rng(33)
+    infeasible_inits = shortcut_steps = barrier_steps = 0
+    for pair in range(20):
+        dataset = simulate_dataset(TRUE_THETA, 40, 8, int(rng.integers(1 << 31)))
+        init = random_init(pair)
+        report = fit_constrained(dataset, init)
+        reference = barrier_only(dataset, init)
+        np.testing.assert_allclose(
+            report.theta_hat.astuple(), reference.theta_hat.astuple(), rtol=0, atol=1e-6
+        )
+        assert abs(report.final_log_likelihood - reference.final_log_likelihood) <= 1e-9
+        assert report.constraints.satisfied
+        # From an infeasible init the projection may cost likelihood at
+        # iteration 1; from the first feasible iterate on the trace is monotone.
+        feasible_init = constraint_value(init) > 0
+        infeasible_inits += not feasible_init
+        trace = np.array(report.loglik_trace[0 if feasible_init else 1 :])
+        assert np.all(np.diff(trace) >= -1e-10)
+        barrier = report.diagnostics["barrier_m_steps"]
+        barrier_steps += barrier
+        shortcut_steps += report.iterations - barrier
+    assert infeasible_inits >= 5
+    assert shortcut_steps > 0 and barrier_steps > 0
