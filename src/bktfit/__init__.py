@@ -6,70 +6,29 @@ whose every iterate satisfies the behavioral constraints, and ships an
 enumeration oracle plus experiment harness for auditing both.
 """
 
-from .baum_welch import DegenerateStatsError, closed_form_ratios, fit_baum_welch, m_step_closed_form
+from .baum_welch import DegenerateStatsError, fit_baum_welch, m_step_closed_form
 from .core import (
     ConstraintReport,
-    MasteryState,
     ParamSet,
     ParameterError,
     UndefinedFixedPointError,
-    apply_transition,
     fixed_point,
-    posterior_given_obs,
-    predict_correct,
     trace_sequence,
     validate_params,
-    validate_values,
 )
-from .data import (
-    AttemptSequence,
-    Dataset,
-    DatasetFormatError,
-    HiddenPath,
-    read_dataset,
-    read_ground_truth,
-    write_dataset,
-    write_ground_truth,
-)
-from .estep import (
-    ForwardBackward,
-    Posteriors,
-    SufficientStats,
-    build_hmm_matrices,
-    forward_backward,
-    log_likelihood,
-    posteriors,
-    sufficient_stats,
-)
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    RunRecord,
-    run_experiment,
-    write_experiment_artifacts,
-)
-from .fitting import (
-    ALGORITHM_BAUM_WELCH,
-    ALGORITHM_CONSTRAINED,
-    FitOptions,
-    FitReport,
-    random_init,
-)
+from .data import AttemptSequence, Dataset, DatasetFormatError, read_dataset, write_dataset
+from .estep import forward_backward, log_likelihood, posteriors, sufficient_stats
+from .experiment import ExperimentConfig, run_experiment
+from .fitting import FitOptions, FitReport, random_init
 from .interior_point import (
     BarrierSchedule,
     BarrierState,
     InfeasibleStateError,
     NewtonConvergenceError,
     barrier_continuation,
-    constraint_gradient,
-    constraint_value,
     fit_constrained,
     interior_point_m_step,
-    kkt_jacobian,
     kkt_residual,
-    objective_gradient,
-    objective_hessian_diag,
-    objective_value,
     project_feasible,
     solve_barrier_subproblem,
 )
@@ -78,15 +37,12 @@ from .oracle import (
     enumerate_likelihood,
     enumerate_paths,
     enumerate_posteriors,
-    monotone_paths,
 )
-from .simulate import simulate_dataset, simulate_dataset_with_paths, simulate_learner
+from .simulate import simulate_dataset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_BAUM_WELCH",
-    "ALGORITHM_CONSTRAINED",
     "AttemptSequence",
     "BarrierSchedule",
     "BarrierState",
@@ -95,26 +51,14 @@ __all__ = [
     "DatasetFormatError",
     "DegenerateStatsError",
     "ExperimentConfig",
-    "ExperimentResult",
     "FitOptions",
     "FitReport",
-    "ForwardBackward",
-    "HiddenPath",
     "InfeasibleStateError",
-    "MasteryState",
     "NewtonConvergenceError",
     "ParamSet",
     "ParameterError",
-    "Posteriors",
-    "RunRecord",
-    "SufficientStats",
     "UndefinedFixedPointError",
-    "apply_transition",
     "barrier_continuation",
-    "build_hmm_matrices",
-    "closed_form_ratios",
-    "constraint_gradient",
-    "constraint_value",
     "enumerate_em_objective",
     "enumerate_likelihood",
     "enumerate_paths",
@@ -124,31 +68,18 @@ __all__ = [
     "fixed_point",
     "forward_backward",
     "interior_point_m_step",
-    "kkt_jacobian",
     "kkt_residual",
     "log_likelihood",
     "m_step_closed_form",
-    "monotone_paths",
-    "objective_gradient",
-    "objective_hessian_diag",
-    "objective_value",
-    "posterior_given_obs",
     "posteriors",
-    "predict_correct",
     "project_feasible",
     "random_init",
     "read_dataset",
-    "read_ground_truth",
     "run_experiment",
     "simulate_dataset",
-    "simulate_dataset_with_paths",
-    "simulate_learner",
     "solve_barrier_subproblem",
     "sufficient_stats",
     "trace_sequence",
     "validate_params",
-    "validate_values",
     "write_dataset",
-    "write_experiment_artifacts",
-    "write_ground_truth",
 ]

@@ -174,12 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--init", type=Path, help="initial guess JSON; default is random")
     fit.add_argument("--init-seed", type=int, default=0)
-    fit.add_argument("--max-iterations", type=int, default=500)
-    fit.add_argument("--loglik-tolerance", type=float, default=1e-8)
-    fit.add_argument("--param-tolerance", type=float, default=1e-8)
-    fit.add_argument("--mu-initial", type=float, default=1.0)
-    fit.add_argument("--mu-decay", type=float, default=0.2)
-    fit.add_argument("--mu-floor", type=float, default=1e-10)
+    options, schedule = FitOptions(), BarrierSchedule()
+    fit.add_argument("--max-iterations", type=int, default=options.max_iterations)
+    fit.add_argument("--loglik-tolerance", type=float, default=options.loglik_tolerance)
+    fit.add_argument("--param-tolerance", type=float, default=options.param_tolerance)
+    fit.add_argument("--mu-initial", type=float, default=schedule.mu_initial)
+    fit.add_argument("--mu-decay", type=float, default=schedule.decay)
+    fit.add_argument("--mu-floor", type=float, default=schedule.mu_floor)
     fit.add_argument("--out", type=Path, help="report JSON destination; default stdout")
     fit.set_defaults(handler=cmd_fit)
 

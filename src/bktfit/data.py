@@ -4,15 +4,23 @@ Dataset files are UTF-8 CSV with header ``learner_id,step,correct``:
 learner_id is a non-negative integer, step starts at 1 and increments by 1
 within a learner, correct is 0 or 1, and rows are sorted by learner then
 step. The optional ground-truth variant carries one extra ``proficient``
-column with the hidden state that generated each attempt.
+column with the hidden state that generated each attempt. learner_id and
+step cells hold ASCII decimal digits only.
+
+A Dataset encodes its answers once: the first E-step that reads it builds
+one (learner indices, uint8 answer matrix) pair per distinct sequence
+length, and every later E-step of every fit on that dataset reuses them.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "AttemptSequence",
@@ -118,6 +126,25 @@ class Dataset:
     def __getitem__(self, index: int) -> AttemptSequence:
         return self.sequences[index]
 
+    @cached_property
+    def _length_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Ascending learner indices and their (n, T) uint8 answers, per length T.
+
+        Built on first use, not at construction, and kept for the dataset's
+        lifetime; uint8 keeps the cache at one byte per attempt.
+        """
+
+        by_length: dict[int, list[int]] = {}
+        for index, seq in enumerate(self.sequences):
+            by_length.setdefault(len(seq), []).append(index)
+        return tuple(
+            (
+                np.array(indices),
+                np.array([self.sequences[i].attempts for i in indices], dtype=np.uint8),
+            )
+            for indices in by_length.values()
+        )
+
 
 def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
     """The sequence itself, or one validated from an iterable of answers."""
@@ -169,75 +196,72 @@ def _parse_binary(text: str, column: str, lineno: int) -> bool:
     raise DatasetFormatError(f"line {lineno}: {column} must be 0 or 1, got {text!r}")
 
 
-def _read_rows(source: str | Path, header: list[str]) -> list[list[str]]:
+def _parse_count(text: str, column: str, lineno: int) -> int:
+    # int() would also take "1_0", "+2", " 7" and non-ASCII digits.
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise DatasetFormatError(
+        f"line {lineno}: {column} must be a non-negative decimal integer, got {text!r}"
+    )
+
+
+def _parse_table(source: str | Path, header: list[str]) -> list[tuple[list[bool], list[bool]]]:
+    """Read and validate the CSV in one pass into (attempts, proficient) lists per learner."""
+
+    width = len(header)
+    learners: list[tuple[list[bool], list[bool]]] = []
+    seen: set[int] = set()
+    current_id: int | None = None
     with open(source, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        rows = list(reader)
-    if not rows:
-        raise DatasetFormatError("empty file: expected a header row")
-    if rows[0] != header:
-        raise DatasetFormatError(
-            f"line 1: expected header {','.join(header)!r}, got {','.join(rows[0])!r}"
-        )
-    if len(rows) == 1:
-        raise DatasetFormatError("no data rows: dataset is empty")
-    return rows[1:]
-
-
-def _parse_table(
-    rows: list[list[str]], width: int
-) -> list[tuple[int, list[bool], list[bool]]]:
-    """Group validated rows into (learner_id, attempts, extras) triples."""
-
-    learners: list[tuple[int, list[bool], list[bool]]] = []
-    current_id: int | None = None
-    for offset, row in enumerate(rows):
-        lineno = offset + 2  # header occupies line 1
-        if len(row) != width:
-            raise DatasetFormatError(f"line {lineno}: expected {width} columns, got {len(row)}")
-        try:
-            learner_id = int(row[0])
-            step = int(row[1])
-        except ValueError:
+        first = next(reader, None)
+        if first is None:
+            raise DatasetFormatError("empty file: expected a header row")
+        if first != header:
             raise DatasetFormatError(
-                f"line {lineno}: learner_id and step must be integers"
-            ) from None
-        if learner_id < 0:
-            raise DatasetFormatError(f"line {lineno}: learner_id must be non-negative")
-        correct = _parse_binary(row[2], "correct", lineno)
-        extra = [_parse_binary(cell, "proficient", lineno) for cell in row[3:width]]
-        if learner_id != current_id:
-            if any(learner_id == seen for seen, _, _ in learners):
-                raise DatasetFormatError(
-                    f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
-                )
-            learners.append((learner_id, [], []))
-            current_id = learner_id
-        attempts = learners[-1][1]
-        if step != len(attempts) + 1:
-            raise DatasetFormatError(
-                f"line {lineno}: expected step {len(attempts) + 1} for learner "
-                f"{learner_id}, got {step}"
+                f"line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
             )
-        attempts.append(correct)
-        if extra:
-            learners[-1][2].append(extra[0])
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DatasetFormatError(
+                    f"line {lineno}: expected {width} columns, got {len(row)}"
+                )
+            learner_id = _parse_count(row[0], "learner_id", lineno)
+            step = _parse_count(row[1], "step", lineno)
+            correct = _parse_binary(row[2], "correct", lineno)
+            if learner_id != current_id:
+                if learner_id in seen:
+                    raise DatasetFormatError(
+                        f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
+                    )
+                seen.add(learner_id)
+                learners.append(([], []))
+                current_id = learner_id
+            attempts, states = learners[-1]
+            if step != len(attempts) + 1:
+                raise DatasetFormatError(
+                    f"line {lineno}: expected step {len(attempts) + 1} for learner "
+                    f"{learner_id}, got {step}"
+                )
+            attempts.append(correct)
+            if width == 4:
+                states.append(_parse_binary(row[3], "proficient", lineno))
+    if not learners:
+        raise DatasetFormatError("no data rows: dataset is empty")
     return learners
 
 
 def read_dataset(source: str | Path) -> Dataset:
     """Read a dataset CSV, validating the layout row by row."""
 
-    rows = _read_rows(source, _DATASET_HEADER)
-    learners = _parse_table(rows, width=3)
-    return Dataset(tuple(AttemptSequence(tuple(attempts)) for _, attempts, _ in learners))
+    learners = _parse_table(source, _DATASET_HEADER)
+    return Dataset(tuple(AttemptSequence(tuple(attempts)) for attempts, _ in learners))
 
 
 def read_ground_truth(source: str | Path) -> tuple[Dataset, tuple[HiddenPath, ...]]:
     """Read a ground-truth CSV, returning attempts and hidden paths."""
 
-    rows = _read_rows(source, _TRUTH_HEADER)
-    learners = _parse_table(rows, width=4)
-    dataset = Dataset(tuple(AttemptSequence(tuple(attempts)) for _, attempts, _ in learners))
-    paths = tuple(HiddenPath(tuple(states)) for _, _, states in learners)
+    learners = _parse_table(source, _TRUTH_HEADER)
+    dataset = Dataset(tuple(AttemptSequence(tuple(attempts)) for attempts, _ in learners))
+    paths = tuple(HiddenPath(tuple(states)) for _, states in learners)
     return dataset, paths

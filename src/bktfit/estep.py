@@ -26,6 +26,10 @@ Learner posteriors are conditional (normalized per learner), which rescales
 the joint-weighted objective by a constant and leaves its maximizers
 unchanged. Accumulation order is fixed (ascending learner, ascending step)
 so results are bitwise reproducible regardless of scheduling.
+
+Answers arrive already encoded: a Dataset holds one (learner indices, uint8
+answer matrix) pair per sequence length, built once, and each E-step runs
+the batched recursions over those pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ParamSet
-from .data import AttemptSequence, Dataset, as_dataset, as_sequence
+from .data import AttemptSequence, Dataset, as_dataset
 
 __all__ = [
     "ForwardBackward",
@@ -105,10 +109,6 @@ def build_hmm_matrices(theta: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndar
     return transition, emission, initial
 
 
-def _as_obs_matrix(sequences: list[AttemptSequence]) -> np.ndarray:
-    return np.array([seq.as_ints() for seq in sequences], dtype=np.int64)
-
-
 def _emission_probs(emission: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Per-step emission probabilities, shape (n, T, 2): [..., i] = P(y | state i)."""
 
@@ -159,17 +159,21 @@ def _posterior_batch(
     gamma /= gamma.sum(axis=2, keepdims=True)
     future = emis[:, 1:, :] * beta[:, 1:, :]
     xi = alpha[:, :-1, :, None] * transition[None, None, :, :] * future[:, :, None, :]
-    total = xi.sum(axis=(2, 3), keepdims=True)
-    if xi.shape[1]:
-        xi /= total
+    xi /= xi.sum(axis=(2, 3), keepdims=True)
     return gamma, xi, loglik
+
+
+def _single_answers(seq: AttemptSequence) -> np.ndarray:
+    """The (1, T) answer matrix of one sequence, from the dataset encoding."""
+
+    ((_, obs),) = Dataset((seq,))._length_groups
+    return obs
 
 
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
     """Scaled forward/backward pass over one sequence."""
 
-    obs = _as_obs_matrix([as_sequence(seq)])
-    alpha, beta, scale, loglik, _ = _forward_backward_batch(theta, obs)
+    alpha, beta, scale, loglik, _ = _forward_backward_batch(theta, _single_answers(seq))
     return ForwardBackward(
         scaled_alpha=alpha[0],
         scaled_beta=beta[0],
@@ -181,16 +185,8 @@ def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    obs = _as_obs_matrix([as_sequence(seq)])
-    gamma, xi, _ = _posterior_batch(theta, obs)
+    gamma, xi, _ = _posterior_batch(theta, _single_answers(seq))
     return Posteriors(gamma=gamma[0], xi=xi[0])
-
-
-def _group_by_length(sequences: tuple[AttemptSequence, ...]) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for index, seq in enumerate(sequences):
-        groups.setdefault(len(seq), []).append(index)
-    return groups
 
 
 def sufficient_stats(
@@ -198,12 +194,11 @@ def sufficient_stats(
 ) -> SufficientStats:
     """Expected counts for every parameter plus the dataset log-likelihood."""
 
-    sequences = as_dataset(dataset).sequences
-    count = len(sequences)
+    data = as_dataset(dataset)
+    count = len(data)
     # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
     per_learner = np.zeros((count, 9))
-    for length, indices in _group_by_length(sequences).items():
-        obs = _as_obs_matrix([sequences[i] for i in indices])
+    for indices, obs in data._length_groups:
         gamma, xi, loglik = _posterior_batch(theta, obs)
         g0 = gamma[:, :, 0]
         g1 = gamma[:, :, 1]
@@ -214,12 +209,8 @@ def sufficient_stats(
         block[:, 3] = ((1 - obs) * g0).sum(axis=1)
         block[:, 4] = ((1 - obs) * g1).sum(axis=1)
         block[:, 5] = (obs * g1).sum(axis=1)
-        if length > 1:
-            block[:, 6] = xi[:, :, 0, 1].sum(axis=1)
-            block[:, 7] = xi[:, :, 0, 0].sum(axis=1)
-        else:
-            block[:, 6] = 0.0
-            block[:, 7] = 0.0
+        block[:, 6] = xi[:, :, 0, 1].sum(axis=1)
+        block[:, 7] = xi[:, :, 0, 0].sum(axis=1)
         block[:, 8] = loglik
         per_learner[indices] = block
     # Fixed reduction order: sum over learners in ascending index order.
@@ -237,11 +228,4 @@ def sufficient_stats(
 def log_likelihood(theta: ParamSet, dataset: Dataset | Iterable[AttemptSequence]) -> float:
     """Observed-data log-likelihood, summed over learners in fixed order."""
 
-    sequences = as_dataset(dataset).sequences
-    per_learner = np.zeros(len(sequences))
-    for length, indices in _group_by_length(sequences).items():
-        obs = _as_obs_matrix([sequences[i] for i in indices])
-        _, _, _, loglik, _ = _forward_backward_batch(theta, obs)
-        per_learner[indices] = loglik
-    return float(per_learner.sum())
-
+    return sufficient_stats(theta, dataset).log_likelihood

@@ -18,8 +18,6 @@ import pytest
 from bktfit import (
     AttemptSequence,
     ExperimentConfig,
-    MasteryState,
-    apply_transition,
     barrier_continuation,
     enumerate_em_objective,
     enumerate_likelihood,
@@ -28,10 +26,6 @@ from bktfit import (
     forward_backward,
     interior_point_m_step,
     kkt_residual,
-    objective_gradient,
-    objective_hessian_diag,
-    objective_value,
-    posterior_given_obs,
     posteriors,
     project_feasible,
     run_experiment,
@@ -39,7 +33,8 @@ from bktfit import (
     sufficient_stats,
     trace_sequence,
 )
-from bktfit.core import PARAM_NAMES, ParamSet
+from bktfit.core import PARAM_NAMES, MasteryState, ParamSet, apply_transition, posterior_given_obs
+from bktfit.interior_point import objective_gradient, objective_hessian_diag, objective_value
 from bktfit.fitting import ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED
 from conftest import TRUE_THETA, random_attempts, random_theta, random_valid_theta
 

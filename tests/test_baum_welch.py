@@ -8,14 +8,13 @@ import pytest
 from bktfit import (
     AttemptSequence,
     DegenerateStatsError,
-    closed_form_ratios,
     fit_baum_welch,
     m_step_closed_form,
-    objective_value,
     random_init,
     simulate_dataset,
     sufficient_stats,
 )
+from bktfit.baum_welch import closed_form_ratios
 from bktfit.estep import SufficientStats
 from bktfit.fitting import ALGORITHM_BAUM_WELCH, FitOptions
 from conftest import TRUE_THETA

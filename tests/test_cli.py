@@ -11,13 +11,20 @@ from pathlib import Path
 import pytest
 
 import bktfit.interior_point as interior_point
-from bktfit import NewtonConvergenceError, random_init, read_dataset
+from bktfit import (
+    BarrierSchedule,
+    FitOptions,
+    NewtonConvergenceError,
+    random_init,
+    read_dataset,
+)
 from bktfit.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from conftest import TRUE_THETA
@@ -260,6 +267,28 @@ def test_fit_parse_error_exit_code(tmp_path, capsys):
     code = main(["fit", "--data", str(bad), "--algorithm", "constrained"])
     assert code == EXIT_IO
     assert "line 1" in capsys.readouterr().err
+
+
+def test_fit_rejects_non_decimal_integer_cells(tmp_path, capsys):
+    # int() reads these rows as learners 10 and 7 with two answers each.
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "learner_id,step,correct\n1_0,1,1\n1_0,+2,0\n 7,1,1\n7, 2 ,0\n", encoding="utf-8"
+    )
+    code = main(["fit", "--data", str(data), "--algorithm", "constrained"])
+    assert code == EXIT_IO
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_fit_defaults_are_the_dataclass_defaults():
+    args = build_parser().parse_args(["fit", "--data", "d.csv", "--algorithm", "constrained"])
+    options, schedule = FitOptions(), BarrierSchedule()
+    assert args.max_iterations == options.max_iterations
+    assert args.loglik_tolerance == options.loglik_tolerance
+    assert args.param_tolerance == options.param_tolerance
+    assert args.mu_initial == schedule.mu_initial
+    assert args.mu_decay == schedule.decay
+    assert args.mu_floor == schedule.mu_floor
 
 
 def test_unknown_algorithm_is_usage_error(dataset_file, capsys):

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bktfit import (
-    MasteryState,
     ParamSet,
     ParameterError,
     UndefinedFixedPointError,
-    apply_transition,
     fixed_point,
-    posterior_given_obs,
-    predict_correct,
     trace_sequence,
     validate_params,
+)
+from bktfit.core import (
+    MasteryState,
+    apply_transition,
+    posterior_given_obs,
+    predict_correct,
     validate_values,
 )
 from conftest import TRUE_THETA

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from bktfit import (
-    AttemptSequence,
-    Dataset,
-    DatasetFormatError,
-    HiddenPath,
-    read_dataset,
-    read_ground_truth,
-    write_dataset,
-    write_ground_truth,
-)
+from bktfit import AttemptSequence, Dataset, DatasetFormatError, read_dataset, write_dataset
+from bktfit.data import HiddenPath, read_ground_truth, write_ground_truth
 
 
 def _toy_dataset() -> Dataset:
@@ -43,6 +36,16 @@ def test_hidden_path_rejects_lost_proficiency():
 def test_dataset_rejects_empty():
     with pytest.raises(ValueError):
         Dataset(())
+
+
+def test_dataset_encodes_answers_once_by_length():
+    dataset = _toy_dataset()
+    assert "_length_groups" not in vars(dataset)
+    groups = dataset._length_groups
+    assert groups is dataset._length_groups
+    assert [indices.tolist() for indices, _ in groups] == [[0], [1], [2]]
+    assert [answers.tolist() for _, answers in groups] == [[[1, 0, 1]], [[0, 0]], [[1]]]
+    assert all(answers.dtype == np.uint8 for _, answers in groups)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -108,6 +111,32 @@ def test_read_rejects_non_contiguous_learners(tmp_path):
     )
     with pytest.raises(DatasetFormatError, match="line 4"):
         read_dataset(path)
+
+
+# Each cell is one that int() reads as a valid learner_id (1) or step (2).
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1_0,1,1",
+        "+1,1,1",
+        " 1,1,1",
+        "1 ,1,1",
+        "\u0661,1,1",
+        "0,+2,1",
+        "0, 2,1",
+        "0,2 ,1",
+        "0,0_2,1",
+        "0,\u0662,1",
+    ],
+)
+@pytest.mark.parametrize("truth", [False, True])
+def test_read_rejects_non_decimal_integers(tmp_path, row, truth):
+    extra = ",1" if truth else ""
+    header = "learner_id,step,correct" + (",proficient" if truth else "")
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n0,1,1{extra}\n{row}{extra}\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 3: .* decimal integer"):
+        (read_ground_truth if truth else read_dataset)(path)
 
 
 def test_read_rejects_bad_step_numbering(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 from bktfit import (
     AttemptSequence,
-    build_hmm_matrices,
     enumerate_likelihood,
     enumerate_posteriors,
     forward_backward,
@@ -17,6 +16,7 @@ from bktfit import (
     posteriors,
     sufficient_stats,
 )
+from bktfit.estep import build_hmm_matrices
 from conftest import TRUE_THETA, random_attempts, random_theta
 
 

@@ -8,13 +8,14 @@ import xml.etree.ElementTree as ElementTree
 import pytest
 
 import bktfit.experiment as experiment
-from bktfit import ExperimentConfig, run_experiment, write_experiment_artifacts
+from bktfit import ExperimentConfig, run_experiment
 from bktfit.experiment import (
     MODE_DATASETS,
     MODE_INITS,
     records_to_csv,
     rows_from_csv,
     scatter_svg,
+    write_experiment_artifacts,
 )
 from conftest import TRUE_THETA
 

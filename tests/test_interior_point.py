@@ -16,19 +16,12 @@ from bktfit import (
     NewtonConvergenceError,
     ParamSet,
     barrier_continuation,
-    closed_form_ratios,
-    constraint_gradient,
-    constraint_value,
     enumerate_em_objective,
     fit_baum_welch,
     fit_constrained,
     interior_point_m_step,
-    kkt_jacobian,
     kkt_residual,
     m_step_closed_form,
-    objective_gradient,
-    objective_hessian_diag,
-    objective_value,
     project_feasible,
     random_init,
     simulate_dataset,
@@ -36,9 +29,18 @@ from bktfit import (
     sufficient_stats,
     validate_params,
 )
+from bktfit.baum_welch import closed_form_ratios
 from bktfit.estep import SufficientStats
 from bktfit.fitting import _run_em
-from bktfit.interior_point import DEFAULT_SCHEDULE
+from bktfit.interior_point import (
+    DEFAULT_SCHEDULE,
+    constraint_gradient,
+    constraint_value,
+    kkt_jacobian,
+    objective_gradient,
+    objective_hessian_diag,
+    objective_value,
+)
 from conftest import TRUE_THETA, random_theta, random_valid_theta
 
 

@@ -20,9 +20,8 @@ from bktfit import (
     enumerate_likelihood,
     enumerate_paths,
     enumerate_posteriors,
-    monotone_paths,
 )
-from bktfit.oracle import MAX_ENUMERATION_LENGTH, SequenceTooLongError
+from bktfit.oracle import MAX_ENUMERATION_LENGTH, SequenceTooLongError, monotone_paths
 from conftest import TRUE_THETA, random_theta
 
 

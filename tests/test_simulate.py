@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from bktfit import simulate_dataset, simulate_dataset_with_paths, simulate_learner
+from bktfit import simulate_dataset
+from bktfit.simulate import simulate_dataset_with_paths, simulate_learner
 from conftest import TRUE_THETA
 
 
