@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .baum_welch import DegenerateStatsError, fit_baum_welch
 from .core import ParamSet, ParameterError, param_values, parse_object, validate_values
-from .data import DatasetFormatError, read_dataset, write_dataset, write_ground_truth
+from .data import read_dataset, write_dataset, write_ground_truth
 from .experiment import ExperimentConfig, run_experiment, write_experiment_artifacts
 from .fitting import (
     ALGORITHM_BAUM_WELCH,
@@ -205,19 +205,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except (DatasetFormatError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except DegenerateStatsError as exc:
         print(f"degenerate result: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except NewtonConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # DatasetFormatError and ParameterError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

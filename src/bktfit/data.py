@@ -7,9 +7,9 @@ step. The optional ground-truth variant carries one extra ``proficient``
 column with the hidden state that generated each attempt. learner_id and
 step cells hold ASCII decimal digits only.
 
-A Dataset encodes its answers once: the first E-step that reads it builds
-one (learner indices, uint8 answer matrix) pair per distinct sequence
-length, and every later E-step of every fit on that dataset reuses them.
+A Dataset encodes its answers once: the first E-step that reads it sorts
+the learners by descending length into time-major chunks (Dataset._chunks),
+and every later E-step of every fit on that dataset reuses them.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -35,6 +36,11 @@ __all__ = [
 
 _DATASET_HEADER = ["learner_id", "step", "correct"]
 _TRUTH_HEADER = ["learner_id", "step", "correct", "proficient"]
+
+# An E-step holds about a dozen float arrays of _CHUNK_CELLS at a time: a
+# chunk takes _CHUNK_CELLS // T learners, T the longest of them.
+_CHUNK_CELLS = 1 << 15
+_PADDING = 2  # answer code of the cells after a learner's last attempt
 
 
 class DatasetFormatError(ValueError):
@@ -127,23 +133,27 @@ class Dataset:
         return self.sequences[index]
 
     @cached_property
-    def _length_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Ascending learner indices and their (n, T) uint8 answers, per length T.
+    def _chunks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(learners, answers, active) per chunk, built on first use and kept.
 
-        Built on first use, not at construction, and kept for the dataset's
-        lifetime; uint8 keeps the cache at one byte per attempt.
+        learners: dataset indices, stable descending-length order; answers:
+        (T, n) uint8, 0 incorrect, 1 correct, _PADDING after the last attempt;
+        active[t]: learners with an attempt at step t, a prefix of the chunk.
         """
 
-        by_length: dict[int, list[int]] = {}
-        for index, seq in enumerate(self.sequences):
-            by_length.setdefault(len(seq), []).append(index)
-        return tuple(
-            (
-                np.array(indices),
-                np.array([self.sequences[i].attempts for i in indices], dtype=np.uint8),
-            )
-            for indices in by_length.values()
-        )
+        lengths = np.array([len(seq) for seq in self.sequences])
+        order = np.argsort(-lengths, kind="stable")
+        chunks, start = [], 0
+        while start < len(order):
+            learners = order[start : start + max(1, _CHUNK_CELLS // lengths[order[start]])]
+            start += len(learners)
+            sizes = lengths[learners]
+            filled = np.arange(sizes[0]) < sizes[:, None]
+            cells = np.full(filled.shape, _PADDING, dtype=np.uint8)
+            attempts = chain.from_iterable(self.sequences[i].attempts for i in learners)
+            cells[filled] = np.fromiter(attempts, dtype=np.uint8, count=int(sizes.sum()))
+            chunks.append((learners, np.ascontiguousarray(cells.T), filled.sum(axis=0)))
+        return tuple(chunks)
 
 
 def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:

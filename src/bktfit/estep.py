@@ -6,30 +6,29 @@ The hidden chain has two states (0 = non-proficient, 1 = proficient) with
     emission   = [[1-g, g], [s, 1-s]]     rows by state, columns by answer
     initial    = [1-l0, l0]
 
-Raw forward/backward products underflow around length 300, so the forward
-variables are renormalized at every step and the backward recursion reuses
-the same scale factors; the log-likelihood is the sum of log scale factors.
-With that convention ``alpha[t] * beta[t]`` recombines to the per-step state
-posterior up to one final normalization.
-
-The M-step objective (the expected complete-data log-likelihood under the
-conditional state posterior) is separable: for each parameter p there is a
-pair of expected counts (a, b) with derivative a/p - b/(1-p). sufficient_
-stats collects those pairs:
+Raw products underflow around length 300, so alpha is renormalized at each
+step and beta reuses its scale factors, whose logs sum to the log-likelihood;
+alpha * beta and the xi terms then sum to 1 up to rounding. For each p the
+M-step objective takes expected counts (a, b) with derivative a/p - b/(1-p):
 
     prior   a = sum_d gamma_1(1)            b = sum_d gamma_0(1)
     guess   a = sum correct, non-proficient b = sum incorrect, non-proficient
     slip    a = sum incorrect, proficient   b = sum correct, proficient
     transit a = sum xi_01                   b = sum xi_00
 
-Learner posteriors are conditional (normalized per learner), which rescales
-the joint-weighted objective by a constant and leaves its maximizers
-unchanged. Accumulation order is fixed (ascending learner, ascending step)
-so results are bitwise reproducible regardless of scheduling.
-
-Answers arrive already encoded: a Dataset holds one (learner indices, uint8
-answer matrix) pair per sequence length, built once, and each E-step runs
-the batched recursions over those pairs.
+The E-step runs over a Dataset's time-major chunks: learners by descending
+length, a (T, n) uint8 answer matrix padded after each learner's last
+attempt, and per step the count of learners still active, a prefix of the
+chunk. Proficiency is absorbing, so a forward step over that prefix is two
+scalar-weighted vector updates, p0 = a0 (1-r) and p1 = a0 r + a1, times the
+emissions and normalized; a backward step is its mirror image. These are
+the only per-step loops: gamma, the xi_00 and xi_01 sums (xi_10 is zero,
+xi_11 unread) and the log scale factors are whole-chunk reductions over
+time. The loops never touch padded cells, which keep alpha 0, beta 1, scale
+1 and xi factors 0, and the answer masks leave them out of the gamma sums:
+each learner's last step gets beta = 1 and padding adds exactly 0 to every
+count. Per-learner rows are summed in ascending learner order, so results
+are bitwise reproducible for any scheduling.
 """
 
 from __future__ import annotations
@@ -109,84 +108,99 @@ def build_hmm_matrices(theta: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndar
     return transition, emission, initial
 
 
-def _emission_probs(emission: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Per-step emission probabilities, shape (n, T, 2): [..., i] = P(y | state i)."""
+def _recursions(theta: ParamSet, answers: np.ndarray, active: list[int]) -> tuple[np.ndarray, ...]:
+    """alpha, beta (2, T, n), scale (T, n) and next0, next1 (T-1, n) of one chunk.
 
-    return emission[:, obs].transpose(1, 2, 0)
-
-
-def _forward_backward_batch(
-    theta: ParamSet, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled recursions for a batch of equal-length sequences.
-
-    Returns (alpha, beta, scale, loglik, emis) with shapes (n, T, 2),
-    (n, T, 2), (n, T), (n,), (n, T, 2).
+    Between steps t and t+1, xi_00 = alpha_0 next0, xi_01 = r alpha_0 next1
+    and xi_11 = alpha_1 next1.
     """
 
-    transition, emission, initial = build_hmm_matrices(theta)
-    n, length = obs.shape
-    emis = _emission_probs(emission, obs)
-    alpha = np.empty((n, length, 2))
-    scale = np.empty((n, length))
+    length, count = answers.shape
+    r = theta.r
+    emit0 = np.array([1.0 - theta.g, theta.g, 0.0])
+    stay0 = ((1.0 - r) * emit0).take(answers)
+    emit1 = np.array([theta.s, 1.0 - theta.s, 0.0]).take(answers)
 
-    raw = initial[None, :] * emis[:, 0, :]
-    scale[:, 0] = raw.sum(axis=1)
-    alpha[:, 0, :] = raw / scale[:, 0, None]
+    alpha = np.zeros((2, length, count))
+    alpha0, alpha1 = alpha
+    scale = np.ones((length, count))
+    raw0 = (1.0 - theta.l0) * emit0.take(answers[0])
+    raw1 = theta.l0 * emit1[0]
+    scale[0] = raw0 + raw1
+    alpha0[0] = raw0 / scale[0]
+    alpha1[0] = raw1 / scale[0]
     for t in range(1, length):
-        raw = emis[:, t, :] * (alpha[:, t - 1, :] @ transition)
-        scale[:, t] = raw.sum(axis=1)
-        alpha[:, t, :] = raw / scale[:, t, None]
+        m = active[t]
+        prev0 = alpha0[t - 1, :m]
+        raw0 = prev0 * stay0[t, :m]
+        raw1 = (prev0 * r + alpha1[t - 1, :m]) * emit1[t, :m]
+        total = raw0 + raw1
+        scale[t, :m] = total
+        alpha0[t, :m] = raw0 / total
+        alpha1[t, :m] = raw1 / total
 
-    beta = np.empty((n, length, 2))
-    beta[:, length - 1, :] = 1.0
+    beta = np.ones((2, length, count))
+    beta0, beta1 = beta
+    next0 = np.zeros((length - 1, count))
+    next1 = np.zeros((length - 1, count))
     for t in range(length - 2, -1, -1):
-        weighted = emis[:, t + 1, :] * beta[:, t + 1, :]
-        beta[:, t, :] = (weighted @ transition.T) / scale[:, t + 1, None]
-
-    loglik = np.log(scale).sum(axis=1)
-    return alpha, beta, scale, loglik, emis
-
-
-def _posterior_batch(
-    theta: ParamSet, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized gamma, xi, and per-sequence log-likelihoods for a batch."""
-
-    transition, _, _ = build_hmm_matrices(theta)
-    alpha, beta, _, loglik, emis = _forward_backward_batch(theta, obs)
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=2, keepdims=True)
-    future = emis[:, 1:, :] * beta[:, 1:, :]
-    xi = alpha[:, :-1, :, None] * transition[None, None, :, :] * future[:, :, None, :]
-    xi /= xi.sum(axis=(2, 3), keepdims=True)
-    return gamma, xi, loglik
+        m = active[t + 1]
+        stay = stay0[t + 1, :m] * beta0[t + 1, :m]
+        learn = emit1[t + 1, :m] * beta1[t + 1, :m]
+        total = scale[t + 1, :m]
+        beta0[t, :m] = (stay + r * learn) / total
+        beta1[t, :m] = next1[t, :m] = learn / total
+        next0[t, :m] = stay / total
+    return alpha, beta, scale, next0, next1
 
 
-def _single_answers(seq: AttemptSequence) -> np.ndarray:
-    """The (1, T) answer matrix of one sequence, from the dataset encoding."""
+def _one_learner(theta: ParamSet, seq: AttemptSequence) -> tuple[np.ndarray, ...]:
+    """The recursions over the one-learner chunk of seq, learner axis dropped."""
 
-    ((_, obs),) = Dataset((seq,))._length_groups
-    return obs
+    ((_, answers, active),) = Dataset((seq,))._chunks
+    return tuple(array[..., 0] for array in _recursions(theta, answers, active.tolist()))
 
 
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
     """Scaled forward/backward pass over one sequence."""
 
-    alpha, beta, scale, loglik, _ = _forward_backward_batch(theta, _single_answers(seq))
-    return ForwardBackward(
-        scaled_alpha=alpha[0],
-        scaled_beta=beta[0],
-        scale_factors=scale[0],
-        log_likelihood=float(loglik[0]),
-    )
+    alpha, beta, scale, _, _ = _one_learner(theta, seq)
+    return ForwardBackward(alpha.T, beta.T, scale, float(np.log(scale).sum()))
 
 
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    gamma, xi, _ = _posterior_batch(theta, _single_answers(seq))
-    return Posteriors(gamma=gamma[0], xi=xi[0])
+    alpha, beta, _, next0, next1 = _one_learner(theta, seq)
+    gamma = (alpha * beta).T
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    xi = np.zeros((len(seq) - 1, 2, 2))
+    xi[:, 0, 0] = alpha[0, :-1] * next0
+    xi[:, 0, 1] = alpha[0, :-1] * theta.r * next1
+    xi[:, 1, 1] = alpha[1, :-1] * next1
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return Posteriors(gamma=gamma, xi=xi)
+
+
+def _chunk_rows(theta: ParamSet, answers: np.ndarray, active: list[int]) -> np.ndarray:
+    """Per-learner (n, 9) rows of expected counts and log-likelihoods."""
+
+    alpha, beta, scale, next0, next1 = _recursions(theta, answers, active)
+    gamma0, gamma1 = alpha * beta
+    correct = answers == 1
+    wrong = answers == 0
+    # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
+    rows = np.empty((9, answers.shape[1]))
+    rows[0] = gamma1[0]
+    rows[1] = gamma0[0]
+    rows[2] = (gamma0 * correct).sum(axis=0)
+    rows[3] = (gamma0 * wrong).sum(axis=0)
+    rows[4] = (gamma1 * wrong).sum(axis=0)
+    rows[5] = (gamma1 * correct).sum(axis=0)
+    rows[6] = (alpha[0, :-1] * next1).sum(axis=0) * theta.r
+    rows[7] = (alpha[0, :-1] * next0).sum(axis=0)
+    rows[8] = np.log(scale).sum(axis=0)
+    return rows.T
 
 
 def sufficient_stats(
@@ -196,23 +210,9 @@ def sufficient_stats(
 
     data = as_dataset(dataset)
     count = len(data)
-    # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
-    per_learner = np.zeros((count, 9))
-    for indices, obs in data._length_groups:
-        gamma, xi, loglik = _posterior_batch(theta, obs)
-        g0 = gamma[:, :, 0]
-        g1 = gamma[:, :, 1]
-        block = np.empty((len(indices), 9))
-        block[:, 0] = g1[:, 0]
-        block[:, 1] = g0[:, 0]
-        block[:, 2] = (obs * g0).sum(axis=1)
-        block[:, 3] = ((1 - obs) * g0).sum(axis=1)
-        block[:, 4] = ((1 - obs) * g1).sum(axis=1)
-        block[:, 5] = (obs * g1).sum(axis=1)
-        block[:, 6] = xi[:, :, 0, 1].sum(axis=1)
-        block[:, 7] = xi[:, :, 0, 0].sum(axis=1)
-        block[:, 8] = loglik
-        per_learner[indices] = block
+    per_learner = np.empty((count, 9))
+    for learners, answers, active in data._chunks:
+        per_learner[learners] = _chunk_rows(theta, answers, active.tolist())
     # Fixed reduction order: sum over learners in ascending index order.
     totals = per_learner.sum(axis=0)
     return SufficientStats(

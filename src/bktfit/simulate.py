@@ -65,13 +65,8 @@ def simulate_dataset_with_paths(
     if learners < 1:
         raise ValueError("learners must be at least 1")
     base = tuple(seed) if isinstance(seed, Sequence) else (seed,)
-    paths: list[HiddenPath] = []
-    sequences: list[AttemptSequence] = []
-    for index in range(learners):
-        path, attempts = simulate_learner(theta, length, base + (index,))
-        paths.append(path)
-        sequences.append(attempts)
-    return Dataset(tuple(sequences)), tuple(paths)
+    drawn = [simulate_learner(theta, length, base + (index,)) for index in range(learners)]
+    return Dataset(tuple(seq for _, seq in drawn)), tuple(path for path, _ in drawn)
 
 
 def simulate_dataset(theta: ParamSet, learners: int, length: int, seed: Seed) -> Dataset:

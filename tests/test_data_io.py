@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bktfit import AttemptSequence, Dataset, DatasetFormatError, read_dataset, write_dataset
+from bktfit import data
 from bktfit.data import HiddenPath, read_ground_truth, write_ground_truth
 
 
@@ -38,14 +39,31 @@ def test_dataset_rejects_empty():
         Dataset(())
 
 
-def test_dataset_encodes_answers_once_by_length():
-    dataset = _toy_dataset()
-    assert "_length_groups" not in vars(dataset)
-    groups = dataset._length_groups
-    assert groups is dataset._length_groups
-    assert [indices.tolist() for indices, _ in groups] == [[0], [1], [2]]
-    assert [answers.tolist() for _, answers in groups] == [[[1, 0, 1]], [[0, 0]], [[1]]]
-    assert all(answers.dtype == np.uint8 for _, answers in groups)
+def test_dataset_encodes_answers_once_time_major(monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_CELLS", 6)
+    answers = ((1, 0), (0, 1, 1), (1,), (1, 1, 0), (0, 0))
+    dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
+    assert "_chunks" not in vars(dataset)
+    chunks = dataset._chunks
+    assert chunks is dataset._chunks
+    # Stable descending length: the two length-3 and the two length-2
+    # learners keep their dataset order. Six cells take two learners of
+    # length 3, then three of length 2 or less.
+    assert [learners.tolist() for learners, _, _ in chunks] == [[1, 3], [0, 4, 2]]
+    (_, first, first_active), (_, second, second_active) = chunks
+    assert first.dtype == second.dtype == np.uint8
+    assert first.tolist() == [[0, 1], [1, 1], [1, 0]]
+    assert second.tolist() == [[1, 0, 1], [0, 0, data._PADDING]]
+    assert first_active.tolist() == [2, 2, 2]
+    assert second_active.tolist() == [3, 2]
+
+
+def test_dataset_chunks_keep_dataset_order_among_equal_lengths():
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 5, 200).tolist()
+    dataset = Dataset(tuple(AttemptSequence((True,) * n) for n in lengths))
+    order = np.concatenate([learners for learners, _, _ in dataset._chunks]).tolist()
+    assert order == sorted(range(200), key=lambda i: (-lengths[i], i))
 
 
 def test_dataset_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from bktfit import (
     AttemptSequence,
+    Dataset,
     enumerate_likelihood,
     enumerate_posteriors,
     forward_backward,
@@ -16,6 +17,7 @@ from bktfit import (
     posteriors,
     sufficient_stats,
 )
+from bktfit import data
 from bktfit.estep import build_hmm_matrices
 from conftest import TRUE_THETA, random_attempts, random_theta
 
@@ -122,3 +124,68 @@ def test_stats_pairs_layout():
     assert pairs.shape == (4, 2)
     np.testing.assert_allclose(pairs[0], stats.prior)
     np.testing.assert_allclose(pairs[3], stats.transit)
+
+
+def _counts_row(seq, post, loglik):
+    """One sequence's expected counts in (a, b) pair order, then its log-likelihood."""
+
+    y = np.array(seq.as_ints())
+    g0, g1 = post.gamma[:, 0], post.gamma[:, 1]
+    return np.array(
+        [
+            g1[0],
+            g0[0],
+            (y * g0).sum(),
+            ((1 - y) * g0).sum(),
+            ((1 - y) * g1).sum(),
+            (y * g1).sum(),
+            post.xi[:, 0, 1].sum(),
+            post.xi[:, 0, 0].sum(),
+            loglik,
+        ]
+    )
+
+
+def _stats_row(stats):
+    return np.append(stats.pairs().ravel(), stats.log_likelihood)
+
+
+def test_chunk_boundaries_leave_the_stats_unchanged(monkeypatch):
+    rng = np.random.default_rng(14)
+    theta = random_theta(rng)
+    lengths = rng.permutation([1] * 6 + rng.integers(1, 10, 44).tolist())
+    sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
+    oracle = sum(
+        _counts_row(
+            seq, enumerate_posteriors(theta, seq), math.log(enumerate_likelihood(theta, seq))
+        )
+        for seq in sequences
+    )
+
+    default = data._CHUNK_CELLS
+    got, chunks = {}, {}
+    for cells in (1, 3, 20, default):
+        monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
+        dataset = Dataset(tuple(sequences))
+        chunks[cells] = len(dataset._chunks)
+        got[cells] = _stats_row(sufficient_stats(theta, dataset))
+        np.testing.assert_allclose(got[cells], oracle, rtol=1e-12)
+    assert chunks[1] == len(sequences) > chunks[3] > chunks[20] > chunks[default] == 1
+    for row in got.values():
+        np.testing.assert_allclose(row, got[1], rtol=1e-13)
+
+
+def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
+    rng = np.random.default_rng(15)
+    theta = random_theta(rng)
+    sequences = [AttemptSequence(random_attempts(rng, 1)) for _ in range(30)]
+    sequences.insert(11, AttemptSequence(random_attempts(rng, 2000)))
+    dataset = Dataset(tuple(sequences))
+    assert max(answers.size for _, answers, _ in dataset._chunks) <= data._CHUNK_CELLS
+    stats = _stats_row(sufficient_stats(theta, dataset))
+    assert np.all(np.isfinite(stats))
+    looped = sum(
+        _counts_row(seq, posteriors(theta, seq), forward_backward(theta, seq).log_likelihood)
+        for seq in sequences
+    )
+    np.testing.assert_allclose(stats, looped, rtol=1e-12)

@@ -30,7 +30,6 @@ from bktfit import (
     validate_params,
 )
 from bktfit.baum_welch import closed_form_ratios
-from bktfit.estep import SufficientStats
 from bktfit.fitting import _run_em
 from bktfit.interior_point import (
     DEFAULT_SCHEDULE,
