@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import ParamSet
+from .core import PARAM_NAMES, ParamSet
 from .data import Dataset
 from .estep import SufficientStats
 from .fitting import ALGORITHM_BAUM_WELCH, FitOptions, FitReport, _run_em
@@ -32,8 +32,6 @@ __all__ = [
 
 BOUNDARY_NUDGE = 1e-12
 
-_PARAM_ORDER = ("l0", "g", "s", "r")
-
 _PARAM_LABELS = ("prior", "guess", "slip", "transit")
 
 
@@ -45,7 +43,7 @@ def closed_form_ratios(stats: SufficientStats) -> tuple[float, float, float, flo
     """Raw M-step ratios, which may sit exactly on 0 or 1."""
 
     ratios = []
-    for name, label, (a, b) in zip(_PARAM_ORDER, _PARAM_LABELS, stats.pairs()):
+    for name, label, (a, b) in zip(PARAM_NAMES, _PARAM_LABELS, stats.pairs()):
         denominator = stats.learner_count if name == "l0" else a + b
         if denominator <= 0.0:
             raise DegenerateStatsError(
@@ -58,7 +56,7 @@ def closed_form_ratios(stats: SufficientStats) -> tuple[float, float, float, flo
 def _nudge_interior(ratios: tuple[float, float, float, float]) -> tuple[ParamSet, list[str]]:
     values = {}
     hits = []
-    for name, value in zip(_PARAM_ORDER, ratios):
+    for name, value in zip(PARAM_NAMES, ratios):
         nudged = min(max(value, BOUNDARY_NUDGE), 1.0 - BOUNDARY_NUDGE)
         if nudged != value:
             hits.append(name)

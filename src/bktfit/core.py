@@ -209,6 +209,12 @@ def _in_open_unit_interval(value: float) -> bool:
     return math.isfinite(value) and 0.0 < value < 1.0
 
 
+def _margin(l0: float, g: float, s: float, r: float) -> float:
+    """The signed constraint margin c(theta) = (1-s-g)l0 - (1-g)r."""
+
+    return (1.0 - s - g) * l0 - (1.0 - g) * r
+
+
 def validate_values(l0: float, g: float, s: float, r: float) -> ConstraintReport:
     """Build a ConstraintReport from raw floats.
 
@@ -221,7 +227,7 @@ def validate_values(l0: float, g: float, s: float, r: float) -> ConstraintReport
     transit_in_range = _in_open_unit_interval(r)
     headroom = 1.0 - s - g
     proficient_advantage = headroom >= 0.0
-    margin = headroom * l0 - (1.0 - g) * r
+    margin = _margin(l0, g, s, r)
     if headroom > 0.0:
         p_star: float | None = (1.0 - g) * r / headroom
         prior_above_fixed_point = p_star < l0

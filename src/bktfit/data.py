@@ -222,7 +222,8 @@ def _parse_table(source: str | Path, header: list[str]) -> list[tuple[list[bool]
     learners: list[tuple[list[bool], list[bool]]] = []
     seen: set[int] = set()
     current_id: int | None = None
-    with open(source, "r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write.
+    with open(source, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         first = next(reader, None)
         if first is None:

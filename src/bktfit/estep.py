@@ -45,7 +45,6 @@ __all__ = [
     "ForwardBackward",
     "Posteriors",
     "SufficientStats",
-    "build_hmm_matrices",
     "forward_backward",
     "posteriors",
     "sufficient_stats",
@@ -97,15 +96,6 @@ class SufficientStats:
         """All four (a, b) pairs as a (4, 2) array in (l0, g, s, r) order."""
 
         return np.array([self.prior, self.guess, self.slip, self.transit])
-
-
-def build_hmm_matrices(theta: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transition and emission matrices plus the initial distribution."""
-
-    transition = np.array([[1.0 - theta.r, theta.r], [0.0, 1.0]])
-    emission = np.array([[1.0 - theta.g, theta.g], [theta.s, 1.0 - theta.s]])
-    initial = np.array([1.0 - theta.l0, theta.l0])
-    return transition, emission, initial
 
 
 def _recursions(theta: ParamSet, answers: np.ndarray, active: list[int]) -> tuple[np.ndarray, ...]:

@@ -21,7 +21,7 @@ import csv
 import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -119,19 +119,9 @@ class ExperimentConfig:
         return (self.master_seed, 1, run_id)
 
     def to_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {"true_theta": self.true_theta.to_dict()}
-        if self.num_datasets is not None:
-            payload["num_datasets"] = self.num_datasets
-        else:
-            payload["num_inits"] = self.num_inits
-        payload.update(
-            learners=self.learners,
-            steps=self.steps,
-            master_seed=self.master_seed,
-            algorithms=list(self.algorithms),
-            options=self.options.to_dict(),
-            schedule=self.schedule.to_dict(),
-        )
+        # Only the run counts can be None, and exactly one of them is.
+        payload = {key: value for key, value in asdict(self).items() if value is not None}
+        payload["algorithms"] = list(self.algorithms)
         return payload
 
     @classmethod
@@ -332,9 +322,9 @@ def scatter_svg(
 ) -> str:
     """Self-contained scatter of fitted coordinates on the unit square.
 
-    Marker shape encodes the algorithm (circle: baum-welch, triangle:
-    constrained), color the constraint verdict; an x marks the generating
-    parameters when given.
+    rows are the typed rows of rows_from_csv. Marker shape encodes the
+    algorithm (circle: baum-welch, triangle: constrained), color the
+    constraint verdict; an x marks the generating parameters when given.
     """
 
     if x_param not in PARAM_NAMES or y_param not in PARAM_NAMES:
@@ -368,10 +358,8 @@ def scatter_svg(
     )
     for row in rows:
         px, py = _svg_xy(float(row[f"fitted_{x_param}"]), float(row[f"fitted_{y_param}"]))
-        verdict = row["constraints_satisfied"]
-        if not isinstance(verdict, bool):
-            verdict = str(verdict).lower() == "true"
-        parts.append(_svg_marker(str(row["algorithm"]), px, py, _SVG_COLORS[verdict]))
+        color = _SVG_COLORS[row["constraints_satisfied"]]  # type: ignore[index]
+        parts.append(_svg_marker(str(row["algorithm"]), px, py, color))
     if true_theta is not None:
         px, py = _svg_xy(getattr(true_theta, x_param), getattr(true_theta, y_param))
         parts.append(
@@ -409,7 +397,7 @@ def write_experiment_artifacts(
     payload = {"config": result.config.to_dict(), "summary": result.summary()}
     paths["summary"].write_text(json.dumps(payload, indent=2) + "\n")
     if svg:
-        rows = [record.to_row() for record in result.records]
+        rows = rows_from_csv(paths["records"])
         for key, (x_param, y_param) in {
             "scatter_guess_slip": ("g", "s"),
             "scatter_prior_transit": ("l0", "r"),

@@ -79,16 +79,7 @@ class FitReport:
         return self.loglik_trace[-1]
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "algorithm": self.algorithm,
-            "theta_hat": self.theta_hat.to_dict(),
-            "initial_theta": self.initial_theta.to_dict(),
-            "loglik_trace": list(self.loglik_trace),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "constraints": self.constraints.to_dict(),
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 class NewtonConvergenceError(RuntimeError):

@@ -23,8 +23,9 @@ stage into a square root-finding problem: the residual
 is driven to zero by damped Newton steps on the exact 5x5 Jacobian. The
 damping keeps every iterate strictly feasible (fraction-to-boundary rule on
 c and lam, box interiority on theta) and falls back to step halving, then
-jittered restarts, when a step fails to reduce the residual. The final
-stage's residual at the mu floor is the solution certificate.
+jittered restarts, when a step fails to reduce the residual. The Newton stop
+rules are module constants. The final stage's residual at the mu floor is
+the solution certificate.
 
 The box (0,1)^4 needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
@@ -41,8 +42,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .baum_welch import DegenerateStatsError, closed_form_ratios
-from .core import ParamSet, parse_object
+from .baum_welch import _PARAM_LABELS, DegenerateStatsError, closed_form_ratios
+from .core import ParamSet, _margin, parse_object
 from .data import Dataset
 from .estep import SufficientStats
 from .fitting import (
@@ -80,6 +81,11 @@ _THETA_MAX = 1.0 - 1e-12
 # Warm starts are pushed at least this far inside the feasible set.
 DEFAULT_FEASIBLE_MARGIN = 1e-3
 
+# Newton stop rules for one barrier stage: the residual max-norm that ends
+# it, the step cap, and how far a step may go toward the dual wall or box.
+_NEWTON_TOLERANCE = 1e-9
+_MAX_NEWTON_STEPS = 200
+_FRACTION_TO_BOUNDARY = 0.995
 _MAX_RESTARTS = 5
 _MAX_STEP_HALVINGS = 45
 _JITTER_SCALE = 1e-3
@@ -92,19 +98,16 @@ class InfeasibleStateError(ValueError):
 
 @dataclass(frozen=True)
 class BarrierSchedule:
-    """Continuation plan for the barrier weight and Newton stop rules.
+    """Barrier weight path: mu_initial, times decay per stage, down to mu_floor.
 
     The floor stays strictly positive: with an active constraint the Newton
     system degenerates at exactly mu = 0, so the certificate is the KKT
-    residual at the floor instead.
+    residual at the floor instead. The Newton stop rules are not options.
     """
 
     mu_initial: float = 1.0
     decay: float = 0.2
     mu_floor: float = 1e-10
-    newton_tolerance: float = 1e-9
-    max_newton_steps: int = 200
-    fraction_to_boundary: float = 0.995
 
     def __post_init__(self) -> None:
         # An infinite start would never decay to the floor.
@@ -114,12 +117,6 @@ class BarrierSchedule:
             raise ValueError("decay must be in (0, 1)")
         if not 0 < self.mu_floor < self.mu_initial:
             raise ValueError("mu_floor must satisfy 0 < mu_floor < mu_initial")
-        if not self.newton_tolerance > 0:
-            raise ValueError("newton_tolerance must be positive")
-        if self.max_newton_steps < 1:
-            raise ValueError("max_newton_steps must be at least 1")
-        if not 0 < self.fraction_to_boundary < 1:
-            raise ValueError("fraction_to_boundary must be in (0, 1)")
 
     def mu_sequence(self) -> list[float]:
         """Strictly decreasing barrier weights, ending exactly at the floor."""
@@ -138,7 +135,6 @@ class BarrierSchedule:
     @classmethod
     def from_dict(cls, mapping: object) -> "BarrierSchedule":
         kinds = {field.name: float for field in fields(cls)}
-        kinds["max_newton_steps"] = int
         return cls(**parse_object(mapping, kinds, "schedule"))  # type: ignore[arg-type]
 
 
@@ -174,8 +170,7 @@ def _to_theta(v: np.ndarray) -> ParamSet:
 
 
 def _cval(v: np.ndarray) -> float:
-    l0, g, s, r = v
-    return (1.0 - s - g) * l0 - (1.0 - g) * r
+    return _margin(*v)
 
 
 def _cgrad(v: np.ndarray) -> np.ndarray:
@@ -259,15 +254,15 @@ class _NewtonStall(Exception):
 
 
 def _newton_stage(
-    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float, schedule: BarrierSchedule
+    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float
 ) -> tuple[np.ndarray, float]:
     """Drive the residual below tolerance at fixed mu; raise _NewtonStall else."""
 
-    tau = schedule.fraction_to_boundary
+    tau = _FRACTION_TO_BOUNDARY
     F = _residual(pairs, v, lam, mu)
     norm = float(np.max(np.abs(F)))
-    for _ in range(schedule.max_newton_steps):
-        if norm < schedule.newton_tolerance:
+    for _ in range(_MAX_NEWTON_STEPS):
+        if norm < _NEWTON_TOLERANCE:
             return v, lam
         J = _jacobian(pairs, v, lam)
         try:
@@ -320,28 +315,24 @@ def _jittered_start(
     return v, mu / _cval(v)
 
 
-def solve_barrier_subproblem(
-    stats: SufficientStats, start: BarrierState, schedule: BarrierSchedule | None = None
-) -> BarrierState:
+def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> BarrierState:
     """Solve one fixed-mu stage to the Newton tolerance.
 
     Retries from jittered feasible points when the iteration stalls or the
     linear system is singular, then reports failure with diagnostics.
     """
 
-    schedule = schedule or DEFAULT_SCHEDULE
     pairs = stats.pairs()
     v = _vec(start.theta)
     lam = start.dual if start.dual > 0.0 else start.mu / _cval(v)
     mu = start.mu
-    last_norm = float(np.max(np.abs(_residual(pairs, v, lam, mu))))
     for attempt in range(_MAX_RESTARTS + 1):
         if attempt:
             v_try, lam_try = _jittered_start(_vec(start.theta), mu, attempt)
         else:
             v_try, lam_try = v, lam
         try:
-            v_out, lam_out = _newton_stage(pairs, v_try, lam_try, mu, schedule)
+            v_out, lam_out = _newton_stage(pairs, v_try, lam_try, mu)
         except _NewtonStall as stall:
             last_norm = float(np.max(np.abs(_residual(pairs, v_try, lam_try, mu))))
             last_reason = str(stall)
@@ -371,7 +362,7 @@ def barrier_continuation(
     for mu in mus:
         if state.mu != mu:
             state = BarrierState(theta=state.theta, dual=state.dual, mu=mu)
-        state = solve_barrier_subproblem(stats, state, schedule)
+        state = solve_barrier_subproblem(stats, state)
     return state
 
 
@@ -379,7 +370,7 @@ def _project_vec(v: np.ndarray, target: float) -> np.ndarray:
     """Raise the margin to at least ~target by shrinking s, g, then r."""
 
     l0, g, s, r = (float(x) for x in v)
-    if (1.0 - s - g) * l0 - (1.0 - g) * r >= target:
+    if _margin(l0, g, s, r) >= target:
         return v
     target_eff = min(target, l0 / 4.0)
     headroom = 1.0 - s - g
@@ -389,7 +380,7 @@ def _project_vec(v: np.ndarray, target: float) -> np.ndarray:
         s *= shrink
         g *= shrink
         headroom = 1.0 - s - g
-    if headroom * l0 - (1.0 - g) * r < target_eff:
+    if _margin(l0, g, s, r) < target_eff:
         r = (headroom * l0 - target_eff) / (1.0 - g)
     return np.array([l0, g, s, r])
 
@@ -421,19 +412,17 @@ def project_feasible(
     return adjusted, info
 
 
-def _check_estimable(stats: SufficientStats) -> None:
-    """Reject expected counts that put the maximizer on the coordinate box."""
+def _estimable_ratios(stats: SufficientStats) -> tuple[float, float, float, float]:
+    """Closed-form ratios, rejecting counts that put the maximizer on the box."""
 
-    for name, (a, b) in zip(("guess", "slip", "transit"), stats.pairs()[1:]):
-        if a + b == 0.0:
-            raise DegenerateStatsError(
-                f"cannot update {name!r}: expected-count denominator is zero"
-            )
+    ratios = closed_form_ratios(stats)
+    for label, (a, b) in zip(_PARAM_LABELS[1:], stats.pairs()[1:]):
         if a == 0.0 or b == 0.0:
             raise DegenerateStatsError(
-                f"cannot update {name!r}: one-sided expected counts put the "
+                f"cannot update {label!r}: one-sided expected counts put the "
                 f"maximizer on the boundary"
             )
+    return ratios
 
 
 def _barrier_m_step(
@@ -468,7 +457,7 @@ def interior_point_m_step(
     strictly and never scores below theta_star on the objective.
     """
 
-    _check_estimable(stats)
+    _estimable_ratios(stats)
     start, _ = project_feasible(theta_star)
     return _barrier_m_step(stats, theta_star, start, schedule or DEFAULT_SCHEDULE).theta
 
@@ -504,9 +493,8 @@ def fit_constrained(
     }
 
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        _check_estimable(stats)
+        ratios = np.array(_estimable_ratios(stats))
         start, adjustment = project_feasible(theta)
-        ratios = np.array(closed_form_ratios(stats))
         if np.all((ratios > 0.0) & (ratios < 1.0)) and _cval(ratios) > 0.0:
             # Inactive constraint: the KKT residual with lam = 0 is the gradient.
             theta_new, dual = _to_theta(ratios), 0.0

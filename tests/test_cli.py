@@ -149,6 +149,16 @@ def test_fit_constrained_exits_zero_and_satisfies(tmp_path, dataset_file):
     assert report["constraints"]["satisfied"] is True
 
 
+def test_fit_reads_a_dataset_with_a_byte_order_mark(tmp_path, dataset_file, capsys):
+    plain = main(["fit", "--data", str(dataset_file), "--algorithm", "constrained"])
+    expected = capsys.readouterr().out
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + dataset_file.read_bytes())
+    code = main(["fit", "--data", str(marked), "--algorithm", "constrained"])
+    assert code == plain == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_fit_reports_to_stdout_without_out_flag(dataset_file, capsys):
     code = main(
         ["fit", "--data", str(dataset_file), "--algorithm", "baum-welch"]
@@ -366,6 +376,8 @@ _SIDECAR = {"theta": TRUE_THETA.to_dict(), "learners": 3, "steps": 4, "seed": 1}
         ("simulate", {"learners": 2.7}),
         ("simulate", {"theta": 5}),
         ("simulate", {"seed": "1"}),
+        # The Newton stop rules are solver constants, not schedule keys.
+        ("experiment", {"schedule": {"newton_tolerance": 1e-9}}),
     ],
 )
 def test_mistyped_json_fields_exit_3(tmp_path, capsys, command, override):

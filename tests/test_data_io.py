@@ -83,6 +83,19 @@ def test_ground_truth_round_trip(tmp_path):
     assert got_paths == paths
 
 
+def test_readers_accept_a_byte_order_mark(tmp_path):
+    # Spreadsheet programs save "UTF-8 CSV" with a leading byte-order mark.
+    dataset = Dataset((AttemptSequence((True, False)), AttemptSequence((False,))))
+    paths = (HiddenPath((False, True)), HiddenPath((True,)))
+    data_path, truth_path = tmp_path / "data.csv", tmp_path / "truth.csv"
+    write_dataset(dataset, data_path)
+    write_ground_truth(dataset, paths, truth_path)
+    for path in (data_path, truth_path):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_dataset(data_path) == dataset
+    assert read_ground_truth(truth_path) == (dataset, paths)
+
+
 def test_dataset_header_and_ids(tmp_path):
     path = tmp_path / "data.csv"
     write_dataset(_toy_dataset(), path)

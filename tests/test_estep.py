@@ -18,15 +18,7 @@ from bktfit import (
     sufficient_stats,
 )
 from bktfit import data
-from bktfit.estep import build_hmm_matrices
 from conftest import TRUE_THETA, random_attempts, random_theta
-
-
-def test_hmm_matrices_layout():
-    transition, emission, initial = build_hmm_matrices(TRUE_THETA)
-    np.testing.assert_allclose(transition, [[0.7, 0.3], [0.0, 1.0]])
-    np.testing.assert_allclose(emission, [[0.75, 0.25], [0.1, 0.9]])
-    np.testing.assert_allclose(initial, [0.55, 0.45])
 
 
 def test_forward_backward_matches_oracle_likelihood():

@@ -171,8 +171,9 @@ def test_records_csv_round_trip(tmp_path):
 
 def test_scatter_svg_is_wellformed_and_marks_every_record(tmp_path):
     result = run_experiment(_tiny_config())
-    rows = [record.to_row() for record in result.records]
-    svg = scatter_svg(rows, "g", "s", TRUE_THETA)
+    path = tmp_path / "records.csv"
+    records_to_csv(result.records, path)
+    svg = scatter_svg(rows_from_csv(path), "g", "s", TRUE_THETA)
     root = ElementTree.fromstring(svg)
     assert root.tag.endswith("svg")
     markers = [

@@ -84,9 +84,18 @@ def test_objective_equals_enumerated_em_surrogate():
         assert direct == pytest.approx(oracle, rel=1e-11)
 
 
+def _nudged(base: np.ndarray, index: int, h: float) -> tuple[ParamSet, ParamSet]:
+    plus, minus = base.copy(), base.copy()
+    plus[index] += h
+    minus[index] -= h
+    return ParamSet(*plus), ParamSet(*minus)
+
+
 def test_objective_derivatives_match_finite_differences():
+    # The Hessian is checked against a first difference of the gradient: a
+    # second difference of the objective carries rounding errors near 1e-5
+    # relative, the size of the tolerance.
     rng = np.random.default_rng(23)
-    h = 1e-5
     for _ in range(10):
         stats, _, _ = _random_stats(rng)
         theta = random_theta(rng, 0.1, 0.9)
@@ -94,16 +103,16 @@ def test_objective_derivatives_match_finite_differences():
         hess = objective_hessian_diag(stats, theta)
         base = np.array(theta.astuple())
         for index in range(4):
-            plus, minus = base.copy(), base.copy()
-            plus[index] += h
-            minus[index] -= h
-            f_plus = objective_value(stats, ParamSet(*plus))
-            f_minus = objective_value(stats, ParamSet(*minus))
-            f_zero = objective_value(stats, theta)
-            assert grad[index] == pytest.approx((f_plus - f_minus) / (2 * h), rel=1e-7)
-            assert hess[index] == pytest.approx(
-                (f_plus - 2 * f_zero + f_minus) / h**2, rel=1e-5
-            )
+            h = 1e-5
+            plus, minus = _nudged(base, index, h)
+            fd_grad = (objective_value(stats, plus) - objective_value(stats, minus)) / (2 * h)
+            assert grad[index] == pytest.approx(fd_grad, rel=1e-7)
+            h = 1e-6
+            plus, minus = _nudged(base, index, h)
+            fd_hess = (
+                objective_gradient(stats, plus)[index] - objective_gradient(stats, minus)[index]
+            ) / (2 * h)
+            assert hess[index] == pytest.approx(fd_hess, rel=1e-5)
 
 
 def test_kkt_residual_composition():
@@ -157,9 +166,6 @@ def test_schedule_sequence_decreasing_to_floor():
         {"decay": 1.0},
         {"mu_floor": 0.0},
         {"mu_floor": 2.0},
-        {"newton_tolerance": 0.0},
-        {"max_newton_steps": 0},
-        {"fraction_to_boundary": 1.0},
         {"mu_initial": float("inf")},
     ],
 )
@@ -190,7 +196,7 @@ def test_solve_barrier_subproblem_reaches_tolerance():
         )
         solved = solve_barrier_subproblem(stats, start)
         residual = np.abs(kkt_residual(solved, stats)).max()
-        assert residual < DEFAULT_SCHEDULE.newton_tolerance
+        assert residual < interior_point._NEWTON_TOLERANCE
         assert solved.dual * constraint_value(solved.theta) == pytest.approx(mu, rel=1e-6)
 
 
