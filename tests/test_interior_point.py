@@ -166,6 +166,9 @@ def test_schedule_sequence_decreasing_to_floor():
         {"decay": 1.0},
         {"mu_floor": 0.0},
         {"mu_floor": 2.0},
+        {"decay": 0.0},
+        {"mu_initial": -1.0},
+        {"mu_floor": float("nan")},
         {"mu_initial": float("inf")},
     ],
 )
