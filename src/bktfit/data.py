@@ -223,7 +223,9 @@ def _parse_table(source: str | Path, header: list[str]) -> list[tuple[list[bool]
     seen: set[int] = set()
     current_id: int | None = None
     # utf-8-sig drops the byte-order mark that spreadsheet programs write.
-    with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no cell
+    # check accepts, so it is reported with its line number.
+    with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         first = next(reader, None)
         if first is None:

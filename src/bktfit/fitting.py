@@ -7,6 +7,7 @@ _run_em is that loop; each fitter passes in its M-step and its diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -47,10 +48,11 @@ class FitOptions:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.loglik_tolerance > 0:
-            raise ValueError("loglik_tolerance must be positive")
-        if not self.param_tolerance > 0:
-            raise ValueError("param_tolerance must be positive")
+        # An infinite tolerance would stop every fit after one M-step.
+        if not 0 < self.loglik_tolerance < math.inf:
+            raise ValueError("loglik_tolerance must be positive and finite")
+        if not 0 < self.param_tolerance < math.inf:
+            raise ValueError("param_tolerance must be positive and finite")
 
     def to_dict(self) -> dict[str, object]:
         return asdict(self)

@@ -27,6 +27,16 @@ jittered restarts, when a step fails to reduce the residual. The Newton stop
 rules are module constants. The final stage's residual at the mu floor is
 the solution certificate.
 
+interior_point_m_step and barrier_continuation follow the schedule's full
+mu path. Within a fit, binding M-steps land close together, so
+fit_constrained runs that full chain only in its first binding M-step. Each
+later one starts at mu = lam * c, from the previous binding M-step's dual lam
+and clamped to [mu_floor, mu_initial], and takes the superlinear path
+mu <- max(mu_floor, min(decay * mu, mu**1.5)) (the adaptive barrier update
+of Nocedal, Waechter & Waltz, SIAM J. Optim. 2009, and IPOPT's superlinear
+rule, Waechter & Biegler, Math. Prog. 2006). When that chain fails or lowers
+the objective, the full chain runs instead.
+
 The box (0,1)^4 needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
 positive. Datasets whose counts vanish (all answers identical, or no
@@ -253,8 +263,17 @@ class _NewtonStall(Exception):
     """Internal: a Newton step could not make progress."""
 
 
+@dataclass
+class _Work:
+    """Barrier work of one fit: stage solves, Newton steps, warm-chain fallbacks."""
+
+    stages: int = 0
+    steps: int = 0
+    fallbacks: int = 0
+
+
 def _newton_stage(
-    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float
+    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float, work: _Work
 ) -> tuple[np.ndarray, float]:
     """Drive the residual below tolerance at fixed mu; raise _NewtonStall else."""
 
@@ -265,6 +284,7 @@ def _newton_stage(
         if norm < _NEWTON_TOLERANCE:
             return v, lam
         J = _jacobian(pairs, v, lam)
+        work.steps += 1
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -315,6 +335,27 @@ def _jittered_start(
     return v, mu / _cval(v)
 
 
+def _solve_stage(
+    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float, work: _Work
+) -> tuple[np.ndarray, float]:
+    """One fixed-mu stage from (v, lam), restarting from jittered points."""
+
+    work.stages += 1
+    for attempt in range(_MAX_RESTARTS + 1):
+        v_try, lam_try = _jittered_start(v, mu, attempt) if attempt else (v, lam)
+        try:
+            return _newton_stage(pairs, v_try, lam_try, mu, work)
+        except _NewtonStall as stall:
+            last_norm = float(np.max(np.abs(_residual(pairs, v_try, lam_try, mu))))
+            last_reason = str(stall)
+    raise NewtonConvergenceError(
+        f"barrier stage failed: {last_reason}",
+        mu=mu,
+        residual_norm=last_norm,
+        restarts=_MAX_RESTARTS,
+    )
+
+
 def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> BarrierState:
     """Solve one fixed-mu stage to the Newton tolerance.
 
@@ -322,28 +363,10 @@ def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> Bar
     linear system is singular, then reports failure with diagnostics.
     """
 
-    pairs = stats.pairs()
     v = _vec(start.theta)
     lam = start.dual if start.dual > 0.0 else start.mu / _cval(v)
-    mu = start.mu
-    for attempt in range(_MAX_RESTARTS + 1):
-        if attempt:
-            v_try, lam_try = _jittered_start(_vec(start.theta), mu, attempt)
-        else:
-            v_try, lam_try = v, lam
-        try:
-            v_out, lam_out = _newton_stage(pairs, v_try, lam_try, mu)
-        except _NewtonStall as stall:
-            last_norm = float(np.max(np.abs(_residual(pairs, v_try, lam_try, mu))))
-            last_reason = str(stall)
-            continue
-        return BarrierState(theta=_to_theta(v_out), dual=float(lam_out), mu=mu)
-    raise NewtonConvergenceError(
-        f"barrier stage failed: {last_reason}",
-        mu=mu,
-        residual_norm=last_norm,
-        restarts=_MAX_RESTARTS,
-    )
+    v_out, lam_out = _solve_stage(stats.pairs(), v, lam, start.mu, _Work())
+    return BarrierState(theta=_to_theta(v_out), dual=float(lam_out), mu=start.mu)
 
 
 def barrier_continuation(
@@ -425,14 +448,10 @@ def _estimable_ratios(stats: SufficientStats) -> tuple[float, float, float, floa
     return ratios
 
 
-def _barrier_m_step(
-    stats: SufficientStats, theta_star: ParamSet, start: ParamSet, schedule: BarrierSchedule
-) -> BarrierState:
-    """Barrier chain from the feasible start, checked against theta_star."""
+def _checked(stats: SufficientStats, theta_star: ParamSet, final: BarrierState) -> BarrierState:
+    """final, unless it scores below a feasible theta_star on the objective."""
 
-    final = barrier_continuation(stats, start, schedule)
-    star_margin = constraint_value(theta_star)
-    if star_margin > 0.0:
+    if constraint_value(theta_star) > 0.0:
         # The barrier gap at the mu floor is below 1e-10, so any real drop
         # means the solver landed on the wrong point.
         drop = objective_value(stats, final.theta) - objective_value(stats, theta_star)
@@ -459,7 +478,42 @@ def interior_point_m_step(
 
     _estimable_ratios(stats)
     start, _ = project_feasible(theta_star)
-    return _barrier_m_step(stats, theta_star, start, schedule or DEFAULT_SCHEDULE).theta
+    final = barrier_continuation(stats, start, schedule or DEFAULT_SCHEDULE)
+    return _checked(stats, theta_star, final).theta
+
+
+def _chain(pairs: np.ndarray, v: np.ndarray, mus: list[float], work: _Work) -> BarrierState:
+    """The stages of mus from v, starting with dual mus[0] / c(v)."""
+
+    lam = mus[0] / _cval(v)
+    for mu in mus:
+        v, lam = _solve_stage(pairs, v, lam, mu, work)
+    return BarrierState(theta=_to_theta(v), dual=float(lam), mu=mus[-1])
+
+
+def _binding_m_step(
+    stats: SufficientStats,
+    theta_star: ParamSet,
+    start: ParamSet,
+    schedule: BarrierSchedule,
+    lam_prev: float | None,
+    work: _Work,
+) -> BarrierState:
+    """Warm chain from lam_prev (see the module docstring), else or on its
+    failure the schedule's full chain, both from start."""
+
+    pairs, v = stats.pairs(), _vec(start)
+    if lam_prev is not None:
+        mu = min(max(lam_prev * _cval(v), schedule.mu_floor), schedule.mu_initial)
+        mus = [mu]
+        while mu > schedule.mu_floor:
+            mu = max(schedule.mu_floor, min(schedule.decay * mu, mu**1.5))
+            mus.append(mu)
+        try:
+            return _checked(stats, theta_star, _chain(pairs, v, mus, work))
+        except NewtonConvergenceError:
+            work.fallbacks += 1
+    return _checked(stats, theta_star, _chain(pairs, v, schedule.mu_sequence(), work))
 
 
 def fit_constrained(
@@ -476,9 +530,12 @@ def fit_constrained(
     (the objective is separable and strictly concave) and is taken as is,
     with the gradient norm as its certificate. Otherwise the barrier chain
     runs from the current iterate, projected inward when it is infeasible
-    or nearly so; genuine restorations (margin <= 0, typically only the
-    initial guess) are recorded in the diagnostics, as is the count of
-    M-steps that ran the barrier. The log-likelihood trace is
+    or nearly so: the full chain in the first such binding M-step, a warm
+    chain from the previous binding dual in later ones, always ending at
+    mu_floor. Genuine restorations (margin <= 0, typically only the initial
+    guess) are recorded in the diagnostics, as are the counts of binding
+    M-steps, barrier stages, Newton steps and warm chains that fell back to
+    the full chain, over the completed M-steps. The log-likelihood trace is
     non-decreasing from the first feasible iterate on: from an infeasible
     init, the projection can lose likelihood at iteration 1.
     """
@@ -489,10 +546,16 @@ def fit_constrained(
         "restorations": restorations,
         "warm_start_adjustments": 0,
         "barrier_m_steps": 0,
+        "barrier_stages": 0,
+        "newton_steps": 0,
+        "barrier_fallbacks": 0,
         "mu_floor": sched.mu_floor,
     }
+    work = _Work()
+    lam_prev: float | None = None
 
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
+        nonlocal lam_prev
         ratios = np.array(_estimable_ratios(stats))
         start, adjustment = project_feasible(theta)
         if np.all((ratios > 0.0) & (ratios < 1.0)) and _cval(ratios) > 0.0:
@@ -500,10 +563,16 @@ def fit_constrained(
             theta_new, dual = _to_theta(ratios), 0.0
             residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
         else:
-            final = _barrier_m_step(stats, theta, start, sched)
+            final = _binding_m_step(stats, theta, start, sched, lam_prev, work)
             theta_new, dual = final.theta, final.dual
             residual = float(np.max(np.abs(kkt_residual(final, stats))))
+            lam_prev = dual
             diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
+            diagnostics.update(
+                barrier_stages=work.stages,
+                newton_steps=work.steps,
+                barrier_fallbacks=work.fallbacks,
+            )
         if adjustment is not None:
             diagnostics["warm_start_adjustments"] += 1  # type: ignore[operator]
             if adjustment["margin_before"] <= 0.0:

@@ -239,29 +239,30 @@ def test_fit_writes_the_partial_report_on_solver_failure(
     tmp_path, theta_file, monkeypatch, capsys
 ):
     # The Baum-Welch fit of this dataset violates c, so the constrained fit
-    # runs the barrier in several M-steps; the third barrier M-step fails.
+    # runs the barrier in several M-steps. Every barrier chain fails from the
+    # third binding M-step on: its warm chain, then the full chain it falls
+    # back to.
     data = tmp_path / "d.csv"
     simulate = ["simulate", "--params", str(theta_file), "--learners", "100"]
     assert main([*simulate, "--steps", "10", "--seed", "1", "--out", str(data)]) == EXIT_OK
-    stages_per_m_step = len(interior_point.DEFAULT_SCHEDULE.mu_sequence())
     calls = 0
-    original = interior_point.solve_barrier_subproblem
+    original = interior_point._chain
 
     def failing(*args, **kwargs):
         nonlocal calls
         calls += 1
-        if calls == 2 * stages_per_m_step + 1:
+        if calls >= 3:
             raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", failing)
+    monkeypatch.setattr(interior_point, "_chain", failing)
     report_path = tmp_path / "report.json"
     code = main(
         ["fit", "--data", str(data), "--algorithm", "constrained", "--init-seed", "2"]
         + ["--out", str(report_path)]
     )
     assert code == EXIT_NO_CONVERGENCE
-    assert calls == 2 * stages_per_m_step + 1
+    assert calls == 4
     assert "solver failure" in capsys.readouterr().err
     report = json.loads(report_path.read_text())
     assert report["converged"] is False
@@ -288,6 +289,25 @@ def test_fit_rejects_non_decimal_integer_cells(tmp_path, capsys):
     code = main(["fit", "--data", str(data), "--algorithm", "constrained"])
     assert code == EXIT_IO
     assert "line 2" in capsys.readouterr().err
+
+
+def test_fit_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"learner_id,step,correct\n0,1,1\n0,2,\xe9\n")
+    code = main(["fit", "--data", str(data), "--algorithm", "constrained"])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "line 3: correct must be 0 or 1" in err
+    assert "codec" not in err
+
+
+@pytest.mark.parametrize("flag", ["--param-tolerance", "--loglik-tolerance"])
+def test_fit_rejects_an_infinite_tolerance(tmp_path, dataset_file, capsys, flag):
+    out = tmp_path / "report.json"
+    argv = ["fit", "--data", str(dataset_file), "--algorithm", "constrained"]
+    assert main([*argv, flag, "inf", "--out", str(out)]) == EXIT_IO
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_defaults_are_the_dataclass_defaults():
@@ -359,6 +379,17 @@ _TINY_CONFIG = {
     "steps": 4,
 }
 _SIDECAR = {"theta": TRUE_THETA.to_dict(), "learners": 3, "steps": 4, "seed": 1}
+
+
+@pytest.mark.parametrize("key", ["param_tolerance", "loglik_tolerance"])
+def test_experiment_rejects_an_infinite_tolerance(tmp_path, capsys, key):
+    # json reads both Infinity and 1e400 as an infinite float.
+    source = tmp_path / "config.json"
+    source.write_text(json.dumps({**_TINY_CONFIG, "options": {key: float("inf")}}))
+    argv = ["experiment", "--config", str(source), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_IO
+    assert f"{key} must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,31 @@ def test_read_rejects_non_decimal_integers(tmp_path, row, truth):
         (read_ground_truth if truth else read_dataset)(path)
 
 
+@pytest.mark.parametrize(
+    "row, truth",
+    [
+        (b"0,2,\xe9", False),
+        (b"\xe9,2,1", False),
+        (b"0,\xc3(,1", False),
+        (b"0,2,1,\xff", True),
+        (b"0,2,\xe9,1", True),
+    ],
+)
+def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, row, truth):
+    header = b"learner_id,step,correct" + (b",proficient" if truth else b"")
+    path = tmp_path / "data.csv"
+    path.write_bytes(header + b"\n0,1,1" + (b",1" if truth else b"") + b"\n" + row + b"\n")
+    with pytest.raises(DatasetFormatError, match="line 3: "):
+        (read_ground_truth if truth else read_dataset)(path)
+
+
+def test_read_names_line_1_for_a_header_that_is_not_utf8(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"learner_id,st\xe9p,correct\n0,1,1\n")
+    with pytest.raises(DatasetFormatError, match="line 1: "):
+        read_dataset(path)
+
+
 def test_read_rejects_bad_step_numbering(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("learner_id,step,correct\n0,1,1\n0,3,0\n")

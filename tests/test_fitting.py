@@ -46,7 +46,14 @@ def test_options_from_dict_rejects_wrong_types(payload):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_iterations": 0}, {"loglik_tolerance": 0.0}, {"param_tolerance": -1.0}],
+    [
+        {"max_iterations": 0},
+        {"loglik_tolerance": 0.0},
+        {"param_tolerance": -1.0},
+        # An infinite tolerance would end every fit after one M-step.
+        {"loglik_tolerance": float("inf")},
+        {"param_tolerance": float("inf")},
+    ],
 )
 def test_options_validation(kwargs):
     with pytest.raises(ValueError):

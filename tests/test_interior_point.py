@@ -326,28 +326,40 @@ def test_fit_constrained_records_restoration_of_infeasible_init():
     assert report.constraints.satisfied
 
 
-def test_solver_failure_keeps_the_partial_fit(monkeypatch):
+def _failing_stages(monkeypatch, fail_at, persist):
+    """Make interior_point._solve_stage raise at call fail_at (and on, if persist)."""
+
+    calls = 0
+    original = interior_point._solve_stage
+
+    def failing(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at or (persist and calls > fail_at):
+            raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interior_point, "_solve_stage", failing)
+
+
+def _three_binding_m_steps():
     # The Baum-Welch fit of this dataset violates c, and from this init the
     # closed form is infeasible in each of the first three M-steps, so each
-    # of them runs all the barrier stages.
+    # of them runs the barrier: the first the full chain, the others warm.
     dataset = simulate_dataset(TRUE_THETA, 50, 8, 106)
     init = random_init(3)
     assert not fit_baum_welch(dataset, init).constraints.satisfied
     first_three = fit_constrained(dataset, init, FitOptions(max_iterations=3))
     assert first_three.diagnostics["barrier_m_steps"] == 3
-    stages_per_m_step = len(DEFAULT_SCHEDULE.mu_sequence())
-    fail_at = 2 * stages_per_m_step + 5  # inside the third M-step
-    calls = 0
-    original = interior_point.solve_barrier_subproblem
+    first_two = fit_constrained(dataset, init, FitOptions(max_iterations=2))
+    return dataset, init, first_two.diagnostics["barrier_stages"]
 
-    def failing(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls == fail_at:
-            raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", failing)
+def test_solver_failure_keeps_the_partial_fit(monkeypatch):
+    # Every stage fails from the third M-step on, so its warm chain and the
+    # full chain it falls back to both fail.
+    dataset, init, stages_in_two = _three_binding_m_steps()
+    _failing_stages(monkeypatch, stages_in_two + 1, persist=True)
     with pytest.raises(NewtonConvergenceError) as info:
         fit_constrained(dataset, init)
     partial = info.value.report
@@ -355,9 +367,93 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
     assert len(partial.loglik_trace) == 3
     assert not partial.converged
     assert partial.constraints.satisfied
-    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", original)
+    assert partial.diagnostics["barrier_m_steps"] == 2
+    assert partial.diagnostics["barrier_stages"] == stages_in_two
+    monkeypatch.undo()
     full = fit_constrained(dataset, init)
     assert partial.loglik_trace == full.loglik_trace[:3]
+
+
+@pytest.mark.parametrize("failure", ["stage", "objective drop"])
+def test_one_warm_chain_failure_falls_back_to_the_full_chain(monkeypatch, failure):
+    dataset, init, stages_in_two = _three_binding_m_steps()
+    clean = fit_constrained(dataset, init)
+    assert clean.diagnostics["barrier_fallbacks"] == 0
+    if failure == "stage":
+        _failing_stages(monkeypatch, stages_in_two + 1, persist=False)
+    else:
+        # The third chain, the third M-step's warm one, lands on a feasible
+        # point far below the current iterate on the objective.
+        calls = 0
+        original = interior_point._chain
+
+        def misplaced(pairs, v, mus, work):
+            nonlocal calls
+            calls += 1
+            final = original(pairs, v, mus, work)
+            if calls != 3:
+                return final
+            return BarrierState(theta=ParamSet(0.5, 0.01, 0.01, 0.01), dual=1.0, mu=mus[-1])
+
+        monkeypatch.setattr(interior_point, "_chain", misplaced)
+    report = fit_constrained(dataset, init)
+    assert report.converged
+    assert report.diagnostics["barrier_fallbacks"] == 1
+    assert report.diagnostics["barrier_m_steps"] == clean.diagnostics["barrier_m_steps"]
+    # The third M-step ran the full chain in place of a shorter warm one.
+    assert report.diagnostics["barrier_stages"] > clean.diagnostics["barrier_stages"]
+    np.testing.assert_allclose(
+        report.theta_hat.astuple(), clean.theta_hat.astuple(), rtol=0, atol=1e-7
+    )
+
+
+def test_warm_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
+    chains = []
+    original = interior_point._chain
+
+    def recording(pairs, v, mus, work):
+        final = original(pairs, v, mus, work)
+        chains.append((pairs, mus, final))
+        return final
+
+    monkeypatch.setattr(interior_point, "_chain", recording)
+    rng = np.random.default_rng(34)
+    full = DEFAULT_SCHEDULE.mu_sequence()
+    warm = 0
+    for pair in range(10):
+        dataset = simulate_dataset(TRUE_THETA, 100, 10, int(rng.integers(1 << 31)))
+        chains.clear()
+        report = fit_constrained(dataset, random_init(pair))
+        assert report.diagnostics["barrier_fallbacks"] == 0
+        assert len(chains) == report.diagnostics["barrier_m_steps"]
+        assert sum(len(mus) for _, mus, _ in chains) == report.diagnostics["barrier_stages"]
+        for index, (pairs, mus, final) in enumerate(chains):
+            if index == 0:
+                assert mus == full
+                continue
+            warm += 1
+            assert DEFAULT_SCHEDULE.mu_floor <= mus[0] <= DEFAULT_SCHEDULE.mu_initial
+            assert len(mus) < len(full)
+            assert all(b < a for a, b in zip(mus, mus[1:]))
+            assert mus[-1] == final.mu == DEFAULT_SCHEDULE.mu_floor
+            residual = interior_point._residual(
+                pairs, np.array(final.theta.astuple()), final.dual, final.mu
+            )
+            assert np.abs(residual).max() < 1e-8
+            assert constraint_value(final.theta) > 0
+    assert warm >= 20
+
+
+def test_fit_constrained_converges_on_the_known_barrier_stall_case():
+    # The full chain stalls on this dataset at M-step 36 from this init, an
+    # M-step whose closed form is feasible.
+    truth = ParamSet(
+        0.8401254584672667, 0.08571233751231444, 0.3431255032173312, 0.08822924066694832
+    )
+    report = fit_constrained(simulate_dataset(truth, 40, 8, 1922194574), random_init(5))
+    assert report.converged
+    assert report.constraints.satisfied
+    assert constraint_value(report.theta_hat) > 0
 
 
 def test_fit_constrained_agrees_with_baum_welch_when_inactive():
