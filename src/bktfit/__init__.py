@@ -21,7 +21,6 @@ from .estep import forward_backward, log_likelihood, posteriors, sufficient_stat
 from .experiment import ExperimentConfig, run_experiment
 from .fitting import FitOptions, FitReport, random_init
 from .interior_point import (
-    BarrierSchedule,
     BarrierState,
     InfeasibleStateError,
     NewtonConvergenceError,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttemptSequence",
-    "BarrierSchedule",
     "BarrierState",
     "ConstraintReport",
     "Dataset",

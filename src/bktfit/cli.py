@@ -29,11 +29,7 @@ from .fitting import (
     FitReport,
     random_init,
 )
-from .interior_point import (
-    BarrierSchedule,
-    NewtonConvergenceError,
-    fit_constrained,
-)
+from .interior_point import NewtonConvergenceError, fit_constrained
 from .simulate import DEFAULT_LEARNERS, DEFAULT_STEPS, simulate_dataset_with_paths
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -103,11 +99,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.algorithm == ALGORITHM_BAUM_WELCH:
         report = fit_baum_welch(dataset, init, options)
     else:
-        schedule = BarrierSchedule(
-            mu_initial=args.mu_initial, decay=args.mu_decay, mu_floor=args.mu_floor
-        )
         try:
-            report = fit_constrained(dataset, init, options, schedule)
+            report = fit_constrained(dataset, init, options)
         except NewtonConvergenceError as exc:
             # Keep the fit up to the failed M-step; main still exits 4.
             if exc.report is not None:
@@ -174,13 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--init", type=Path, help="initial guess JSON; default is random")
     fit.add_argument("--init-seed", type=int, default=0)
-    options, schedule = FitOptions(), BarrierSchedule()
+    options = FitOptions()
     fit.add_argument("--max-iterations", type=int, default=options.max_iterations)
     fit.add_argument("--loglik-tolerance", type=float, default=options.loglik_tolerance)
     fit.add_argument("--param-tolerance", type=float, default=options.param_tolerance)
-    fit.add_argument("--mu-initial", type=float, default=schedule.mu_initial)
-    fit.add_argument("--mu-decay", type=float, default=schedule.decay)
-    fit.add_argument("--mu-floor", type=float, default=schedule.mu_floor)
     fit.add_argument("--out", type=Path, help="report JSON destination; default stdout")
     fit.set_defaults(handler=cmd_fit)
 

@@ -153,13 +153,26 @@ def parse_object(
     return fields
 
 
+def _require_int(value: object, what: str) -> None:
+    """Raise ValueError unless value is an int; a bool is not one."""
+
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def param_values(payload: object) -> dict[str, float]:
-    """The four parameters of a JSON object as floats, not yet range-checked."""
+    """The four parameters of a JSON object as finite floats, not yet range-checked.
+
+    Python's JSON reader turns NaN, Infinity and 1e400 into floats that are
+    not finite; they are refused here, naming their key.
+    """
 
     kinds = dict.fromkeys(PARAM_NAMES, float)
-    return parse_object(  # type: ignore[return-value]
-        payload, kinds, "parameter", required=PARAM_NAMES, error=ParameterError
-    )
+    values = parse_object(payload, kinds, "parameter", required=PARAM_NAMES, error=ParameterError)
+    for key, value in values.items():
+        if not math.isfinite(value):  # type: ignore[arg-type]
+            raise ParameterError(f"parameter {key!r} must be a finite number, got {value!r}")
+    return values  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

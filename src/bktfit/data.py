@@ -258,7 +258,13 @@ def _parse_table(source: str | Path, header: list[str]) -> list[tuple[list[bool]
                 )
             attempts.append(correct)
             if width == 4:
-                states.append(_parse_binary(row[3], "proficient", lineno))
+                proficient = _parse_binary(row[3], "proficient", lineno)
+                if states and states[-1] and not proficient:
+                    raise DatasetFormatError(
+                        f"line {lineno}: learner {learner_id} loses proficiency, "
+                        f"which the model forbids"
+                    )
+                states.append(proficient)
     if not learners:
         raise DatasetFormatError("no data rows: dataset is empty")
     return learners

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baum_welch import fit_baum_welch
-from .core import PARAM_NAMES, ParamSet, parse_object
+from .core import PARAM_NAMES, ParamSet, _require_int, parse_object
 from .fitting import (
     ALGORITHM_BAUM_WELCH,
     ALGORITHM_CONSTRAINED,
@@ -36,7 +36,7 @@ from .fitting import (
     FitReport,
     random_init,
 )
-from .interior_point import BarrierSchedule, fit_constrained
+from .interior_point import fit_constrained
 from .simulate import DEFAULT_LEARNERS, DEFAULT_STEPS, simulate_dataset
 
 __all__ = [
@@ -59,7 +59,7 @@ KNOWN_ALGORITHMS = (ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED)
 
 _CONFIG_KINDS = {
     **dict.fromkeys(("num_datasets", "num_inits", "learners", "steps", "master_seed"), int),
-    **dict.fromkeys(("true_theta", "options", "schedule"), dict),
+    **dict.fromkeys(("true_theta", "options"), dict),
     "algorithms": list,
 }
 
@@ -83,13 +83,13 @@ class ExperimentConfig:
     master_seed: int = 0
     algorithms: tuple[str, ...] = KNOWN_ALGORITHMS
     options: FitOptions = FitOptions()
-    schedule: BarrierSchedule = BarrierSchedule()
 
     def __post_init__(self) -> None:
         if (self.num_datasets is None) == (self.num_inits is None):
             raise ValueError("set exactly one of num_datasets and num_inits")
-        if isinstance(self.runs, bool) or not isinstance(self.runs, int):
-            raise ValueError(f"run count must be an integer, got {self.runs!r}")
+        _require_int(self.runs, "run count")
+        for name in ("learners", "steps", "master_seed"):
+            _require_int(getattr(self, name), name)
         if self.runs < 1:
             raise ValueError("run count must be at least 1")
         if self.learners < 1 or self.steps < 1:
@@ -130,8 +130,6 @@ class ExperimentConfig:
         kwargs["true_theta"] = ParamSet.from_dict(kwargs["true_theta"])
         if "options" in kwargs:
             kwargs["options"] = FitOptions.from_dict(kwargs["options"])
-        if "schedule" in kwargs:
-            kwargs["schedule"] = BarrierSchedule.from_dict(kwargs["schedule"])
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_json(self) -> str:
@@ -233,7 +231,7 @@ def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunRecord, ...]
         if algorithm == ALGORITHM_BAUM_WELCH:
             report = fit_baum_welch(dataset, init, config.options)
         else:
-            report = fit_constrained(dataset, init, config.options, config.schedule)
+            report = fit_constrained(dataset, init, config.options)
         elapsed = time.perf_counter() - started
         records.append(
             RunRecord(run_id=run_id, algorithm=algorithm, report=report, wall_time=elapsed)

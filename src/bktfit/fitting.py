@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ConstraintReport, ParamSet, parse_object, validate_params
+from .core import ConstraintReport, ParamSet, _require_int, parse_object, validate_params
 from .data import Dataset, as_dataset
 from .estep import SufficientStats, sufficient_stats
 
@@ -46,6 +46,7 @@ class FitOptions:
     param_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
+        _require_int(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         # An infinite tolerance would stop every fit after one M-step.

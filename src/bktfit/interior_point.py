@@ -23,19 +23,20 @@ stage into a square root-finding problem: the residual
 is driven to zero by damped Newton steps on the exact 5x5 Jacobian. The
 damping keeps every iterate strictly feasible (fraction-to-boundary rule on
 c and lam, box interiority on theta) and falls back to step halving, then
-jittered restarts, when a step fails to reduce the residual. The Newton stop
-rules are module constants. The final stage's residual at the mu floor is
-the solution certificate.
+jittered restarts, when a step fails to reduce the residual. The final
+stage's residual at the mu floor is the solution certificate.
 
-interior_point_m_step and barrier_continuation follow the schedule's full
-mu path. Within a fit, binding M-steps land close together, so
-fit_constrained runs that full chain only in its first binding M-step. Each
-later one starts at mu = lam * c, from the previous binding M-step's dual lam
-and clamped to [mu_floor, mu_initial], and takes the superlinear path
-mu <- max(mu_floor, min(decay * mu, mu**1.5)) (the adaptive barrier update
-of Nocedal, Waechter & Waltz, SIAM J. Optim. 2009, and IPOPT's superlinear
-rule, Waechter & Biegler, Math. Prog. 2006). When that chain fails or lowers
-the objective, the full chain runs instead.
+The mu path and the Newton stop rules are module constants, not options:
+the full path starts at mu = 1 and shrinks by a factor 0.2 per stage down
+to the floor 1e-10, 16 stages. interior_point_m_step and
+barrier_continuation follow that path. Within a fit, binding M-steps land
+close together, so fit_constrained runs the full path only in its first
+binding M-step. Each later one starts at mu = lam * c, from the previous
+binding M-step's dual lam and clamped to [floor, 1], and takes the
+superlinear path mu <- max(floor, min(0.2 * mu, mu**1.5)) (the adaptive
+barrier update of Nocedal, Waechter & Waltz, SIAM J. Optim. 2009, and
+IPOPT's superlinear rule, Waechter & Biegler, Math. Prog. 2006). When that
+chain fails or lowers the objective, the full path runs instead.
 
 The box (0,1)^4 needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
@@ -46,14 +47,13 @@ rejected as degenerate up front.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .baum_welch import _PARAM_LABELS, DegenerateStatsError, closed_form_ratios
-from .core import ParamSet, _margin, parse_object
+from .core import ParamSet, _margin
 from .data import Dataset
 from .estep import SufficientStats
 from .fitting import (
@@ -65,11 +65,9 @@ from .fitting import (
 )
 
 __all__ = [
-    "BarrierSchedule",
     "BarrierState",
     "InfeasibleStateError",
     "NewtonConvergenceError",
-    "DEFAULT_FEASIBLE_MARGIN",
     "constraint_value",
     "constraint_gradient",
     "objective_value",
@@ -89,7 +87,26 @@ _THETA_MIN = 1e-12
 _THETA_MAX = 1.0 - 1e-12
 
 # Warm starts are pushed at least this far inside the feasible set.
-DEFAULT_FEASIBLE_MARGIN = 1e-3
+_FEASIBLE_MARGIN = 1e-3
+
+# Barrier weight path: _MU_INITIAL, times _MU_DECAY per stage, down to
+# _MU_FLOOR. The floor stays strictly positive: with an active constraint
+# the Newton system degenerates at exactly mu = 0, so the certificate is the
+# KKT residual at the floor instead.
+_MU_INITIAL = 1.0
+_MU_DECAY = 0.2
+_MU_FLOOR = 1e-10
+
+
+def _full_mu_path() -> tuple[float, ...]:
+    mus, mu = [], _MU_INITIAL
+    while mu > _MU_FLOOR:
+        mus.append(mu)
+        mu *= _MU_DECAY
+    return (*mus, _MU_FLOOR)
+
+
+_MU_PATH = _full_mu_path()  # strictly decreasing, ending exactly at the floor
 
 # Newton stop rules for one barrier stage: the residual max-norm that ends
 # it, the step cap, and how far a step may go toward the dual wall or box.
@@ -104,51 +121,6 @@ _JITTER_STREAM = 0x1B7  # fixed entropy tag so restarts are deterministic
 
 class InfeasibleStateError(ValueError):
     """A barrier iterate left the strictly feasible region c(theta) > 0."""
-
-
-@dataclass(frozen=True)
-class BarrierSchedule:
-    """Barrier weight path: mu_initial, times decay per stage, down to mu_floor.
-
-    The floor stays strictly positive: with an active constraint the Newton
-    system degenerates at exactly mu = 0, so the certificate is the KKT
-    residual at the floor instead. The Newton stop rules are not options.
-    """
-
-    mu_initial: float = 1.0
-    decay: float = 0.2
-    mu_floor: float = 1e-10
-
-    def __post_init__(self) -> None:
-        # An infinite start would never decay to the floor.
-        if not 0 < self.mu_initial < math.inf:
-            raise ValueError("mu_initial must be positive and finite")
-        if not 0 < self.decay < 1:
-            raise ValueError("decay must be in (0, 1)")
-        if not 0 < self.mu_floor < self.mu_initial:
-            raise ValueError("mu_floor must satisfy 0 < mu_floor < mu_initial")
-
-    def mu_sequence(self) -> list[float]:
-        """Strictly decreasing barrier weights, ending exactly at the floor."""
-
-        mus = []
-        mu = self.mu_initial
-        while mu > self.mu_floor:
-            mus.append(mu)
-            mu *= self.decay
-        mus.append(self.mu_floor)
-        return mus
-
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, mapping: object) -> "BarrierSchedule":
-        kinds = {field.name: float for field in fields(cls)}
-        return cls(**parse_object(mapping, kinds, "schedule"))  # type: ignore[arg-type]
-
-
-DEFAULT_SCHEDULE = BarrierSchedule()
 
 
 @dataclass(frozen=True)
@@ -369,20 +341,16 @@ def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> Bar
     return BarrierState(theta=_to_theta(v_out), dual=float(lam_out), mu=start.mu)
 
 
-def barrier_continuation(
-    stats: SufficientStats, theta_start: ParamSet, schedule: BarrierSchedule | None = None
-) -> BarrierState:
+def barrier_continuation(stats: SufficientStats, theta_start: ParamSet) -> BarrierState:
     """Follow the decreasing-mu path from a strictly feasible start."""
 
-    schedule = schedule or DEFAULT_SCHEDULE
     margin = constraint_value(theta_start)
     if margin <= 0.0:
         raise InfeasibleStateError(
             f"continuation needs a strictly feasible start, margin={margin!r}"
         )
-    mus = schedule.mu_sequence()
-    state = BarrierState(theta=theta_start, dual=mus[0] / margin, mu=mus[0])
-    for mu in mus:
+    state = BarrierState(theta=theta_start, dual=_MU_INITIAL / margin, mu=_MU_INITIAL)
+    for mu in _MU_PATH:
         if state.mu != mu:
             state = BarrierState(theta=state.theta, dual=state.dual, mu=mu)
         state = solve_barrier_subproblem(stats, state)
@@ -408,21 +376,19 @@ def _project_vec(v: np.ndarray, target: float) -> np.ndarray:
     return np.array([l0, g, s, r])
 
 
-def project_feasible(
-    theta: ParamSet, target: float = DEFAULT_FEASIBLE_MARGIN
-) -> tuple[ParamSet, dict[str, object] | None]:
-    """Return a parameter vector with margin at least ~target.
+def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | None]:
+    """Return a parameter vector with margin at least ~1e-3.
 
     The transit rate r enters the margin linearly with a negative
     coefficient, so it is scaled down first; when even r -> 0 cannot reach
-    the target (s + g too close to 1, which random inits hit often), s and
+    that margin (s + g too close to 1, which random inits hit often), s and
     g are shrunk proportionally beforehand. Returns the adjusted vector and
-    a change record, or (theta, None) when theta already clears the target.
+    a change record, or (theta, None) when theta already clears the margin.
     """
 
     v = _vec(theta)
     before = _cval(v)
-    projected = _project_vec(v, target)
+    projected = _project_vec(v, _FEASIBLE_MARGIN)
     if projected is v:
         return theta, None
     adjusted = _to_theta(projected)
@@ -466,23 +432,21 @@ def _checked(stats: SufficientStats, theta_star: ParamSet, final: BarrierState) 
     return final
 
 
-def interior_point_m_step(
-    stats: SufficientStats, theta_star: ParamSet, schedule: BarrierSchedule | None = None
-) -> ParamSet:
+def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> ParamSet:
     """Maximize the M-step objective subject to c(theta) >= 0.
 
     Runs the barrier continuation from (a feasible version of) theta_star
-    and returns the mu-floor solution, which satisfies the constraint
+    and returns the solution at the mu floor, which satisfies the constraint
     strictly and never scores below theta_star on the objective.
     """
 
     _estimable_ratios(stats)
     start, _ = project_feasible(theta_star)
-    final = barrier_continuation(stats, start, schedule or DEFAULT_SCHEDULE)
+    final = barrier_continuation(stats, start)
     return _checked(stats, theta_star, final).theta
 
 
-def _chain(pairs: np.ndarray, v: np.ndarray, mus: list[float], work: _Work) -> BarrierState:
+def _chain(pairs: np.ndarray, v: np.ndarray, mus: Sequence[float], work: _Work) -> BarrierState:
     """The stages of mus from v, starting with dual mus[0] / c(v)."""
 
     lam = mus[0] / _cval(v)
@@ -495,32 +459,30 @@ def _binding_m_step(
     stats: SufficientStats,
     theta_star: ParamSet,
     start: ParamSet,
-    schedule: BarrierSchedule,
     lam_prev: float | None,
     work: _Work,
 ) -> BarrierState:
     """Warm chain from lam_prev (see the module docstring), else or on its
-    failure the schedule's full chain, both from start."""
+    failure the full mu path, both from start."""
 
     pairs, v = stats.pairs(), _vec(start)
     if lam_prev is not None:
-        mu = min(max(lam_prev * _cval(v), schedule.mu_floor), schedule.mu_initial)
+        mu = min(max(lam_prev * _cval(v), _MU_FLOOR), _MU_INITIAL)
         mus = [mu]
-        while mu > schedule.mu_floor:
-            mu = max(schedule.mu_floor, min(schedule.decay * mu, mu**1.5))
+        while mu > _MU_FLOOR:
+            mu = max(_MU_FLOOR, min(_MU_DECAY * mu, mu**1.5))
             mus.append(mu)
         try:
             return _checked(stats, theta_star, _chain(pairs, v, mus, work))
         except NewtonConvergenceError:
             work.fallbacks += 1
-    return _checked(stats, theta_star, _chain(pairs, v, schedule.mu_sequence(), work))
+    return _checked(stats, theta_star, _chain(pairs, v, _MU_PATH, work))
 
 
 def fit_constrained(
     dataset: Dataset | Iterable[object],
     init: ParamSet,
     options: FitOptions | None = None,
-    schedule: BarrierSchedule | None = None,
 ) -> FitReport:
     """EM loop whose M-step keeps every iterate and the final estimate
     inside the behavioral constraints.
@@ -532,7 +494,7 @@ def fit_constrained(
     runs from the current iterate, projected inward when it is infeasible
     or nearly so: the full chain in the first such binding M-step, a warm
     chain from the previous binding dual in later ones, always ending at
-    mu_floor. Genuine restorations (margin <= 0, typically only the initial
+    the mu floor. Genuine restorations (margin <= 0, typically only the initial
     guess) are recorded in the diagnostics, as are the counts of binding
     M-steps, barrier stages, Newton steps and warm chains that fell back to
     the full chain, over the completed M-steps. The log-likelihood trace is
@@ -540,7 +502,6 @@ def fit_constrained(
     init, the projection can lose likelihood at iteration 1.
     """
 
-    sched = schedule or DEFAULT_SCHEDULE
     restorations: list[dict[str, object]] = []
     diagnostics: dict[str, object] = {
         "restorations": restorations,
@@ -549,7 +510,7 @@ def fit_constrained(
         "barrier_stages": 0,
         "newton_steps": 0,
         "barrier_fallbacks": 0,
-        "mu_floor": sched.mu_floor,
+        "mu_floor": _MU_FLOOR,
     }
     work = _Work()
     lam_prev: float | None = None
@@ -563,7 +524,7 @@ def fit_constrained(
             theta_new, dual = _to_theta(ratios), 0.0
             residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
         else:
-            final = _binding_m_step(stats, theta, start, sched, lam_prev, work)
+            final = _binding_m_step(stats, theta, start, lam_prev, work)
             theta_new, dual = final.theta, final.dual
             residual = float(np.max(np.abs(kkt_residual(final, stats))))
             lam_prev = dual

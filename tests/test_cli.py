@@ -12,7 +12,6 @@ import pytest
 
 import bktfit.interior_point as interior_point
 from bktfit import (
-    BarrierSchedule,
     FitOptions,
     NewtonConvergenceError,
     random_init,
@@ -80,6 +79,17 @@ def test_validate_missing_key_is_parse_error(tmp_path, capsys):
     path.write_text('{"l0": 0.5}')
     assert main(["validate", str(path)]) == EXIT_IO
     assert "missing parameter keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_validate_rejects_a_non_finite_number(tmp_path, capsys, literal):
+    # json reads these as floats; printing their margin would not be JSON.
+    path = tmp_path / "theta.json"
+    path.write_text(f'{{"l0": 0.5, "g": 0.2, "s": {literal}, "r": 0.1}}')
+    assert main(["validate", str(path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameter 's' must be a finite number")
 
 
 def test_validate_missing_file_is_io_error(tmp_path):
@@ -312,13 +322,22 @@ def test_fit_rejects_an_infinite_tolerance(tmp_path, dataset_file, capsys, flag)
 
 def test_fit_defaults_are_the_dataclass_defaults():
     args = build_parser().parse_args(["fit", "--data", "d.csv", "--algorithm", "constrained"])
-    options, schedule = FitOptions(), BarrierSchedule()
+    options = FitOptions()
     assert args.max_iterations == options.max_iterations
     assert args.loglik_tolerance == options.loglik_tolerance
     assert args.param_tolerance == options.param_tolerance
-    assert args.mu_initial == schedule.mu_initial
-    assert args.mu_decay == schedule.decay
-    assert args.mu_floor == schedule.mu_floor
+
+
+@pytest.mark.parametrize("knob", ["initial", "decay", "floor"])
+def test_fit_has_no_barrier_path_flags(tmp_path, dataset_file, capsys, knob):
+    # The barrier mu path is a solver constant: no flag sets it.
+    out = tmp_path / "report.json"
+    argv = ["fit", "--data", str(dataset_file), "--algorithm", "constrained"]
+    assert main([*argv, f"--mu-{knob}", "0.5", "--out", str(out)]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["fit", "--help"]) == EXIT_OK
+    assert f"--mu-{knob}" not in capsys.readouterr().out
 
 
 def test_unknown_algorithm_is_usage_error(dataset_file, capsys):
@@ -360,6 +379,7 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert (out_dir / "scatter_guess_slip.svg").exists()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["summary"]["record_count"] == 4
+    assert "schedule" not in summary["config"]
 
 
 def test_experiment_bad_config_is_parse_error(tmp_path, capsys):
@@ -407,7 +427,7 @@ def test_experiment_rejects_an_infinite_tolerance(tmp_path, capsys, key):
         ("simulate", {"learners": 2.7}),
         ("simulate", {"theta": 5}),
         ("simulate", {"seed": "1"}),
-        # The Newton stop rules are solver constants, not schedule keys.
+        # The barrier path and the Newton stop rules are solver constants.
         ("experiment", {"schedule": {"newton_tolerance": 1e-9}}),
     ],
 )
@@ -425,7 +445,10 @@ def test_mistyped_json_fields_exit_3(tmp_path, capsys, command, override):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     key, value = next(iter(override.items()))
-    assert (next(iter(value)) if isinstance(value, dict) else key) in err
+    if key == "schedule":
+        assert "unknown config keys: schedule" in err
+    else:
+        assert (next(iter(value)) if isinstance(value, dict) else key) in err
     assert not (tmp_path / "o").exists() and not (tmp_path / "d.csv").exists()
 
 

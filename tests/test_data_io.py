@@ -195,6 +195,15 @@ def test_read_names_line_1_for_a_header_that_is_not_utf8(tmp_path):
         read_dataset(path)
 
 
+def test_read_ground_truth_names_the_line_where_proficiency_is_lost(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text(
+        "learner_id,step,correct,proficient\n0,1,0,0\n1,1,1,1\n1,2,0,0\n1,3,1,1\n"
+    )
+    with pytest.raises(DatasetFormatError, match="line 4: learner 1 loses proficiency"):
+        read_ground_truth(path)
+
+
 def test_read_rejects_bad_step_numbering(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("learner_id,step,correct\n0,1,1\n0,3,0\n")

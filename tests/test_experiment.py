@@ -54,6 +54,16 @@ def test_config_rejects_non_integer_run_counts(field, count):
         ExperimentConfig(true_theta=TRUE_THETA, **{field: count})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("learners", 2.5), ("steps", 3.5), ("master_seed", 1.5), ("learners", True)],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # Caught at construction, not later as a TypeError inside run_experiment.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _tiny_config(**{field: value})
+
+
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown algorithms"):
         _tiny_config(algorithms=("gradient-descent",))

@@ -53,6 +53,9 @@ def test_options_from_dict_rejects_wrong_types(payload):
         # An infinite tolerance would end every fit after one M-step.
         {"loglik_tolerance": float("inf")},
         {"param_tolerance": float("inf")},
+        # A fractional cap would fail only later, inside range() of the EM loop.
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
     ],
 )
 def test_options_validation(kwargs):

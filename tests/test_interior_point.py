@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 import bktfit.interior_point as interior_point
 from bktfit import (
-    BarrierSchedule,
     BarrierState,
     DegenerateStatsError,
+    ExperimentConfig,
     FitOptions,
     InfeasibleStateError,
     NewtonConvergenceError,
@@ -32,7 +32,9 @@ from bktfit import (
 from bktfit.baum_welch import closed_form_ratios
 from bktfit.fitting import _run_em
 from bktfit.interior_point import (
-    DEFAULT_SCHEDULE,
+    _MU_FLOOR,
+    _MU_INITIAL,
+    _MU_PATH,
     constraint_gradient,
     constraint_value,
     kkt_jacobian,
@@ -152,11 +154,11 @@ def test_kkt_jacobian_matches_finite_differences():
 
 
 def test_schedule_sequence_decreasing_to_floor():
-    schedule = BarrierSchedule()
-    mus = schedule.mu_sequence()
-    assert mus[0] == 1.0
-    assert mus[-1] == schedule.mu_floor
-    assert all(b < a for a, b in zip(mus, mus[1:]))
+    # The fixed mu path: 1.0 times 0.2 per stage, ending exactly at 1e-10.
+    assert len(_MU_PATH) == 16
+    assert _MU_PATH[0] == _MU_INITIAL == 1.0
+    assert _MU_PATH[-1] == _MU_FLOOR == 1e-10
+    assert all(b < a for a, b in zip(_MU_PATH, _MU_PATH[1:]))
 
 
 @pytest.mark.parametrize(
@@ -169,17 +171,33 @@ def test_schedule_sequence_decreasing_to_floor():
         {"decay": 0.0},
         {"mu_initial": -1.0},
         {"mu_floor": float("nan")},
-        {"mu_initial": float("inf")},
+        {"mu_initial": 0.5, "decay": 0.3, "mu_floor": 1e-8},
     ],
 )
 def test_schedule_validation(kwargs):
-    with pytest.raises(ValueError):
-        BarrierSchedule(**kwargs)
+    # The mu path is a solver constant: no entry point takes a schedule,
+    # whatever it holds.
+    rng = np.random.default_rng(25)
+    stats, reference, dataset = _random_stats(rng)
+    with pytest.raises(TypeError, match="schedule"):
+        fit_constrained(dataset, reference, schedule=kwargs)
+    with pytest.raises(TypeError, match="schedule"):
+        interior_point_m_step(stats, reference, schedule=kwargs)
+    with pytest.raises(TypeError, match="schedule"):
+        barrier_continuation(stats, TRUE_THETA, schedule=kwargs)
+    payload = {"true_theta": TRUE_THETA.to_dict(), "num_datasets": 1, "schedule": kwargs}
+    with pytest.raises(ValueError, match="unknown config keys: schedule"):
+        ExperimentConfig.from_dict(payload)
 
 
 def test_schedule_round_trip():
-    schedule = BarrierSchedule(mu_initial=0.5, decay=0.3, mu_floor=1e-8)
-    assert BarrierSchedule.from_dict(schedule.to_dict()) == schedule
+    # A config round-trips without a schedule, and the mu floor still
+    # reaches the report.
+    config = ExperimentConfig(true_theta=TRUE_THETA, num_datasets=2)
+    assert "schedule" not in config.to_dict()
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    report = fit_constrained(simulate_dataset(TRUE_THETA, 30, 6, 3), random_init(1))
+    assert report.diagnostics["mu_floor"] == _MU_FLOOR
 
 
 def test_barrier_state_rejects_infeasible_theta():
@@ -208,7 +226,7 @@ def test_barrier_continuation_reaches_floor_certificate():
     for _ in range(5):
         stats, _, _ = _random_stats(rng)
         final = barrier_continuation(stats, TRUE_THETA)
-        assert final.mu == DEFAULT_SCHEDULE.mu_floor
+        assert final.mu == _MU_FLOOR
         assert np.abs(kkt_residual(final, stats)).max() < 1e-8
         assert constraint_value(final.theta) > 0
 
@@ -418,7 +436,6 @@ def test_warm_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
 
     monkeypatch.setattr(interior_point, "_chain", recording)
     rng = np.random.default_rng(34)
-    full = DEFAULT_SCHEDULE.mu_sequence()
     warm = 0
     for pair in range(10):
         dataset = simulate_dataset(TRUE_THETA, 100, 10, int(rng.integers(1 << 31)))
@@ -429,13 +446,13 @@ def test_warm_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
         assert sum(len(mus) for _, mus, _ in chains) == report.diagnostics["barrier_stages"]
         for index, (pairs, mus, final) in enumerate(chains):
             if index == 0:
-                assert mus == full
+                assert mus == _MU_PATH
                 continue
             warm += 1
-            assert DEFAULT_SCHEDULE.mu_floor <= mus[0] <= DEFAULT_SCHEDULE.mu_initial
-            assert len(mus) < len(full)
+            assert _MU_FLOOR <= mus[0] <= _MU_INITIAL
+            assert len(mus) < len(_MU_PATH)
             assert all(b < a for a, b in zip(mus, mus[1:]))
-            assert mus[-1] == final.mu == DEFAULT_SCHEDULE.mu_floor
+            assert mus[-1] == final.mu == _MU_FLOOR
             residual = interior_point._residual(
                 pairs, np.array(final.theta.astuple()), final.dual, final.mu
             )
