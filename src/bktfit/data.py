@@ -5,21 +5,28 @@ learner_id is a non-negative integer, step starts at 1 and increments by 1
 within a learner, correct is 0 or 1, and rows are sorted by learner then
 step. The optional ground-truth variant carries one extra ``proficient``
 column with the hidden state that generated each attempt. learner_id and
-step cells hold ASCII decimal digits only.
+step cells hold ASCII decimal digits only. The readers take the file as
+bytes: a leading UTF-8 byte-order mark is skipped, lines end in LF or CRLF
+(the last one may lack its line end), and cells are split at bare commas,
+so a quoted cell is malformed like any other. Every malformed line raises
+DatasetFormatError naming its line number, which `bktfit` reports with
+exit code 3.
 
-A Dataset encodes its answers once: the first E-step that reads it sorts
-the learners by descending length into time-major chunks (Dataset._chunks),
-and every later E-step of every fit on that dataset reuses them.
+A Dataset holds its answers once, flat: one uint8 array of every learner's
+answers in order, and the learners' lengths. The readers and the simulator
+fill these arrays directly; AttemptSequence objects are built from them
+only when a dataset is iterated or indexed. The first E-step that reads a
+dataset sorts the learners by descending length into time-major chunks
+(Dataset._chunks), and every later E-step of every fit reuses them.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -34,13 +41,21 @@ __all__ = [
     "write_ground_truth",
 ]
 
-_DATASET_HEADER = ["learner_id", "step", "correct"]
-_TRUTH_HEADER = ["learner_id", "step", "correct", "proficient"]
+_DATASET_HEADER = ("learner_id", "step", "correct")
+_TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 
 # An E-step holds about a dozen float arrays of _CHUNK_CELLS at a time: a
 # chunk takes _CHUNK_CELLS // T learners, T the longest of them.
 _CHUNK_CELLS = 1 << 15
 _PADDING = 2  # answer code of the cells after a learner's last attempt
+
+# The readers validate this many bytes at a time, cut at the last line end,
+# so their temporaries stay a few times this size whatever the file size.
+_BLOCK_BYTES = 1 << 16
+_WRITE_ROWS = 1 << 16  # rows formatted per write
+_BOM = b"\xef\xbb\xbf"
+_LF, _CR, _COMMA, _ZERO = 10, 13, 44, 48
+_MAX_DIGITS = 18  # every decimal of up to 18 digits fits an int64
 
 
 class DatasetFormatError(ValueError):
@@ -111,26 +126,68 @@ class HiddenPath:
         return iter(self.states)
 
 
-@dataclass(frozen=True)
+_Run = TypeVar("_Run", AttemptSequence, HiddenPath)
+
+
+def _runs(kind: type[_Run], flags: np.ndarray, bounds: list[int]) -> Iterator[_Run]:
+    """kind objects over flags[bounds[i]:bounds[i + 1]], flags being 0/1 already checked."""
+
+    (name,) = (field.name for field in fields(kind))
+    flat = flags.astype(bool).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = object.__new__(kind)
+        object.__setattr__(run, name, tuple(flat[lo:hi]))
+        yield run
+
+
 class Dataset:
-    """One attempt sequence per learner; lengths may differ."""
+    """One attempt sequence per learner; lengths may differ.
 
-    sequences: tuple[AttemptSequence, ...]
+    The answers live in one flat uint8 array, learner after learner; the
+    sequences are rebuilt from it when the dataset is iterated or indexed.
+    """
 
-    def __post_init__(self) -> None:
-        sequences = tuple(as_sequence(seq) for seq in self.sequences)
+    def __init__(self, sequences: Iterable[AttemptSequence | Iterable[object]]) -> None:
+        sequences = [as_sequence(seq) for seq in sequences]
         if not sequences:
             raise ValueError("a dataset needs at least one learner")
-        object.__setattr__(self, "sequences", sequences)
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        attempts = chain.from_iterable(seq.attempts for seq in sequences)
+        self._set(np.fromiter(attempts, dtype=np.uint8, count=int(lengths.sum())), lengths)
+
+    @classmethod
+    def _of(cls, answers: np.ndarray, lengths: np.ndarray) -> Dataset:
+        """The dataset over flat 0/1 answers and positive lengths the caller has checked."""
+
+        dataset = cls.__new__(cls)
+        dataset._set(answers, lengths)
+        return dataset
+
+    def _set(self, answers: np.ndarray, lengths: np.ndarray) -> None:
+        self._answers = answers
+        self._lengths = lengths
+        self._bounds = np.concatenate(([0], np.cumsum(lengths)))
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self._lengths)
 
     def __iter__(self) -> Iterator[AttemptSequence]:
-        return iter(self.sequences)
+        return _runs(AttemptSequence, self._answers, self._bounds.tolist())
 
     def __getitem__(self, index: int) -> AttemptSequence:
-        return self.sequences[index]
+        learner = range(len(self))[index]
+        lo, hi = self._bounds[learner : learner + 2].tolist()
+        return next(_runs(AttemptSequence, self._answers[lo:hi], [0, hi - lo]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self._lengths, other._lengths) and np.array_equal(
+            self._answers, other._answers
+        )
+
+    def __repr__(self) -> str:
+        return f"Dataset({list(self)!r})"
 
     @cached_property
     def _chunks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -141,18 +198,17 @@ class Dataset:
         active[t]: learners with an attempt at step t, a prefix of the chunk.
         """
 
-        lengths = np.array([len(seq) for seq in self.sequences])
+        lengths = self._lengths
         order = np.argsort(-lengths, kind="stable")
         chunks, start = [], 0
         while start < len(order):
             learners = order[start : start + max(1, _CHUNK_CELLS // lengths[order[start]])]
             start += len(learners)
-            sizes = lengths[learners]
-            filled = np.arange(sizes[0]) < sizes[:, None]
+            steps = np.arange(lengths[learners[0]])[:, None]
+            filled = steps < lengths[learners]
             cells = np.full(filled.shape, _PADDING, dtype=np.uint8)
-            attempts = chain.from_iterable(self.sequences[i].attempts for i in learners)
-            cells[filled] = np.fromiter(attempts, dtype=np.uint8, count=int(sizes.sum()))
-            chunks.append((learners, np.ascontiguousarray(cells.T), filled.sum(axis=0)))
+            cells[filled] = self._answers[(self._bounds[learners] + steps)[filled]]
+            chunks.append((learners, cells, filled.sum(axis=1)))
         return tuple(chunks)
 
 
@@ -165,18 +221,30 @@ def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
 def as_dataset(data: Dataset | Iterable[object]) -> Dataset:
     """The dataset itself, or one built once from an iterable of sequences."""
 
-    return data if isinstance(data, Dataset) else Dataset(tuple(data))
+    return data if isinstance(data, Dataset) else Dataset(data)
+
+
+def _write_table(
+    destination: str | Path, header: tuple[str, ...], dataset: Dataset, *flags: np.ndarray
+) -> None:
+    """Write one row per attempt: learner index, step, then each flag column as 0/1."""
+
+    bounds, total = dataset._bounds, len(dataset._answers)
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    # newline="" and CRLF rows keep the bytes csv.writer wrote.
+    with open(destination, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for lo in range(0, total, _WRITE_ROWS):
+            rows = np.arange(lo, min(lo + _WRITE_ROWS, total))
+            learners = np.searchsorted(bounds, rows, side="right") - 1
+            columns = [learners, rows - bounds[learners] + 1] + [f[rows] for f in flags]
+            handle.writelines(map(row.format, *(column.tolist() for column in columns)))
 
 
 def write_dataset(dataset: Dataset, destination: str | Path) -> None:
     """Write the dataset in the canonical CSV layout."""
 
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_DATASET_HEADER)
-        for learner_id, seq in enumerate(dataset):
-            for step, correct in enumerate(seq, start=1):
-                writer.writerow([learner_id, step, int(correct)])
+    _write_table(destination, _DATASET_HEADER, dataset, dataset._answers)
 
 
 def write_ground_truth(
@@ -187,15 +255,13 @@ def write_ground_truth(
     paths = tuple(paths)
     if len(paths) != len(dataset):
         raise ValueError("need exactly one hidden path per learner")
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_TRUTH_HEADER)
-        for learner_id, (seq, path) in enumerate(zip(dataset, paths)):
-            if len(path) != len(seq):
-                raise ValueError(f"hidden path length mismatch for learner {learner_id}")
-            rows = zip(seq, path)
-            for step, (correct, proficient) in enumerate(rows, start=1):
-                writer.writerow([learner_id, step, int(correct), int(proficient)])
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    mismatched = np.flatnonzero(lengths != dataset._lengths)
+    if len(mismatched):
+        raise ValueError(f"hidden path length mismatch for learner {mismatched[0]}")
+    states = chain.from_iterable(path.states for path in paths)
+    states = np.fromiter(states, dtype=np.uint8, count=len(dataset._answers))
+    _write_table(destination, _TRUTH_HEADER, dataset, dataset._answers, states)
 
 
 def _parse_binary(text: str, column: str, lineno: int) -> bool:
@@ -215,72 +281,194 @@ def _parse_count(text: str, column: str, lineno: int) -> int:
     )
 
 
-def _parse_table(source: str | Path, header: list[str]) -> list[tuple[list[bool], list[bool]]]:
-    """Read and validate the CSV in one pass into (attempts, proficient) lists per learner."""
+def _text(line: bytes) -> str:
+    """One line without its CR, decoded; a byte that is not UTF-8 becomes a lone surrogate."""
 
-    width = len(header)
-    learners: list[tuple[list[bool], list[bool]]] = []
-    seen: set[int] = set()
-    current_id: int | None = None
-    # utf-8-sig drops the byte-order mark that spreadsheet programs write.
-    # A byte that is not UTF-8 decodes to a lone surrogate, which no cell
-    # check accepts, so it is reported with its line number.
-    with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
-        reader = csv.reader(handle)
-        first = next(reader, None)
+    return line.removesuffix(b"\r").decode("utf-8", errors="surrogateescape")
+
+
+def _blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The file after its byte-order mark, in pieces of whole lines, each ending in LF."""
+
+    rest = handle.read(len(_BOM)).removeprefix(_BOM)
+    while block := handle.read(_BLOCK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield rest + block[:cut]
+            rest = block[cut:]
+        else:
+            rest += block
+    if rest:
+        yield rest.removesuffix(b"\n") + b"\n"
+
+
+class _Table:
+    """A CSV read under way: the validated columns so far and the last row's state.
+
+    Each block is checked with array operations. The first line that fails
+    any check is then checked again alone, in the order a row-by-row read
+    would check it, to raise that read's message for it.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.last: tuple[int, int, int] | None = None  # learner code, step, proficient
+        self.seen: set[int] = set()  # codes of every learner read so far
+        self.huge: dict[int, int] = {}  # the negative codes of cells beyond int64
+        self.rows = 0  # data rows read, each one line after the header
+        self.starts: list[np.ndarray] = []  # row index of each learner's first row
+        self.flags: list[list[np.ndarray]] = [[] for _ in range(width - 2)]
+
+    def code(self, value: int) -> int:
+        """value itself when it fits an int64, else a negative code unique to it."""
+
+        if value < 1 << 63:
+            return value
+        return self.huge.setdefault(value, -1 - len(self.huge))
+
+    def counts(self, data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The codes of the decimal cells data[lo:hi], taken to hold digits only."""
+
+        sizes = hi - lo
+        values = np.zeros(len(lo), dtype=np.int64)
+        for k in range(min(int(sizes.max(initial=0)), _MAX_DIGITS), 0, -1):
+            values = values * 10 + np.where(sizes >= k, data[hi - k] - _ZERO, 0)
+        for i in np.flatnonzero(sizes > _MAX_DIGITS).tolist():
+            values[i] = self.code(int(data[lo[i] : hi[i]].tobytes()))
+        return values
+
+    def read(self, block: bytes) -> None:
+        """Check and keep the rows of one block of whole lines."""
+
+        data = np.frombuffer(block, dtype=np.uint8)
+        lf = np.flatnonzero(data == _LF)
+        if not len(lf):
+            return
+        begins = np.concatenate(([0], lf[:-1] + 1))
+        cr = (data[lf - 1] == _CR) & (lf > begins)
+        ends = lf - cr
+        width = self.width
+
+        # Lines whose bytes cannot make a row: a wrong comma count, or a
+        # byte other than a digit or comma before the line end.
+        commas = np.flatnonzero(data == _COMMA)
+        bad = np.diff(np.searchsorted(commas, lf), prepend=0) != width - 1
+        others = np.flatnonzero((data - _ZERO > 9) & (data != _COMMA))
+        if len(others) != len(lf) + np.count_nonzero(cr):
+            stray = np.setdiff1d(others, np.concatenate((lf, ends[cr])))
+            bad[np.searchsorted(lf, stray)] = True
+        n = int(np.argmax(bad)) if bad.any() else len(lf)
+
+        # The lines before it: every cell is digits, so check the values.
+        cut = commas[: n * (width - 1)].reshape(n, width - 1)
+        lo = np.column_stack((begins[:n], cut + 1))
+        hi = np.column_stack((cut, ends[:n]))
+        learners = self.counts(data, lo[:, 0], hi[:, 0])
+        steps = self.counts(data, lo[:, 1], hi[:, 1])
+        flags = data[lo[:, 2:]] - _ZERO
+        wrong = (hi[:, 1] == lo[:, 1]) | (hi[:, 0] == lo[:, 0])
+        wrong |= ((hi[:, 2:] - lo[:, 2:] != 1) | (flags > 1)).any(axis=1)
+        last = self.last or (0, 0, 0)
+        new = learners != np.concatenate(([last[0]], learners))[:-1]
+        new[:1] |= self.last is None
+        wrong |= steps != np.where(new, 1, np.concatenate(([last[1]], steps))[:-1] + 1)
+        if width == 4:
+            lost = np.concatenate(([last[2]], flags[:, 1]))[:-1] > flags[:, 1]
+            wrong |= ~new & lost
+        starts = np.flatnonzero(new)
+        firsts = learners[starts].tolist()
+        if len(set(firsts)) < len(firsts) or not self.seen.isdisjoint(firsts):
+            seen = set(self.seen)
+            for start, learner in zip(starts.tolist(), firsts):
+                if learner in seen:
+                    wrong[start] = True
+                    break
+                seen.add(learner)
+        if wrong.any() or n < len(lf):
+            i = int(np.argmax(wrong)) if wrong.any() else n
+            previous = self.last
+            if i:
+                previous = (int(learners[i - 1]), int(steps[i - 1]), int(flags[i - 1, -1]))
+            self.seen.update(learners[starts[starts < i]].tolist())
+            self.fail(_text(block[begins[i] : lf[i]]), self.rows + i + 2, previous)
+
+        self.starts.append(self.rows + starts)
+        for column, values in zip(self.flags, flags.T):
+            column.append(values)
+        self.seen.update(firsts)
+        self.rows += n
+        if n:
+            self.last = (int(learners[-1]), int(steps[-1]), int(flags[-1, -1]))
+
+    def fail(self, line: str, lineno: int, previous: tuple[int, int, int] | None) -> None:
+        """Raise the error a row-by-row read raises first on this line."""
+
+        cells = line.split(",") if line else []
+        if len(cells) != self.width:
+            raise DatasetFormatError(
+                f"line {lineno}: expected {self.width} columns, got {len(cells)}"
+            )
+        learner_id = _parse_count(cells[0], "learner_id", lineno)
+        step = _parse_count(cells[1], "step", lineno)
+        _parse_binary(cells[2], "correct", lineno)
+        learner = self.code(learner_id)
+        new = previous is None or learner != previous[0]
+        if new and learner in self.seen:
+            raise DatasetFormatError(
+                f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
+            )
+        expected = 1 if new else previous[1] + 1  # type: ignore[index]
+        if step != expected:
+            raise DatasetFormatError(
+                f"line {lineno}: expected step {expected} for learner {learner_id}, got {step}"
+            )
+        if self.width == 4 and not _parse_binary(cells[3], "proficient", lineno):
+            if not new and previous[2]:  # type: ignore[index]
+                raise DatasetFormatError(
+                    f"line {lineno}: learner {learner_id} loses proficiency, "
+                    f"which the model forbids"
+                )
+        raise AssertionError(f"line {lineno} failed an array check but no row check")
+
+    def columns(self) -> tuple[Dataset, list[np.ndarray]]:
+        """The dataset read, and the extra flag columns (proficient) row by row."""
+
+        if not self.rows:
+            raise DatasetFormatError("no data rows: dataset is empty")
+        lengths = np.diff(np.concatenate(self.starts), append=self.rows)
+        answers, *extra = (np.concatenate(column) for column in self.flags)
+        return Dataset._of(answers, lengths), extra
+
+
+def _read_table(source: str | Path, header: tuple[str, ...]) -> tuple[Dataset, list[np.ndarray]]:
+    """Read and validate a CSV block by block into a dataset and its extra columns."""
+
+    table = _Table(len(header))
+    with open(source, "rb") as handle:
+        blocks = _blocks(handle)
+        first = next(blocks, None)
         if first is None:
             raise DatasetFormatError("empty file: expected a header row")
-        if first != header:
+        end = first.index(b"\n")
+        line = _text(first[:end])
+        if line != ",".join(header):
             raise DatasetFormatError(
-                f"line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
+                f"line 1: expected header {','.join(header)!r}, got {line!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {width} columns, got {len(row)}"
-                )
-            learner_id = _parse_count(row[0], "learner_id", lineno)
-            step = _parse_count(row[1], "step", lineno)
-            correct = _parse_binary(row[2], "correct", lineno)
-            if learner_id != current_id:
-                if learner_id in seen:
-                    raise DatasetFormatError(
-                        f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
-                    )
-                seen.add(learner_id)
-                learners.append(([], []))
-                current_id = learner_id
-            attempts, states = learners[-1]
-            if step != len(attempts) + 1:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected step {len(attempts) + 1} for learner "
-                    f"{learner_id}, got {step}"
-                )
-            attempts.append(correct)
-            if width == 4:
-                proficient = _parse_binary(row[3], "proficient", lineno)
-                if states and states[-1] and not proficient:
-                    raise DatasetFormatError(
-                        f"line {lineno}: learner {learner_id} loses proficiency, "
-                        f"which the model forbids"
-                    )
-                states.append(proficient)
-    if not learners:
-        raise DatasetFormatError("no data rows: dataset is empty")
-    return learners
+        for block in chain((first[end + 1 :],), blocks):
+            table.read(block)
+    return table.columns()
 
 
 def read_dataset(source: str | Path) -> Dataset:
-    """Read a dataset CSV, validating the layout row by row."""
+    """Read a dataset CSV, validating every row."""
 
-    learners = _parse_table(source, _DATASET_HEADER)
-    return Dataset(tuple(AttemptSequence(tuple(attempts)) for attempts, _ in learners))
+    dataset, _ = _read_table(source, _DATASET_HEADER)
+    return dataset
 
 
 def read_ground_truth(source: str | Path) -> tuple[Dataset, tuple[HiddenPath, ...]]:
     """Read a ground-truth CSV, returning attempts and hidden paths."""
 
-    learners = _parse_table(source, _TRUTH_HEADER)
-    dataset = Dataset(tuple(AttemptSequence(tuple(attempts)) for attempts, _ in learners))
-    paths = tuple(HiddenPath(tuple(states)) for _, states in learners)
-    return dataset, paths
+    dataset, (states,) = _read_table(source, _TRUTH_HEADER)
+    return dataset, tuple(_runs(HiddenPath, states, dataset._bounds.tolist()))

@@ -85,6 +85,12 @@ class ExperimentConfig:
     options: FitOptions = FitOptions()
 
     def __post_init__(self) -> None:
+        # from_dict converts both blocks; a dict passed in Python would
+        # otherwise fail only inside run_experiment.
+        if not isinstance(self.true_theta, ParamSet):
+            raise ValueError(f"true_theta must be a ParamSet, got {self.true_theta!r}")
+        if not isinstance(self.options, FitOptions):
+            raise ValueError(f"options must be a FitOptions, got {self.options!r}")
         if (self.num_datasets is None) == (self.num_inits is None):
             raise ValueError("set exactly one of num_datasets and num_inits")
         _require_int(self.runs, "run count")

@@ -8,6 +8,7 @@ _run_em is that loop; each fitter passes in its M-step and its diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -49,11 +50,13 @@ class FitOptions:
         _require_int(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        # An infinite tolerance would stop every fit after one M-step.
-        if not 0 < self.loglik_tolerance < math.inf:
-            raise ValueError("loglik_tolerance must be positive and finite")
-        if not 0 < self.param_tolerance < math.inf:
-            raise ValueError("param_tolerance must be positive and finite")
+        for name in ("loglik_tolerance", "param_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            # An infinite tolerance would stop every fit after one M-step.
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def to_dict(self) -> dict[str, object]:
         return asdict(self)

@@ -10,12 +10,12 @@ on the sampled path.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ParamSet
-from .data import AttemptSequence, Dataset, HiddenPath
+from .core import ParamSet, _require_int
+from .data import AttemptSequence, Dataset, HiddenPath, _runs
 
 __all__ = [
     "simulate_learner",
@@ -37,24 +37,54 @@ def _generator(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def _sample(
+    theta: ParamSet, seeds: Iterable[Seed], count: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(count, length) boolean states and answers, one learner per seed."""
+
+    u = np.empty((count, 2 * length))
+    for row, seed in zip(u, seeds):
+        _generator(seed).random(out=row)
+    # Column 0 starts the path; column length + t decides whether a learner
+    # not yet proficient becomes so before attempt t.
+    draws = np.empty((count, length), dtype=bool)
+    draws[:, 0] = u[:, 0] < theta.l0
+    draws[:, 1:] = u[:, length + 1 :] < theta.r
+    states = np.logical_or.accumulate(draws, axis=1)
+    answers = u[:, 1 : length + 1] < np.where(states, 1.0 - theta.s, theta.g)
+    return states, answers
+
+
+def _check_shape(learners: int, length: int) -> None:
+    _require_int(learners, "learners")
+    _require_int(length, "length")
+    if learners < 1:
+        raise ValueError("learners must be at least 1")
+    if length < 1:
+        raise ValueError("length must be at least 1")
+
+
 def simulate_learner(
     theta: ParamSet, length: int, seed: Seed
 ) -> tuple[HiddenPath, AttemptSequence]:
     """Sample one learner's hidden path and observed answers."""
 
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    u = _generator(seed).random(2 * length)
-    states: list[bool] = []
-    attempts: list[bool] = []
-    proficient = bool(u[0] < theta.l0)
-    for t in range(length):
-        states.append(proficient)
-        p_correct = 1.0 - theta.s if proficient else theta.g
-        attempts.append(bool(u[1 + t] < p_correct))
-        if t < length - 1 and not proficient:
-            proficient = bool(u[1 + length + t] < theta.r)
-    return HiddenPath(tuple(states)), AttemptSequence(tuple(attempts))
+    _check_shape(1, length)
+    states, answers = _sample(theta, (seed,), 1, length)
+    bounds = [0, length]
+    path = next(_runs(HiddenPath, states.ravel(), bounds))
+    return path, next(_runs(AttemptSequence, answers.ravel(), bounds))
+
+
+def _simulate(
+    theta: ParamSet, learners: int, length: int, seed: Seed
+) -> tuple[Dataset, np.ndarray]:
+    _check_shape(learners, length)
+    base = tuple(seed) if isinstance(seed, Sequence) else (seed,)
+    seeds = (base + (index,) for index in range(learners))
+    states, answers = _sample(theta, seeds, learners, length)
+    lengths = np.full(learners, length, dtype=np.int64)
+    return Dataset._of(answers.view(np.uint8).ravel(), lengths), states.ravel()
 
 
 def simulate_dataset_with_paths(
@@ -62,15 +92,12 @@ def simulate_dataset_with_paths(
 ) -> tuple[Dataset, tuple[HiddenPath, ...]]:
     """Sample a dataset and keep the generating hidden paths for inspection."""
 
-    if learners < 1:
-        raise ValueError("learners must be at least 1")
-    base = tuple(seed) if isinstance(seed, Sequence) else (seed,)
-    drawn = [simulate_learner(theta, length, base + (index,)) for index in range(learners)]
-    return Dataset(tuple(seq for _, seq in drawn)), tuple(path for path, _ in drawn)
+    dataset, states = _simulate(theta, learners, length, seed)
+    return dataset, tuple(_runs(HiddenPath, states, dataset._bounds.tolist()))
 
 
 def simulate_dataset(theta: ParamSet, learners: int, length: int, seed: Seed) -> Dataset:
     """Sample a dataset of independent learners."""
 
-    dataset, _ = simulate_dataset_with_paths(theta, learners, length, seed)
+    dataset, _ = _simulate(theta, learners, length, seed)
     return dataset

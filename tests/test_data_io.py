@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bktfit import AttemptSequence, Dataset, DatasetFormatError, read_dataset, write_dataset
+from bktfit import (
+    AttemptSequence,
+    Dataset,
+    DatasetFormatError,
+    read_dataset,
+    simulate_dataset,
+    write_dataset,
+)
 from bktfit import data
 from bktfit.data import HiddenPath, read_ground_truth, write_ground_truth
+from conftest import TRUE_THETA
 
 
 def _toy_dataset() -> Dataset:
@@ -216,3 +228,195 @@ def test_read_rejects_wrong_column_count(tmp_path):
     path.write_text("learner_id,step,correct\n0,1\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
         read_dataset(path)
+
+
+def test_dataset_iteration_and_indexing_rebuild_the_sequences():
+    sequences = [AttemptSequence((True, False, True)), AttemptSequence((False,))]
+    dataset = Dataset(sequences)
+    assert list(dataset) == sequences
+    assert dataset[1] == dataset[-1] == sequences[1]
+    assert dataset[0].attempts == (True, False, True)
+    with pytest.raises(IndexError):
+        dataset[2]
+    assert dataset == Dataset(tuple(sequences))
+    assert dataset != Dataset(sequences[:1])
+
+
+def test_read_rejects_a_quoted_cell(tmp_path):
+    # Cells are split at bare commas; csv quoting is not unwrapped.
+    path = tmp_path / "data.csv"
+    path.write_text('learner_id,step,correct\n0,1,1\n"0",2,1\n')
+    with pytest.raises(DatasetFormatError, match="line 3: learner_id .* got '\"0\"'"):
+        read_dataset(path)
+
+
+def _reference_table(raw: bytes, width: int) -> list[tuple[list[bool], list[bool]]]:
+    """The row-by-row reader that the block reader replaced: the oracle it must match.
+
+    Lines are split at LF with one trailing CR dropped, cells at bare commas;
+    otherwise every check and message is the one the readers document.
+    """
+
+    header = ["learner_id", "step", "correct", "proficient"][:width]
+    text = raw.decode("utf-8-sig", errors="surrogateescape")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DatasetFormatError("empty file: expected a header row")
+    lines = [line.removesuffix("\r") for line in lines]
+    rows = [line.split(",") if line else [] for line in lines]
+    if rows[0] != header:
+        raise DatasetFormatError(
+            f"line 1: expected header {','.join(header)!r}, got {','.join(rows[0])!r}"
+        )
+
+    def count(text: str, column: str, lineno: int) -> int:
+        if text.isascii() and text.isdigit():
+            return int(text)
+        raise DatasetFormatError(
+            f"line {lineno}: {column} must be a non-negative decimal integer, got {text!r}"
+        )
+
+    def binary(text: str, column: str, lineno: int) -> bool:
+        if text in ("0", "1"):
+            return text == "1"
+        raise DatasetFormatError(f"line {lineno}: {column} must be 0 or 1, got {text!r}")
+
+    learners: list[tuple[list[bool], list[bool]]] = []
+    seen: set[int] = set()
+    current_id: int | None = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise DatasetFormatError(f"line {lineno}: expected {width} columns, got {len(row)}")
+        learner_id = count(row[0], "learner_id", lineno)
+        step = count(row[1], "step", lineno)
+        correct = binary(row[2], "correct", lineno)
+        if learner_id != current_id:
+            if learner_id in seen:
+                raise DatasetFormatError(
+                    f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
+                )
+            seen.add(learner_id)
+            learners.append(([], []))
+            current_id = learner_id
+        attempts, states = learners[-1]
+        if step != len(attempts) + 1:
+            raise DatasetFormatError(
+                f"line {lineno}: expected step {len(attempts) + 1} for learner "
+                f"{learner_id}, got {step}"
+            )
+        attempts.append(correct)
+        if width == 4:
+            proficient = binary(row[3], "proficient", lineno)
+            if states and states[-1] and not proficient:
+                raise DatasetFormatError(
+                    f"line {lineno}: learner {learner_id} loses proficiency, "
+                    f"which the model forbids"
+                )
+            states.append(proficient)
+    if not learners:
+        raise DatasetFormatError("no data rows: dataset is empty")
+    return learners
+
+
+# Ids around the int64 and 18-digit limits take the reader's wide-cell path.
+_IDS = st.one_of(
+    st.integers(0, 40),
+    st.integers(10**18 - 2, 10**18 + 2),
+    st.integers(2**63 - 2, 2**63 + 2),
+    st.integers(10**25, 10**25 + 2),
+)
+
+
+@st.composite
+def _table_files(draw, width: int, valid: bool = True) -> bytes:
+    """A dataset (width 3) or ground-truth (width 4) file, in any accepted framing.
+
+    Unless valid, a learner id may repeat, which splits a learner into
+    blocks or restarts one at step 1, and a learner may lose proficiency.
+    """
+
+    ids = draw(st.lists(_IDS, min_size=1, max_size=6, unique=valid))
+    lines = [",".join(["learner_id", "step", "correct", "proficient"][:width])]
+    for learner_id in ids:
+        length = draw(st.integers(1, 5))
+        switch = draw(st.integers(0, length))
+        for step in range(1, length + 1):
+            zeros = "0" * draw(st.integers(0, 2))  # int() reads "007" as 7
+            state = step > switch if valid else draw(st.booleans())
+            cells = [f"{zeros}{learner_id}", f"{zeros}{step}", str(draw(st.integers(0, 1)))]
+            lines.append(",".join(cells + [str(int(state))][: width - 3]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+
+
+def _read_table(path, width: int) -> list[tuple[list[bool], list[bool]]]:
+    if width == 3:
+        return [(list(seq), []) for seq in read_dataset(path)]
+    dataset, paths = read_ground_truth(path)
+    return [(list(seq), list(states)) for seq, states in zip(dataset, paths)]
+
+
+def _assert_reads_as_reference(path, raw: bytes, width: int, block: int) -> None:
+    path.write_bytes(raw)
+    try:
+        expected = _reference_table(raw, width)
+    except DatasetFormatError as exc:
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            with pytest.raises(DatasetFormatError) as got:
+                _read_table(path, width)
+        assert str(got.value) == str(exc)
+    else:
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            assert _read_table(path, width) == expected
+
+
+# Small blocks cut lines, cells, the CR of a CRLF and the byte-order mark.
+_BLOCKS = st.sampled_from([1, 2, 3, 7, 64, data._BLOCK_BYTES])
+_FIXTURE_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@_FIXTURE_OK
+@given(draws=st.data(), block=_BLOCKS)
+def test_valid_files_read_as_the_reference_reads_them(tmp_path, width, draws, block):
+    raw = draws.draw(_table_files(width))
+    assert _reference_table(raw, width)
+    _assert_reads_as_reference(tmp_path / "table.csv", raw, width, block)
+
+
+_CORRUPT_BYTES = list(b'019,\n\r" +-a\x00\xe9\xef\xff')
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    draws=st.data(),
+    edit=st.sampled_from(["replace", "insert", "delete"]),
+    byte=st.sampled_from(_CORRUPT_BYTES),
+    block=_BLOCKS,
+)
+def test_single_byte_corruptions_read_or_fail_as_the_reference(
+    tmp_path, width, draws, edit, byte, block
+):
+    raw = draws.draw(_table_files(width, valid=False))
+    at = draws.draw(st.integers(0, len(raw) - (edit != "insert")))
+    tail = raw[at + (edit != "insert") :]
+    corrupted = raw[:at] + (bytes([byte]) if edit != "delete" else b"") + tail
+    _assert_reads_as_reference(tmp_path / "table.csv", corrupted, width, block)
+
+
+def test_read_dataset_memory_stays_within_a_constant_of_the_file_size(tmp_path):
+    path = tmp_path / "data.csv"
+    write_dataset(simulate_dataset(TRUE_THETA, 10_000, 20, 0), path)  # 200k rows
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        dataset = read_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 10_000
+    assert peak <= 2 * size + 4 * 2**20, (peak, size)

@@ -64,6 +64,17 @@ def test_config_rejects_non_integer_counts(field, value):
         _tiny_config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("true_theta", TRUE_THETA.to_dict()), ("options", {"max_iterations": 5})],
+)
+def test_config_rejects_blocks_that_are_not_their_types(field, value):
+    # The JSON path converts these blocks; a raw dict used to fail only in
+    # run_experiment, with AttributeError.
+    with pytest.raises(ValueError, match=field):
+        _tiny_config(**{field: value})
+
+
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown algorithms"):
         _tiny_config(algorithms=("gradient-descent",))

@@ -56,6 +56,11 @@ def test_options_from_dict_rejects_wrong_types(payload):
         # A fractional cap would fail only later, inside range() of the EM loop.
         {"max_iterations": 2.5},
         {"max_iterations": True},
+        # Not real numbers: these raised TypeError or passed as 1.
+        {"loglik_tolerance": "1e-8"},
+        {"param_tolerance": "1e-8"},
+        {"loglik_tolerance": True},
+        {"param_tolerance": True},
     ],
 )
 def test_options_validation(kwargs):

@@ -3,10 +3,51 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from bktfit import simulate_dataset
+from bktfit import ParamSet, simulate_dataset
 from bktfit.simulate import simulate_dataset_with_paths, simulate_learner
 from conftest import TRUE_THETA
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simulate_dataset(TRUE_THETA, 2.5, 4, 0),
+        lambda: simulate_dataset(TRUE_THETA, 3, 4.0, 0),
+        lambda: simulate_learner(TRUE_THETA, 2.5, 0),
+        lambda: simulate_learner(TRUE_THETA, True, 0),
+    ],
+    ids=["learners", "steps", "length", "bool-length"],
+)
+def test_simulate_rejects_counts_that_are_not_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def _reference_learner(theta, length, seed):
+    """The per-step sampling loop the array simulator replaced, on the same stream."""
+
+    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(2 * length)
+    states, attempts = [], []
+    proficient = bool(u[0] < theta.l0)
+    for t in range(length):
+        states.append(proficient)
+        attempts.append(bool(u[1 + t] < (1.0 - theta.s if proficient else theta.g)))
+        if t < length - 1 and not proficient:
+            proficient = bool(u[1 + length + t] < theta.r)
+    return tuple(states), tuple(attempts)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7])
+@pytest.mark.parametrize("seed", [0, (4, 1)])
+def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
+    rng = np.random.default_rng(length)
+    for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4))]:
+        dataset, paths = simulate_dataset_with_paths(theta, 30, length, seed)
+        base = seed if isinstance(seed, tuple) else (seed,)
+        expected = [_reference_learner(theta, length, base + (i,)) for i in range(30)]
+        assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
 
 
 def test_simulate_learner_is_deterministic():
