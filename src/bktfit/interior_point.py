@@ -9,14 +9,11 @@ combine into the single inequality c(theta) >= 0 with
 
     c(theta) = (1-s-g)l0 - (1-g)r.
 
-The objective is strictly concave, so when its unconstrained maximizer (the
-closed-form ratios) already satisfies c > 0, the constraint is inactive and
-that maximizer is the M-step's answer; fit_constrained takes it directly.
-Only when the closed form violates c (or touches the box walls) does the
-M-step need the barrier: it maximizes objective + mu*log(c) for a decreasing
-sequence of barrier weights mu, warm-starting each stage at the previous
-solution. A dual value lam tied to the constraint by lam*c = mu turns each
-stage into a square root-finding problem: the residual
+The paper's barrier (interior_point_m_step, barrier_continuation) maximizes
+objective + mu*log(c) for a decreasing sequence of barrier weights mu,
+warm-starting each stage at the previous solution. A dual value lam tied to
+the constraint by lam*c = mu turns each stage into a square root-finding
+problem: the residual
 
     F(theta, lam) = [grad objective + lam * grad c,  lam*c - mu]
 
@@ -24,19 +21,20 @@ is driven to zero by damped Newton steps on the exact 5x5 Jacobian. The
 damping keeps every iterate strictly feasible (fraction-to-boundary rule on
 c and lam, box interiority on theta) and falls back to step halving, then
 jittered restarts, when a step fails to reduce the residual. The final
-stage's residual at the mu floor is the solution certificate.
+stage's residual at the mu floor is the solution certificate. The mu path
+and the Newton stop rules are module constants, not options: mu starts at 1
+and shrinks by a factor 0.2 per stage down to the floor 1e-10, 16 stages.
 
-The mu path and the Newton stop rules are module constants, not options:
-the full path starts at mu = 1 and shrinks by a factor 0.2 per stage down
-to the floor 1e-10, 16 stages. interior_point_m_step and
-barrier_continuation follow that path. Within a fit, binding M-steps land
-close together, so fit_constrained runs the full path only in its first
-binding M-step. Each later one starts at mu = lam * c, from the previous
-binding M-step's dual lam and clamped to [floor, 1], and takes the
-superlinear path mu <- max(floor, min(0.2 * mu, mu**1.5)) (the adaptive
-barrier update of Nocedal, Waechter & Waltz, SIAM J. Optim. 2009, and
-IPOPT's superlinear rule, Waechter & Biegler, Math. Prog. 2006). When that
-chain fails or lowers the objective, the full path runs instead.
+fit_constrained needs that path only as a fallback. The objective is
+strictly concave, so when the closed-form ratios satisfy c > 0 they are the
+M-step's answer. Otherwise the maximizer lies on c = 0, where c is linear in
+r: eliminating r (Nocedal & Wright, Numerical Optimization, 2006, 15.2)
+leaves a smooth problem in three variables that Newton solves with no mu
+path, and the dual follows as lam = (df/dr)/(1-g). One barrier stage at the
+floor, started there with dual lam and moved inward to c = floor/lam, makes
+c strictly positive and gives the same certificate. When the reduced solve
+or that stage fails, or the result scores below the current iterate, the
+full path runs instead.
 
 The box (0,1)^4 needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
@@ -47,6 +45,7 @@ rejected as degenerate up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -117,6 +116,9 @@ _MAX_RESTARTS = 5
 _MAX_STEP_HALVINGS = 45
 _JITTER_SCALE = 1e-3
 _JITTER_STREAM = 0x1B7  # fixed entropy tag so restarts are deterministic
+# Newton on c = 0: the step cap and the decrement, in objective units, that ends it.
+_MAX_REDUCED_STEPS = 60
+_REDUCED_DECREMENT = 1e-8
 
 
 class InfeasibleStateError(ValueError):
@@ -237,7 +239,8 @@ class _NewtonStall(Exception):
 
 @dataclass
 class _Work:
-    """Barrier work of one fit: stage solves, Newton steps, warm-chain fallbacks."""
+    """Solver work of one fit: barrier stages, Newton steps (reduced and
+    barrier), and fallbacks, binding M-steps that ran the full chain."""
 
     stages: int = 0
     steps: int = 0
@@ -446,37 +449,97 @@ def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> Param
     return _checked(stats, theta_star, final).theta
 
 
-def _chain(pairs: np.ndarray, v: np.ndarray, mus: Sequence[float], work: _Work) -> BarrierState:
-    """The stages of mus from v, starting with dual mus[0] / c(v)."""
+def _reduced_newton(pairs: np.ndarray, v: np.ndarray, work: _Work) -> tuple[np.ndarray, float]:
+    """Maximize the objective on c = 0 from v, with r eliminated.
 
-    lam = mus[0] / _cval(v)
+    With k = (1-s-g)/(1-g), c = 0 is s = (1-g)(1-k), r = l0 k over the open
+    box (l0, g, k) in (0,1)^3. Newton there, backtracking on the objective,
+    returns the point and its dual lam = (df/dr)/(1-g), or raises _NewtonStall.
+    """
+
+    ab = pairs.tolist()
+
+    def point(l0: float, g: float, k: float) -> tuple[float, float, float, float]:
+        return l0, g, (1.0 - g) * (1.0 - k), l0 * k
+
+    def value(x: tuple[float, ...]) -> float:
+        if not all(0.0 < t < 1.0 for t in x):
+            return -math.inf
+        return sum(a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, point(*x)))
+
+    l0, g, s, _ = v.tolist()
+    x: tuple[float, ...] = (l0, g, (1.0 - s - g) / (1.0 - g))
+    f = value(x)
+    for _ in range(_MAX_REDUCED_STEPS):
+        l0, g, k = x
+        d1 = [a / p - b / (1.0 - p) for (a, b), p in zip(ab, point(*x))]
+        d2 = [-a / p**2 - b / (1.0 - p) ** 2 for (a, b), p in zip(ab, point(*x))]
+        grad = (d1[0] + d1[3] * k, d1[1] - d1[2] * (1.0 - k), d1[3] * l0 - d1[2] * (1.0 - g))
+        # Hessian [[A, 0, C], [0, D, E], [C, E, F]]. The exact one (C and E
+        # with the map's curvature terms d1[3], d1[2]) can be indefinite away
+        # from the maximizer; the Gauss-Newton one is negative definite.
+        A, D = d2[0] + d2[3] * k * k, d2[1] + d2[2] * (1.0 - k) ** 2
+        F = d2[2] * (1.0 - g) ** 2 + d2[3] * l0 * l0
+        C, E = d2[3] * k * l0, d2[2] * (1.0 - k) * (1.0 - g)
+        for exact, C, E in ((True, C + d1[3], E + d1[2]), (False, C, E)):
+            det = A * (D * F - E * E) - C * C * D
+            if A < 0.0 and D < 0.0 and det < 0.0:
+                break
+        else:
+            raise _NewtonStall("reduced Hessian is singular")
+        adjugate = (  # Cramer's rule: step = -H^-1 grad
+            (D * F - E * E, C * E, -C * D), (C * E, A * F - C * C, -A * E), (-C * D, -A * E, A * D)
+        )
+        step = [-sum(m * gi for m, gi in zip(row, grad)) / det for row in adjugate]
+        work.steps += 1
+        decrement = sum(gi * di for gi, di in zip(grad, step))
+        # A small exact decrement: one last full step ends the solve.
+        last = exact and decrement < _REDUCED_DECREMENT
+        t = 1.0
+        for _ in range(_MAX_STEP_HALVINGS):
+            trial = tuple(xi + t * di for xi, di in zip(x, step))
+            f_trial = value(trial)
+            if f_trial >= f + 1e-4 * t * decrement or (last and f_trial > -math.inf):
+                break
+            t *= 0.5
+        else:
+            raise _NewtonStall("reduced objective stopped increasing")
+        x, f = trial, f_trial
+        if last:
+            p = point(*x)
+            lam = (ab[3][0] / p[3] - ab[3][1] / (1.0 - p[3])) / (1.0 - p[1])
+            if not lam > 0.0:
+                raise _NewtonStall("constraint is slack on c = 0")
+            return np.array(p), lam
+    raise _NewtonStall("reduced step limit reached")
+
+
+def _chain(
+    pairs: np.ndarray, v: np.ndarray, lam: float, mus: Sequence[float], work: _Work
+) -> BarrierState:
+    """The stages of mus from (v, lam)."""
+
     for mu in mus:
         v, lam = _solve_stage(pairs, v, lam, mu, work)
     return BarrierState(theta=_to_theta(v), dual=float(lam), mu=mus[-1])
 
 
 def _binding_m_step(
-    stats: SufficientStats,
-    theta_star: ParamSet,
-    start: ParamSet,
-    lam_prev: float | None,
-    work: _Work,
+    stats: SufficientStats, theta_star: ParamSet, start: ParamSet, work: _Work
 ) -> BarrierState:
-    """Warm chain from lam_prev (see the module docstring), else or on its
-    failure the full mu path, both from start."""
+    """The reduced solve and its floor stage (see the module docstring), or
+    on their failure the full mu path, both from start."""
 
     pairs, v = stats.pairs(), _vec(start)
-    if lam_prev is not None:
-        mu = min(max(lam_prev * _cval(v), _MU_FLOOR), _MU_INITIAL)
-        mus = [mu]
-        while mu > _MU_FLOOR:
-            mu = max(_MU_FLOOR, min(_MU_DECAY * mu, mu**1.5))
-            mus.append(mu)
-        try:
-            return _checked(stats, theta_star, _chain(pairs, v, mus, work))
-        except NewtonConvergenceError:
-            work.fallbacks += 1
-    return _checked(stats, theta_star, _chain(pairs, v, _MU_PATH, work))
+    try:
+        on_c, lam = _reduced_newton(pairs, v, work)
+        on_c[3] -= _MU_FLOOR / lam / (1.0 - on_c[1])
+        if not _cval(on_c) > 0.0:
+            raise _NewtonStall("floor stage start is not strictly feasible")
+        return _checked(stats, theta_star, _chain(pairs, on_c, lam, (_MU_FLOOR,), work))
+    except (_NewtonStall, NewtonConvergenceError):
+        work.fallbacks += 1
+    return _checked(stats, theta_star, _chain(pairs, v, _MU_INITIAL / _cval(v), _MU_PATH, work))
 
 
 def fit_constrained(
@@ -487,19 +550,18 @@ def fit_constrained(
     """EM loop whose M-step keeps every iterate and the final estimate
     inside the behavioral constraints.
 
-    Each M-step first tries the closed-form update: when it lies strictly
-    inside the box and satisfies c > 0, it is the constrained maximizer
-    (the objective is separable and strictly concave) and is taken as is,
-    with the gradient norm as its certificate. Otherwise the barrier chain
-    runs from the current iterate, projected inward when it is infeasible
-    or nearly so: the full chain in the first such binding M-step, a warm
-    chain from the previous binding dual in later ones, always ending at
-    the mu floor. Genuine restorations (margin <= 0, typically only the initial
-    guess) are recorded in the diagnostics, as are the counts of binding
-    M-steps, barrier stages, Newton steps and warm chains that fell back to
-    the full chain, over the completed M-steps. The log-likelihood trace is
-    non-decreasing from the first feasible iterate on: from an infeasible
-    init, the projection can lose likelihood at iteration 1.
+    Each M-step takes the closed-form update when it lies strictly inside
+    the box with c > 0, with the gradient norm as its certificate.
+    Otherwise it runs the reduced solve on c = 0 and one floor stage from
+    the current iterate, projected inward when it is infeasible or nearly
+    so, or the full mu path when they fail (see the module docstring).
+    Genuine restorations (margin <= 0, typically only the initial guess)
+    are recorded in the diagnostics, as are, over the completed M-steps,
+    the counts of binding M-steps, barrier stages, Newton steps (reduced
+    and barrier) and fallbacks: binding M-steps whose reduced solve failed
+    and ran the full chain. The log-likelihood trace is non-decreasing from
+    the first feasible iterate on: from an infeasible init, the projection
+    can lose likelihood at iteration 1.
     """
 
     restorations: list[dict[str, object]] = []
@@ -513,10 +575,8 @@ def fit_constrained(
         "mu_floor": _MU_FLOOR,
     }
     work = _Work()
-    lam_prev: float | None = None
 
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        nonlocal lam_prev
         ratios = np.array(_estimable_ratios(stats))
         start, adjustment = project_feasible(theta)
         if np.all((ratios > 0.0) & (ratios < 1.0)) and _cval(ratios) > 0.0:
@@ -524,10 +584,9 @@ def fit_constrained(
             theta_new, dual = _to_theta(ratios), 0.0
             residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
         else:
-            final = _binding_m_step(stats, theta, start, lam_prev, work)
+            final = _binding_m_step(stats, theta, start, work)
             theta_new, dual = final.theta, final.dual
             residual = float(np.max(np.abs(kkt_residual(final, stats))))
-            lam_prev = dual
             diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
             diagnostics.update(
                 barrier_stages=work.stages,

@@ -32,6 +32,10 @@ DEFAULT_STEPS = 10
 
 Seed = int | Sequence[int]
 
+# Learners per block of uniforms: the (block, 2 * length) float64 draws are
+# the simulator's largest temporary, so this bounds its peak memory.
+_BLOCK = 16_384
+
 
 def _generator(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -42,16 +46,21 @@ def _sample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(count, length) boolean states and answers, one learner per seed."""
 
-    u = np.empty((count, 2 * length))
-    for row, seed in zip(u, seeds):
-        _generator(seed).random(out=row)
-    # Column 0 starts the path; column length + t decides whether a learner
-    # not yet proficient becomes so before attempt t.
-    draws = np.empty((count, length), dtype=bool)
-    draws[:, 0] = u[:, 0] < theta.l0
-    draws[:, 1:] = u[:, length + 1 :] < theta.r
-    states = np.logical_or.accumulate(draws, axis=1)
-    answers = u[:, 1 : length + 1] < np.where(states, 1.0 - theta.s, theta.g)
+    states = np.empty((count, length), dtype=bool)
+    answers = np.empty_like(states)
+    seeds = iter(seeds)
+    u = np.empty((min(count, _BLOCK), 2 * length))
+    for lo in range(0, count, _BLOCK):
+        block, drawn = u[: count - lo], states[lo : lo + _BLOCK]
+        for row, seed in zip(block, seeds):
+            _generator(seed).random(out=row)
+        # Column 0 starts the path; column length + t decides whether a
+        # learner not yet proficient becomes so before attempt t.
+        np.less(block[:, 0], theta.l0, out=drawn[:, 0])
+        np.less(block[:, length + 1 :], theta.r, out=drawn[:, 1:])
+        np.logical_or.accumulate(drawn, axis=1, out=drawn)
+        emit = np.where(drawn, 1.0 - theta.s, theta.g)
+        np.less(block[:, 1 : length + 1], emit, out=answers[lo : lo + _BLOCK])
     return states, answers
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bktfit.interior_point as interior_point
 from bktfit import (
@@ -30,6 +30,7 @@ from bktfit import (
     validate_params,
 )
 from bktfit.baum_welch import closed_form_ratios
+from bktfit.estep import SufficientStats
 from bktfit.fitting import _run_em
 from bktfit.interior_point import (
     _MU_FLOOR,
@@ -363,18 +364,35 @@ def _failing_stages(monkeypatch, fail_at, persist):
 def _three_binding_m_steps():
     # The Baum-Welch fit of this dataset violates c, and from this init the
     # closed form is infeasible in each of the first three M-steps, so each
-    # of them runs the barrier: the first the full chain, the others warm.
+    # of them takes the reduced solve and its one floor stage.
     dataset = simulate_dataset(TRUE_THETA, 50, 8, 106)
     init = random_init(3)
     assert not fit_baum_welch(dataset, init).constraints.satisfied
     first_three = fit_constrained(dataset, init, FitOptions(max_iterations=3))
     assert first_three.diagnostics["barrier_m_steps"] == 3
     first_two = fit_constrained(dataset, init, FitOptions(max_iterations=2))
+    assert first_two.diagnostics["barrier_stages"] == 2
     return dataset, init, first_two.diagnostics["barrier_stages"]
 
 
+def _stall_reduced_solve(monkeypatch, at):
+    """Make call number `at` of interior_point._reduced_newton stall."""
+
+    calls = 0
+    original = interior_point._reduced_newton
+
+    def stalling(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == at:
+            raise interior_point._NewtonStall("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interior_point, "_reduced_newton", stalling)
+
+
 def test_solver_failure_keeps_the_partial_fit(monkeypatch):
-    # Every stage fails from the third M-step on, so its warm chain and the
+    # Every stage fails from the third M-step on, so its floor stage and the
     # full chain it falls back to both fail.
     dataset, init, stages_in_two = _three_binding_m_steps()
     _failing_stages(monkeypatch, stages_in_two + 1, persist=True)
@@ -392,73 +410,108 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
     assert partial.loglik_trace == full.loglik_trace[:3]
 
 
-@pytest.mark.parametrize("failure", ["stage", "objective drop"])
-def test_one_warm_chain_failure_falls_back_to_the_full_chain(monkeypatch, failure):
+@pytest.mark.parametrize("failure", ["reduced solve", "floor stage", "objective drop"])
+def test_one_reduced_path_failure_falls_back_to_the_full_chain(monkeypatch, failure):
     dataset, init, stages_in_two = _three_binding_m_steps()
     clean = fit_constrained(dataset, init)
     assert clean.diagnostics["barrier_fallbacks"] == 0
-    if failure == "stage":
+    if failure == "reduced solve":
+        _stall_reduced_solve(monkeypatch, 3)
+    elif failure == "floor stage":
         _failing_stages(monkeypatch, stages_in_two + 1, persist=False)
     else:
-        # The third chain, the third M-step's warm one, lands on a feasible
-        # point far below the current iterate on the objective.
+        # The third floor stage lands on a feasible point far below the
+        # current iterate on the objective.
         calls = 0
-        original = interior_point._chain
+        original = interior_point._solve_stage
 
-        def misplaced(pairs, v, mus, work):
+        def misplaced(pairs, v, lam, mu, work):
             nonlocal calls
             calls += 1
-            final = original(pairs, v, mus, work)
-            if calls != 3:
-                return final
-            return BarrierState(theta=ParamSet(0.5, 0.01, 0.01, 0.01), dual=1.0, mu=mus[-1])
+            if calls != stages_in_two + 1:
+                return original(pairs, v, lam, mu, work)
+            return np.array([0.5, 0.01, 0.01, 0.01]), 1.0
 
-        monkeypatch.setattr(interior_point, "_chain", misplaced)
+        monkeypatch.setattr(interior_point, "_solve_stage", misplaced)
     report = fit_constrained(dataset, init)
     assert report.converged
     assert report.diagnostics["barrier_fallbacks"] == 1
     assert report.diagnostics["barrier_m_steps"] == clean.diagnostics["barrier_m_steps"]
-    # The third M-step ran the full chain in place of a shorter warm one.
-    assert report.diagnostics["barrier_stages"] > clean.diagnostics["barrier_stages"]
+    # The third M-step counted the full chain's stages in place of a floor
+    # stage (the injected stages themselves count none).
+    stages = clean.diagnostics["barrier_stages"] + len(_MU_PATH) - 1
+    assert report.diagnostics["barrier_stages"] == stages
     np.testing.assert_allclose(
         report.theta_hat.astuple(), clean.theta_hat.astuple(), rtol=0, atol=1e-7
     )
 
 
-def test_warm_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
-    chains = []
-    original = interior_point._chain
+def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
+    steps = []
+    original = interior_point._binding_m_step
 
-    def recording(pairs, v, mus, work):
-        final = original(pairs, v, mus, work)
-        chains.append((pairs, mus, final))
+    def recording(stats, theta_star, start, work):
+        final = original(stats, theta_star, start, work)
+        steps.append((stats.pairs(), final))
         return final
 
-    monkeypatch.setattr(interior_point, "_chain", recording)
+    monkeypatch.setattr(interior_point, "_binding_m_step", recording)
     rng = np.random.default_rng(34)
-    warm = 0
     for pair in range(10):
         dataset = simulate_dataset(TRUE_THETA, 100, 10, int(rng.integers(1 << 31)))
-        chains.clear()
+        steps.clear()
         report = fit_constrained(dataset, random_init(pair))
+        # One floor stage per binding M-step: no full chain ran.
         assert report.diagnostics["barrier_fallbacks"] == 0
-        assert len(chains) == report.diagnostics["barrier_m_steps"]
-        assert sum(len(mus) for _, mus, _ in chains) == report.diagnostics["barrier_stages"]
-        for index, (pairs, mus, final) in enumerate(chains):
-            if index == 0:
-                assert mus == _MU_PATH
-                continue
-            warm += 1
-            assert _MU_FLOOR <= mus[0] <= _MU_INITIAL
-            assert len(mus) < len(_MU_PATH)
-            assert all(b < a for a, b in zip(mus, mus[1:]))
-            assert mus[-1] == final.mu == _MU_FLOOR
+        assert len(steps) == report.diagnostics["barrier_m_steps"]
+        assert report.diagnostics["barrier_stages"] == len(steps)
+        for pairs, final in steps:
+            assert final.mu == _MU_FLOOR
             residual = interior_point._residual(
                 pairs, np.array(final.theta.astuple()), final.dual, final.mu
             )
             assert np.abs(residual).max() < 1e-8
             assert constraint_value(final.theta) > 0
-    assert warm >= 20
+    assert len(steps) > 0
+
+
+_ratio = st.floats(min_value=0.02, max_value=0.98)
+_count = st.floats(min_value=5.0, max_value=2000.0)
+
+
+@given(
+    ratios=st.tuples(_ratio, _ratio, _ratio, _ratio),
+    totals=st.tuples(_count, _count, _count, _count),
+    star=st.tuples(_ratio, _ratio, _ratio, _ratio),
+)
+@settings(deadline=None)
+def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, star):
+    # Expected counts whose closed form, the ratios, violates c.
+    assume(constraint_value(ParamSet(*ratios)) < 0)
+    stats = SufficientStats(
+        *((p * n, (1 - p) * n) for p, n in zip(ratios, totals)), learner_count=1, log_likelihood=0.0
+    )
+    theta_star = ParamSet(*star)
+    start = project_feasible(theta_star)[0]
+    work = interior_point._Work()
+    final = interior_point._binding_m_step(stats, theta_star, start, work)
+    assert work.fallbacks == 0 and work.stages == 1
+    assert final.mu == _MU_FLOOR
+    # The closed-form dual of the reduced solve is the floor stage's.
+    _, dual = interior_point._reduced_newton(
+        stats.pairs(), np.array(start.astuple()), interior_point._Work()
+    )
+    assert final.dual == pytest.approx(dual, rel=1e-5)
+    assert constraint_value(final.theta) > 0
+    assert np.abs(kkt_residual(final, stats)).max() < 1e-8
+    try:
+        reference = interior_point_m_step(stats, theta_star)
+    except NewtonConvergenceError:
+        return  # the pure barrier can stall where the reduced solve does not
+    np.testing.assert_allclose(
+        final.theta.astuple(), reference.astuple(), rtol=0, atol=1e-7
+    )
+    assert objective_value(stats, final.theta) >= objective_value(stats, reference)
 
 
 def test_fit_constrained_converges_on_the_known_barrier_stall_case():
@@ -508,7 +561,11 @@ def test_first_m_step_takes_the_closed_form_only_when_it_is_feasible():
             assert report.diagnostics["final_kkt_residual"] == np.abs(gradient).max()
         else:
             seen["active"] += 1
-            assert report.theta_hat == interior_point_m_step(stats, reference)
+            barrier = interior_point_m_step(stats, reference)
+            np.testing.assert_allclose(
+                report.theta_hat.astuple(), barrier.astuple(), rtol=0, atol=1e-7
+            )
+            assert objective_value(stats, report.theta_hat) >= objective_value(stats, barrier)
             assert report.diagnostics["barrier_m_steps"] == 1
     assert seen["inactive"] >= 2 and seen["active"] >= 2
 

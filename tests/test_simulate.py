@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bktfit import ParamSet, simulate_dataset
+from bktfit import ParamSet, simulate, simulate_dataset
 from bktfit.simulate import simulate_dataset_with_paths, simulate_learner
 from conftest import TRUE_THETA
 
@@ -48,6 +50,32 @@ def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
         base = seed if isinstance(seed, tuple) else (seed,)
         expected = [_reference_learner(theta, length, base + (i,)) for i in range(30)]
         assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+
+
+def test_blocks_of_learners_draw_what_the_per_step_loop_draws(monkeypatch):
+    one_block = simulate_dataset(TRUE_THETA, 30, 5, 3)
+    monkeypatch.setattr(simulate, "_BLOCK", 7)  # four full blocks and a partial one
+    dataset, paths = simulate_dataset_with_paths(TRUE_THETA, 30, 5, 3)
+    expected = [_reference_learner(TRUE_THETA, 5, (3, i)) for i in range(30)]
+    assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+    assert np.array_equal(dataset._answers, one_block._answers)
+
+
+def test_simulator_peak_memory_is_the_output_plus_one_block(monkeypatch):
+    # Five blocks; a smaller block keeps the traced run short.
+    monkeypatch.setattr(simulate, "_BLOCK", 1024)
+    learners, steps = 5_000, 100
+    tracemalloc.start()
+    try:
+        dataset = simulate_dataset(TRUE_THETA, learners, steps, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == learners
+    # States and answers take a byte per cell; one block's uniforms and
+    # emission probabilities take 24 bytes per learner-step. The dense
+    # (learners, 2 * steps) uniform matrix alone would be 8 MB.
+    assert peak <= 2 * learners * steps + 24 * 1024 * steps + 2 * 2**20, peak
 
 
 def test_simulate_learner_is_deterministic():
