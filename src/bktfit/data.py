@@ -44,9 +44,9 @@ __all__ = [
 _DATASET_HEADER = ("learner_id", "step", "correct")
 _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 
-# An E-step holds about a dozen float arrays of _CHUNK_CELLS at a time: a
-# chunk takes _CHUNK_CELLS // T learners, T the longest of them.
-_CHUNK_CELLS = 1 << 15
+# A chunk takes _CHUNK_CELLS // T learners (at least one), T the longest of
+# them; an E-step keeps one workspace of nine float planes of this many cells.
+_CHUNK_CELLS = 1 << 16
 _PADDING = 2  # answer code of the cells after a learner's last attempt
 
 # The readers validate this many bytes at a time, cut at the last line end,

@@ -24,11 +24,21 @@ scalar-weighted vector updates, p0 = a0 (1-r) and p1 = a0 r + a1, times the
 emissions and normalized; a backward step is its mirror image. These are
 the only per-step loops: gamma, the xi_00 and xi_01 sums (xi_10 is zero,
 xi_11 unread) and the log scale factors are whole-chunk reductions over
-time. The loops never touch padded cells, which keep alpha 0, beta 1, scale
-1 and xi factors 0, and the answer masks leave them out of the gamma sums:
-each learner's last step gets beta = 1 and padding adds exactly 0 to every
-count. Per-learner rows are summed in ascending learner order, so results
-are bitwise reproducible for any scheduling.
+time. Padded cells are set to alpha 0, beta 1, scale 1 and xi factors 0
+before the loops, which never touch them, and the answer masks leave them
+out of the gamma sums: each learner's last step gets beta = 1 and padding
+adds exactly 0 to every count. Per-learner rows are summed in ascending
+learner order, so results are bitwise reproducible for any scheduling.
+
+Each sufficient_stats call allocates one flat float64 workspace of nine
+planes the size of the dataset's largest chunk: at most 65,536 cells, 4.5
+MiB in all, unless one learner is longer. Each chunk takes its nine
+contiguous planes from the start of it, and its emission gathers, alpha,
+beta, scale, xi factors, gamma, answer masks and masked gammas are written
+into them with out=; the only other chunk-sized array is the index array
+np.take converts the answers to. forward_backward and
+posteriors run the same kernel in a fresh one-learner workspace, so the
+arrays they return are their own.
 """
 
 from __future__ import annotations
@@ -50,6 +60,9 @@ __all__ = [
     "sufficient_stats",
     "log_likelihood",
 ]
+
+_PLANES = 9  # workspace planes of one chunk's cells each, see _recursions
+_CODES = np.array([1, 0], dtype=np.uint8)[:, None, None]  # answer codes: correct, wrong
 
 
 @dataclass(frozen=True)
@@ -98,22 +111,28 @@ class SufficientStats:
         return np.array([self.prior, self.guess, self.slip, self.transit])
 
 
-def _recursions(theta: ParamSet, answers: np.ndarray, active: list[int]) -> tuple[np.ndarray, ...]:
-    """alpha, beta (2, T, n), scale (T, n) and next0, next1 (T-1, n) of one chunk.
+def _recursions(
+    theta: ParamSet, answers: np.ndarray, active: list[int], workspace: np.ndarray
+) -> np.ndarray:
+    """One chunk's (9, T, n) planes in workspace: alpha0, alpha1, next0, next1,
+    beta0, beta1, scale, stay0 and emit1 (the emission gathers).
 
-    Between steps t and t+1, xi_00 = alpha_0 next0, xi_01 = r alpha_0 next1
-    and xi_11 = alpha_1 next1.
+    Between steps t < T-1 and t+1, xi_00 = alpha_0 next0, xi_01 = r alpha_0
+    next1 and xi_11 = alpha_1 next1.
     """
 
     length, count = answers.shape
+    planes = workspace[: _PLANES * answers.size].reshape(_PLANES, length, count)
+    alpha0, alpha1, next0, next1, beta0, beta1, scale, stay0, emit1 = planes
     r = theta.r
     emit0 = np.array([1.0 - theta.g, theta.g, 0.0])
-    stay0 = ((1.0 - r) * emit0).take(answers)
-    emit1 = np.array([theta.s, 1.0 - theta.s, 0.0]).take(answers)
+    emissions = [(1.0 - r) * emit0, [theta.s, 1.0 - theta.s, 0.0]]
+    np.take(emissions, answers, axis=1, out=planes[7:], mode="clip")
+    # Padding lies after the shortest learner's last step; the passes fill the rest.
+    pad = active.count(count) - 1
+    planes[:4, pad:] = 0.0
+    planes[4:7, pad:] = 1.0
 
-    alpha = np.zeros((2, length, count))
-    alpha0, alpha1 = alpha
-    scale = np.ones((length, count))
     raw0 = (1.0 - theta.l0) * emit0.take(answers[0])
     raw1 = theta.l0 * emit1[0]
     scale[0] = raw0 + raw1
@@ -124,44 +143,41 @@ def _recursions(theta: ParamSet, answers: np.ndarray, active: list[int]) -> tupl
         prev0 = alpha0[t - 1, :m]
         raw0 = prev0 * stay0[t, :m]
         raw1 = (prev0 * r + alpha1[t - 1, :m]) * emit1[t, :m]
-        total = raw0 + raw1
-        scale[t, :m] = total
-        alpha0[t, :m] = raw0 / total
-        alpha1[t, :m] = raw1 / total
+        total = np.add(raw0, raw1, out=scale[t, :m])
+        np.divide(raw0, total, out=alpha0[t, :m])
+        np.divide(raw1, total, out=alpha1[t, :m])
 
-    beta = np.ones((2, length, count))
-    beta0, beta1 = beta
-    next0 = np.zeros((length - 1, count))
-    next1 = np.zeros((length - 1, count))
     for t in range(length - 2, -1, -1):
         m = active[t + 1]
         stay = stay0[t + 1, :m] * beta0[t + 1, :m]
         learn = emit1[t + 1, :m] * beta1[t + 1, :m]
         total = scale[t + 1, :m]
-        beta0[t, :m] = (stay + r * learn) / total
-        beta1[t, :m] = next1[t, :m] = learn / total
-        next0[t, :m] = stay / total
-    return alpha, beta, scale, next0, next1
+        np.divide(stay + r * learn, total, out=beta0[t, :m])
+        beta1[t, :m] = np.divide(learn, total, out=next1[t, :m])
+        np.divide(stay, total, out=next0[t, :m])
+    return planes
 
 
-def _one_learner(theta: ParamSet, seq: AttemptSequence) -> tuple[np.ndarray, ...]:
-    """The recursions over the one-learner chunk of seq, learner axis dropped."""
+def _one_learner(theta: ParamSet, seq: AttemptSequence) -> np.ndarray:
+    """The (9, T) planes of seq's one-learner chunk, in a workspace of their own."""
 
     ((_, answers, active),) = Dataset((seq,))._chunks
-    return tuple(array[..., 0] for array in _recursions(theta, answers, active.tolist()))
+    return _recursions(theta, answers, active.tolist(), np.empty(_PLANES * answers.size))[..., 0]
 
 
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
     """Scaled forward/backward pass over one sequence."""
 
-    alpha, beta, scale, _, _ = _one_learner(theta, seq)
+    planes = _one_learner(theta, seq)
+    alpha, beta, scale = planes[:2], planes[4:6], planes[6]
     return ForwardBackward(alpha.T, beta.T, scale, float(np.log(scale).sum()))
 
 
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    alpha, beta, _, next0, next1 = _one_learner(theta, seq)
+    planes = _one_learner(theta, seq)
+    alpha, (next0, next1), beta = planes[:2], planes[2:4, :-1], planes[4:6]
     gamma = (alpha * beta).T
     gamma /= gamma.sum(axis=1, keepdims=True)
     xi = np.zeros((len(seq) - 1, 2, 2))
@@ -172,24 +188,25 @@ def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     return Posteriors(gamma=gamma, xi=xi)
 
 
-def _chunk_rows(theta: ParamSet, answers: np.ndarray, active: list[int]) -> np.ndarray:
+def _chunk_rows(
+    theta: ParamSet, answers: np.ndarray, active: list[int], workspace: np.ndarray
+) -> np.ndarray:
     """Per-learner (n, 9) rows of expected counts and log-likelihoods."""
 
-    alpha, beta, scale, next0, next1 = _recursions(theta, answers, active)
-    gamma0, gamma1 = alpha * beta
-    correct = answers == 1
-    wrong = answers == 0
+    planes = _recursions(theta, answers, active, workspace)
+    alpha, xi, beta, scale = planes[:2], planes[2:4, :-1], planes[4:6], planes[6]
     # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
     rows = np.empty((9, answers.shape[1]))
-    rows[0] = gamma1[0]
-    rows[1] = gamma0[0]
-    rows[2] = (gamma0 * correct).sum(axis=0)
-    rows[3] = (gamma0 * wrong).sum(axis=0)
-    rows[4] = (gamma1 * wrong).sum(axis=0)
-    rows[5] = (gamma1 * correct).sum(axis=0)
-    rows[6] = (alpha[0, :-1] * next1).sum(axis=0) * theta.r
-    rows[7] = (alpha[0, :-1] * next0).sum(axis=0)
-    rows[8] = np.log(scale).sum(axis=0)
+    rows[7:5:-1] = np.multiply(alpha[0, :-1], xi, out=xi).sum(axis=1)
+    rows[6] *= theta.r
+    gamma = np.multiply(alpha, beta, out=beta)
+    rows[:2] = gamma[::-1, 0]
+    # products[k, i] = gamma_i where the answer is _CODES[k], else 0.
+    masks, products = planes[7:], planes[:4].reshape(2, 2, *answers.shape)
+    np.equal(answers, _CODES, out=masks)
+    np.multiply(masks[:, None], gamma, out=products)
+    rows[[2, 5, 3, 4]] = products.sum(axis=2).reshape(4, -1)
+    rows[8] = np.log(scale, out=scale).sum(axis=0)
     return rows.T
 
 
@@ -200,9 +217,11 @@ def sufficient_stats(
 
     data = as_dataset(dataset)
     count = len(data)
+    chunks = data._chunks
+    workspace = np.empty(_PLANES * max(answers.size for _, answers, _ in chunks))
     per_learner = np.empty((count, 9))
-    for learners, answers, active in data._chunks:
-        per_learner[learners] = _chunk_rows(theta, answers, active.tolist())
+    for learners, answers, active in chunks:
+        per_learner[learners] = _chunk_rows(theta, answers, active.tolist(), workspace)
     # Fixed reduction order: sum over learners in ascending index order.
     totals = per_learner.sum(axis=0)
     return SufficientStats(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from bktfit import (
     forward_backward,
     log_likelihood,
     posteriors,
+    simulate_dataset,
     sufficient_stats,
 )
-from bktfit import data
+from bktfit import data, estep
 from conftest import TRUE_THETA, random_attempts, random_theta
 
 
@@ -181,3 +183,78 @@ def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
         for seq in sequences
     )
     np.testing.assert_allclose(stats, looped, rtol=1e-12)
+
+
+def test_returned_arrays_outlive_later_calls():
+    rng = np.random.default_rng(16)
+    theta = random_theta(rng)
+    seq = AttemptSequence(random_attempts(rng, 9))
+    fb, post = forward_backward(theta, seq), posteriors(theta, seq)
+    returned = (fb.scaled_alpha, fb.scaled_beta, fb.scale_factors, post.gamma, post.xi)
+    kept = [array.copy() for array in returned]
+    for length in (9, 3, 9, 40):
+        other, other_theta = AttemptSequence(random_attempts(rng, length)), random_theta(rng)
+        forward_backward(other_theta, other)
+        posteriors(other_theta, other)
+    sufficient_stats(theta, [seq] * 5)
+    for array, copy in zip(returned, kept):
+        assert np.array_equal(array, copy)
+
+
+def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
+    rng = np.random.default_rng(16)
+    lengths = rng.permutation([1] * 8 + rng.integers(2, 12, 52).tolist())
+    sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
+    theta, other = random_theta(rng), random_theta(rng)
+    looped = sum(
+        _counts_row(seq, posteriors(theta, seq), forward_backward(theta, seq).log_likelihood)
+        for seq in sequences
+    )
+    default = _stats_row(sufficient_stats(theta, Dataset(tuple(sequences))))
+    assert len(Dataset(tuple(sequences))._chunks) == 1
+
+    # NaN in every workspace cell before each chunk: a cell the chunk reads
+    # without writing it first turns its rows into NaN.
+    workspaces = []
+    recursions = estep._recursions
+
+    def poisoned(theta, answers, active, workspace):
+        workspaces.append(workspace)
+        workspace.fill(np.nan)
+        return recursions(theta, answers, active, workspace)
+
+    monkeypatch.setattr(estep, "_recursions", poisoned)
+    for cells in (26, 40, 80):
+        monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
+        dataset = Dataset(tuple(sequences))
+        chunks = dataset._chunks
+        # Every chunk holds two or more learners, so its sums over time run
+        # in the same order as in the one default chunk.
+        assert min(len(learners) for learners, _, _ in chunks) >= 2
+        assert len({answers.shape[0] for _, answers, _ in chunks}) > 5
+        assert len({answers.shape[1] for _, answers, _ in chunks}) > 3
+        assert any(answers.shape[0] == 1 for _, answers, _ in chunks)
+        workspaces.clear()
+        got = _stats_row(sufficient_stats(theta, dataset))
+        assert len(workspaces) == len(chunks)
+        assert all(workspace is workspaces[0] for workspace in workspaces)
+        largest = max(answers.size for _, answers, _ in chunks)
+        assert workspaces[0].size == estep._PLANES * largest
+        assert np.array_equal(got, default)
+        sufficient_stats(other, dataset)
+        assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), got)
+        np.testing.assert_allclose(got, looped, rtol=1e-12)
+
+
+def test_one_estep_on_wide_data_allocates_one_workspace():
+    dataset = simulate_dataset(TRUE_THETA, 2000, 50, 1)
+    chunks = dataset._chunks
+    assert [answers.shape for _, answers, _ in chunks] == [(50, 1310), (50, 690)]
+    workspace = estep._PLANES * max(answers.size for _, answers, _ in chunks) * 8
+    tracemalloc.start()
+    try:
+        sufficient_stats(TRUE_THETA, dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= workspace + 2**20
