@@ -45,8 +45,8 @@ _DATASET_HEADER = ("learner_id", "step", "correct")
 _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 
 # A chunk takes _CHUNK_CELLS // T learners (at least one), T the longest of
-# them; an E-step keeps one workspace of nine float planes of this many cells.
-_CHUNK_CELLS = 1 << 16
+# them; an E-step keeps one workspace of three float planes of T + 1 rows.
+_CHUNK_CELLS = 1 << 15
 _PADDING = 2  # answer code of the cells after a learner's last attempt
 
 # The readers validate this many bytes at a time, cut at the last line end,
@@ -191,11 +191,11 @@ class Dataset:
 
     @cached_property
     def _chunks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(learners, answers, active) per chunk, built on first use and kept.
+        """(learners, answers, lengths) per chunk, built on first use and kept.
 
         learners: dataset indices, stable descending-length order; answers:
         (T, n) uint8, 0 incorrect, 1 correct, _PADDING after the last attempt;
-        active[t]: learners with an attempt at step t, a prefix of the chunk.
+        lengths: the learners' lengths, so T = lengths[0].
         """
 
         lengths = self._lengths
@@ -208,7 +208,7 @@ class Dataset:
             filled = steps < lengths[learners]
             cells = np.full(filled.shape, _PADDING, dtype=np.uint8)
             cells[filled] = self._answers[(self._bounds[learners] + steps)[filled]]
-            chunks.append((learners, cells, filled.sum(axis=1)))
+            chunks.append((learners, cells, lengths[learners]))
         return tuple(chunks)
 
 

@@ -1,4 +1,4 @@
-"""Scaled forward/backward recursions, posteriors, and sufficient statistics.
+"""Posteriors and sufficient statistics over each learner's switch time.
 
 The hidden chain has two states (0 = non-proficient, 1 = proficient) with
 
@@ -6,43 +6,42 @@ The hidden chain has two states (0 = non-proficient, 1 = proficient) with
     emission   = [[1-g, g], [s, 1-s]]     rows by state, columns by answer
     initial    = [1-l0, l0]
 
-Raw products underflow around length 300, so alpha is renormalized at each
-step and beta reuses its scale factors, whose logs sum to the log-likelihood;
-alpha * beta and the xi terms then sum to 1 up to rounding. For each p the
-M-step objective takes expected counts (a, b) with derivative a/p - b/(1-p):
+Proficiency is absorbing, so a learner with L answers has L+1 hidden paths,
+one per switch time tau = 0..L, the first proficient step (L: never). With
+C_tau the correct answers before step tau, path tau has the log weight
 
-    prior   a = sum_d gamma_1(1)            b = sum_d gamma_0(1)
-    guess   a = sum correct, non-proficient b = sum incorrect, non-proficient
-    slip    a = sum incorrect, proficient   b = sum correct, proficient
-    transit a = sum xi_01                   b = sum xi_00
+    W[tau] = log P(tau) + tau log((1-g)/s) + C_tau delta + C_L log(1-s) + (L-C_L) log s
+    delta  = log g + log s - log(1-s) - log(1-g)
 
-The E-step runs over a Dataset's time-major chunks: learners by descending
-length, a (T, n) uint8 answer matrix padded after each learner's last
-attempt, and per step the count of learners still active, a prefix of the
-chunk. Proficiency is absorbing, so a forward step over that prefix is two
-scalar-weighted vector updates, p0 = a0 (1-r) and p1 = a0 r + a1, times the
-emissions and normalized; a backward step is its mirror image. These are
-the only per-step loops: gamma, the xi_00 and xi_01 sums (xi_10 is zero,
-xi_11 unread) and the log scale factors are whole-chunk reductions over
-time. Padded cells are set to alpha 0, beta 1, scale 1 and xi factors 0
-before the loops, which never touch them, and the answer masks leave them
-out of the gamma sums: each learner's last step gets beta = 1 and padding
-adds exactly 0 to every count. Per-learner rows are summed in ascending
-learner order, so results are bitwise reproducible for any scheduling.
+where log P(tau) is log l0 at tau = 0, else log(1-l0) + (tau-1) log(1-r) + log r
+without the log r at tau = L. For each p the M-step objective takes counts
+(a, b) with derivative a/p - b/(1-p), each a sum over tau of the posterior
+q_tau times a count of path tau, so never a difference:
 
-Each sufficient_stats call allocates one flat float64 workspace of nine
-planes the size of the dataset's largest chunk: at most 65,536 cells, 4.5
-MiB in all, unless one learner is longer. Each chunk takes its nine
-contiguous planes from the start of it, and its emission gathers, alpha,
-beta, scale, xi factors, gamma, answer masks and masked gammas are written
-into them with out=; the only other chunk-sized array is the index array
-np.take converts the answers to. forward_backward and
-posteriors run the same kernel in a fresh one-learner workspace, so the
-arrays they return are their own.
+    prior   a = q_0                         b = sum_{tau >= 1} q
+    guess   a = sum q C_tau                 b = sum q (tau - C_tau)
+    slip    a = sum q (wrong from tau on)   b = sum q (C_L - C_tau)
+    transit a = sum_{1 <= tau < L} q        b = sum q (tau - 1)^+
+
+W reaches L |log p|, and one rounding at that size moves q by |W| 2^-53 (1e-11
+at 5,000 steps with a coordinate near 1e-6). So W's coefficients are taken in
+long double (80-bit on x86-64) and split into a high part on a grid where sums
+are exact and a low rest, added after each learner's largest high W is taken off.
+
+The E-step runs over a Dataset's chunks of (T, n) padded answers (see
+data.Dataset._chunks). A chunk fills three (T+1, n) planes, a row per switch
+time: C, W and then q in place, and a scratch plane; rows past a learner's
+length get W = -inf and add exactly 0. Each sufficient_stats call allocates
+one workspace of three planes of its largest chunk (1.5 MiB at most unless a
+learner is longer than 32,768 steps), and posteriors runs the same kernel on
+a one-learner chunk. Per-learner rows are summed in ascending learner order,
+so results are bitwise reproducible. forward_backward keeps the scaled
+recursion (Rabiner, Proc. IEEE 1989) over one sequence for its alpha and beta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,8 +60,7 @@ __all__ = [
     "log_likelihood",
 ]
 
-_PLANES = 9  # workspace planes of one chunk's cells each, see _recursions
-_CODES = np.array([1, 0], dtype=np.uint8)[:, None, None]  # answer codes: correct, wrong
+_Weights = tuple[np.ndarray, np.ndarray]  # _log_weights: the tau-column, the scalars
 
 
 @dataclass(frozen=True)
@@ -111,102 +109,113 @@ class SufficientStats:
         return np.array([self.prior, self.guess, self.slip, self.transit])
 
 
-def _recursions(
-    theta: ParamSet, answers: np.ndarray, active: list[int], workspace: np.ndarray
-) -> np.ndarray:
-    """One chunk's (9, T, n) planes in workspace: alpha0, alpha1, next0, next1,
-    beta0, beta1, scale, stay0 and emit1 (the emission gathers).
+def _log_weights(theta: ParamSet, steps: int) -> _Weights:
+    """W's coefficients for up to steps answers, as rows of high and low parts: the
+    tau-column log P(tau) + tau log((1-g)/s), with the log r of tau < L, for
+    tau = 0..steps, and delta, log r, log(1-s), log s. High parts are multiples
+    of a power of two under which each high part of a W or a log-likelihood is
+    an integer below 2^53, so their sums are exact."""
 
-    Between steps t < T-1 and t+1, xi_00 = alpha_0 next0, xi_01 = r alpha_0
-    next1 and xi_11 = alpha_1 next1.
-    """
-
-    length, count = answers.shape
-    planes = workspace[: _PLANES * answers.size].reshape(_PLANES, length, count)
-    alpha0, alpha1, next0, next1, beta0, beta1, scale, stay0, emit1 = planes
-    r = theta.r
-    emit0 = np.array([1.0 - theta.g, theta.g, 0.0])
-    emissions = [(1.0 - r) * emit0, [theta.s, 1.0 - theta.s, 0.0]]
-    np.take(emissions, answers, axis=1, out=planes[7:], mode="clip")
-    # Padding lies after the shortest learner's last step; the passes fill the rest.
-    pad = active.count(count) - 1
-    planes[:4, pad:] = 0.0
-    planes[4:7, pad:] = 1.0
-
-    raw0 = (1.0 - theta.l0) * emit0.take(answers[0])
-    raw1 = theta.l0 * emit1[0]
-    scale[0] = raw0 + raw1
-    alpha0[0] = raw0 / scale[0]
-    alpha1[0] = raw1 / scale[0]
-    for t in range(1, length):
-        m = active[t]
-        prev0 = alpha0[t - 1, :m]
-        raw0 = prev0 * stay0[t, :m]
-        raw1 = (prev0 * r + alpha1[t - 1, :m]) * emit1[t, :m]
-        total = np.add(raw0, raw1, out=scale[t, :m])
-        np.divide(raw0, total, out=alpha0[t, :m])
-        np.divide(raw1, total, out=alpha1[t, :m])
-
-    for t in range(length - 2, -1, -1):
-        m = active[t + 1]
-        stay = stay0[t + 1, :m] * beta0[t + 1, :m]
-        learn = emit1[t + 1, :m] * beta1[t + 1, :m]
-        total = scale[t + 1, :m]
-        np.divide(stay + r * learn, total, out=beta0[t, :m])
-        beta1[t, :m] = np.divide(learn, total, out=next1[t, :m])
-        np.divide(stay, total, out=next0[t, :m])
-    return planes
+    p = np.array(theta.astuple(), dtype=np.longdouble)
+    (log_l0, log_g, log_s, log_r), (log_k0, log_kg, log_ks, log_kr) = np.log(p), np.log1p(-p)
+    slope, offset = log_kg - log_s + log_kr, log_k0 + log_r - log_kr
+    exact = np.array([slope, offset, log_l0, log_g + log_s - log_ks - log_kg, log_r, log_ks, log_s])
+    unit = math.ldexp(1.0, math.frexp(float(2 * (steps + 1) * abs(exact).sum()))[1] - 51)
+    high = np.rint(exact / unit) * unit
+    parts = np.array([high, exact - high], dtype=float)
+    column = parts[:, :1] * np.arange(steps + 1) + parts[:, 1:2]
+    column[:, 0] = parts[:, 2]
+    return column, parts[:, 3:]
 
 
-def _one_learner(theta: ParamSet, seq: AttemptSequence) -> np.ndarray:
-    """The (9, T) planes of seq's one-learner chunk, in a workspace of their own."""
+def _switch_posteriors(
+    weights: _Weights, answers: np.ndarray, lengths: np.ndarray, workspace: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """A chunk's q (T+1, n), each learner's posterior over switch times up to a factor,
+    C and a free plane, all in workspace; and each learner's high W peak and tau = L cell."""
 
-    ((_, answers, active),) = Dataset((seq,))._chunks
-    return _recursions(theta, answers, active.tolist(), np.empty(_PLANES * answers.size))[..., 0]
+    steps, count = answers.shape
+    q, correct, scratch = workspace[: 3 * (steps + 1) * count].reshape(3, steps + 1, count)
+    column, ((delta, log_r, _, _), (delta_low, log_r_low, _, _)) = weights
+    correct[0] = 0.0
+    correct[1:] = answers  # cast in place: np.cumsum(answers, dtype=float) copies them
+    np.cumsum(correct[1:], axis=0, out=correct[1:])
+    last = lengths * count + np.arange(count)
+    np.multiply(correct, delta, out=q)
+    q += column[0, : steps + 1, None]
+    q.reshape(-1)[last] -= log_r
+    if lengths[-1] < steps:  # learners of one length are a run: mask their rows past it
+        starts = (np.flatnonzero(lengths[1:] < lengths[:-1]) + 1).tolist()
+        for start, stop in zip([0] + starts, starts + [count]):
+            q[lengths[start] + 1 :, start:stop] = -np.inf
+    peak = q.max(axis=0)
+    q -= peak
+    np.multiply(correct, delta_low, out=scratch)
+    scratch += column[1, : steps + 1, None]
+    q += scratch
+    q.reshape(-1)[last] -= log_r_low
+    return np.exp(q, out=q), correct, scratch, peak, last
 
 
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
     """Scaled forward/backward pass over one sequence."""
 
-    planes = _one_learner(theta, seq)
-    alpha, beta, scale = planes[:2], planes[4:6], planes[6]
-    return ForwardBackward(alpha.T, beta.T, scale, float(np.log(scale).sum()))
+    answers = seq.attempts
+    emit = ((1.0 - theta.g, theta.g), (theta.s, 1.0 - theta.s))  # [state][answer]
+    alpha, scale = [], []
+    raw0, raw1 = 1.0 - theta.l0, theta.l0
+    for answer in answers:
+        raw0, raw1 = raw0 * emit[0][answer], raw1 * emit[1][answer]
+        scale.append(raw0 + raw1)
+        alpha.append((raw0 / scale[-1], raw1 / scale[-1]))
+        raw0, raw1 = alpha[-1][0] * (1.0 - theta.r), alpha[-1][0] * theta.r + alpha[-1][1]
+    beta = [(1.0, 1.0)]
+    for answer, total in zip(answers[:0:-1], scale[:0:-1]):
+        stay, learn = emit[0][answer] * beta[-1][0], emit[1][answer] * beta[-1][1]
+        beta.append(((stay * (1.0 - theta.r) + theta.r * learn) / total, learn / total))
+    scale = np.array(scale)
+    return ForwardBackward(np.array(alpha), np.array(beta[::-1]), scale, float(np.log(scale).sum()))
 
 
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    planes = _one_learner(theta, seq)
-    alpha, (next0, next1), beta = planes[:2], planes[2:4, :-1], planes[4:6]
-    gamma = (alpha * beta).T
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    ((_, answers, lengths),) = Dataset((seq,))._chunks
+    weights = _log_weights(theta, len(seq))
+    q = _switch_posteriors(weights, answers, lengths, np.empty(3 * answers.size + 3))[0][:, 0]
+    q /= q.sum()
+    proficient = np.cumsum(q)[:-1]  # P(tau <= t)
+    novice = np.cumsum(q[:0:-1])[::-1]  # P(tau > t)
     xi = np.zeros((len(seq) - 1, 2, 2))
-    xi[:, 0, 0] = alpha[0, :-1] * next0
-    xi[:, 0, 1] = alpha[0, :-1] * theta.r * next1
-    xi[:, 1, 1] = alpha[1, :-1] * next1
-    xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return Posteriors(gamma=gamma, xi=xi)
+    xi[:, 0, 0], xi[:, 0, 1], xi[:, 1, 1] = novice[1:], q[1:-1], proficient[:-1]
+    return Posteriors(gamma=np.column_stack((novice, proficient)), xi=xi)
 
 
 def _chunk_rows(
-    theta: ParamSet, answers: np.ndarray, active: list[int], workspace: np.ndarray
+    weights: _Weights, answers: np.ndarray, lengths: np.ndarray, workspace: np.ndarray
 ) -> np.ndarray:
     """Per-learner (n, 9) rows of expected counts and log-likelihoods."""
 
-    planes = _recursions(theta, answers, active, workspace)
-    alpha, xi, beta, scale = planes[:2], planes[2:4, :-1], planes[4:6], planes[6]
+    q, correct, counts, peak, last = _switch_posteriors(weights, answers, lengths, workspace)
+    high, low = weights[1][:, 2:]
+    tau = np.arange(len(q), dtype=float)[:, None]
+    right = correct.reshape(-1)[last]
+    wrong = lengths - right
     # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
-    rows = np.empty((9, answers.shape[1]))
-    rows[7:5:-1] = np.multiply(alpha[0, :-1], xi, out=xi).sum(axis=1)
-    rows[6] *= theta.r
-    gamma = np.multiply(alpha, beta, out=beta)
-    rows[:2] = gamma[::-1, 0]
-    # products[k, i] = gamma_i where the answer is _CODES[k], else 0.
-    masks, products = planes[7:], planes[:4].reshape(2, 2, *answers.shape)
-    np.equal(answers, _CODES, out=masks)
-    np.multiply(masks[:, None], gamma, out=products)
-    rows[[2, 5, 3, 4]] = products.sum(axis=2).reshape(4, -1)
-    rows[8] = np.log(scale, out=scale).sum(axis=0)
+    rows = np.empty((9, len(lengths)))
+    rows[2] = np.einsum("ij,ij->j", q, correct)
+    rows[3] = np.einsum("ij,ij->j", q, np.subtract(tau, correct, out=counts))
+    rows[4] = np.einsum("ij,ij->j", q, np.subtract(wrong, counts, out=counts))
+    rows[5] = np.einsum("ij,ij->j", q, np.subtract(right, correct, out=counts))
+    rows[7] = np.einsum("ij,i->j", q[1:], tau[:-1, 0])
+    rows[0], rows[1] = q[0], q.reshape(-1)[last]
+    q.reshape(-1)[last] = 0.0  # transit a stops before tau = L
+    rows[6] = q[1:].sum(axis=0)
+    rows[1] += rows[6]
+    total = rows[0] + rows[1]
+    rows[:8] /= total
+    rows[8] = peak + right * high[0] + wrong * high[1]
+    rows[8] += np.log(total) + right * low[0] + wrong * low[1]
     return rows.T
 
 
@@ -216,22 +225,16 @@ def sufficient_stats(
     """Expected counts for every parameter plus the dataset log-likelihood."""
 
     data = as_dataset(dataset)
-    count = len(data)
     chunks = data._chunks
-    workspace = np.empty(_PLANES * max(answers.size for _, answers, _ in chunks))
-    per_learner = np.empty((count, 9))
-    for learners, answers, active in chunks:
-        per_learner[learners] = _chunk_rows(theta, answers, active.tolist(), workspace)
+    weights = _log_weights(theta, len(chunks[0][1]))
+    workspace = np.empty(3 * max(answers.size + answers.shape[1] for _, answers, _ in chunks))
+    per_learner = np.empty((len(data), 9))
+    for learners, answers, lengths in chunks:
+        per_learner[learners] = _chunk_rows(weights, answers, lengths, workspace)
     # Fixed reduction order: sum over learners in ascending index order.
-    totals = per_learner.sum(axis=0)
-    return SufficientStats(
-        prior=(float(totals[0]), float(totals[1])),
-        guess=(float(totals[2]), float(totals[3])),
-        slip=(float(totals[4]), float(totals[5])),
-        transit=(float(totals[6]), float(totals[7])),
-        learner_count=count,
-        log_likelihood=float(totals[8]),
-    )
+    totals = per_learner.sum(axis=0).tolist()
+    pairs = [tuple(totals[i : i + 2]) for i in range(0, 8, 2)]
+    return SufficientStats(*pairs, learner_count=len(data), log_likelihood=totals[8])
 
 
 def log_likelihood(theta: ParamSet, dataset: Dataset | Iterable[AttemptSequence]) -> float:

@@ -4,9 +4,9 @@ Because proficiency is absorbing, a length-T hidden path is determined by
 the step at which the learner becomes proficient: before step k for
 k = 1..T, or never. That leaves exactly T+1 paths, so exact likelihoods,
 posteriors, and the EM surrogate objective are cheap sums over paths.
-Everything here is computed with plain Python arithmetic, independent of
-the scaled recursions it is used to check, and is never called inside a
-fitting loop.
+Everything here is computed with plain Python arithmetic, one factor at a
+time, independent of the E-step kernels it is used to check, and is never
+called inside a fitting loop.
 """
 
 from __future__ import annotations
@@ -88,10 +88,7 @@ def _path_factors(theta: ParamSet, states: tuple[bool, ...], attempts: tuple[boo
 
 
 def _path_weight(theta: ParamSet, states: tuple[bool, ...], attempts: tuple[bool, ...]) -> float:
-    weight = 1.0
-    for factor in _path_factors(theta, states, attempts):
-        weight *= factor
-    return weight
+    return math.prod(_path_factors(theta, states, attempts))
 
 
 def _path_log_weight(

@@ -62,12 +62,12 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
     # learners keep their dataset order. Six cells take two learners of
     # length 3, then three of length 2 or less.
     assert [learners.tolist() for learners, _, _ in chunks] == [[1, 3], [0, 4, 2]]
-    (_, first, first_active), (_, second, second_active) = chunks
+    (_, first, first_lengths), (_, second, second_lengths) = chunks
     assert first.dtype == second.dtype == np.uint8
     assert first.tolist() == [[0, 1], [1, 1], [1, 0]]
     assert second.tolist() == [[1, 0, 1], [0, 0, data._PADDING]]
-    assert first_active.tolist() == [2, 2, 2]
-    assert second_active.tolist() == [3, 2]
+    assert first_lengths.tolist() == [3, 3]
+    assert second_lengths.tolist() == [2, 2, 1]
 
 
 def test_dataset_chunks_keep_dataset_order_among_equal_lengths():

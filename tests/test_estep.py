@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ import pytest
 from bktfit import (
     AttemptSequence,
     Dataset,
+    ParamSet,
     enumerate_likelihood,
     enumerate_posteriors,
     forward_backward,
@@ -216,14 +218,14 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
     # NaN in every workspace cell before each chunk: a cell the chunk reads
     # without writing it first turns its rows into NaN.
     workspaces = []
-    recursions = estep._recursions
+    kernel = estep._switch_posteriors
 
-    def poisoned(theta, answers, active, workspace):
+    def poisoned(weights, answers, lengths, workspace):
         workspaces.append(workspace)
         workspace.fill(np.nan)
-        return recursions(theta, answers, active, workspace)
+        return kernel(weights, answers, lengths, workspace)
 
-    monkeypatch.setattr(estep, "_recursions", poisoned)
+    monkeypatch.setattr(estep, "_switch_posteriors", poisoned)
     for cells in (26, 40, 80):
         monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
         dataset = Dataset(tuple(sequences))
@@ -238,8 +240,9 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
         got = _stats_row(sufficient_stats(theta, dataset))
         assert len(workspaces) == len(chunks)
         assert all(workspace is workspaces[0] for workspace in workspaces)
-        largest = max(answers.size for _, answers, _ in chunks)
-        assert workspaces[0].size == estep._PLANES * largest
+        # Three planes of one row per switch time, T + 1 rows.
+        largest = max((answers.shape[0] + 1) * answers.shape[1] for _, answers, _ in chunks)
+        assert workspaces[0].size == 3 * largest
         assert np.array_equal(got, default)
         sufficient_stats(other, dataset)
         assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), got)
@@ -249,8 +252,9 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
 def test_one_estep_on_wide_data_allocates_one_workspace():
     dataset = simulate_dataset(TRUE_THETA, 2000, 50, 1)
     chunks = dataset._chunks
-    assert [answers.shape for _, answers, _ in chunks] == [(50, 1310), (50, 690)]
-    workspace = estep._PLANES * max(answers.size for _, answers, _ in chunks) * 8
+    assert [answers.shape for _, answers, _ in chunks] == [(50, 655)] * 3 + [(50, 35)]
+    # Three planes of 51 rows, one per switch time, by the widest chunk.
+    workspace = 3 * 51 * 655 * 8
     tracemalloc.start()
     try:
         sufficient_stats(TRUE_THETA, dataset)
@@ -258,3 +262,98 @@ def test_one_estep_on_wide_data_allocates_one_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= workspace + 2**20
+
+
+def _extreme_theta(rng, low=1e-6, high=0.5):
+    """Coordinates log-uniform in [low, high], each mirrored to 1 - p half the time."""
+
+    coordinates = np.exp(rng.uniform(math.log(low), math.log(high), 4))
+    return ParamSet(*np.where(rng.random(4) < 0.5, 1.0 - coordinates, coordinates))
+
+
+def _exact_counts_row(theta, seq):
+    """One learner's _counts_row in 40-digit decimals, summed over its L + 1 switch times."""
+
+    context = decimal.Context(prec=40)
+    one = decimal.Decimal(1)
+    l0, g, s, r = (decimal.Decimal(p) for p in theta.astuple())
+    log = {name: context.ln(p) for name, p in dict(l0=l0, g=g, s=s, r=r).items()}
+    log.update({f"1-{name}": context.ln(one - p) for name, p in dict(l0=l0, g=g, s=s, r=r).items()})
+    length, before = len(seq), [0]
+    for answer in seq.attempts:
+        before.append(before[-1] + answer)
+    right = before[-1]
+    weights = []
+    for tau, correct in enumerate(before):
+        prior = log["l0"] if tau == 0 else log["1-l0"] + (tau - 1) * log["1-r"]
+        prior += log["r"] if 0 < tau < length else 0
+        emissions = correct * log["g"] + (tau - correct) * log["1-g"]
+        emissions += (right - correct) * log["1-s"] + (length - tau - right + correct) * log["s"]
+        weights.append(prior + emissions)
+    peak = max(weights)
+    q = [context.exp(w - peak) for w in weights]
+    total = sum(q)
+    sums = [
+        q[0],
+        sum(q[1:]),
+        sum(p * c for p, c in zip(q, before)),
+        sum(p * (tau - c) for tau, (p, c) in enumerate(zip(q, before))),
+        sum(p * (length - tau - right + c) for tau, (p, c) in enumerate(zip(q, before))),
+        sum(p * (right - c) for p, c in zip(q, before)),
+        sum(q[1:length]),
+        sum(p * max(tau - 1, 0) for tau, p in enumerate(q)),
+    ]
+    return np.array([float(x / total) for x in sums] + [float(peak + context.ln(total))])
+
+
+def test_extreme_parameters_match_the_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        theta = _extreme_theta(rng)
+        lengths = rng.permutation([1] * 6 + rng.integers(1, 21, 24).tolist())
+        sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
+        oracle = sum(
+            _counts_row(
+                seq, enumerate_posteriors(theta, seq), math.log(enumerate_likelihood(theta, seq))
+            )
+            for seq in sequences
+        )
+        stats = _stats_row(sufficient_stats(theta, sequences))
+        np.testing.assert_allclose(stats, oracle, rtol=1e-12)
+        for seq in sequences[:12]:
+            got, want = posteriors(theta, seq), enumerate_posteriors(theta, seq)
+            np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(got.xi, want.xi, rtol=1e-12, atol=1e-300)
+
+
+def test_vanishing_guess_and_slip_stay_exact():
+    # g s underflows here, so delta must be a sum of logs. One state's scaled
+    # alpha can underflow against the other's, so forward_backward loses
+    # paths ([0, 1, 1, 0, 0, 0, 1, 1] reads -1382.94 against -925.89); the
+    # switch-time sums do not.
+    theta = ParamSet(0.5, 1e-200, 1e-200, 0.5)
+    rng = np.random.default_rng(18)
+    lengths = [1, 1, 1] + rng.integers(1, 21, 27).tolist()
+    sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
+    stats = _stats_row(sufficient_stats(theta, sequences))
+    assert np.all(np.isfinite(stats))
+    exact = sum(_exact_counts_row(theta, seq) for seq in sequences)
+    np.testing.assert_allclose(stats, exact, rtol=1e-13)
+
+
+def test_long_learners_with_extreme_parameters_match_exact_sums():
+    # At 5,000 steps with coordinates near 1e-6 the log weights reach 1e5,
+    # where one rounding of each would move the counts by about 1e-11.
+    rng = np.random.default_rng(19)
+    cases = []
+    for length in (2000, 3500, 5000):
+        p = rng.uniform(0.2, 0.8)
+        cases.append((_extreme_theta(rng, 1e-6, 1e-5), AttemptSequence(rng.random(length) < p)))
+    # Alternating answers keep W level over all 5,001 switch times, so a
+    # rounded coefficient of W, times tau, shows in the counts: with W's
+    # coefficients as plain doubles they are 4.9e-12 off.
+    cases.append((ParamSet(0.5, 1e-6, 1e-6, 1e-6), AttemptSequence(np.arange(5000) % 2)))
+    for theta, seq in cases:
+        np.testing.assert_allclose(
+            _stats_row(sufficient_stats(theta, [seq])), _exact_counts_row(theta, seq), rtol=1e-12
+        )
