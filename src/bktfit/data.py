@@ -47,7 +47,6 @@ _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 # A chunk takes _CHUNK_CELLS // T learners (at least one), T the longest of
 # them; an E-step keeps one workspace of three float planes of T + 1 rows.
 _CHUNK_CELLS = 1 << 15
-_PADDING = 2  # answer code of the cells after a learner's last attempt
 
 # The readers validate this many bytes at a time, cut at the last line end,
 # so their temporaries stay a few times this size whatever the file size.
@@ -194,7 +193,7 @@ class Dataset:
         """(learners, answers, lengths) per chunk, built on first use and kept.
 
         learners: dataset indices, stable descending-length order; answers:
-        (T, n) uint8, 0 incorrect, 1 correct, _PADDING after the last attempt;
+        (T, n) uint8, 0 incorrect, 1 correct, 0 after the last attempt;
         lengths: the learners' lengths, so T = lengths[0].
         """
 
@@ -206,7 +205,7 @@ class Dataset:
             start += len(learners)
             steps = np.arange(lengths[learners[0]])[:, None]
             filled = steps < lengths[learners]
-            cells = np.full(filled.shape, _PADDING, dtype=np.uint8)
+            cells = np.zeros(filled.shape, dtype=np.uint8)
             cells[filled] = self._answers[(self._bounds[learners] + steps)[filled]]
             chunks.append((learners, cells, lengths[learners]))
         return tuple(chunks)

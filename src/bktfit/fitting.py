@@ -89,7 +89,8 @@ class FitReport:
 
 
 class NewtonConvergenceError(RuntimeError):
-    """The barrier subproblem failed to reach the residual tolerance.
+    """A constrained M-step failed: a barrier stage or the reduced solve on
+    c = 0 (mu = 0) missed its tolerance, or the result lowered the objective.
 
     Raised inside a fit, it carries the fit up to the last completed M-step
     as `report` (estimate, trace, iteration count, diagnostics, with

@@ -25,16 +25,16 @@ stage's residual at the mu floor is the solution certificate. The mu path
 and the Newton stop rules are module constants, not options: mu starts at 1
 and shrinks by a factor 0.2 per stage down to the floor 1e-10, 16 stages.
 
-fit_constrained needs that path only as a fallback. The objective is
-strictly concave, so when the closed-form ratios satisfy c > 0 they are the
-M-step's answer. Otherwise the maximizer lies on c = 0, where c is linear in
-r: eliminating r (Nocedal & Wright, Numerical Optimization, 2006, 15.2)
-leaves a smooth problem in three variables that Newton solves with no mu
-path, and the dual follows as lam = (df/dr)/(1-g). One barrier stage at the
-floor, started there with dual lam and moved inward to c = floor/lam, makes
-c strictly positive and gives the same certificate. When the reduced solve
-or that stage fails, or the result scores below the current iterate, the
-full path runs instead.
+fit_constrained runs no mu path. The objective is strictly concave, so when
+the closed-form ratios satisfy c > 0 they are the M-step's answer.
+Otherwise the maximizer lies on c = 0, where c is linear in r: eliminating r
+(Nocedal & Wright, Numerical Optimization, 2006, 15.2) leaves a smooth
+problem in three variables that Newton solves, and the dual follows as
+lam = (df/dr)/(1-g). One barrier stage at the floor, started there with dual
+lam and moved inward to c = floor/lam, makes c strictly positive and gives
+the same certificate. When the reduced solve or that stage fails, or the
+result scores below the current iterate, the M-step raises
+NewtonConvergenceError.
 
 The box (0,1)^4 needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -239,12 +239,9 @@ class _NewtonStall(Exception):
 
 @dataclass
 class _Work:
-    """Solver work of one fit: barrier stages, Newton steps (reduced and
-    barrier), and fallbacks, binding M-steps that ran the full chain."""
+    """Solver work of one fit: Newton steps, reduced and barrier."""
 
-    stages: int = 0
     steps: int = 0
-    fallbacks: int = 0
 
 
 def _newton_stage(
@@ -315,7 +312,6 @@ def _solve_stage(
 ) -> tuple[np.ndarray, float]:
     """One fixed-mu stage from (v, lam), restarting from jittered points."""
 
-    work.stages += 1
     for attempt in range(_MAX_RESTARTS + 1):
         v_try, lam_try = _jittered_start(v, mu, attempt) if attempt else (v, lam)
         try:
@@ -454,7 +450,8 @@ def _reduced_newton(pairs: np.ndarray, v: np.ndarray, work: _Work) -> tuple[np.n
 
     With k = (1-s-g)/(1-g), c = 0 is s = (1-g)(1-k), r = l0 k over the open
     box (l0, g, k) in (0,1)^3. Newton there, backtracking on the objective,
-    returns the point and its dual lam = (df/dr)/(1-g), or raises _NewtonStall.
+    returns the point and its dual lam = (df/dr)/(1-g), or raises
+    NewtonConvergenceError at mu = 0 with the reduced gradient as residual.
     """
 
     ab = pairs.tolist()
@@ -486,7 +483,7 @@ def _reduced_newton(pairs: np.ndarray, v: np.ndarray, work: _Work) -> tuple[np.n
             if A < 0.0 and D < 0.0 and det < 0.0:
                 break
         else:
-            raise _NewtonStall("reduced Hessian is singular")
+            raise _reduced_failure("Hessian is singular", grad)
         adjugate = (  # Cramer's rule: step = -H^-1 grad
             (D * F - E * E, C * E, -C * D), (C * E, A * F - C * C, -A * E), (-C * D, -A * E, A * D)
         )
@@ -503,43 +500,42 @@ def _reduced_newton(pairs: np.ndarray, v: np.ndarray, work: _Work) -> tuple[np.n
                 break
             t *= 0.5
         else:
-            raise _NewtonStall("reduced objective stopped increasing")
+            raise _reduced_failure("objective stopped increasing", grad)
         x, f = trial, f_trial
         if last:
             p = point(*x)
             lam = (ab[3][0] / p[3] - ab[3][1] / (1.0 - p[3])) / (1.0 - p[1])
             if not lam > 0.0:
-                raise _NewtonStall("constraint is slack on c = 0")
+                raise _reduced_failure("constraint is slack on c = 0", grad)
             return np.array(p), lam
-    raise _NewtonStall("reduced step limit reached")
+    raise _reduced_failure("step limit reached", grad)
 
 
-def _chain(
-    pairs: np.ndarray, v: np.ndarray, lam: float, mus: Sequence[float], work: _Work
-) -> BarrierState:
-    """The stages of mus from (v, lam)."""
-
-    for mu in mus:
-        v, lam = _solve_stage(pairs, v, lam, mu, work)
-    return BarrierState(theta=_to_theta(v), dual=float(lam), mu=mus[-1])
+def _reduced_failure(reason: str, grad: Iterable[float]) -> NewtonConvergenceError:
+    return NewtonConvergenceError(
+        f"reduced solve failed: {reason}", mu=0.0, residual_norm=max(map(abs, grad)), restarts=0
+    )
 
 
 def _binding_m_step(
     stats: SufficientStats, theta_star: ParamSet, start: ParamSet, work: _Work
 ) -> BarrierState:
-    """The reduced solve and its floor stage (see the module docstring), or
-    on their failure the full mu path, both from start."""
+    """The reduced solve from start and its floor stage (see the module
+    docstring). Raises NewtonConvergenceError naming the step that failed:
+    the reduced solve, the inward move, the floor stage or the objective check."""
 
-    pairs, v = stats.pairs(), _vec(start)
-    try:
-        on_c, lam = _reduced_newton(pairs, v, work)
-        on_c[3] -= _MU_FLOOR / lam / (1.0 - on_c[1])
-        if not _cval(on_c) > 0.0:
-            raise _NewtonStall("floor stage start is not strictly feasible")
-        return _checked(stats, theta_star, _chain(pairs, on_c, lam, (_MU_FLOOR,), work))
-    except (_NewtonStall, NewtonConvergenceError):
-        work.fallbacks += 1
-    return _checked(stats, theta_star, _chain(pairs, v, _MU_INITIAL / _cval(v), _MU_PATH, work))
+    pairs = stats.pairs()
+    v, lam = _reduced_newton(pairs, _vec(start), work)
+    v[3] -= _MU_FLOOR / lam / (1.0 - v[1])
+    if not _cval(v) > 0.0:
+        raise NewtonConvergenceError(
+            "floor stage start is not strictly feasible",
+            mu=_MU_FLOOR,
+            residual_norm=float(np.max(np.abs(_residual(pairs, v, lam, _MU_FLOOR)))),
+            restarts=0,
+        )
+    v, lam = _solve_stage(pairs, v, lam, _MU_FLOOR, work)
+    return _checked(stats, theta_star, BarrierState(_to_theta(v), float(lam), _MU_FLOOR))
 
 
 def fit_constrained(
@@ -554,14 +550,14 @@ def fit_constrained(
     the box with c > 0, with the gradient norm as its certificate.
     Otherwise it runs the reduced solve on c = 0 and one floor stage from
     the current iterate, projected inward when it is infeasible or nearly
-    so, or the full mu path when they fail (see the module docstring).
+    so (see the module docstring); when either fails, the fit raises
+    NewtonConvergenceError carrying the fit up to the last completed M-step.
     Genuine restorations (margin <= 0, typically only the initial guess)
     are recorded in the diagnostics, as are, over the completed M-steps,
-    the counts of binding M-steps, barrier stages, Newton steps (reduced
-    and barrier) and fallbacks: binding M-steps whose reduced solve failed
-    and ran the full chain. The log-likelihood trace is non-decreasing from
-    the first feasible iterate on: from an infeasible init, the projection
-    can lose likelihood at iteration 1.
+    the counts of binding M-steps and of Newton steps (reduced and
+    barrier). The log-likelihood trace is non-decreasing from the first
+    feasible iterate on: from an infeasible init, the projection can lose
+    likelihood at iteration 1.
     """
 
     restorations: list[dict[str, object]] = []
@@ -569,9 +565,7 @@ def fit_constrained(
         "restorations": restorations,
         "warm_start_adjustments": 0,
         "barrier_m_steps": 0,
-        "barrier_stages": 0,
         "newton_steps": 0,
-        "barrier_fallbacks": 0,
         "mu_floor": _MU_FLOOR,
     }
     work = _Work()
@@ -588,11 +582,7 @@ def fit_constrained(
             theta_new, dual = final.theta, final.dual
             residual = float(np.max(np.abs(kkt_residual(final, stats))))
             diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
-            diagnostics.update(
-                barrier_stages=work.stages,
-                newton_steps=work.steps,
-                barrier_fallbacks=work.fallbacks,
-            )
+            diagnostics["newton_steps"] = work.steps
         if adjustment is not None:
             diagnostics["warm_start_adjustments"] += 1  # type: ignore[operator]
             if adjustment["margin_before"] <= 0.0:

@@ -13,7 +13,6 @@ import pytest
 import bktfit.interior_point as interior_point
 from bktfit import (
     FitOptions,
-    NewtonConvergenceError,
     random_init,
     read_dataset,
 )
@@ -249,45 +248,36 @@ def test_fit_writes_the_partial_report_on_solver_failure(
     tmp_path, theta_file, monkeypatch, capsys
 ):
     # The Baum-Welch fit of this dataset violates c, so the constrained fit
-    # takes the reduced solve in several M-steps. From the third binding
-    # M-step on, the reduced solve fails, and so does the first stage of the
-    # full chain it falls back to.
+    # takes the reduced solve in several M-steps. The third reduced solve
+    # stalls, which stops the fit.
     data = tmp_path / "d.csv"
     simulate = ["simulate", "--params", str(theta_file), "--learners", "100"]
     assert main([*simulate, "--steps", "10", "--seed", "1", "--out", str(data)]) == EXIT_OK
-    reduced_calls = stage_calls = 0
-    original_reduced, original_stage = interior_point._reduced_newton, interior_point._solve_stage
+    reduced_calls = 0
+    original_reduced = interior_point._reduced_newton
 
     def failing_reduced(*args, **kwargs):
         nonlocal reduced_calls
         reduced_calls += 1
-        if reduced_calls >= 3:
-            raise interior_point._NewtonStall("injected")
+        if reduced_calls == 3:
+            raise interior_point._reduced_failure("injected", (1.0,))
         return original_reduced(*args, **kwargs)
 
-    def failing_stage(*args, **kwargs):
-        nonlocal stage_calls
-        stage_calls += 1
-        if stage_calls >= 3:
-            raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
-        return original_stage(*args, **kwargs)
-
     monkeypatch.setattr(interior_point, "_reduced_newton", failing_reduced)
-    monkeypatch.setattr(interior_point, "_solve_stage", failing_stage)
     report_path = tmp_path / "report.json"
     code = main(
         ["fit", "--data", str(data), "--algorithm", "constrained", "--init-seed", "2"]
         + ["--out", str(report_path)]
     )
     assert code == EXIT_NO_CONVERGENCE
-    assert (reduced_calls, stage_calls) == (3, 3)
-    assert "solver failure" in capsys.readouterr().err
+    assert reduced_calls == 3
+    assert "solver failure: reduced solve failed: injected" in capsys.readouterr().err
     report = json.loads(report_path.read_text())
     assert report["converged"] is False
     assert report["iterations"] >= 2
     assert len(report["loglik_trace"]) == report["iterations"] + 1
     assert report["diagnostics"]["barrier_m_steps"] == 2
-    assert report["diagnostics"]["barrier_stages"] == 2
+    assert "barrier_stages" not in report["diagnostics"]
     assert report["constraints"]["satisfied"] is True
 
 

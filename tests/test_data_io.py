@@ -65,7 +65,7 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
     (_, first, first_lengths), (_, second, second_lengths) = chunks
     assert first.dtype == second.dtype == np.uint8
     assert first.tolist() == [[0, 1], [1, 1], [1, 0]]
-    assert second.tolist() == [[1, 0, 1], [0, 0, data._PADDING]]
+    assert second.tolist() == [[1, 0, 1], [0, 0, 0]]
     assert first_lengths.tolist() == [3, 3]
     assert second_lengths.tolist() == [2, 2, 1]
 

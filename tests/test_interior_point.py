@@ -345,105 +345,78 @@ def test_fit_constrained_records_restoration_of_infeasible_init():
     assert report.constraints.satisfied
 
 
-def _failing_stages(monkeypatch, fail_at, persist):
-    """Make interior_point._solve_stage raise at call fail_at (and on, if persist)."""
+def _counting_stages(monkeypatch):
+    """Record the mu of every interior_point._solve_stage call in the returned list."""
 
-    calls = 0
+    mus = []
     original = interior_point._solve_stage
 
-    def failing(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls == fail_at or (persist and calls > fail_at):
-            raise NewtonConvergenceError("injected", mu=1.0, residual_norm=1.0, restarts=5)
-        return original(*args, **kwargs)
+    def counted(pairs, v, lam, mu, work):
+        mus.append(mu)
+        return original(pairs, v, lam, mu, work)
 
-    monkeypatch.setattr(interior_point, "_solve_stage", failing)
+    monkeypatch.setattr(interior_point, "_solve_stage", counted)
+    return mus
 
 
-def _three_binding_m_steps():
+def _three_binding_m_steps(monkeypatch):
     # The Baum-Welch fit of this dataset violates c, and from this init the
     # closed form is infeasible in each of the first three M-steps, so each
     # of them takes the reduced solve and its one floor stage.
     dataset = simulate_dataset(TRUE_THETA, 50, 8, 106)
     init = random_init(3)
     assert not fit_baum_welch(dataset, init).constraints.satisfied
-    first_three = fit_constrained(dataset, init, FitOptions(max_iterations=3))
+    with monkeypatch.context() as patch:
+        stages = _counting_stages(patch)
+        first_three = fit_constrained(dataset, init, FitOptions(max_iterations=3))
     assert first_three.diagnostics["barrier_m_steps"] == 3
-    first_two = fit_constrained(dataset, init, FitOptions(max_iterations=2))
-    assert first_two.diagnostics["barrier_stages"] == 2
-    return dataset, init, first_two.diagnostics["barrier_stages"]
+    assert stages == [_MU_FLOOR] * 3
+    return dataset, init, fit_constrained(dataset, init, FitOptions(max_iterations=2))
 
 
-def _stall_reduced_solve(monkeypatch, at):
-    """Make call number `at` of interior_point._reduced_newton stall."""
+def _replace_third_call(monkeypatch, name, outcome):
+    """Make call number 3 of interior_point.<name> raise outcome, or return it."""
 
     calls = 0
-    original = interior_point._reduced_newton
+    original = getattr(interior_point, name)
 
-    def stalling(*args, **kwargs):
+    def replaced(*args):
         nonlocal calls
         calls += 1
-        if calls == at:
-            raise interior_point._NewtonStall("injected")
-        return original(*args, **kwargs)
+        if calls != 3:
+            return original(*args)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-    monkeypatch.setattr(interior_point, "_reduced_newton", stalling)
+    monkeypatch.setattr(interior_point, name, replaced)
 
 
-def test_solver_failure_keeps_the_partial_fit(monkeypatch):
-    # Every stage fails from the third M-step on, so its floor stage and the
-    # full chain it falls back to both fail.
-    dataset, init, stages_in_two = _three_binding_m_steps()
-    _failing_stages(monkeypatch, stages_in_two + 1, persist=True)
-    with pytest.raises(NewtonConvergenceError) as info:
+@pytest.mark.parametrize(
+    "name, outcome, message",
+    [
+        ("_reduced_newton", interior_point._reduced_failure("injected", (1.0,)), "reduced solve"),
+        # A point off c = 0 that the inward move cannot make feasible.
+        ("_reduced_newton", (np.array([0.5, 0.5, 0.5, 0.9]), 1.0), "not strictly feasible"),
+        (
+            "_solve_stage",
+            NewtonConvergenceError("floor", mu=_MU_FLOOR, residual_norm=1.0, restarts=5),
+            "floor",
+        ),
+        # A feasible point far below the current iterate on the objective.
+        ("_solve_stage", (np.array([0.5, 0.01, 0.01, 0.01]), 1.0), "decreased the EM objective"),
+    ],
+    ids=["reduced solve", "floor start", "floor stage", "objective drop"],
+)
+def test_solver_failure_keeps_the_partial_fit(monkeypatch, name, outcome, message):
+    # The third binding M-step fails, so the fit stops with the first two.
+    dataset, init, first_two = _three_binding_m_steps(monkeypatch)
+    _replace_third_call(monkeypatch, name, outcome)
+    with pytest.raises(NewtonConvergenceError, match=message) as info:
         fit_constrained(dataset, init)
-    partial = info.value.report
-    assert partial.iterations == 2
-    assert len(partial.loglik_trace) == 3
-    assert not partial.converged
-    assert partial.constraints.satisfied
-    assert partial.diagnostics["barrier_m_steps"] == 2
-    assert partial.diagnostics["barrier_stages"] == stages_in_two
-    monkeypatch.undo()
-    full = fit_constrained(dataset, init)
-    assert partial.loglik_trace == full.loglik_trace[:3]
-
-
-@pytest.mark.parametrize("failure", ["reduced solve", "floor stage", "objective drop"])
-def test_one_reduced_path_failure_falls_back_to_the_full_chain(monkeypatch, failure):
-    dataset, init, stages_in_two = _three_binding_m_steps()
-    clean = fit_constrained(dataset, init)
-    assert clean.diagnostics["barrier_fallbacks"] == 0
-    if failure == "reduced solve":
-        _stall_reduced_solve(monkeypatch, 3)
-    elif failure == "floor stage":
-        _failing_stages(monkeypatch, stages_in_two + 1, persist=False)
-    else:
-        # The third floor stage lands on a feasible point far below the
-        # current iterate on the objective.
-        calls = 0
-        original = interior_point._solve_stage
-
-        def misplaced(pairs, v, lam, mu, work):
-            nonlocal calls
-            calls += 1
-            if calls != stages_in_two + 1:
-                return original(pairs, v, lam, mu, work)
-            return np.array([0.5, 0.01, 0.01, 0.01]), 1.0
-
-        monkeypatch.setattr(interior_point, "_solve_stage", misplaced)
-    report = fit_constrained(dataset, init)
-    assert report.converged
-    assert report.diagnostics["barrier_fallbacks"] == 1
-    assert report.diagnostics["barrier_m_steps"] == clean.diagnostics["barrier_m_steps"]
-    # The third M-step counted the full chain's stages in place of a floor
-    # stage (the injected stages themselves count none).
-    stages = clean.diagnostics["barrier_stages"] + len(_MU_PATH) - 1
-    assert report.diagnostics["barrier_stages"] == stages
-    np.testing.assert_allclose(
-        report.theta_hat.astuple(), clean.theta_hat.astuple(), rtol=0, atol=1e-7
-    )
+    assert info.value.report == first_two
+    assert first_two.iterations == 2 and not first_two.converged
+    assert first_two.constraints.satisfied
 
 
 def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
@@ -456,15 +429,16 @@ def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
         return final
 
     monkeypatch.setattr(interior_point, "_binding_m_step", recording)
+    stages = _counting_stages(monkeypatch)
     rng = np.random.default_rng(34)
     for pair in range(10):
         dataset = simulate_dataset(TRUE_THETA, 100, 10, int(rng.integers(1 << 31)))
         steps.clear()
+        stages.clear()
         report = fit_constrained(dataset, random_init(pair))
-        # One floor stage per binding M-step: no full chain ran.
-        assert report.diagnostics["barrier_fallbacks"] == 0
         assert len(steps) == report.diagnostics["barrier_m_steps"]
-        assert report.diagnostics["barrier_stages"] == len(steps)
+        # One floor stage per binding M-step.
+        assert stages == [_MU_FLOOR] * len(steps)
         for pairs, final in steps:
             assert final.mu == _MU_FLOOR
             residual = interior_point._residual(
@@ -493,9 +467,10 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
     )
     theta_star = ParamSet(*star)
     start = project_feasible(theta_star)[0]
-    work = interior_point._Work()
-    final = interior_point._binding_m_step(stats, theta_star, start, work)
-    assert work.fallbacks == 0 and work.stages == 1
+    with pytest.MonkeyPatch.context() as patch:
+        stages = _counting_stages(patch)
+        final = interior_point._binding_m_step(stats, theta_star, start, interior_point._Work())
+    assert stages == [_MU_FLOOR]
     assert final.mu == _MU_FLOOR
     # The closed-form dual of the reduced solve is the floor stage's.
     _, dual = interior_point._reduced_newton(
