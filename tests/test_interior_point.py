@@ -408,7 +408,7 @@ def _replace_third_call(monkeypatch, name, outcome):
     ],
     ids=["reduced solve", "floor start", "floor stage", "objective drop"],
 )
-def test_solver_failure_keeps_the_partial_fit(monkeypatch, name, outcome, message):
+def test_one_failing_binding_m_step_stops_the_fit(monkeypatch, name, outcome, message):
     # The third binding M-step fails, so the fit stops with the first two.
     dataset, init, first_two = _three_binding_m_steps(monkeypatch)
     _replace_third_call(monkeypatch, name, outcome)
@@ -417,6 +417,36 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch, name, outcome, messag
     assert info.value.report == first_two
     assert first_two.iterations == 2 and not first_two.converged
     assert first_two.constraints.satisfied
+
+
+def test_solver_failure_keeps_the_partial_fit(monkeypatch):
+    # Every floor stage fails from the third M-step on, so the fit stops
+    # there and keeps the first two.
+    dataset, init, first_two = _three_binding_m_steps(monkeypatch)
+    calls = 0
+    original = interior_point._solve_stage
+
+    def failing(pairs, v, lam, mu, work):
+        nonlocal calls
+        calls += 1
+        if calls < 3:
+            return original(pairs, v, lam, mu, work)
+        raise NewtonConvergenceError("floor", mu=mu, residual_norm=1.0, restarts=5)
+
+    monkeypatch.setattr(interior_point, "_solve_stage", failing)
+    with pytest.raises(NewtonConvergenceError) as info:
+        fit_constrained(dataset, init)
+    assert calls == 3
+    partial = info.value.report
+    assert partial.iterations == 2
+    assert len(partial.loglik_trace) == 3
+    assert not partial.converged
+    assert partial.constraints.satisfied
+    assert partial.diagnostics["barrier_m_steps"] == 2
+    assert partial == first_two
+    monkeypatch.undo()
+    full = fit_constrained(dataset, init)
+    assert partial.loglik_trace == full.loglik_trace[:3]
 
 
 def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
