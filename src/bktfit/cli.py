@@ -18,18 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-from .baum_welch import DegenerateStatsError, fit_baum_welch
+from .baum_welch import DegenerateStatsError
 from .core import ParamSet, ParameterError, param_values, parse_object, validate_values
 from .data import read_dataset, write_dataset, write_ground_truth
-from .experiment import ExperimentConfig, run_experiment, write_experiment_artifacts
-from .fitting import (
-    ALGORITHM_BAUM_WELCH,
-    ALGORITHM_CONSTRAINED,
-    FitOptions,
-    FitReport,
-    random_init,
-)
-from .interior_point import NewtonConvergenceError, fit_constrained
+from .experiment import FITTERS, ExperimentConfig, run_experiment, write_experiment_artifacts
+from .fitting import FitOptions, FitReport, NewtonConvergenceError, random_init
 from .simulate import DEFAULT_LEARNERS, DEFAULT_STEPS, simulate_dataset_with_paths
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -96,16 +89,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         loglik_tolerance=args.loglik_tolerance,
         param_tolerance=args.param_tolerance,
     )
-    if args.algorithm == ALGORITHM_BAUM_WELCH:
-        report = fit_baum_welch(dataset, init, options)
-    else:
-        try:
-            report = fit_constrained(dataset, init, options)
-        except NewtonConvergenceError as exc:
-            # Keep the fit up to the failed M-step; main still exits 4.
-            if exc.report is not None:
-                _write_report(exc.report, args.out)
-            raise
+    try:
+        report = FITTERS[args.algorithm](dataset, init, options)
+    except NewtonConvergenceError as exc:
+        # Keep the fit up to the failed M-step; main still exits 4.
+        _write_report(exc.report, args.out)
+        raise
     _write_report(report, args.out)
     if not report.converged:
         print(
@@ -160,11 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit parameters to a dataset CSV")
     fit.add_argument("--data", type=Path, required=True)
-    fit.add_argument(
-        "--algorithm",
-        choices=[ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED],
-        required=True,
-    )
+    fit.add_argument("--algorithm", choices=list(FITTERS), required=True)
     fit.add_argument("--init", type=Path, help="initial guess JSON; default is random")
     fit.add_argument("--init-seed", type=int, default=0)
     options = FitOptions()

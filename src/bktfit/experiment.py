@@ -34,6 +34,7 @@ from .fitting import (
     ALGORITHM_CONSTRAINED,
     FitOptions,
     FitReport,
+    NewtonConvergenceError,
     random_init,
 )
 from .interior_point import fit_constrained
@@ -42,7 +43,7 @@ from .simulate import DEFAULT_LEARNERS, DEFAULT_STEPS, simulate_dataset
 __all__ = [
     "MODE_DATASETS",
     "MODE_INITS",
-    "KNOWN_ALGORITHMS",
+    "FITTERS",
     "ExperimentConfig",
     "RunRecord",
     "ExperimentResult",
@@ -55,7 +56,8 @@ __all__ = [
 
 MODE_DATASETS = "datasets"
 MODE_INITS = "inits"
-KNOWN_ALGORITHMS = (ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED)
+# The one map from an algorithm name to its fitter, for the CLI and experiments.
+FITTERS = {ALGORITHM_BAUM_WELCH: fit_baum_welch, ALGORITHM_CONSTRAINED: fit_constrained}
 
 _CONFIG_KINDS = {
     **dict.fromkeys(("num_datasets", "num_inits", "learners", "steps", "master_seed"), int),
@@ -81,7 +83,7 @@ class ExperimentConfig:
     learners: int = DEFAULT_LEARNERS
     steps: int = DEFAULT_STEPS
     master_seed: int = 0
-    algorithms: tuple[str, ...] = KNOWN_ALGORITHMS
+    algorithms: tuple[str, ...] = tuple(FITTERS)
     options: FitOptions = FitOptions()
 
     def __post_init__(self) -> None:
@@ -103,7 +105,7 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
-        unknown = [a for a in self.algorithms if a not in KNOWN_ALGORITHMS]
+        unknown = [a for a in self.algorithms if a not in FITTERS]
         if unknown:
             raise ValueError(f"unknown algorithms: {', '.join(map(repr, unknown))}")
         if len(set(self.algorithms)) != len(self.algorithms):
@@ -234,10 +236,10 @@ def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunRecord, ...]
     records = []
     for algorithm in config.algorithms:
         started = time.perf_counter()
-        if algorithm == ALGORITHM_BAUM_WELCH:
-            report = fit_baum_welch(dataset, init, config.options)
-        else:
-            report = fit_constrained(dataset, init, config.options)
+        try:
+            report = FITTERS[algorithm](dataset, init, config.options)
+        except NewtonConvergenceError as exc:
+            report = exc.report
         elapsed = time.perf_counter() - started
         records.append(
             RunRecord(run_id=run_id, algorithm=algorithm, report=report, wall_time=elapsed)
@@ -250,6 +252,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
     At most min(jobs, runs) worker processes start, none when that is one.
     Results are merged in run order, so the output is independent of jobs.
+    A fit whose M-step raises NewtonConvergenceError is recorded with the
+    partial report the error carries, and the experiment goes on.
     """
 
     if jobs < 1:

@@ -12,9 +12,14 @@ import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .core import ConstraintReport, ParamSet, _require_int, parse_object, validate_params
+from .core import (
+    ConstraintReport,
+    ParamSet,
+    _generator,
+    _require_int,
+    parse_object,
+    validate_params,
+)
 from .data import Dataset, as_dataset
 from .estep import SufficientStats, sufficient_stats
 
@@ -165,6 +170,5 @@ def _run_em(
 def random_init(seed: int | Sequence[int]) -> ParamSet:
     """Sample an initial guess uniformly from (INIT_LOW, INIT_HIGH)^4."""
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    l0, g, s, r = rng.uniform(INIT_LOW, INIT_HIGH, 4)
+    l0, g, s, r = _generator(seed).uniform(INIT_LOW, INIT_HIGH, 4)
     return ParamSet(l0=l0, g=g, s=s, r=r)

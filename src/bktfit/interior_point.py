@@ -52,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from .baum_welch import _PARAM_LABELS, DegenerateStatsError, closed_form_ratios
-from .core import ParamSet, _margin
+from .core import ParamSet, _generator, _margin
 from .data import Dataset
 from .estep import SufficientStats
 from .fitting import (
@@ -153,10 +153,6 @@ def _to_theta(v: np.ndarray) -> ParamSet:
     return ParamSet(l0=float(v[0]), g=float(v[1]), s=float(v[2]), r=float(v[3]))
 
 
-def _cval(v: np.ndarray) -> float:
-    return _margin(*v)
-
-
 def _cgrad(v: np.ndarray) -> np.ndarray:
     l0, g, s, r = v
     return np.array([1.0 - s - g, r - l0, -l0, g - 1.0])
@@ -165,7 +161,7 @@ def _cgrad(v: np.ndarray) -> np.ndarray:
 def constraint_value(theta: ParamSet) -> float:
     """Signed feasibility margin c(theta) = (1-s-g)l0 - (1-g)r."""
 
-    return _cval(_vec(theta))
+    return _margin(*_vec(theta))
 
 
 def constraint_gradient(theta: ParamSet) -> np.ndarray:
@@ -205,7 +201,7 @@ def _qhess(pairs: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _residual(pairs: np.ndarray, v: np.ndarray, lam: float, mu: float) -> np.ndarray:
     out = np.empty(5)
     out[:4] = _qgrad(pairs, v) + lam * _cgrad(v)
-    out[4] = lam * _cval(v) - mu
+    out[4] = lam * _margin(*v) - mu
     return out
 
 
@@ -217,7 +213,7 @@ def _jacobian(pairs: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
     J[1, 3] = J[3, 1] = lam
     J[:4, 4] = cg
     J[4, :4] = lam * cg
-    J[4, 4] = _cval(v)
+    J[4, 4] = _margin(*v)
     return J
 
 
@@ -271,12 +267,12 @@ def _newton_stage(
                 nu = min(nu, tau * (_THETA_MAX - v[i]) / delta[i])
             elif delta[i] < 0.0:
                 nu = min(nu, tau * (v[i] - _THETA_MIN) / -delta[i])
-        c_here = _cval(v)
+        c_here = _margin(*v)
         accepted = False
         for _ in range(_MAX_STEP_HALVINGS):
             cand_v = v + nu * delta[:4]
             cand_lam = lam + nu * delta[4]
-            if _cval(cand_v) >= (1.0 - tau) * c_here:
+            if _margin(*cand_v) >= (1.0 - tau) * c_here:
                 F_cand = _residual(pairs, cand_v, cand_lam, mu)
                 cand_norm = float(np.max(np.abs(F_cand)))
                 if cand_norm < norm:
@@ -294,17 +290,15 @@ def _jittered_start(
 ) -> tuple[np.ndarray, float]:
     """Deterministic perturbed restart point, kept feasible."""
 
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((_JITTER_STREAM, attempt)))
-    )
+    rng = _generator((_JITTER_STREAM, attempt))
     scale = _JITTER_SCALE
     for _ in range(60):
         cand = np.clip(v + rng.uniform(-scale, scale, 4), 1e-9, 1.0 - 1e-9)
-        cand = _project_vec(cand, min(1e-8, max(_cval(v), 1e-12)))
-        if _cval(cand) > 0.0:
-            return cand, mu / _cval(cand)
+        cand = _project_vec(cand, min(1e-8, max(_margin(*v), 1e-12)))
+        if _margin(*cand) > 0.0:
+            return cand, mu / _margin(*cand)
         scale *= 0.5
-    return v, mu / _cval(v)
+    return v, mu / _margin(*v)
 
 
 def _solve_stage(
@@ -335,7 +329,7 @@ def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> Bar
     """
 
     v = _vec(start.theta)
-    lam = start.dual if start.dual > 0.0 else start.mu / _cval(v)
+    lam = start.dual if start.dual > 0.0 else start.mu / _margin(*v)
     v_out, lam_out = _solve_stage(stats.pairs(), v, lam, start.mu, _Work())
     return BarrierState(theta=_to_theta(v_out), dual=float(lam_out), mu=start.mu)
 
@@ -386,7 +380,7 @@ def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | Non
     """
 
     v = _vec(theta)
-    before = _cval(v)
+    before = _margin(*v)
     projected = _project_vec(v, _FEASIBLE_MARGIN)
     if projected is v:
         return theta, None
@@ -527,7 +521,7 @@ def _binding_m_step(
     pairs = stats.pairs()
     v, lam = _reduced_newton(pairs, _vec(start), work)
     v[3] -= _MU_FLOOR / lam / (1.0 - v[1])
-    if not _cval(v) > 0.0:
+    if not _margin(*v) > 0.0:
         raise NewtonConvergenceError(
             "floor stage start is not strictly feasible",
             mu=_MU_FLOOR,
@@ -573,7 +567,7 @@ def fit_constrained(
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
         ratios = np.array(_estimable_ratios(stats))
         start, adjustment = project_feasible(theta)
-        if np.all((ratios > 0.0) & (ratios < 1.0)) and _cval(ratios) > 0.0:
+        if np.all((ratios > 0.0) & (ratios < 1.0)) and _margin(*ratios) > 0.0:
             # Inactive constraint: the KKT residual with lam = 0 is the gradient.
             theta_new, dual = _to_theta(ratios), 0.0
             residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ParamSet, _require_int
+from .core import ParamSet, _generator, _require_int
 from .data import AttemptSequence, Dataset, HiddenPath, _runs
 
 __all__ = [
@@ -35,10 +35,6 @@ Seed = int | Sequence[int]
 # Learners per block of uniforms: the (block, 2 * length) float64 draws are
 # the simulator's largest temporary, so this bounds its peak memory.
 _BLOCK = 16_384
-
-
-def _generator(seed: Seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def _sample(

@@ -12,7 +12,8 @@ import contextlib
 import numpy as np
 import pytest
 
-from bktfit import ParamSet, validate_params
+import bktfit.interior_point as interior_point
+from bktfit import NewtonConvergenceError, ParamSet, validate_params
 
 # Well-behaved generating parameters used across the suite: comfortably
 # inside every constraint (margin 0.0675, fixed point 0.346 < l0).
@@ -37,6 +38,26 @@ def random_valid_theta(rng: np.random.Generator) -> ParamSet:
 
 def random_attempts(rng: np.random.Generator, length: int) -> tuple[bool, ...]:
     return tuple(bool(b) for b in rng.integers(0, 2, length))
+
+
+def fail_floor_stage(monkeypatch, number: int) -> None:
+    """Make floor stage number `number` of this process raise.
+
+    Each binding M-step runs exactly one interior_point._solve_stage, so
+    this fails the binding M-step of that number, counted across fits.
+    """
+
+    calls = 0
+    original = interior_point._solve_stage
+
+    def failing(pairs, v, lam, mu, work):
+        nonlocal calls
+        calls += 1
+        if calls == number:
+            raise NewtonConvergenceError("injected", mu=mu, residual_norm=1.0, restarts=5)
+        return original(pairs, v, lam, mu, work)
+
+    monkeypatch.setattr(interior_point, "_solve_stage", failing)
 
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import os
 import subprocess
@@ -12,9 +14,11 @@ import pytest
 
 import bktfit.interior_point as interior_point
 from bktfit import (
+    ExperimentConfig,
     FitOptions,
     random_init,
     read_dataset,
+    run_experiment,
 )
 from bktfit.cli import (
     EXIT_DEGENERATE,
@@ -25,7 +29,8 @@ from bktfit.cli import (
     build_parser,
     main,
 )
-from conftest import TRUE_THETA
+from bktfit.experiment import FITTERS
+from conftest import TRUE_THETA, fail_floor_stage
 
 
 @pytest.fixture
@@ -339,6 +344,20 @@ def test_fit_has_no_barrier_path_flags(tmp_path, dataset_file, capsys, knob):
     assert f"--mu-{knob}" not in capsys.readouterr().out
 
 
+def test_algorithm_choices_are_the_fitter_table():
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (algorithm,) = (a for a in commands.choices["fit"]._actions if a.dest == "algorithm")
+    assert algorithm.choices == list(FITTERS)
+
+
+@pytest.mark.parametrize("algorithm", list(FITTERS))
+def test_fit_reports_the_algorithm_it_ran(tmp_path, dataset_file, algorithm):
+    out = tmp_path / "report.json"
+    argv = ["fit", "--data", str(dataset_file), "--algorithm", algorithm, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_text())["algorithm"] == algorithm
+
+
 def test_unknown_algorithm_is_usage_error(dataset_file, capsys):
     code = main(["fit", "--data", str(dataset_file), "--algorithm", "nonsense"])
     capsys.readouterr()
@@ -379,6 +398,32 @@ def test_experiment_end_to_end(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["summary"]["record_count"] == 4
     assert "schedule" not in summary["config"]
+
+
+def test_experiment_keeps_every_row_when_a_binding_m_step_fails(tmp_path, monkeypatch):
+    # The third binding M-step of run 1's constrained fit fails; the
+    # experiment still writes all six rows and exits 0.
+    config = {
+        "true_theta": TRUE_THETA.to_dict(),
+        "num_datasets": 3,
+        "learners": 25,
+        "steps": 6,
+        "master_seed": 12,
+    }
+    clean = run_experiment(ExperimentConfig.from_dict(config)).records
+    fail_floor_stage(monkeypatch, clean[1].report.diagnostics["barrier_m_steps"] + 3)
+    source = tmp_path / "config.json"
+    source.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    assert main(["experiment", "--config", str(source), "--out", str(out)]) == EXIT_OK
+    with open(out / "records.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["run_id"], row["algorithm"]) for row in rows] == [
+        (str(rec.run_id), rec.algorithm) for rec in clean
+    ]
+    unconverged = [(row["run_id"], row["algorithm"]) for row in rows if row["converged"] != "true"]
+    assert unconverged == [("1", "constrained")]
+    assert rows[3]["iterations"] != str(clean[3].report.iterations)
 
 
 def test_experiment_bad_config_is_parse_error(tmp_path, capsys):

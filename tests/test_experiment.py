@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ElementTree
+from dataclasses import replace
 
 import pytest
 
 import bktfit.experiment as experiment
-from bktfit import ExperimentConfig, run_experiment
+from bktfit import (
+    ExperimentConfig,
+    fit_constrained,
+    random_init,
+    run_experiment,
+    simulate_dataset,
+)
 from bktfit.experiment import (
+    FITTERS,
     MODE_DATASETS,
     MODE_INITS,
     records_to_csv,
@@ -17,7 +25,7 @@ from bktfit.experiment import (
     scatter_svg,
     write_experiment_artifacts,
 )
-from conftest import TRUE_THETA
+from conftest import TRUE_THETA, fail_floor_stage
 
 
 def _tiny_config(**overrides):
@@ -80,6 +88,10 @@ def test_config_rejects_unknown_algorithm():
         _tiny_config(algorithms=("gradient-descent",))
 
 
+def test_config_defaults_to_every_fitter():
+    assert _tiny_config().algorithms == tuple(FITTERS) == ("baum-welch", "constrained")
+
+
 def test_config_json_round_trip():
     config = _tiny_config(master_seed=77)
     assert ExperimentConfig.from_json(config.to_json()) == config
@@ -130,6 +142,35 @@ def test_jobs_do_not_change_results():
         assert a.algorithm == b.algorithm
         assert a.report.theta_hat == b.report.theta_hat
         assert a.report.loglik_trace == b.report.loglik_trace
+
+
+def test_a_failed_binding_m_step_keeps_its_partial_report(monkeypatch):
+    # Run 1's constrained fit takes several binding M-steps; its third one
+    # fails. The run keeps the fit up to there and the experiment goes on.
+    config = _tiny_config(master_seed=12)
+    clean = run_experiment(config)
+    constrained = [rec for rec in clean.records if rec.algorithm == "constrained"]
+    assert [rec.run_id for rec in constrained] == [0, 1, 2]
+    assert constrained[1].report.diagnostics["barrier_m_steps"] >= 3
+    fail_floor_stage(monkeypatch, constrained[0].report.diagnostics["barrier_m_steps"] + 3)
+    result = run_experiment(config, jobs=1)
+    monkeypatch.undo()
+    assert len(result.records) == len(clean.records)
+    for record, reference in zip(result.records, clean.records):
+        if record.run_id == 1 and record.algorithm == "constrained":
+            failed = record
+        else:
+            assert replace(record, wall_time=0.0) == replace(reference, wall_time=0.0)
+    partial = failed.report
+    assert not partial.converged
+    assert partial.diagnostics["barrier_m_steps"] == 2
+    dataset = simulate_dataset(
+        config.true_theta, config.learners, config.steps, config.dataset_seed(1)
+    )
+    cut = replace(config.options, max_iterations=partial.iterations)
+    assert partial == fit_constrained(dataset, random_init(config.init_seed(1)), cut)
+    assert partial.iterations < constrained[1].report.iterations
+    assert result.summary()["algorithms"]["constrained"]["converged"] == 2
 
 
 class _InlineExecutor:
