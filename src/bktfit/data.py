@@ -16,8 +16,10 @@ A Dataset holds its answers once, flat: one uint8 array of every learner's
 answers in order, and the learners' lengths. The readers and the simulator
 fill these arrays directly; AttemptSequence objects are built from them
 only when a dataset is iterated or indexed. The first E-step that reads a
-dataset sorts the learners by descending length into time-major chunks
-(Dataset._chunks), and every later E-step of every fit reuses them.
+dataset sorts the learners by descending length into chunks (Dataset._chunks)
+and keeps, per chunk, the E-step's four count planes with a row per switch
+time, in the smallest unsigned type that holds the chunk's longest length;
+every later E-step of every fit reads them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -45,7 +47,8 @@ _DATASET_HEADER = ("learner_id", "step", "correct")
 _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 
 # A chunk takes _CHUNK_CELLS // T learners (at least one), T the longest of
-# them; an E-step keeps one workspace of three float planes of T + 1 rows.
+# them; it keeps four count planes of T + 1 rows, and an E-step one workspace
+# of three float planes of T + 1 rows.
 _CHUNK_CELLS = 1 << 15
 
 # The readers validate this many bytes at a time, cut at the last line end,
@@ -139,6 +142,26 @@ def _runs(kind: type[_Run], flags: np.ndarray, bounds: list[int]) -> Iterator[_R
         yield run
 
 
+class _Chunk(NamedTuple):
+    """What every E-step reads of some learners, all of it independent of theta.
+
+    Planes have a row per switch time tau = 0..T, T the first learner's
+    length, and a column per learner; a learner's rows past its length L
+    are padding.
+    """
+
+    learners: np.ndarray  # dataset indices, in stable descending-length order
+    # (4, T + 1, n) exact counts of path tau in np.min_scalar_type(T): the correct
+    # answers before tau (C_tau), the wrong ones before tau (tau - C_tau), the
+    # wrong ones from tau on and the correct ones from tau on (C_L - C_tau).
+    counts: np.ndarray
+    last: np.ndarray  # each learner's tau = L cell, as a flat index into a plane
+    right: np.ndarray  # C_L, as floats
+    wrong: np.ndarray  # L - C_L, as floats
+    runs: tuple[tuple[int, int, int], ...]  # (row, start, stop): padding from row on
+    tau: np.ndarray  # 0..T, as floats
+
+
 class Dataset:
     """One attempt sequence per learner; lengths may differ.
 
@@ -189,13 +212,9 @@ class Dataset:
         return f"Dataset({list(self)!r})"
 
     @cached_property
-    def _chunks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(learners, answers, lengths) per chunk, built on first use and kept.
-
-        learners: dataset indices, stable descending-length order; answers:
-        (T, n) uint8, 0 incorrect, 1 correct, 0 after the last attempt;
-        lengths: the learners' lengths, so T = lengths[0].
-        """
+    def _chunks(self) -> tuple[_Chunk, ...]:
+        """The learners in stable descending-length order, cut into chunks of
+        _CHUNK_CELLS // T learners, each built on first use and kept."""
 
         lengths = self._lengths
         order = np.argsort(-lengths, kind="stable")
@@ -203,12 +222,40 @@ class Dataset:
         while start < len(order):
             learners = order[start : start + max(1, _CHUNK_CELLS // lengths[order[start]])]
             start += len(learners)
-            steps = np.arange(lengths[learners[0]])[:, None]
-            filled = steps < lengths[learners]
-            cells = np.zeros(filled.shape, dtype=np.uint8)
-            cells[filled] = self._answers[(self._bounds[learners] + steps)[filled]]
-            chunks.append((learners, cells, lengths[learners]))
+            chunks.append(self._chunk(learners))
         return tuple(chunks)
+
+    def _chunk(self, learners: np.ndarray) -> _Chunk:
+        """The chunk of these learners, the longest first."""
+
+        lengths, count = self._lengths[learners], len(learners)
+        steps = int(lengths[0])
+        rows = np.arange(steps)[:, None]
+        filled = rows < lengths
+        answers = np.zeros(filled.shape, dtype=np.uint8)
+        answers[filled] = self._answers[(self._bounds[learners] + rows)[filled]]
+        dtype = np.min_scalar_type(steps)
+        counts = np.empty((4, steps + 1, count), dtype=dtype)
+        correct, wrong_before, wrong_after, right_after = counts
+        correct[0] = 0
+        np.cumsum(answers, axis=0, dtype=dtype, out=correct[1:])
+        np.subtract(np.arange(steps + 1, dtype=dtype)[:, None], correct, out=wrong_before)
+        last = lengths * count + np.arange(count)
+        right = correct.reshape(-1)[last]
+        wrong = (lengths - right).astype(dtype)
+        np.subtract(right, correct, out=right_after)
+        # Wrong from tau on is wrong minus wrong before tau; past L, tau - C
+        # exceeds wrong, so the minimum makes the plane 0 there.
+        np.minimum(wrong_before, wrong, out=wrong_after)
+        np.subtract(wrong, wrong_after, out=wrong_after)
+        starts = (np.flatnonzero(lengths[1:] < lengths[:-1]) + 1).tolist()
+        runs = tuple(  # learners of one length are a run of columns
+            (int(lengths[lo]) + 1, lo, hi)
+            for lo, hi in zip([0] + starts, starts + [count])
+            if lengths[lo] < steps
+        )
+        right, wrong, tau = right.astype(float), wrong.astype(float), np.arange(steps + 1.0)
+        return _Chunk(learners, counts, last, right, wrong, runs, tau)
 
 
 def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:

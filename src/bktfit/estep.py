@@ -28,15 +28,19 @@ at 5,000 steps with a coordinate near 1e-6). So W's coefficients are taken in
 long double (80-bit on x86-64) and split into a high part on a grid where sums
 are exact and a low rest, added after each learner's largest high W is taken off.
 
-The E-step runs over a Dataset's chunks of (T, n) padded answers (see
-data.Dataset._chunks). A chunk fills three (T+1, n) planes, a row per switch
-time: C, W and then q in place, and a scratch plane; rows past a learner's
-length get W = -inf and add exactly 0. Each sufficient_stats call allocates
-one workspace of three planes of its largest chunk (1.5 MiB at most unless a
-learner is longer than 32,768 steps), and posteriors runs the same kernel on
-a one-learner chunk. Per-learner rows are summed in ascending learner order,
-so results are bitwise reproducible. forward_backward keeps the scaled
-recursion (Rabiner, Proc. IEEE 1989) over one sequence for its alpha and beta.
+The E-step runs over a Dataset's chunks (see data.Dataset._chunks). Each chunk
+keeps the four counts of the table above as exact integer planes, (T+1, n) with
+a row per switch time: C, tau - C, wrong from tau on and right from tau on. They
+do not depend on theta; each sum weighted by q is still taken afresh, over one
+plane. An E-step fills three float planes per chunk: C copied from its plane,
+W and then q in place, and a scratch plane into which each other count plane is
+copied for its sum; rows past a learner's length get W = -inf and add exactly 0.
+Each sufficient_stats call allocates one workspace of three planes of its
+largest chunk (1.5 MiB at most unless a learner is longer than 32,768 steps),
+and posteriors runs the same kernel on a one-learner chunk. Per-learner rows
+are summed in ascending learner order, so results are bitwise reproducible.
+forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
+sequence in log space.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ParamSet
-from .data import AttemptSequence, Dataset, as_dataset
+from .data import AttemptSequence, Dataset, _Chunk, as_dataset
 
 __all__ = [
     "ForwardBackward",
@@ -129,66 +133,67 @@ def _log_weights(theta: ParamSet, steps: int) -> _Weights:
 
 
 def _switch_posteriors(
-    weights: _Weights, answers: np.ndarray, lengths: np.ndarray, workspace: np.ndarray
+    weights: _Weights, chunk: _Chunk, workspace: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """A chunk's q (T+1, n), each learner's posterior over switch times up to a factor,
-    C and a free plane, all in workspace; and each learner's high W peak and tau = L cell."""
+    C and a free plane, all in workspace; and each learner's high W peak."""
 
-    steps, count = answers.shape
-    q, correct, scratch = workspace[: 3 * (steps + 1) * count].reshape(3, steps + 1, count)
+    plane = chunk.counts[0]
+    q, correct, scratch = workspace[: 3 * plane.size].reshape(3, *plane.shape)
     column, ((delta, log_r, _, _), (delta_low, log_r_low, _, _)) = weights
-    correct[0] = 0.0
-    correct[1:] = answers  # cast in place: np.cumsum(answers, dtype=float) copies them
-    np.cumsum(correct[1:], axis=0, out=correct[1:])
-    last = lengths * count + np.arange(count)
+    np.copyto(correct, plane)
     np.multiply(correct, delta, out=q)
-    q += column[0, : steps + 1, None]
-    q.reshape(-1)[last] -= log_r
-    if lengths[-1] < steps:  # learners of one length are a run: mask their rows past it
-        starts = (np.flatnonzero(lengths[1:] < lengths[:-1]) + 1).tolist()
-        for start, stop in zip([0] + starts, starts + [count]):
-            q[lengths[start] + 1 :, start:stop] = -np.inf
+    q += column[0, : len(q), None]
+    q.reshape(-1)[chunk.last] -= log_r
+    for row, start, stop in chunk.runs:
+        q[row:, start:stop] = -np.inf
     peak = q.max(axis=0)
     q -= peak
     np.multiply(correct, delta_low, out=scratch)
-    scratch += column[1, : steps + 1, None]
+    scratch += column[1, : len(q), None]
     q += scratch
-    q.reshape(-1)[last] -= log_r_low
-    return np.exp(q, out=q), correct, scratch, peak, last
+    q.reshape(-1)[chunk.last] -= log_r_low
+    return np.exp(q, out=q), correct, scratch, peak
 
 
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
     """Scaled forward/backward pass over one sequence.
 
-    One state's scaled alpha underflows against the other's when guess and
-    slip vanish: at theta = (0.5, 1e-200, 1e-200, 0.5) the answers
-    [0, 1, 1, 0, 0, 0, 1, 1] read -1382.94 against the exact -925.89.
-    sufficient_stats, posteriors and log_likelihood are exact there.
+    Each state's alpha and beta are carried as logs and combined with
+    logaddexp, so neither state's underflows against the other's however
+    small guess and slip are, and log_likelihood is exact. The arrays are
+    the exponentials of those logs: where a state's scaled alpha is below
+    the smallest double it reads 0, and its scaled beta, which can then
+    exceed the largest, reads inf.
     """
 
     answers = seq.attempts
-    emit = ((1.0 - theta.g, theta.g), (theta.s, 1.0 - theta.s))  # [state][answer]
-    alpha, scale = [], []
-    raw0, raw1 = 1.0 - theta.l0, theta.l0
-    for answer in answers:
-        raw0, raw1 = raw0 * emit[0][answer], raw1 * emit[1][answer]
-        scale.append(raw0 + raw1)
-        alpha.append((raw0 / scale[-1], raw1 / scale[-1]))
-        raw0, raw1 = alpha[-1][0] * (1.0 - theta.r), alpha[-1][0] * theta.r + alpha[-1][1]
-    beta = [(1.0, 1.0)]
-    for answer, total in zip(answers[:0:-1], scale[:0:-1]):
-        stay, learn = emit[0][answer] * beta[-1][0], emit[1][answer] * beta[-1][1]
-        beta.append(((stay * (1.0 - theta.r) + theta.r * learn) / total, learn / total))
-    scale = np.array(scale)
-    return ForwardBackward(np.array(alpha), np.array(beta[::-1]), scale, float(np.log(scale).sum()))
+    l0, g, s, r = theta.astuple()
+    emit = ((math.log1p(-g), math.log(g)), (math.log(s), math.log1p(-s)))  # [state][answer]
+    stay, learn = math.log1p(-r), math.log(r)
+    alpha, scale = np.empty((len(answers), 2)), np.empty(len(answers))
+    raw0, raw1 = math.log1p(-l0), math.log(l0)
+    for t, answer in enumerate(answers):
+        raw0, raw1 = raw0 + emit[0][answer], raw1 + emit[1][answer]
+        scale[t] = np.logaddexp(raw0, raw1)
+        alpha[t] = raw0 - scale[t], raw1 - scale[t]
+        raw0, raw1 = alpha[t, 0] + stay, np.logaddexp(alpha[t, 0] + learn, alpha[t, 1])
+    beta = np.zeros((len(answers), 2))
+    for t in range(len(answers) - 1, 0, -1):
+        next0, next1 = emit[0][answers[t]] + beta[t, 0], emit[1][answers[t]] + beta[t, 1]
+        beta[t - 1] = np.logaddexp(stay + next0, learn + next1), next1
+        beta[t - 1] -= scale[t]
+    with np.errstate(over="ignore"):
+        beta = np.exp(beta)
+    return ForwardBackward(np.exp(alpha), beta, np.exp(scale), float(scale.sum()))
 
 
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    ((_, answers, lengths),) = Dataset((seq,))._chunks
+    (chunk,) = Dataset((seq,))._chunks
     weights = _log_weights(theta, len(seq))
-    q = _switch_posteriors(weights, answers, lengths, np.empty(3 * answers.size + 3))[0][:, 0]
+    q = _switch_posteriors(weights, chunk, np.empty(3 * len(chunk.tau)))[0][:, 0]
     q /= q.sum()
     proficient = np.cumsum(q)[:-1]  # P(tau <= t)
     novice = np.cumsum(q[:0:-1])[::-1]  # P(tau > t)
@@ -197,23 +202,19 @@ def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     return Posteriors(gamma=np.column_stack((novice, proficient)), xi=xi)
 
 
-def _chunk_rows(
-    weights: _Weights, answers: np.ndarray, lengths: np.ndarray, workspace: np.ndarray
-) -> np.ndarray:
+def _chunk_rows(weights: _Weights, chunk: _Chunk, workspace: np.ndarray) -> np.ndarray:
     """Per-learner (n, 9) rows of expected counts and log-likelihoods."""
 
-    q, correct, counts, peak, last = _switch_posteriors(weights, answers, lengths, workspace)
+    q, correct, scratch, peak = _switch_posteriors(weights, chunk, workspace)
     high, low = weights[1][:, 2:]
-    tau = np.arange(len(q), dtype=float)[:, None]
-    right = correct.reshape(-1)[last]
-    wrong = lengths - right
+    last, right, wrong = chunk.last, chunk.right, chunk.wrong
     # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
-    rows = np.empty((9, len(lengths)))
+    rows = np.empty((9, len(last)))
     rows[2] = np.einsum("ij,ij->j", q, correct)
-    rows[3] = np.einsum("ij,ij->j", q, np.subtract(tau, correct, out=counts))
-    rows[4] = np.einsum("ij,ij->j", q, np.subtract(wrong, counts, out=counts))
-    rows[5] = np.einsum("ij,ij->j", q, np.subtract(right, correct, out=counts))
-    rows[7] = np.einsum("ij,i->j", q[1:], tau[:-1, 0])
+    for row, plane in enumerate(chunk.counts[1:], start=3):
+        np.copyto(scratch, plane)
+        rows[row] = np.einsum("ij,ij->j", q, scratch)
+    rows[7] = np.einsum("ij,i->j", q[1:], chunk.tau[:-1])
     rows[0], rows[1] = q[0], q.reshape(-1)[last]
     q.reshape(-1)[last] = 0.0  # transit a stops before tau = L
     rows[6] = q[1:].sum(axis=0)
@@ -232,11 +233,11 @@ def sufficient_stats(
 
     data = as_dataset(dataset)
     chunks = data._chunks
-    weights = _log_weights(theta, len(chunks[0][1]))
-    workspace = np.empty(3 * max(answers.size + answers.shape[1] for _, answers, _ in chunks))
+    weights = _log_weights(theta, len(chunks[0].tau) - 1)
+    workspace = np.empty(3 * max(chunk.counts[0].size for chunk in chunks))
     per_learner = np.empty((len(data), 9))
-    for learners, answers, lengths in chunks:
-        per_learner[learners] = _chunk_rows(weights, answers, lengths, workspace)
+    for chunk in chunks:
+        per_learner[chunk.learners] = _chunk_rows(weights, chunk, workspace)
     # Fixed reduction order: sum over learners in ascending index order.
     totals = per_learner.sum(axis=0).tolist()
     pairs = [tuple(totals[i : i + 2]) for i in range(0, 8, 2)]

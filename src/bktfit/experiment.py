@@ -66,7 +66,7 @@ _CONFIG_KINDS = {
 }
 
 _CSV_COLUMNS = (
-    ["run_id", "algorithm", "converged", "iterations", "log_likelihood"]
+    ["run_id", "algorithm", "converged", "iterations", "failure", "log_likelihood"]
     + ["constraints_satisfied", "margin", "wall_time_s"]
     + [f"init_{name}" for name in PARAM_NAMES]
     + [f"fitted_{name}" for name in PARAM_NAMES]
@@ -154,12 +154,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One algorithm's fit on one (dataset, init) pair."""
+    """One algorithm's fit on one (dataset, init) pair.
+
+    failure is the message of the NewtonConvergenceError that stopped the
+    fit, and empty when no M-step failed; report is then the partial fit.
+    """
 
     run_id: int
     algorithm: str
     report: FitReport
     wall_time: float
+    failure: str = ""
 
     @property
     def satisfied(self) -> bool:
@@ -175,6 +180,7 @@ class RunRecord:
             "algorithm": self.algorithm,
             "converged": str(self.report.converged).lower(),
             "iterations": self.report.iterations,
+            "failure": self.failure,
             "log_likelihood": repr(self.report.final_log_likelihood),
             "constraints_satisfied": str(self.satisfied).lower(),
             "margin": repr(self.margin),
@@ -216,6 +222,7 @@ class ExperimentResult:
             by_algorithm[algorithm] = {
                 "runs": len(subset),
                 "converged": sum(rec.report.converged for rec in subset),
+                "failed": sum(bool(rec.failure) for rec in subset),
                 "constraint_violations": sum(not rec.satisfied for rec in subset),
                 "parameters": per_param,
             }
@@ -235,15 +242,13 @@ def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunRecord, ...]
     init = random_init(config.init_seed(run_id))
     records = []
     for algorithm in config.algorithms:
-        started = time.perf_counter()
+        started, failure = time.perf_counter(), ""
         try:
             report = FITTERS[algorithm](dataset, init, config.options)
         except NewtonConvergenceError as exc:
-            report = exc.report
+            report, failure = exc.report, str(exc)
         elapsed = time.perf_counter() - started
-        records.append(
-            RunRecord(run_id=run_id, algorithm=algorithm, report=report, wall_time=elapsed)
-        )
+        records.append(RunRecord(run_id, algorithm, report, elapsed, failure))
     return tuple(records)
 
 
@@ -253,7 +258,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     At most min(jobs, runs) worker processes start, none when that is one.
     Results are merged in run order, so the output is independent of jobs.
     A fit whose M-step raises NewtonConvergenceError is recorded with the
-    partial report the error carries, and the experiment goes on.
+    partial report the error carries and the error's message as failure,
+    and the experiment goes on.
     """
 
     if jobs < 1:
@@ -292,6 +298,7 @@ def rows_from_csv(source: str | Path) -> list[dict[str, object]]:
                 "algorithm": raw["algorithm"],
                 "converged": raw["converged"] == "true",
                 "iterations": int(raw["iterations"]),
+                "failure": raw["failure"],
                 "constraints_satisfied": raw["constraints_satisfied"] == "true",
             }
             for key in ("log_likelihood", "margin", "wall_time_s"):

@@ -61,20 +61,87 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
     # Stable descending length: the two length-3 and the two length-2
     # learners keep their dataset order. Six cells take two learners of
     # length 3, then three of length 2 or less.
-    assert [learners.tolist() for learners, _, _ in chunks] == [[1, 3], [0, 4, 2]]
-    (_, first, first_lengths), (_, second, second_lengths) = chunks
-    assert first.dtype == second.dtype == np.uint8
-    assert first.tolist() == [[0, 1], [1, 1], [1, 0]]
-    assert second.tolist() == [[1, 0, 1], [0, 0, 0]]
-    assert first_lengths.tolist() == [3, 3]
-    assert second_lengths.tolist() == [2, 2, 1]
+    assert [chunk.learners.tolist() for chunk in chunks] == [[1, 3], [0, 4, 2]]
+    first, second = chunks
+    assert first.counts.dtype == second.counts.dtype == np.uint8
+    # Planes by switch time tau: C, tau - C, wrong from tau on, right from tau on.
+    assert first.counts.tolist() == [
+        [[0, 0], [0, 1], [1, 2], [2, 2]],
+        [[0, 0], [1, 0], [1, 0], [1, 1]],
+        [[1, 1], [0, 1], [0, 1], [0, 0]],
+        [[2, 2], [2, 1], [1, 0], [0, 0]],
+    ]
+    # Learner 2 has one answer: its tau = 2 row is padding, 0 in the last two planes.
+    assert second.counts.tolist() == [
+        [[0, 0, 0], [1, 0, 1], [1, 0, 1]],
+        [[0, 0, 0], [0, 1, 0], [1, 2, 1]],
+        [[1, 2, 0], [1, 1, 0], [0, 0, 0]],
+        [[1, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ]
+    assert first.last.tolist() == [6, 7] and second.last.tolist() == [6, 7, 5]
+    assert first.right.tolist() == [2.0, 2.0] and first.wrong.tolist() == [1.0, 1.0]
+    assert second.right.tolist() == [1.0, 0.0, 1.0] and second.wrong.tolist() == [1.0, 2.0, 0.0]
+    assert first.runs == () and second.runs == ((2, 2, 3),)
+    assert first.tau.tolist() == [0.0, 1.0, 2.0, 3.0] and second.tau.tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "longest, dtype", [(None, np.uint8), (300, np.uint16), (70_000, np.uint32)]
+)
+def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
+    rng = np.random.default_rng(21)
+    lengths = [1] * 5 + rng.integers(1, 31, 95).tolist() + ([longest] if longest else [])
+    answers = [rng.integers(0, 2, n) for n in rng.permutation(lengths)]
+    dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
+    chunks = dataset._chunks
+    assert chunks[0].counts.dtype == dtype
+    for chunk in chunks:
+        steps, count = len(chunk.tau) - 1, len(chunk.learners)
+        plane_type = chunk.counts.dtype
+        # The smallest unsigned type that holds T.
+        assert plane_type == np.min_scalar_type(steps) and plane_type.kind == "u"
+        assert np.iinfo(plane_type).max >= steps
+        assert plane_type == np.uint8 or np.iinfo(f"u{plane_type.itemsize // 2}").max < steps
+        assert chunk.counts.shape == (4, steps + 1, count)
+        # The count planes are all the chunk keeps per cell: no answer or float plane.
+        arrays = [field for field in chunk if isinstance(field, np.ndarray)]
+        planes = sum(array.nbytes for array in arrays if array.ndim > 1)
+        assert planes <= 4 * (steps + 1) * count * plane_type.itemsize
+        vectors = (chunk.learners, chunk.last, chunk.right, chunk.wrong)
+        assert all(vector.shape == (count,) for vector in vectors)
+        assert chunk.tau.tolist() == list(range(steps + 1))
+        tau = np.arange(steps + 1)
+        for column, learner in enumerate(chunk.learners.tolist()):
+            seq, length = answers[learner], len(answers[learner])
+            assert chunk.last[column] == length * count + column
+            # Counted from the back of the answers; past L every plane stays as at L,
+            # except the two "from tau on" planes, which are 0.
+            right_from = np.append(np.cumsum(seq[::-1])[::-1], 0)
+            wrong_from = np.append(np.cumsum(1 - seq[::-1])[::-1], 0)
+            before = np.pad(seq.sum() - right_from, (0, steps - length), mode="edge")
+            want = (
+                before,
+                tau - before,
+                np.pad(wrong_from, (0, steps - length)),
+                np.pad(right_from, (0, steps - length)),
+            )
+            for plane, expected in zip(chunk.counts[:, :, column], want):
+                assert np.array_equal(plane, expected)
+            assert chunk.counts[0].reshape(-1)[chunk.last[column]] == seq.sum()
+            assert (chunk.right[column], chunk.wrong[column]) == (seq.sum(), length - seq.sum())
+        padding = tau[:, None] > np.array([len(answers[i]) for i in chunk.learners.tolist()])
+        for row, start, stop in chunk.runs:
+            assert padding[row:, start:stop].all() and not padding[row - 1, start:stop].any()
+        assert sum(stop - start for _, start, stop in chunk.runs) == np.count_nonzero(
+            padding.any(axis=0)
+        )
 
 
 def test_dataset_chunks_keep_dataset_order_among_equal_lengths():
     rng = np.random.default_rng(3)
     lengths = rng.integers(1, 5, 200).tolist()
     dataset = Dataset(tuple(AttemptSequence((True,) * n) for n in lengths))
-    order = np.concatenate([learners for learners, _, _ in dataset._chunks]).tolist()
+    order = np.concatenate([chunk.learners for chunk in dataset._chunks]).tolist()
     assert order == sorted(range(200), key=lambda i: (-lengths[i], i))
 
 

@@ -43,6 +43,20 @@ def test_scaled_alpha_rows_normalized():
     assert np.all(fb.scale_factors > 0)
 
 
+def test_forward_backward_keeps_paths_at_vanishing_guess_and_slip():
+    # One state's alpha is about 1e-400 of the other's at step 3; a recursion
+    # in plain doubles drops it and reads -1382.94.
+    theta = ParamSet(0.5, 1e-200, 1e-200, 0.5)
+    seq = AttemptSequence((0, 1, 1, 0, 0, 0, 1, 1))
+    fb = forward_backward(theta, seq)
+    assert fb.log_likelihood == pytest.approx(-925.89, abs=0.005)
+    assert fb.log_likelihood == pytest.approx(log_likelihood(theta, [seq]), rel=1e-9)
+    assert fb.log_likelihood == pytest.approx(float(_exact_counts_row(theta, seq)[8]), rel=1e-13)
+    # Logs near -460 carry about 1e-13 relative error into their exponentials.
+    np.testing.assert_allclose(fb.scaled_alpha.sum(axis=1), 1.0, rtol=1e-12)
+    assert np.all(fb.scale_factors > 0)
+
+
 def test_posteriors_match_oracle():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -177,7 +191,8 @@ def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
     sequences = [AttemptSequence(random_attempts(rng, 1)) for _ in range(30)]
     sequences.insert(11, AttemptSequence(random_attempts(rng, 2000)))
     dataset = Dataset(tuple(sequences))
-    assert max(answers.size for _, answers, _ in dataset._chunks) <= data._CHUNK_CELLS
+    cells = [(len(chunk.tau) - 1) * len(chunk.learners) for chunk in dataset._chunks]
+    assert max(cells) <= data._CHUNK_CELLS
     stats = _stats_row(sufficient_stats(theta, dataset))
     assert np.all(np.isfinite(stats))
     looped = sum(
@@ -185,6 +200,28 @@ def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
         for seq in sequences
     )
     np.testing.assert_allclose(stats, looped, rtol=1e-12)
+
+
+def test_count_planes_of_every_width_give_the_per_sequence_counts():
+    # Planes in uint16 (a 300-step learner) and uint32 (70,000 steps) among
+    # ragged learners with length 1, summed as the per-sequence loop sums them.
+    rng = np.random.default_rng(22)
+    theta = random_theta(rng, 0.1, 0.9)
+    lengths = rng.permutation([1] * 4 + rng.integers(1, 31, 36).tolist() + [300, 70_000])
+    sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
+    dataset = Dataset(tuple(sequences))
+    widths = [chunk.counts.dtype for chunk in dataset._chunks]
+    assert widths == [np.uint32, np.uint16]  # the short learners share the 300-step chunk
+    stats = _stats_row(sufficient_stats(theta, dataset))
+    looped = sum(
+        _counts_row(seq, posteriors(theta, seq), forward_backward(theta, seq).log_likelihood)
+        for seq in sequences
+    )
+    np.testing.assert_allclose(stats, looped, rtol=1e-12)
+    # The kernel reads each plane as exact doubles, so the plane's width is invisible.
+    wide = tuple(chunk._replace(counts=chunk.counts.astype(float)) for chunk in dataset._chunks)
+    vars(dataset)["_chunks"] = wide
+    assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), stats)
 
 
 def test_returned_arrays_outlive_later_calls():
@@ -220,10 +257,10 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
     workspaces = []
     kernel = estep._switch_posteriors
 
-    def poisoned(weights, answers, lengths, workspace):
+    def poisoned(weights, chunk, workspace):
         workspaces.append(workspace)
         workspace.fill(np.nan)
-        return kernel(weights, answers, lengths, workspace)
+        return kernel(weights, chunk, workspace)
 
     monkeypatch.setattr(estep, "_switch_posteriors", poisoned)
     for cells in (26, 40, 80):
@@ -232,16 +269,17 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
         chunks = dataset._chunks
         # Every chunk holds two or more learners, so its sums over time run
         # in the same order as in the one default chunk.
-        assert min(len(learners) for learners, _, _ in chunks) >= 2
-        assert len({answers.shape[0] for _, answers, _ in chunks}) > 5
-        assert len({answers.shape[1] for _, answers, _ in chunks}) > 3
-        assert any(answers.shape[0] == 1 for _, answers, _ in chunks)
+        shapes = [chunk.counts.shape[1:] for chunk in chunks]  # (T + 1, n)
+        assert min(count for _, count in shapes) >= 2
+        assert len({rows for rows, _ in shapes}) > 5
+        assert len({count for _, count in shapes}) > 3
+        assert any(rows == 2 for rows, _ in shapes)  # a chunk of length-1 learners
         workspaces.clear()
         got = _stats_row(sufficient_stats(theta, dataset))
         assert len(workspaces) == len(chunks)
         assert all(workspace is workspaces[0] for workspace in workspaces)
         # Three planes of one row per switch time, T + 1 rows.
-        largest = max((answers.shape[0] + 1) * answers.shape[1] for _, answers, _ in chunks)
+        largest = max(rows * count for rows, count in shapes)
         assert workspaces[0].size == 3 * largest
         assert np.array_equal(got, default)
         sufficient_stats(other, dataset)
@@ -252,7 +290,8 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
 def test_one_estep_on_wide_data_allocates_one_workspace():
     dataset = simulate_dataset(TRUE_THETA, 2000, 50, 1)
     chunks = dataset._chunks
-    assert [answers.shape for _, answers, _ in chunks] == [(50, 655)] * 3 + [(50, 35)]
+    assert [chunk.counts.shape for chunk in chunks] == [(4, 51, 655)] * 3 + [(4, 51, 35)]
+    assert all(chunk.counts.dtype == np.uint8 for chunk in chunks)
     # Three planes of 51 rows, one per switch time, by the widest chunk.
     workspace = 3 * 51 * 655 * 8
     tracemalloc.start()
@@ -327,10 +366,7 @@ def test_extreme_parameters_match_the_oracle():
 
 
 def test_vanishing_guess_and_slip_stay_exact():
-    # g s underflows here, so delta must be a sum of logs. One state's scaled
-    # alpha can underflow against the other's, so forward_backward loses
-    # paths ([0, 1, 1, 0, 0, 0, 1, 1] reads -1382.94 against -925.89); the
-    # switch-time sums do not.
+    # g s underflows here, so delta must be a sum of logs.
     theta = ParamSet(0.5, 1e-200, 1e-200, 0.5)
     rng = np.random.default_rng(18)
     lengths = [1, 1, 1] + rng.integers(1, 21, 27).tolist()

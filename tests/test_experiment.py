@@ -173,6 +173,33 @@ def test_a_failed_binding_m_step_keeps_its_partial_report(monkeypatch):
     assert result.summary()["algorithms"]["constrained"]["converged"] == 2
 
 
+def test_a_failed_fit_is_told_from_a_capped_one(monkeypatch, tmp_path):
+    # Run 1's third binding M-step fails mid-run; at a cap of 2 iterations
+    # no fit fails and none converges. Only the failure column tells them apart.
+    config = _tiny_config(master_seed=12)
+    clean = run_experiment(config)
+    fail_floor_stage(monkeypatch, clean.records[1].report.diagnostics["barrier_m_steps"] + 3)
+    failed = run_experiment(config, jobs=1)
+    monkeypatch.undo()
+    capped = run_experiment(replace(config, options=replace(config.options, max_iterations=2)))
+    assert [rec.failure for rec in capped.records] == [""] * 6
+    assert [bool(rec.failure) for rec in failed.records] == [False] * 3 + [True] + [False] * 2
+    assert failed.records[3].algorithm == "constrained"
+    assert failed.records[3].failure.startswith("injected (mu=")
+    assert failed.records[3].report.iterations == capped.records[3].report.iterations == 2
+    for result, failures in ((failed, 1), (capped, 0)):
+        summary = result.summary()["algorithms"]
+        assert summary["constrained"]["failed"] == failures
+        assert summary["baum-welch"]["failed"] == 0
+        paths = write_experiment_artifacts(result, tmp_path / str(failures))
+        rows = rows_from_csv(paths["records"])
+        assert [row["failure"] for row in rows] == [rec.failure for rec in result.records]
+        written = json.loads(paths["summary"].read_text())["summary"]["algorithms"]
+        assert written["constrained"]["failed"] == failures
+    assert failed.summary()["algorithms"]["constrained"]["converged"] == 2
+    assert capped.summary()["algorithms"]["constrained"]["converged"] == 0
+
+
 class _InlineExecutor:
     """Runs the pool's work in this process and records the worker count."""
 
