@@ -24,7 +24,6 @@ from .interior_point import (
     BarrierState,
     InfeasibleStateError,
     NewtonConvergenceError,
-    barrier_continuation,
     fit_constrained,
     interior_point_m_step,
     kkt_residual,
@@ -56,7 +55,6 @@ __all__ = [
     "ParamSet",
     "ParameterError",
     "UndefinedFixedPointError",
-    "barrier_continuation",
     "enumerate_em_objective",
     "enumerate_likelihood",
     "enumerate_paths",

@@ -94,12 +94,14 @@ class FitReport:
 
 
 class NewtonConvergenceError(RuntimeError):
-    """A constrained M-step failed: a barrier stage or the reduced solve on
-    c = 0 (mu = 0) missed its tolerance, or the result lowered the objective.
+    """A constrained M-step failed: the reduced solve on c = 0 (reported at
+    mu = 0) or a barrier stage missed its tolerance, the inward move left
+    the floor stage's start infeasible, or the result lowered the objective.
 
     Raised inside a fit, it carries the fit up to the last completed M-step
     as `report` (estimate, trace, iteration count, diagnostics, with
-    converged False); it is None when raised outside a fit.
+    converged False); it is None when raised outside a fit, as by
+    interior_point_m_step or solve_barrier_subproblem.
     """
 
     def __init__(self, message: str, *, mu: float, residual_norm: float, restarts: int):

@@ -1,4 +1,4 @@
-"""Constraint-guaranteeing M-step: log barrier plus primal-dual Newton.
+"""Constraint-guaranteeing M-step: Newton on c = 0 plus one barrier stage.
 
 The M-step objective is separable in the four parameters,
 
@@ -9,31 +9,28 @@ combine into the single inequality c(theta) >= 0 with
 
     c(theta) = (1-s-g)l0 - (1-g)r.
 
-The paper's barrier (interior_point_m_step, barrier_continuation) maximizes
-objective + mu*log(c) for a decreasing sequence of barrier weights mu,
-warm-starting each stage at the previous solution. A dual value lam tied to
-the constraint by lam*c = mu turns each stage into a square root-finding
-problem: the residual
+interior_point_m_step maximizes the objective subject to c >= 0, and
+fit_constrained runs it as its M-step. The objective is strictly concave, so
+when the closed-form ratios satisfy c > 0 they are the M-step's answer.
+Otherwise the maximizer lies on c = 0, where c is linear in r: eliminating r
+(Nocedal & Wright, Numerical Optimization, 2006, 15.2) leaves a smooth
+problem in three variables that Newton solves, and the dual follows as
+lam = (df/dr)/(1-g).
+
+One barrier stage then maximizes objective + mu*log(c) at the floor weight
+mu = 1e-10, started at that point with dual lam and moved inward to
+c = mu/lam, which makes c strictly positive. The dual tied to the constraint
+by lam*c = mu turns the stage into a square root-finding problem: the residual
 
     F(theta, lam) = [grad objective + lam * grad c,  lam*c - mu]
 
 is driven to zero by damped Newton steps on the exact 5x5 Jacobian. The
 damping keeps every iterate strictly feasible (fraction-to-boundary rule on
 c and lam, box interiority on theta) and falls back to step halving, then
-jittered restarts, when a step fails to reduce the residual. The final
-stage's residual at the mu floor is the solution certificate. The mu path
-and the Newton stop rules are module constants, not options: mu starts at 1
-and shrinks by a factor 0.2 per stage down to the floor 1e-10, 16 stages.
-
-fit_constrained runs no mu path. The objective is strictly concave, so when
-the closed-form ratios satisfy c > 0 they are the M-step's answer.
-Otherwise the maximizer lies on c = 0, where c is linear in r: eliminating r
-(Nocedal & Wright, Numerical Optimization, 2006, 15.2) leaves a smooth
-problem in three variables that Newton solves, and the dual follows as
-lam = (df/dr)/(1-g). One barrier stage at the floor, started there with dual
-lam and moved inward to c = floor/lam, makes c strictly positive and gives
-the same certificate. When the reduced solve or that stage fails, or the
-result scores below the current iterate, the M-step raises
+jittered restarts, when a step fails to reduce the residual. The stage's
+residual is the solution certificate. The floor and the Newton stop rules
+are module constants, not options. When the reduced solve or that stage
+fails, or the result scores below the current iterate, the M-step raises
 NewtonConvergenceError.
 
 The box (0,1)^4 needs no extra barrier terms: the objective's log terms
@@ -75,7 +72,6 @@ __all__ = [
     "kkt_residual",
     "kkt_jacobian",
     "solve_barrier_subproblem",
-    "barrier_continuation",
     "project_feasible",
     "interior_point_m_step",
     "fit_constrained",
@@ -88,24 +84,10 @@ _THETA_MAX = 1.0 - 1e-12
 # Warm starts are pushed at least this far inside the feasible set.
 _FEASIBLE_MARGIN = 1e-3
 
-# Barrier weight path: _MU_INITIAL, times _MU_DECAY per stage, down to
-# _MU_FLOOR. The floor stays strictly positive: with an active constraint
-# the Newton system degenerates at exactly mu = 0, so the certificate is the
-# KKT residual at the floor instead.
-_MU_INITIAL = 1.0
-_MU_DECAY = 0.2
+# Barrier weight of the floor stage. It stays strictly positive: with an
+# active constraint the Newton system degenerates at exactly mu = 0, so the
+# certificate is the KKT residual at the floor instead.
 _MU_FLOOR = 1e-10
-
-
-def _full_mu_path() -> tuple[float, ...]:
-    mus, mu = [], _MU_INITIAL
-    while mu > _MU_FLOOR:
-        mus.append(mu)
-        mu *= _MU_DECAY
-    return (*mus, _MU_FLOOR)
-
-
-_MU_PATH = _full_mu_path()  # strictly decreasing, ending exactly at the floor
 
 # Newton stop rules for one barrier stage: the residual max-norm that ends
 # it, the step cap, and how far a step may go toward the dual wall or box.
@@ -334,22 +316,6 @@ def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> Bar
     return BarrierState(theta=_to_theta(v_out), dual=float(lam_out), mu=start.mu)
 
 
-def barrier_continuation(stats: SufficientStats, theta_start: ParamSet) -> BarrierState:
-    """Follow the decreasing-mu path from a strictly feasible start."""
-
-    margin = constraint_value(theta_start)
-    if margin <= 0.0:
-        raise InfeasibleStateError(
-            f"continuation needs a strictly feasible start, margin={margin!r}"
-        )
-    state = BarrierState(theta=theta_start, dual=_MU_INITIAL / margin, mu=_MU_INITIAL)
-    for mu in _MU_PATH:
-        if state.mu != mu:
-            state = BarrierState(theta=state.theta, dual=state.dual, mu=mu)
-        state = solve_barrier_subproblem(stats, state)
-    return state
-
-
 def _project_vec(v: np.ndarray, target: float) -> np.ndarray:
     """Raise the margin to at least ~target by shrinking s, g, then r."""
 
@@ -405,38 +371,6 @@ def _estimable_ratios(stats: SufficientStats) -> tuple[float, float, float, floa
                 f"maximizer on the boundary"
             )
     return ratios
-
-
-def _checked(stats: SufficientStats, theta_star: ParamSet, final: BarrierState) -> BarrierState:
-    """final, unless it scores below a feasible theta_star on the objective."""
-
-    if constraint_value(theta_star) > 0.0:
-        # The barrier gap at the mu floor is below 1e-10, so any real drop
-        # means the solver landed on the wrong point.
-        drop = objective_value(stats, final.theta) - objective_value(stats, theta_star)
-        if drop < -1e-9:
-            residual = float(np.max(np.abs(kkt_residual(final, stats))))
-            raise NewtonConvergenceError(
-                "constrained M-step decreased the EM objective",
-                mu=final.mu,
-                residual_norm=residual,
-                restarts=0,
-            )
-    return final
-
-
-def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> ParamSet:
-    """Maximize the M-step objective subject to c(theta) >= 0.
-
-    Runs the barrier continuation from (a feasible version of) theta_star
-    and returns the solution at the mu floor, which satisfies the constraint
-    strictly and never scores below theta_star on the objective.
-    """
-
-    _estimable_ratios(stats)
-    start, _ = project_feasible(theta_star)
-    final = barrier_continuation(stats, start)
-    return _checked(stats, theta_star, final).theta
 
 
 def _reduced_newton(pairs: np.ndarray, v: np.ndarray, work: _Work) -> tuple[np.ndarray, float]:
@@ -529,7 +463,52 @@ def _binding_m_step(
             restarts=0,
         )
     v, lam = _solve_stage(pairs, v, lam, _MU_FLOOR, work)
-    return _checked(stats, theta_star, BarrierState(_to_theta(v), float(lam), _MU_FLOOR))
+    final = BarrierState(_to_theta(v), float(lam), _MU_FLOOR)
+    # The barrier gap at the floor is below 1e-10, so any real drop below a
+    # feasible theta_star means the solver landed on the wrong point.
+    if constraint_value(theta_star) > 0.0:
+        drop = objective_value(stats, final.theta) - objective_value(stats, theta_star)
+        if drop < -1e-9:
+            raise NewtonConvergenceError(
+                "constrained M-step decreased the EM objective",
+                mu=_MU_FLOOR,
+                residual_norm=float(np.max(np.abs(kkt_residual(final, stats)))),
+                restarts=0,
+            )
+    return final
+
+
+def _m_step(
+    stats: SufficientStats, theta_star: ParamSet, work: _Work
+) -> tuple[ParamSet, float, float, dict[str, object] | None]:
+    """The constrained M-step from theta_star: the new theta, its dual (0.0
+    exactly when the closed form is feasible), its KKT residual max-norm and
+    project_feasible's adjustment of theta_star."""
+
+    ratios = np.array(_estimable_ratios(stats))
+    start, adjustment = project_feasible(theta_star)
+    if np.all((ratios > 0.0) & (ratios < 1.0)) and _margin(*ratios) > 0.0:
+        # Inactive constraint: the KKT residual with lam = 0 is the gradient.
+        residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
+        return _to_theta(ratios), 0.0, residual, adjustment
+    final = _binding_m_step(stats, theta_star, start, work)
+    residual = float(np.max(np.abs(kkt_residual(final, stats))))
+    return final.theta, final.dual, residual, adjustment
+
+
+def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> ParamSet:
+    """Maximize the M-step objective subject to c(theta) >= 0.
+
+    This is fit_constrained's update: the closed-form ratios when they
+    satisfy c > 0, else the reduced solve on c = 0 from (a feasible version
+    of) theta_star and one floor stage. The result satisfies the constraint
+    strictly and never scores below a feasible theta_star on the objective.
+    Raises DegenerateStatsError for one-sided counts, and
+    NewtonConvergenceError when the reduced solve, the floor stage or the
+    objective check fails.
+    """
+
+    return _m_step(stats, theta_star, _Work())[0]
 
 
 def fit_constrained(
@@ -537,21 +516,17 @@ def fit_constrained(
     init: ParamSet,
     options: FitOptions | None = None,
 ) -> FitReport:
-    """EM loop whose M-step keeps every iterate and the final estimate
-    inside the behavioral constraints.
+    """EM loop whose M-step, interior_point_m_step from the current
+    iterate, keeps every iterate and the final estimate inside the
+    behavioral constraints.
 
-    Each M-step takes the closed-form update when it lies strictly inside
-    the box with c > 0, with the gradient norm as its certificate.
-    Otherwise it runs the reduced solve on c = 0 and one floor stage from
-    the current iterate, projected inward when it is infeasible or nearly
-    so (see the module docstring); when either fails, the fit raises
-    NewtonConvergenceError carrying the fit up to the last completed M-step.
-    Genuine restorations (margin <= 0, typically only the initial guess)
-    are recorded in the diagnostics, as are, over the completed M-steps,
-    the counts of binding M-steps and of Newton steps (reduced and
-    barrier). The log-likelihood trace is non-decreasing from the first
-    feasible iterate on: from an infeasible init, the projection can lose
-    likelihood at iteration 1.
+    When an M-step fails, the fit raises NewtonConvergenceError carrying the
+    fit up to the last completed M-step. The diagnostics record genuine
+    restorations (margin <= 0, typically only the initial guess) and, over
+    the completed M-steps, the counts of binding M-steps and of Newton steps
+    (reduced and barrier). The log-likelihood trace is non-decreasing from
+    the first feasible iterate on: from an infeasible init, the projection
+    can lose likelihood at iteration 1.
     """
 
     restorations: list[dict[str, object]] = []
@@ -565,18 +540,10 @@ def fit_constrained(
     work = _Work()
 
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        ratios = np.array(_estimable_ratios(stats))
-        start, adjustment = project_feasible(theta)
-        if np.all((ratios > 0.0) & (ratios < 1.0)) and _margin(*ratios) > 0.0:
-            # Inactive constraint: the KKT residual with lam = 0 is the gradient.
-            theta_new, dual = _to_theta(ratios), 0.0
-            residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
-        else:
-            final = _binding_m_step(stats, theta, start, work)
-            theta_new, dual = final.theta, final.dual
-            residual = float(np.max(np.abs(kkt_residual(final, stats))))
+        theta_new, dual, residual, adjustment = _m_step(stats, theta, work)
+        if dual > 0.0:  # only a binding M-step has a dual, and it is positive
             diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
-            diagnostics["newton_steps"] = work.steps
+        diagnostics["newton_steps"] = work.steps
         if adjustment is not None:
             diagnostics["warm_start_adjustments"] += 1  # type: ignore[operator]
             if adjustment["margin_before"] <= 0.0:

@@ -8,12 +8,22 @@ settings are.
 from __future__ import annotations
 
 import contextlib
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
 
 import bktfit.interior_point as interior_point
-from bktfit import NewtonConvergenceError, ParamSet, validate_params
+from bktfit import (
+    BarrierState,
+    NewtonConvergenceError,
+    ParamSet,
+    project_feasible,
+    solve_barrier_subproblem,
+    validate_params,
+)
+from bktfit.interior_point import constraint_value
 
 # Well-behaved generating parameters used across the suite: comfortably
 # inside every constraint (margin 0.0675, fixed point 0.346 < l0).
@@ -58,6 +68,24 @@ def fail_floor_stage(monkeypatch, number: int) -> None:
         return original(pairs, v, lam, mu, work)
 
     monkeypatch.setattr(interior_point, "_solve_stage", failing)
+
+
+# The paper's barrier weights: 1.0 times 0.2 per stage while above the
+# library's floor 1e-10, then the floor itself; 16 stages.
+PURE_BARRIER_MUS = (*accumulate([0.2] * 14, mul, initial=1.0), interior_point._MU_FLOOR)
+
+
+def pure_barrier(stats, theta_star: ParamSet) -> BarrierState:
+    """The paper's constrained M-step, kept as a reference: one
+    solve_barrier_subproblem stage per weight in PURE_BARRIER_MUS, each
+    warm-started at the last, from theta_star projected inward."""
+
+    theta = project_feasible(theta_star)[0]
+    dual = PURE_BARRIER_MUS[0] / constraint_value(theta)
+    for mu in PURE_BARRIER_MUS:
+        state = solve_barrier_subproblem(stats, BarrierState(theta, dual, mu))
+        theta, dual = state.theta, state.dual
+    return state
 
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []

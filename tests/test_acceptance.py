@@ -17,24 +17,30 @@ import pytest
 
 from bktfit import (
     AttemptSequence,
+    BarrierState,
     ExperimentConfig,
-    barrier_continuation,
+    FitOptions,
     enumerate_em_objective,
     enumerate_likelihood,
     enumerate_posteriors,
+    fit_constrained,
     fixed_point,
     forward_backward,
     interior_point_m_step,
     kkt_residual,
     posteriors,
-    project_feasible,
     run_experiment,
     simulate_dataset,
     sufficient_stats,
     trace_sequence,
 )
 from bktfit.core import PARAM_NAMES, MasteryState, ParamSet, apply_transition, posterior_given_obs
-from bktfit.interior_point import objective_gradient, objective_hessian_diag, objective_value
+from bktfit.interior_point import (
+    constraint_value,
+    objective_gradient,
+    objective_hessian_diag,
+    objective_value,
+)
 from bktfit.fitting import ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED
 from conftest import TRUE_THETA, random_attempts, random_theta, random_valid_theta
 
@@ -245,11 +251,15 @@ def test_criterion_7_kkt_certificate(criterion):
             reference = random_theta(rng, 0.05, 0.95)
             stats = sufficient_stats(reference, dataset)
 
-            start, _ = project_feasible(reference)
-            final = barrier_continuation(stats, start)
-            assert final.mu == 1e-10
-            assert np.abs(kkt_residual(final, stats)).max() < 1e-8
-            assert interior_point_m_step(stats, reference) == final.theta
+            # The first M-step of a fit from reference runs on these stats.
+            report = fit_constrained(dataset, reference, FitOptions(max_iterations=1))
+            theta, dual = report.theta_hat, report.diagnostics["final_dual"]
+            assert interior_point_m_step(stats, reference) == theta
+            assert constraint_value(theta) > 0
+            # A binding M-step ends at mu = 1e-10; a closed-form one has
+            # lam = 0, and its residual is the gradient.
+            state = BarrierState(theta, dual=dual, mu=1e-10 if dual > 0 else 0.0)
+            assert np.abs(kkt_residual(state, stats)).max() < 1e-8
 
             pairs = stats.pairs()
             grid_objective = sum(
@@ -257,7 +267,7 @@ def test_criterion_7_kkt_certificate(criterion):
                 for i in range(4)
             )
             best_grid = grid_objective[feasible].max()
-            assert objective_value(stats, final.theta) >= best_grid - 1e-8
+            assert objective_value(stats, theta) >= best_grid - 1e-8
 
 
 def test_criterion_8_parameter_recovery(criterion, recovery_runs):

@@ -334,7 +334,7 @@ def test_fit_defaults_are_the_dataclass_defaults():
 
 @pytest.mark.parametrize("knob", ["initial", "decay", "floor"])
 def test_fit_has_no_barrier_path_flags(tmp_path, dataset_file, capsys, knob):
-    # The barrier mu path is a solver constant: no flag sets it.
+    # The barrier weight is a solver constant: no flag sets it.
     out = tmp_path / "report.json"
     argv = ["fit", "--data", str(dataset_file), "--algorithm", "constrained"]
     assert main([*argv, f"--mu-{knob}", "0.5", "--out", str(out)]) == EXIT_USAGE

@@ -15,7 +15,6 @@ from bktfit import (
     InfeasibleStateError,
     NewtonConvergenceError,
     ParamSet,
-    barrier_continuation,
     enumerate_em_objective,
     fit_baum_welch,
     fit_constrained,
@@ -34,8 +33,6 @@ from bktfit.estep import SufficientStats
 from bktfit.fitting import _run_em
 from bktfit.interior_point import (
     _MU_FLOOR,
-    _MU_INITIAL,
-    _MU_PATH,
     constraint_gradient,
     constraint_value,
     kkt_jacobian,
@@ -43,7 +40,13 @@ from bktfit.interior_point import (
     objective_hessian_diag,
     objective_value,
 )
-from conftest import TRUE_THETA, random_theta, random_valid_theta
+from conftest import (
+    PURE_BARRIER_MUS,
+    TRUE_THETA,
+    pure_barrier,
+    random_theta,
+    random_valid_theta,
+)
 
 
 def _random_stats(rng, learners=25, steps=7):
@@ -155,11 +158,12 @@ def test_kkt_jacobian_matches_finite_differences():
 
 
 def test_schedule_sequence_decreasing_to_floor():
-    # The fixed mu path: 1.0 times 0.2 per stage, ending exactly at 1e-10.
-    assert len(_MU_PATH) == 16
-    assert _MU_PATH[0] == _MU_INITIAL == 1.0
-    assert _MU_PATH[-1] == _MU_FLOOR == 1e-10
-    assert all(b < a for a, b in zip(_MU_PATH, _MU_PATH[1:]))
+    # The reference barrier's mu path: 1.0 times 0.2 per stage, ending
+    # exactly at the floor of the library's one barrier stage, 1e-10.
+    assert len(PURE_BARRIER_MUS) == 16
+    assert PURE_BARRIER_MUS[0] == 1.0
+    assert PURE_BARRIER_MUS[-1] == _MU_FLOOR == 1e-10
+    assert all(b < a for a, b in zip(PURE_BARRIER_MUS, PURE_BARRIER_MUS[1:]))
 
 
 @pytest.mark.parametrize(
@@ -184,8 +188,6 @@ def test_schedule_validation(kwargs):
         fit_constrained(dataset, reference, schedule=kwargs)
     with pytest.raises(TypeError, match="schedule"):
         interior_point_m_step(stats, reference, schedule=kwargs)
-    with pytest.raises(TypeError, match="schedule"):
-        barrier_continuation(stats, TRUE_THETA, schedule=kwargs)
     payload = {"true_theta": TRUE_THETA.to_dict(), "num_datasets": 1, "schedule": kwargs}
     with pytest.raises(ValueError, match="unknown config keys: schedule"):
         ExperimentConfig.from_dict(payload)
@@ -220,23 +222,6 @@ def test_solve_barrier_subproblem_reaches_tolerance():
         residual = np.abs(kkt_residual(solved, stats)).max()
         assert residual < interior_point._NEWTON_TOLERANCE
         assert solved.dual * constraint_value(solved.theta) == pytest.approx(mu, rel=1e-6)
-
-
-def test_barrier_continuation_reaches_floor_certificate():
-    rng = np.random.default_rng(27)
-    for _ in range(5):
-        stats, _, _ = _random_stats(rng)
-        final = barrier_continuation(stats, TRUE_THETA)
-        assert final.mu == _MU_FLOOR
-        assert np.abs(kkt_residual(final, stats)).max() < 1e-8
-        assert constraint_value(final.theta) > 0
-
-
-def test_continuation_rejects_infeasible_start():
-    rng = np.random.default_rng(28)
-    stats, _, _ = _random_stats(rng)
-    with pytest.raises(InfeasibleStateError):
-        barrier_continuation(stats, ParamSet(l0=0.3, g=0.6, s=0.5, r=0.4))
 
 
 def test_m_step_matches_closed_form_when_constraint_inactive():
@@ -510,7 +495,7 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
     assert constraint_value(final.theta) > 0
     assert np.abs(kkt_residual(final, stats)).max() < 1e-8
     try:
-        reference = interior_point_m_step(stats, theta_star)
+        reference = pure_barrier(stats, theta_star).theta
     except NewtonConvergenceError:
         return  # the pure barrier can stall where the reduced solve does not
     np.testing.assert_allclose(
@@ -519,16 +504,65 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
     assert objective_value(stats, final.theta) >= objective_value(stats, reference)
 
 
+def _public_m_step_fit(dataset, init):
+    """The EM loop over interior_point_m_step, as a library user would run it."""
+
+    return _run_em(
+        "public-m-step", dataset, init, None, lambda s, t, i: interior_point_m_step(s, t), {}
+    )
+
+
 def test_fit_constrained_converges_on_the_known_barrier_stall_case():
-    # The full chain stalls on this dataset at M-step 36 from this init, an
-    # M-step whose closed form is feasible.
+    # The pure barrier stalls on this dataset at M-step 36 from this init, an
+    # M-step whose closed form is feasible. Neither the fitter nor an EM loop
+    # over the public M-step runs it.
     truth = ParamSet(
         0.8401254584672667, 0.08571233751231444, 0.3431255032173312, 0.08822924066694832
     )
-    report = fit_constrained(simulate_dataset(truth, 40, 8, 1922194574), random_init(5))
+    dataset = simulate_dataset(truth, 40, 8, 1922194574)
+    report = fit_constrained(dataset, random_init(5))
     assert report.converged
     assert report.constraints.satisfied
     assert constraint_value(report.theta_hat) > 0
+    public = _public_m_step_fit(dataset, random_init(5))
+    assert public.converged
+    assert public.theta_hat == report.theta_hat
+
+
+def test_public_m_step_solves_the_pure_barrier_stall_counts():
+    # From this theta_star the pure barrier stalls at mu = 1 on these counts
+    # (residual max-norm 26818.4 after 5 restarts).
+    stats = SufficientStats(
+        (2.5, 2.5),
+        (753.75, 50.25),
+        (1932.65625, 62.34375),
+        (1132.5, 75.5),
+        learner_count=1,
+        log_likelihood=0.0,
+    )
+    theta_star = ParamSet(0.0625, 0.25, 0.25, 0.5)
+    theta, dual, residual, _ = interior_point._m_step(stats, theta_star, interior_point._Work())
+    assert interior_point_m_step(stats, theta_star) == theta
+    assert constraint_value(theta) > 0 and dual > 0
+    certificate = np.abs(kkt_residual(BarrierState(theta, dual, _MU_FLOOR), stats)).max()
+    assert certificate == residual < 1e-8
+
+
+def test_em_over_the_public_m_step_is_fit_constrained():
+    # The benchmark's traced replay drives interior_point_m_step with the
+    # fitters' stopping rule, so it must retrace fit_constrained exactly.
+    rng = np.random.default_rng(35)
+    binding_fits = 0
+    for pair in range(24):
+        truth = TRUE_THETA if pair % 2 else random_valid_theta(rng)
+        dataset = simulate_dataset(truth, 40, 8, int(rng.integers(1 << 31)))
+        report = fit_constrained(dataset, random_init(pair))
+        public = _public_m_step_fit(dataset, random_init(pair))
+        assert public.theta_hat == report.theta_hat
+        assert public.loglik_trace == report.loglik_trace
+        assert public.iterations == report.iterations
+        binding_fits += report.diagnostics["barrier_m_steps"] > 0
+    assert 0 < binding_fits < 24
 
 
 def test_fit_constrained_agrees_with_baum_welch_when_inactive():
@@ -566,7 +600,7 @@ def test_first_m_step_takes_the_closed_form_only_when_it_is_feasible():
             assert report.diagnostics["final_kkt_residual"] == np.abs(gradient).max()
         else:
             seen["active"] += 1
-            barrier = interior_point_m_step(stats, reference)
+            barrier = pure_barrier(stats, reference).theta
             np.testing.assert_allclose(
                 report.theta_hat.astuple(), barrier.astuple(), rtol=0, atol=1e-7
             )
@@ -582,7 +616,7 @@ def test_fit_constrained_matches_the_barrier_only_fit():
             dataset,
             init,
             None,
-            lambda stats, theta, iteration: interior_point_m_step(stats, theta),
+            lambda stats, theta, iteration: pure_barrier(stats, theta).theta,
             {},
         )
 
