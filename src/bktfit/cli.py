@@ -23,7 +23,12 @@ from .core import ParamSet, ParameterError, param_values, parse_object, validate
 from .data import read_dataset, write_dataset, write_ground_truth
 from .experiment import FITTERS, ExperimentConfig, run_experiment, write_experiment_artifacts
 from .fitting import FitOptions, FitReport, NewtonConvergenceError, random_init
-from .simulate import DEFAULT_LEARNERS, DEFAULT_STEPS, simulate_dataset_with_paths
+from .simulate import (
+    DEFAULT_LEARNERS,
+    DEFAULT_STEPS,
+    simulate_dataset,
+    simulate_dataset_with_paths,
+)
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -58,7 +63,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         theta = _load_params(args.params)
         learners, steps, seed = args.learners, args.steps, args.seed
-    dataset, paths = simulate_dataset_with_paths(theta, learners, steps, seed)
+    if args.truth is None:
+        dataset = simulate_dataset(theta, learners, steps, seed)
+    else:
+        dataset, paths = simulate_dataset_with_paths(theta, learners, steps, seed)
+        write_ground_truth(dataset, paths, args.truth)
     write_dataset(dataset, args.out)
     sidecar = {
         "theta": theta.to_dict(),
@@ -67,8 +76,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": seed,
     }
     Path(str(args.out) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    if args.truth is not None:
-        write_ground_truth(dataset, paths, args.truth)
     print(f"wrote {learners} learners x {steps} steps to {args.out}")
     return EXIT_OK
 

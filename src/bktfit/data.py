@@ -10,7 +10,13 @@ bytes: a leading UTF-8 byte-order mark is skipped, lines end in LF or CRLF
 (the last one may lack its line end), and cells are split at bare commas,
 so a quoted cell is malformed like any other. Every malformed line raises
 DatasetFormatError naming its line number, which `bktfit` reports with
-exit code 3.
+exit code 3. The writers write UTF-8 with CRLF line ends, the bytes of
+csv.writer with lineterminator "\\r\\n", in blocks of 16,384 rows
+(_WRITE_ROWS): numpy computes a block's learner indices and steps and
+their decimal digits, lays the block out as one byte matrix of fixed-width
+lines (digits, commas, 0/1 flags, CRLF), drops the numbers' leading zeros
+and hands the rest to the file in one write. The writer's temporaries are
+about 80 bytes per row of one block, some 1.3 MB whatever the file size.
 
 A Dataset holds its answers once, flat: one uint8 array of every learner's
 answers in order, and the learners' lengths. The readers and the simulator
@@ -54,7 +60,7 @@ _CHUNK_CELLS = 1 << 15
 # The readers validate this many bytes at a time, cut at the last line end,
 # so their temporaries stay a few times this size whatever the file size.
 _BLOCK_BYTES = 1 << 16
-_WRITE_ROWS = 1 << 16  # rows formatted per write
+_WRITE_ROWS = 1 << 14  # rows formatted per write
 _BOM = b"\xef\xbb\xbf"
 _LF, _CR, _COMMA, _ZERO = 10, 13, 44, 48
 _MAX_DIGITS = 18  # every decimal of up to 18 digits fits an int64
@@ -270,34 +276,62 @@ def as_dataset(data: Dataset | Iterable[object]) -> Dataset:
     return data if isinstance(data, Dataset) else Dataset(data)
 
 
+def _decimals(out: np.ndarray, keep: np.ndarray, values: np.ndarray) -> None:
+    """Fill out's columns with the values' decimal digits, right-aligned, and
+    clear keep where a digit is a leading zero; a 0 keeps its one digit."""
+
+    rest, width = values, out.shape[1]
+    for k in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, _ZERO, out=out[:, k], casting="unsafe")
+        if k:
+            np.greater_equal(values, 10 ** (width - k), out=keep[:, k - 1])
+
+
 def _write_table(
     destination: str | Path, header: tuple[str, ...], dataset: Dataset, *flags: np.ndarray
 ) -> None:
-    """Write one row per attempt: learner index, step, then each flag column as 0/1."""
+    """Write one row per attempt: learner index, step, then each flag column as 0/1.
+
+    A block of _WRITE_ROWS rows is laid out as one byte matrix, a row per
+    line: each cell right-aligned in as many columns as the block's widest
+    value of it, commas between, CRLF at the end. The matrix less the cells'
+    leading zeros is one write, the bytes csv.writer writes for these rows.
+    """
 
     bounds, total = dataset._bounds, len(dataset._answers)
-    row = ",".join(["{}"] * len(header)) + "\r\n"
-    # newline="" and CRLF rows keep the bytes csv.writer wrote.
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
+    with open(destination, "wb") as handle:
+        handle.write((",".join(header) + "\r\n").encode())
         for lo in range(0, total, _WRITE_ROWS):
-            rows = np.arange(lo, min(lo + _WRITE_ROWS, total))
+            hi = min(lo + _WRITE_ROWS, total)
+            rows = np.arange(lo, hi)
             learners = np.searchsorted(bounds, rows, side="right") - 1
-            columns = [learners, rows - bounds[learners] + 1] + [f[rows] for f in flags]
-            handle.writelines(map(row.format, *(column.tolist() for column in columns)))
+            cells = [learners, rows - bounds[learners] + 1] + [flag[lo:hi] for flag in flags]
+            widths = [len(str(cell.max())) for cell in cells]
+            line = np.full((len(rows), sum(widths) + len(widths) + 1), _COMMA, dtype=np.uint8)
+            keep = np.ones(line.shape, dtype=bool)
+            at = 0
+            for cell, width in zip(cells, widths):
+                _decimals(line[:, at : at + width], keep[:, at : at + width], cell)
+                at += width + 1
+            line[:, -2:] = (_CR, _LF)
+            handle.write(line[keep])
 
 
-def write_dataset(dataset: Dataset, destination: str | Path) -> None:
-    """Write the dataset in the canonical CSV layout."""
+def write_dataset(dataset: Dataset | Iterable[object], destination: str | Path) -> None:
+    """Write the dataset, or any iterable of answer sequences, in the canonical CSV layout."""
 
+    dataset = as_dataset(dataset)
     _write_table(destination, _DATASET_HEADER, dataset, dataset._answers)
 
 
 def write_ground_truth(
-    dataset: Dataset, paths: Iterable[HiddenPath], destination: str | Path
+    dataset: Dataset | Iterable[object], paths: Iterable[HiddenPath], destination: str | Path
 ) -> None:
-    """Write attempts together with the hidden states that generated them."""
+    """Write attempts, a dataset or any iterable of answer sequences, together
+    with the hidden states that generated them."""
 
+    dataset = as_dataset(dataset)
     paths = tuple(paths)
     if len(paths) != len(dataset):
         raise ValueError("need exactly one hidden path per learner")

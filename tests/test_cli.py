@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bktfit.interior_point as interior_point
+import bktfit.simulate as simulate_module
 from bktfit import (
     ExperimentConfig,
     FitOptions,
@@ -29,6 +30,7 @@ from bktfit.cli import (
     build_parser,
     main,
 )
+from bktfit.data import HiddenPath
 from bktfit.experiment import FITTERS
 from conftest import TRUE_THETA, fail_floor_stage
 
@@ -132,6 +134,25 @@ def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
         "steps": 5,
         "seed": 3,
     }
+
+
+def test_simulate_builds_hidden_paths_only_for_truth(tmp_path, theta_file, monkeypatch):
+    kinds = []
+    runs = simulate_module._runs
+
+    def counted(kind, *args):
+        kinds.append(kind)
+        return runs(kind, *args)
+
+    monkeypatch.setattr(simulate_module, "_runs", counted)
+    argv = ["simulate", "--params", str(theta_file), "--learners", "30", "--steps", "7"]
+    plain, with_truth = tmp_path / "plain.csv", tmp_path / "with-truth.csv"
+    assert main([*argv, "--out", str(plain)]) == EXIT_OK
+    assert kinds == []
+    truth = ["--truth", str(tmp_path / "truth.csv")]
+    assert main([*argv, "--out", str(with_truth), *truth]) == EXIT_OK
+    assert kinds == [HiddenPath]
+    assert plain.read_bytes() == with_truth.read_bytes()
 
 
 def test_simulate_regenerates_identically_from_sidecar(tmp_path, dataset_file):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import tracemalloc
 from unittest import mock
 
@@ -184,6 +186,60 @@ def test_dataset_header_and_ids(tmp_path):
     assert lines[2] == "0,2,0"
     # 3 + 2 + 1 data rows
     assert len(lines) == 7
+
+
+def test_writers_take_any_iterable_of_answer_sequences(tmp_path):
+    expected = Dataset((AttemptSequence((True, False)), AttemptSequence((False,))))
+    paths = (HiddenPath((False, True)), HiddenPath((True,)))
+    for answers in ([[1, 0], [0]], iter([(True, False), (False,)])):
+        write_dataset(answers, tmp_path / "data.csv")
+        assert read_dataset(tmp_path / "data.csv") == expected
+    write_ground_truth([[1, 0], [0]], paths, tmp_path / "truth.csv")
+    assert read_ground_truth(tmp_path / "truth.csv") == (expected, paths)
+
+
+def _csv_bytes(header: tuple[str, ...], rows: list[tuple[int, ...]]) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+def _golden_lengths(case: str) -> list[int]:
+    rng = np.random.default_rng(17)
+    if case == "widths":
+        # Ids cross 9/10 through 9999/10000; learner 5's steps cross 9/10
+        # through 999/1000; most learners have one or two answers.
+        lengths = rng.integers(1, 3, 10_002).tolist()
+        lengths[5] = 1_000
+        return lengths
+    total = data._WRITE_ROWS + {"block-1": -1, "block": 0, "block+1": 1}[case]
+    lengths: list[int] = []
+    while sum(lengths) < total:
+        lengths.append(min(int(rng.integers(1, 31)), total - sum(lengths)))
+    return lengths
+
+
+@pytest.mark.parametrize("case", ["widths", "block-1", "block", "block+1"])
+def test_writers_write_the_bytes_of_csv_writer(tmp_path, case):
+    lengths = _golden_lengths(case)
+    rng = np.random.default_rng(len(lengths))
+    answers = [rng.integers(0, 2, n).tolist() for n in lengths]
+    switches = rng.integers(0, 40, len(lengths)).tolist()
+    states = [[int(t >= k) for t in range(n)] for n, k in zip(lengths, switches)]
+    rows = [
+        (learner, step + 1, answer, state)
+        for learner, (seq, path) in enumerate(zip(answers, states))
+        for step, (answer, state) in enumerate(zip(seq, path))
+    ]
+    dataset = Dataset(answers)
+    write_dataset(dataset, tmp_path / "data.csv")
+    expected = _csv_bytes(("learner_id", "step", "correct"), [row[:3] for row in rows])
+    assert (tmp_path / "data.csv").read_bytes() == expected
+    write_ground_truth(dataset, map(HiddenPath, states), tmp_path / "truth.csv")
+    expected = _csv_bytes(("learner_id", "step", "correct", "proficient"), rows)
+    assert (tmp_path / "truth.csv").read_bytes() == expected
 
 
 def test_read_rejects_empty_file(tmp_path):
@@ -487,3 +543,18 @@ def test_read_dataset_memory_stays_within_a_constant_of_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(dataset) == 10_000
     assert peak <= 2 * size + 4 * 2**20, (peak, size)
+
+
+def test_write_dataset_memory_stays_within_a_constant_of_one_block(tmp_path):
+    peaks = []
+    for learners in (5_000, 20_000):  # 100k and 400k rows
+        dataset = simulate_dataset(TRUE_THETA, learners, 20, 0)
+        tracemalloc.start()
+        try:
+            write_dataset(dataset, tmp_path / "data.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[0] <= 100 * data._WRITE_ROWS + 2**20, peaks
