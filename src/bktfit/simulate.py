@@ -1,20 +1,31 @@
 """Seeded sampling from the generative mastery process.
 
-Each learner gets an independent PCG64 substream derived from
-``SeedSequence((seed, learner_index))``, so datasets are reproducible and
-independent of how generation is scheduled. Per learner the draws are laid
-out as one initial-state uniform, then one uniform per attempt, then one
+Learner i of a dataset seeded with ``seed`` draws from the stream of
+``Generator(PCG64(SeedSequence((*seed, i))))``, so datasets are reproducible
+and independent of how generation is scheduled. Per learner the draws are
+laid out as one initial-state uniform, then one uniform per attempt, then one
 uniform per between-attempt transition, so the stream layout does not depend
 on the sampled path.
+
+numpy builds those generators one learner at a time, at about 30 us each.
+Here the same streams are derived for a block of learners at once: numpy's
+SeedSequence hash and PCG64's seeding and 128-bit LCG (XSL-RR output) are
+computed in uint32 and uint64 vectors over the block, and each draw's
+``(output >> 11) * 2**-53`` is written into its column of the block's
+uniforms, bit for bit what ``Generator.random`` returns. Besides the
+(block, 2 * length) float64 uniforms, a block's temporaries peak at about
+fourteen vectors of one 64-bit word per learner, 112 bytes a learner and
+448 KiB for a full block, whatever the length.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
-from .core import ParamSet, _generator, _require_int
+from .core import ParamSet, _require_int
 from .data import AttemptSequence, Dataset, HiddenPath, _runs
 
 __all__ = [
@@ -33,23 +44,137 @@ DEFAULT_STEPS = 10
 Seed = int | Sequence[int]
 
 # Learners per block of uniforms: the (block, 2 * length) float64 draws are
-# the simulator's largest temporary, so this bounds its peak memory.
-_BLOCK = 16_384
+# the simulator's largest temporary, so this bounds its peak memory. On a
+# 2-core Xeon, blocks of 16,384 derived 10,000 x 30 streams no faster.
+_BLOCK = 4_096
+
+# numpy's SeedSequence: pool of four uint32 words, its hash and mix constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
+_XSHIFT = np.uint32(16)
+
+# PCG64's 128-bit LCG multiplier as two 64-bit halves, and the low half's
+# 32-bit limbs for the high half of a 64 x 64-bit product. Every shift and
+# mask is a numpy scalar of its vector's type, so numpy 1.x and 2.x promote
+# alike.
+_MUL_HI, _MUL_LO = np.uint64(0x2360_ED05_1FC6_5DA4), np.uint64(0x4385_DF64_9FCC_F645)
+_MUL_LO_HI, _MUL_LO_LO = np.uint64(0x4385_DF64), np.uint64(0x9FCC_F645)
+_LOW32, _HALF = np.uint64(_MASK32), np.uint64(32)
+_ONE, _TOP_BIT, _TOP_SIX, _MOD64 = np.uint64(1), np.uint64(63), np.uint64(58), np.uint64(63)
+_DOUBLE_SHIFT, _DOUBLE_SCALE = np.uint64(11), 2.0**-53
+
+
+def _words(entropy: Seed) -> list[int]:
+    """The uint32 words SeedSequence(entropy) reads: each int's, low word first.
+
+    numpy checks the seed first, so a bad one raises numpy's own error.
+    """
+
+    np.random.SeedSequence(entropy)
+    values = entropy if isinstance(entropy, Sequence) else (entropy,)
+    words = []
+    for value in map(operator.index, values):
+        words += [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    return words
+
+
+def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash of a uint32 word vector, and the next hash constant."""
+
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ value >> _XSHIFT, hash_const
+
+
+def _pool(words: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's entropy pool, mixed from uint32 word vectors."""
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value, hash_const = _hash(value, hash_const, _MULT_A)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ result >> _XSHIFT
+
+    # Words past the entropy hash as zeros.
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_seeds(pool: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.generate_state(4, np.uint64) as four uint64 vectors."""
+
+    # Eight uint32 words, paired low word first into four uint64 ones.
+    hash_const, seeds = _INIT_B, []
+    for i in range(0, 8, 2):
+        low, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        high, hash_const = _hash(pool[(i + 1) % _POOL_SIZE], hash_const, _MULT_B)
+        seeds.append(low.astype(np.uint64) | high.astype(np.uint64) << _HALF)
+    return seeds
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    """One LCG step in place: state = state * multiplier + inc mod 2**128, on 64-bit halves."""
+
+    # The high half of lo * _MUL_LO from 32-bit limbs, none of whose sums overflow.
+    a0, a1 = lo & _LOW32, lo >> _HALF
+    mid = (a0 * _MUL_LO_LO >> _HALF) + a1 * _MUL_LO_LO
+    cross = (mid & _LOW32) + a0 * _MUL_LO_HI
+    hi *= _MUL_LO
+    hi += a1 * _MUL_LO_HI + (mid >> _HALF) + (cross >> _HALF) + lo * _MUL_HI + inc_hi
+    lo *= _MUL_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+
+
+def _uniforms(prefix: list[int], last: np.ndarray, out: np.ndarray) -> None:
+    """Row k of out: the first draws of Generator.random on SeedSequence(prefix + [last[k]])."""
+
+    words = [np.array([word], dtype=np.uint32) for word in prefix] + [last]
+    hi, lo, seq_hi, seq_lo = _pcg64_seeds(_pool(words))
+    # PCG64 seeding: inc = initseq << 1 | 1; a step from state 0 gives inc,
+    # initstate is added, and the state is stepped once more.
+    inc_hi, inc_lo = seq_hi << _ONE | seq_lo >> _TOP_BIT, seq_lo << _ONE | _ONE
+    del seq_hi, seq_lo
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    _step(hi, lo, inc_hi, inc_lo)
+    for column in out.T:
+        _step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: the halves' xor rotated right by the state's top six bits.
+        x, rot = hi ^ lo, hi >> _TOP_SIX
+        draw = x >> rot | x << (-rot & _MOD64)
+        np.multiply(draw >> _DOUBLE_SHIFT, _DOUBLE_SCALE, out=column)
 
 
 def _sample(
-    theta: ParamSet, seeds: Iterable[Seed], count: int, length: int
+    theta: ParamSet, prefix: list[int], last: np.ndarray, length: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(count, length) boolean states and answers, one learner per seed."""
+    """(count, length) boolean states and answers, learner k seeded by prefix + [last[k]]."""
 
+    count = len(last)
     states = np.empty((count, length), dtype=bool)
     answers = np.empty_like(states)
-    seeds = iter(seeds)
     u = np.empty((min(count, _BLOCK), 2 * length))
     for lo in range(0, count, _BLOCK):
         block, drawn = u[: count - lo], states[lo : lo + _BLOCK]
-        for row, seed in zip(block, seeds):
-            _generator(seed).random(out=row)
+        _uniforms(prefix, last[lo : lo + _BLOCK], block)
         # Column 0 starts the path; column length + t decides whether a
         # learner not yet proficient becomes so before attempt t.
         np.less(block[:, 0], theta.l0, out=drawn[:, 0])
@@ -75,7 +200,9 @@ def simulate_learner(
     """Sample one learner's hidden path and observed answers."""
 
     _check_shape(1, length)
-    states, answers = _sample(theta, (seed,), 1, length)
+    # Zero words past the entropy hash as absent ones, so an empty seed is (0,).
+    *prefix, last = _words(seed) or [0]
+    states, answers = _sample(theta, prefix, np.array([last], dtype=np.uint32), length)
     bounds = [0, length]
     path = next(_runs(HiddenPath, states.ravel(), bounds))
     return path, next(_runs(AttemptSequence, answers.ravel(), bounds))
@@ -85,9 +212,11 @@ def _simulate(
     theta: ParamSet, learners: int, length: int, seed: Seed
 ) -> tuple[Dataset, np.ndarray]:
     _check_shape(learners, length)
-    base = tuple(seed) if isinstance(seed, Sequence) else (seed,)
-    seeds = (base + (index,) for index in range(learners))
-    states, answers = _sample(theta, seeds, learners, length)
+    if learners > 2**32:
+        # A learner index of 2**32 or more would take two entropy words.
+        raise ValueError(f"learners must be at most 2**32, got {learners}")
+    prefix = _words(tuple(seed) if isinstance(seed, Sequence) else (seed,))
+    states, answers = _sample(theta, prefix, np.arange(learners, dtype=np.uint32), length)
     lengths = np.full(learners, length, dtype=np.int64)
     return Dataset._of(answers.view(np.uint8).ravel(), lengths), states.ravel()
 

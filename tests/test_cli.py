@@ -517,6 +517,25 @@ def test_mistyped_json_fields_exit_3(tmp_path, capsys, command, override):
     assert not (tmp_path / "o").exists() and not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "sidecar", "experiment"])
+def test_negative_seeds_exit_3(tmp_path, theta_file, capsys, source):
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["simulate", "--params", str(theta_file), "--seed", "-1", "--out", str(out)]
+    elif source == "sidecar":
+        sidecar = tmp_path / "data.csv.meta.json"
+        sidecar.write_text(json.dumps({**_SIDECAR, "seed": -5}))
+        argv = ["simulate", "--sidecar", str(sidecar), "--out", str(out)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**_TINY_CONFIG, "master_seed": -1}))
+        argv = ["experiment", "--config", str(config), "--out", str(out)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, theta_file):
     violating = tmp_path / "bad.json"
     violating.write_text('{"l0": 0.5, "g": 0.7, "s": 0.5, "r": 0.2}')

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -41,8 +42,14 @@ def _reference_learner(theta, length, seed):
     return tuple(states), tuple(attempts)
 
 
-@pytest.mark.parametrize("length", [1, 2, 7])
-@pytest.mark.parametrize("seed", [0, (4, 1)])
+# Seeds of one to six entropy words. With the learner index, 2**64 + 3 and
+# (4, 1, 2) fill SeedSequence's four-word pool exactly, and the last seed
+# spills three words past it.
+_SEEDS = [0, (4, 1), 2**32, 2**64 + 3, (4, 1, 2), (2**33, 5, 6, 7, 8)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 300])
+@pytest.mark.parametrize("seed", _SEEDS)
 def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
     rng = np.random.default_rng(length)
     for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4))]:
@@ -53,12 +60,16 @@ def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
 
 
 def test_blocks_of_learners_draw_what_the_per_step_loop_draws(monkeypatch):
-    one_block = simulate_dataset(TRUE_THETA, 30, 5, 3)
-    monkeypatch.setattr(simulate, "_BLOCK", 7)  # four full blocks and a partial one
-    dataset, paths = simulate_dataset_with_paths(TRUE_THETA, 30, 5, 3)
-    expected = [_reference_learner(TRUE_THETA, 5, (3, i)) for i in range(30)]
-    assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
-    assert np.array_equal(dataset._answers, one_block._answers)
+    # One short of a block, one block, one learner past it, and four full
+    # blocks and a partial one.
+    counts = [6, 7, 8, 30]
+    one_block = [simulate_dataset(TRUE_THETA, learners, 5, 3) for learners in counts]
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    for learners, whole in zip(counts, one_block):
+        dataset, paths = simulate_dataset_with_paths(TRUE_THETA, learners, 5, 3)
+        expected = [_reference_learner(TRUE_THETA, 5, (3, i)) for i in range(learners)]
+        assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+        assert np.array_equal(dataset._answers, whole._answers)
 
 
 def test_simulator_peak_memory_is_the_output_plus_one_block(monkeypatch):
@@ -76,6 +87,47 @@ def test_simulator_peak_memory_is_the_output_plus_one_block(monkeypatch):
     # emission probabilities take 24 bytes per learner-step. The dense
     # (learners, 2 * steps) uniform matrix alone would be 8 MB.
     assert peak <= 2 * learners * steps + 24 * 1024 * steps + 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("length", [1, 300])
+@pytest.mark.parametrize("seed", [*_SEEDS, 42, (), True, [3, 0]])
+def test_simulate_learner_draws_what_the_per_step_loop_draws(length, seed):
+    theta = ParamSet(0.3, 0.4, 0.2, 0.05)  # a slow learner keeps most transitions drawn
+    path, attempts = simulate_learner(theta, length, seed)
+    assert (path.states, attempts.attempts) == _reference_learner(theta, length, seed)
+
+
+def test_simulated_streams_match_their_recorded_hashes():
+    # Pins every draw of these streams, whatever numpy's own generators do later.
+    dataset, paths = simulate_dataset_with_paths(TRUE_THETA, 200, 12, (7, 0, 3))
+    answers = np.array([s.attempts for s in dataset], dtype=np.uint8)
+    states = np.array([p.states for p in paths], dtype=np.uint8)
+    assert hashlib.sha256(answers.tobytes()).hexdigest() == (
+        "85a68e664d8033a11cb2d0b099f9989dbe7572d8aaf4f5143a4c4f32f7edd7bd"
+    )
+    assert hashlib.sha256(states.tobytes()).hexdigest() == (
+        "e5dc96014101b89b460bf3f1a5df99176ad8f632728c3758f2811ec3cae0c665"
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(-1, ValueError), ((1, -2), ValueError), (2.5, TypeError), ((1, 2.0), TypeError), ("ab", ValueError)],
+)
+def test_simulate_rejects_seeds_numpy_rejects(seed, error):
+    with pytest.raises(error):
+        simulate_dataset(TRUE_THETA, 3, 4, seed)
+
+
+def test_simulate_reads_bool_and_list_seeds_as_their_ints():
+    assert simulate_dataset(TRUE_THETA, 20, 6, True) == simulate_dataset(TRUE_THETA, 20, 6, 1)
+    assert simulate_dataset(TRUE_THETA, 20, 6, [3, 4]) == simulate_dataset(TRUE_THETA, 20, 6, (3, 4))
+
+
+def test_simulate_refuses_learner_indices_past_one_entropy_word():
+    # Index 2**32 would take a second entropy word; refused before any allocation.
+    with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+        simulate_dataset(TRUE_THETA, 2**32 + 1, 1, 0)
 
 
 def test_simulate_learner_is_deterministic():
