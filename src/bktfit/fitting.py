@@ -94,9 +94,12 @@ class FitReport:
 
 
 class NewtonConvergenceError(RuntimeError):
-    """A constrained M-step failed: the reduced solve on c = 0 (reported at
-    mu = 0) or a barrier stage missed its tolerance, the inward move left
-    the floor stage's start infeasible, or the result lowered the objective.
+    """A constrained M-step failed: the Newton routine of the reduced solve
+    on c = 0 (reported at mu = 0) or of a barrier stage stopped short of its
+    decrement, the constraint was slack on c = 0, or the result lowered the
+    objective. Nothing restarts. residual_norm is the max-norm of the
+    routine's gradient in slack coordinates where it stopped, or of the KKT
+    residual when the objective dropped.
 
     Raised inside a fit, it carries the fit up to the last completed M-step
     as `report` (estimate, trace, iteration count, diagnostics, with
@@ -104,14 +107,10 @@ class NewtonConvergenceError(RuntimeError):
     interior_point_m_step or solve_barrier_subproblem.
     """
 
-    def __init__(self, message: str, *, mu: float, residual_norm: float, restarts: int):
-        super().__init__(
-            f"{message} (mu={mu:g}, residual max-norm={residual_norm:g}, "
-            f"restarts={restarts})"
-        )
+    def __init__(self, message: str, *, mu: float, residual_norm: float):
+        super().__init__(f"{message} (mu={mu:g}, residual max-norm={residual_norm:g})")
         self.mu = mu
         self.residual_norm = residual_norm
-        self.restarts = restarts
         self.report: FitReport | None = None
 
 

@@ -1,4 +1,4 @@
-"""Constraint-guaranteeing M-step: Newton on c = 0 plus one barrier stage.
+"""Constraint-guaranteeing M-step: one Newton routine in slack coordinates.
 
 The M-step objective is separable in the four parameters,
 
@@ -12,28 +12,27 @@ combine into the single inequality c(theta) >= 0 with
 interior_point_m_step maximizes the objective subject to c >= 0, and
 fit_constrained runs it as its M-step. The objective is strictly concave, so
 when the closed-form ratios satisfy c > 0 they are the M-step's answer.
-Otherwise the maximizer lies on c = 0, where c is linear in r: eliminating r
-(Nocedal & Wright, Numerical Optimization, 2006, 15.2) leaves a smooth
-problem in three variables that Newton solves, and the dual follows as
-lam = (df/dr)/(1-g).
+Otherwise the maximizer lies on c = 0.
 
-One barrier stage then maximizes objective + mu*log(c) at the floor weight
-mu = 1e-10, started at that point with dual lam and moved inward to
-c = mu/lam, which makes c strictly positive. The dual tied to the constraint
-by lam*c = mu turns the stage into a square root-finding problem: the residual
-
-    F(theta, lam) = [grad objective + lam * grad c,  lam*c - mu]
-
-is driven to zero by damped Newton steps on the exact 5x5 Jacobian. The
-damping keeps every iterate strictly feasible (fraction-to-boundary rule on
-c and lam, box interiority on theta) and falls back to step halving, then
-jittered restarts, when a step fails to reduce the residual. The stage's
-residual is the solution certificate. The floor and the Newton stop rules
-are module constants, not options. When the reduced solve or that stage
-fails, or the result scores below the current iterate, the M-step raises
+The solver works in slack coordinates x = (l0, g, k, e) in the open box
+(0,1)^4, with s = (1-g)(1-k) and r = k l0 (1-e). There c = (1-g) k l0 e is a
+product that keeps full relative precision however small it is, and c > 0 is
+the box itself. One Newton routine maximizes objective + mu*log(c) over the
+box, with the exact Hessian or, where that is not negative definite, the
+Gauss-Newton one, backtracking on that objective. It stops on the Newton
+decrement: a step whose decrement is below 1e-8 is taken in full, and ends
+the solve if that decrement is also below 1e-8 at mu = 0, or 1e-18 at mu > 0,
+where the dual mu/c rests on e alone. A binding M-step runs it twice. The
+reduced solve holds e at 0, the face c = 0, at mu = 0 (r eliminated as in
+Nocedal & Wright, Numerical Optimization, 2006, 15.2); its dual is
+lam = (df/dr)/(1-g). The floor stage runs at mu = 1e-10 from e where
+c = mu/lam, which makes c strictly positive. The certificate is the KKT
+residual in theta, [grad objective + lam * grad c,  lam*c - mu]. The floor
+and the stop rules are module constants, not options. When a solve fails, or
+the result scores below the current iterate, the M-step raises
 NewtonConvergenceError.
 
-The box (0,1)^4 needs no extra barrier terms: the objective's log terms
+The parameter box needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
 positive. Datasets whose counts vanish (all answers identical, or no
 learner answering twice) push a parameter onto the wall, so they are
@@ -49,7 +48,7 @@ from typing import Iterable
 import numpy as np
 
 from .baum_welch import _PARAM_LABELS, DegenerateStatsError, closed_form_ratios
-from .core import ParamSet, _generator, _margin
+from .core import ParamSet, _margin
 from .data import Dataset
 from .estep import SufficientStats
 from .fitting import (
@@ -70,37 +69,27 @@ __all__ = [
     "objective_gradient",
     "objective_hessian_diag",
     "kkt_residual",
-    "kkt_jacobian",
     "solve_barrier_subproblem",
     "project_feasible",
     "interior_point_m_step",
     "fit_constrained",
 ]
 
-# Hard interiority box for theta coordinates during Newton iterations.
-_THETA_MIN = 1e-12
-_THETA_MAX = 1.0 - 1e-12
-
 # Warm starts are pushed at least this far inside the feasible set.
 _FEASIBLE_MARGIN = 1e-3
 
-# Barrier weight of the floor stage. It stays strictly positive: with an
-# active constraint the Newton system degenerates at exactly mu = 0, so the
-# certificate is the KKT residual at the floor instead.
+# Barrier weight of the floor stage, which moves the reduced solve's point
+# off c = 0 to c = mu/lam, strictly inside.
 _MU_FLOOR = 1e-10
 
-# Newton stop rules for one barrier stage: the residual max-norm that ends
-# it, the step cap, and how far a step may go toward the dual wall or box.
-_NEWTON_TOLERANCE = 1e-9
-_MAX_NEWTON_STEPS = 200
-_FRACTION_TO_BOUNDARY = 0.995
-_MAX_RESTARTS = 5
+# Newton stop rules: the step cap, the backtracking cap, and the decrement,
+# in objective units, below which steps are taken in full. A full step whose
+# decrement is below _DECREMENT ends the reduced solve, and one below
+# _DECREMENT * _MU_FLOOR ends a barrier stage, so that its dual mu/c, which
+# rests on e alone, is as accurate as the point at every mu.
+_MAX_NEWTON_STEPS = 100
 _MAX_STEP_HALVINGS = 45
-_JITTER_SCALE = 1e-3
-_JITTER_STREAM = 0x1B7  # fixed entropy tag so restarts are deterministic
-# Newton on c = 0: the step cap and the decrement, in objective units, that ends it.
-_MAX_REDUCED_STEPS = 60
-_REDUCED_DECREMENT = 1e-8
+_DECREMENT = 1e-8
 
 
 class InfeasibleStateError(ValueError):
@@ -131,15 +120,6 @@ def _vec(theta: ParamSet) -> np.ndarray:
     return np.array(theta.astuple())
 
 
-def _to_theta(v: np.ndarray) -> ParamSet:
-    return ParamSet(l0=float(v[0]), g=float(v[1]), s=float(v[2]), r=float(v[3]))
-
-
-def _cgrad(v: np.ndarray) -> np.ndarray:
-    l0, g, s, r = v
-    return np.array([1.0 - s - g, r - l0, -l0, g - 1.0])
-
-
 def constraint_value(theta: ParamSet) -> float:
     """Signed feasibility margin c(theta) = (1-s-g)l0 - (1-g)r."""
 
@@ -149,7 +129,8 @@ def constraint_value(theta: ParamSet) -> float:
 def constraint_gradient(theta: ParamSet) -> np.ndarray:
     """Gradient of the margin: (1-s-g, r-l0, -l0, g-1)."""
 
-    return _cgrad(_vec(theta))
+    l0, g, s, r = _vec(theta)
+    return np.array([1.0 - s - g, r - l0, -l0, g - 1.0])
 
 
 def objective_value(stats: SufficientStats, theta: ParamSet) -> float:
@@ -163,56 +144,23 @@ def objective_value(stats: SufficientStats, theta: ParamSet) -> float:
 def objective_gradient(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
     """Per-parameter derivative a/p - b/(1-p)."""
 
-    return _qgrad(stats.pairs(), _vec(theta))
+    pairs, v = stats.pairs(), _vec(theta)
+    return pairs[:, 0] / v - pairs[:, 1] / (1.0 - v)
 
 
 def objective_hessian_diag(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
     """Diagonal second derivatives -a/p^2 - b/(1-p)^2; cross terms are zero."""
 
-    return _qhess(stats.pairs(), _vec(theta))
-
-
-def _qgrad(pairs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return pairs[:, 0] / v - pairs[:, 1] / (1.0 - v)
-
-
-def _qhess(pairs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    pairs, v = stats.pairs(), _vec(theta)
     return -pairs[:, 0] / v**2 - pairs[:, 1] / (1.0 - v) ** 2
-
-
-def _residual(pairs: np.ndarray, v: np.ndarray, lam: float, mu: float) -> np.ndarray:
-    out = np.empty(5)
-    out[:4] = _qgrad(pairs, v) + lam * _cgrad(v)
-    out[4] = lam * _margin(*v) - mu
-    return out
-
-
-def _jacobian(pairs: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    cg = _cgrad(v)
-    J = np.zeros((5, 5))
-    J[np.arange(4), np.arange(4)] = _qhess(pairs, v)
-    J[0, 1] = J[0, 2] = J[1, 0] = J[2, 0] = -lam
-    J[1, 3] = J[3, 1] = lam
-    J[:4, 4] = cg
-    J[4, :4] = lam * cg
-    J[4, 4] = _margin(*v)
-    return J
 
 
 def kkt_residual(state: BarrierState, stats: SufficientStats) -> np.ndarray:
     """Five-component optimality residual at a barrier iterate."""
 
-    return _residual(stats.pairs(), _vec(state.theta), state.dual, state.mu)
-
-
-def kkt_jacobian(state: BarrierState, stats: SufficientStats) -> np.ndarray:
-    """Exact Jacobian of the residual with respect to (theta, dual)."""
-
-    return _jacobian(stats.pairs(), _vec(state.theta), state.dual)
-
-
-class _NewtonStall(Exception):
-    """Internal: a Newton step could not make progress."""
+    theta, lam = state.theta, state.dual
+    top = objective_gradient(stats, theta) + lam * constraint_gradient(theta)
+    return np.append(top, lam * constraint_value(theta) - state.mu)
 
 
 @dataclass
@@ -222,117 +170,152 @@ class _Work:
     steps: int = 0
 
 
-def _newton_stage(
-    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float, work: _Work
-) -> tuple[np.ndarray, float]:
-    """Drive the residual below tolerance at fixed mu; raise _NewtonStall else."""
+def _point(x: tuple[float, ...]) -> tuple[float, float, float, float]:
+    """theta at the slack coordinates x = (l0, g, k, e)."""
 
-    tau = _FRACTION_TO_BOUNDARY
-    F = _residual(pairs, v, lam, mu)
-    norm = float(np.max(np.abs(F)))
+    l0, g, k, e = x
+    return l0, g, (1.0 - g) * (1.0 - k), k * l0 * (1.0 - e)
+
+
+def _slack(theta: ParamSet) -> tuple[float, float, float, float]:
+    """The slack coordinates of a strictly feasible theta."""
+
+    l0, g, s, r = theta.astuple()
+    k = (1.0 - s - g) / (1.0 - g)
+    return l0, g, k, _margin(l0, g, s, r) / ((1.0 - g) * k * l0)
+
+
+def _state(x: tuple[float, ...], mu: float) -> BarrierState:
+    """The barrier iterate at x, with the dual mu/c from c's product form.
+
+    Where c is below the rounding of c's difference form, the four floats
+    can still give c <= 0; r then moves down past that rounding.
+    """
+
+    l0, g, k, e = x
+    _, _, s, r = _point(x)
+    while not _margin(l0, g, s, r) > 0.0:
+        r = math.nextafter(r + _margin(l0, g, s, r) / (1.0 - g), 0.0)
+    return BarrierState(ParamSet(l0, g, s, r), mu / ((1.0 - g) * k * l0 * e), mu)
+
+
+def _derivatives(
+    ab: list[list[float]], x: tuple[float, ...], mu: float
+) -> tuple[list[float], list[list[float]], list[list[float]]]:
+    """Gradient, exact Hessian and Gauss-Newton Hessian in x of f(theta(x)) + mu log c."""
+
+    l0, g, k, e = x
+    d1, d2 = [], []
+    for (a, b), q in zip(ab, _point(x)):
+        u, v = a / q, b / (1.0 - q)
+        d1.append(u - v)
+        d2.append(-u / q - v / (1.0 - q))
+    (f0, fg, fs, fr), (h0, hg, hs, hr) = d1, d2
+    # J = dtheta/dx: l0 and g are coordinates, and s and r have these rows.
+    s1, s2 = k - 1.0, g - 1.0
+    r0, r2, r3 = k * (1.0 - e), l0 * (1.0 - e), -k * l0
+    grad = [f0 + fr * r0, fg + fs * s1, fs * s2 + fr * r2, fr * r3]
+    gn = [
+        [h0 + hr * r0 * r0, 0.0, hr * r0 * r2, hr * r0 * r3],
+        [0.0, hg + hs * s1 * s1, hs * s1 * s2, 0.0],
+        [hr * r0 * r2, hs * s1 * s2, hs * s2 * s2 + hr * r2 * r2, hr * r2 * r3],
+        [hr * r0 * r3, 0.0, hr * r2 * r3, hr * r3 * r3],
+    ]
+    if mu:  # log c = log l0 + log(1-g) + log k + log e
+        for i, dlog in enumerate((1.0 / l0, -1.0 / (1.0 - g), 1.0 / k, 1.0 / e)):
+            grad[i] += mu * dlog
+            gn[i][i] -= mu * dlog * dlog
+    exact = [row[:] for row in gn]
+    # The curvature of s in (g, k) and of r in (l0, k, e).
+    for i, j, term in ((1, 2, fs), (0, 2, fr * (1.0 - e)), (0, 3, -fr * k), (2, 3, -fr * l0)):
+        exact[i][j] += term
+        exact[j][i] += term
+    return grad, exact, gn
+
+
+def _ascent_step(
+    hess: list[list[float]], grad: list[float], n: int
+) -> tuple[list[float], float] | None:
+    """The Newton step -hess^-1 grad over the first n coordinates and its
+    decrement, by Gauss-Jordan elimination on [-hess | grad]; None unless
+    every pivot is positive, that is unless -hess is positive definite."""
+
+    rows = [[-h for h in row[:n]] + [gi] for row, gi in zip(hess, grad[:n])]
+    for i, pivot_row in enumerate(rows):
+        if not pivot_row[i] > 0.0:
+            return None
+        for row in rows:
+            if row is not pivot_row:
+                factor = row[i] / pivot_row[i]
+                for j in range(i + 1, n + 1):
+                    row[j] -= factor * pivot_row[j]
+    step = [row[n] / row[i] for i, row in enumerate(rows)]
+    return step, sum(g * d for g, d in zip(grad, step))
+
+
+def _newton(
+    pairs: np.ndarray, x: tuple[float, ...], mu: float, work: _Work
+) -> tuple[float, ...]:
+    """Maximize f(theta(x)) + mu log c over the open box (0,1)^4 from x, as
+    the module docstring describes; at mu = 0, e keeps its start value.
+    Raises NewtonConvergenceError at mu, with the gradient's max-norm in x as
+    residual."""
+
+    ab = pairs.tolist()
+    n = 4 if mu > 0.0 else 3
+
+    def value(x: tuple[float, ...]) -> float:
+        if not all(0.0 < t < 1.0 for t in x[:n]):
+            return -math.inf
+        f = sum(a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, _point(x)))
+        return f + mu * math.log((1.0 - x[1]) * x[2] * x[0] * x[3]) if mu else f
+
+    stop = _DECREMENT * _MU_FLOOR if mu else _DECREMENT
+    f = value(x)
     for _ in range(_MAX_NEWTON_STEPS):
-        if norm < _NEWTON_TOLERANCE:
-            return v, lam
-        J = _jacobian(pairs, v, lam)
+        grad, exact_hess, gn_hess = _derivatives(ab, x, mu)
+        for exact, hess in ((True, exact_hess), (False, gn_hess)):
+            solved = _ascent_step(hess, grad, n)
+            if solved is not None:
+                break
+        else:
+            raise _failure("Hessian is singular", mu, grad)
+        step, decrement = solved
         work.steps += 1
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise _NewtonStall("singular Newton system") from None
-        # Fraction-to-boundary: never step more than tau of the way to the
-        # dual wall or the coordinate box.
-        nu = 1.0
-        if delta[4] < 0.0:
-            nu = min(nu, tau * lam / -delta[4])
-        for i in range(4):
-            if delta[i] > 0.0:
-                nu = min(nu, tau * (_THETA_MAX - v[i]) / delta[i])
-            elif delta[i] < 0.0:
-                nu = min(nu, tau * (v[i] - _THETA_MIN) / -delta[i])
-        c_here = _margin(*v)
-        accepted = False
+        full = exact and decrement < _DECREMENT
+        t = 1.0
         for _ in range(_MAX_STEP_HALVINGS):
-            cand_v = v + nu * delta[:4]
-            cand_lam = lam + nu * delta[4]
-            if _margin(*cand_v) >= (1.0 - tau) * c_here:
-                F_cand = _residual(pairs, cand_v, cand_lam, mu)
-                cand_norm = float(np.max(np.abs(F_cand)))
-                if cand_norm < norm:
-                    v, lam, F, norm = cand_v, cand_lam, F_cand, cand_norm
-                    accepted = True
-                    break
-            nu *= 0.5
-        if not accepted:
-            raise _NewtonStall("residual stopped decreasing")
-    raise _NewtonStall("step limit reached")
+            trial = tuple(xi + t * di for xi, di in zip(x, step)) + x[n:]
+            f_trial = value(trial)
+            if f_trial >= f + 1e-4 * t * decrement or (full and f_trial > -math.inf):
+                break
+            t *= 0.5
+        else:
+            raise _failure("objective stopped increasing", mu, grad)
+        x, f = trial, f_trial
+        if full and t == 1.0 and decrement < stop:
+            return x
+    raise _failure("step limit reached", mu, grad)
 
 
-def _jittered_start(
-    v: np.ndarray, mu: float, attempt: int
-) -> tuple[np.ndarray, float]:
-    """Deterministic perturbed restart point, kept feasible."""
-
-    rng = _generator((_JITTER_STREAM, attempt))
-    scale = _JITTER_SCALE
-    for _ in range(60):
-        cand = np.clip(v + rng.uniform(-scale, scale, 4), 1e-9, 1.0 - 1e-9)
-        cand = _project_vec(cand, min(1e-8, max(_margin(*v), 1e-12)))
-        if _margin(*cand) > 0.0:
-            return cand, mu / _margin(*cand)
-        scale *= 0.5
-    return v, mu / _margin(*v)
-
-
-def _solve_stage(
-    pairs: np.ndarray, v: np.ndarray, lam: float, mu: float, work: _Work
-) -> tuple[np.ndarray, float]:
-    """One fixed-mu stage from (v, lam), restarting from jittered points."""
-
-    for attempt in range(_MAX_RESTARTS + 1):
-        v_try, lam_try = _jittered_start(v, mu, attempt) if attempt else (v, lam)
-        try:
-            return _newton_stage(pairs, v_try, lam_try, mu, work)
-        except _NewtonStall as stall:
-            last_norm = float(np.max(np.abs(_residual(pairs, v_try, lam_try, mu))))
-            last_reason = str(stall)
-    raise NewtonConvergenceError(
-        f"barrier stage failed: {last_reason}",
-        mu=mu,
-        residual_norm=last_norm,
-        restarts=_MAX_RESTARTS,
+def _failure(reason: str, mu: float, grad: Iterable[float]) -> NewtonConvergenceError:
+    stage = "barrier stage" if mu else "reduced solve"
+    return NewtonConvergenceError(
+        f"{stage} failed: {reason}", mu=mu, residual_norm=max(map(abs, grad), default=0.0)
     )
 
 
 def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> BarrierState:
-    """Solve one fixed-mu stage to the Newton tolerance.
+    """Maximize objective + mu*log(c) at start.mu > 0 from start.theta.
 
-    Retries from jittered feasible points when the iteration stalls or the
-    linear system is singular, then reports failure with diagnostics.
+    Runs the module's Newton routine in slack coordinates; start.dual is not
+    used, and the result's dual is mu/c.
     """
 
-    v = _vec(start.theta)
-    lam = start.dual if start.dual > 0.0 else start.mu / _margin(*v)
-    v_out, lam_out = _solve_stage(stats.pairs(), v, lam, start.mu, _Work())
-    return BarrierState(theta=_to_theta(v_out), dual=float(lam_out), mu=start.mu)
-
-
-def _project_vec(v: np.ndarray, target: float) -> np.ndarray:
-    """Raise the margin to at least ~target by shrinking s, g, then r."""
-
-    l0, g, s, r = (float(x) for x in v)
-    if _margin(l0, g, s, r) >= target:
-        return v
-    target_eff = min(target, l0 / 4.0)
-    headroom = 1.0 - s - g
-    if headroom * l0 < 2.0 * target_eff:
-        needed = 2.0 * target_eff / l0
-        shrink = (1.0 - needed) / (s + g)
-        s *= shrink
-        g *= shrink
-        headroom = 1.0 - s - g
-    if _margin(l0, g, s, r) < target_eff:
-        r = (headroom * l0 - target_eff) / (1.0 - g)
-    return np.array([l0, g, s, r])
+    if not start.mu > 0.0:
+        raise ValueError("a barrier stage needs mu > 0")
+    x = _newton(stats.pairs(), _slack(start.theta), start.mu, _Work())
+    return _state(x, start.mu)
 
 
 def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | None]:
@@ -345,12 +328,18 @@ def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | Non
     a change record, or (theta, None) when theta already clears the margin.
     """
 
-    v = _vec(theta)
-    before = _margin(*v)
-    projected = _project_vec(v, _FEASIBLE_MARGIN)
-    if projected is v:
+    l0, g, s, r = theta.astuple()
+    before = _margin(l0, g, s, r)
+    if before >= _FEASIBLE_MARGIN:
         return theta, None
-    adjusted = _to_theta(projected)
+    target = min(_FEASIBLE_MARGIN, l0 / 4.0)
+    if (1.0 - s - g) * l0 < 2.0 * target:
+        shrink = (1.0 - 2.0 * target / l0) / (s + g)
+        s *= shrink
+        g *= shrink
+    if _margin(l0, g, s, r) < target:
+        r = ((1.0 - s - g) * l0 - target) / (1.0 - g)
+    adjusted = ParamSet(l0, g, s, r)
     info: dict[str, object] = {
         "margin_before": before,
         "margin_after": constraint_value(adjusted),
@@ -360,110 +349,22 @@ def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | Non
     return adjusted, info
 
 
-def _estimable_ratios(stats: SufficientStats) -> tuple[float, float, float, float]:
-    """Closed-form ratios, rejecting counts that put the maximizer on the box."""
-
-    ratios = closed_form_ratios(stats)
-    for label, (a, b) in zip(_PARAM_LABELS[1:], stats.pairs()[1:]):
-        if a == 0.0 or b == 0.0:
-            raise DegenerateStatsError(
-                f"cannot update {label!r}: one-sided expected counts put the "
-                f"maximizer on the boundary"
-            )
-    return ratios
-
-
-def _reduced_newton(pairs: np.ndarray, v: np.ndarray, work: _Work) -> tuple[np.ndarray, float]:
-    """Maximize the objective on c = 0 from v, with r eliminated.
-
-    With k = (1-s-g)/(1-g), c = 0 is s = (1-g)(1-k), r = l0 k over the open
-    box (l0, g, k) in (0,1)^3. Newton there, backtracking on the objective,
-    returns the point and its dual lam = (df/dr)/(1-g), or raises
-    NewtonConvergenceError at mu = 0 with the reduced gradient as residual.
-    """
-
-    ab = pairs.tolist()
-
-    def point(l0: float, g: float, k: float) -> tuple[float, float, float, float]:
-        return l0, g, (1.0 - g) * (1.0 - k), l0 * k
-
-    def value(x: tuple[float, ...]) -> float:
-        if not all(0.0 < t < 1.0 for t in x):
-            return -math.inf
-        return sum(a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, point(*x)))
-
-    l0, g, s, _ = v.tolist()
-    x: tuple[float, ...] = (l0, g, (1.0 - s - g) / (1.0 - g))
-    f = value(x)
-    for _ in range(_MAX_REDUCED_STEPS):
-        l0, g, k = x
-        d1 = [a / p - b / (1.0 - p) for (a, b), p in zip(ab, point(*x))]
-        d2 = [-a / p**2 - b / (1.0 - p) ** 2 for (a, b), p in zip(ab, point(*x))]
-        grad = (d1[0] + d1[3] * k, d1[1] - d1[2] * (1.0 - k), d1[3] * l0 - d1[2] * (1.0 - g))
-        # Hessian [[A, 0, C], [0, D, E], [C, E, F]]. The exact one (C and E
-        # with the map's curvature terms d1[3], d1[2]) can be indefinite away
-        # from the maximizer; the Gauss-Newton one is negative definite.
-        A, D = d2[0] + d2[3] * k * k, d2[1] + d2[2] * (1.0 - k) ** 2
-        F = d2[2] * (1.0 - g) ** 2 + d2[3] * l0 * l0
-        C, E = d2[3] * k * l0, d2[2] * (1.0 - k) * (1.0 - g)
-        for exact, C, E in ((True, C + d1[3], E + d1[2]), (False, C, E)):
-            det = A * (D * F - E * E) - C * C * D
-            if A < 0.0 and D < 0.0 and det < 0.0:
-                break
-        else:
-            raise _reduced_failure("Hessian is singular", grad)
-        adjugate = (  # Cramer's rule: step = -H^-1 grad
-            (D * F - E * E, C * E, -C * D), (C * E, A * F - C * C, -A * E), (-C * D, -A * E, A * D)
-        )
-        step = [-sum(m * gi for m, gi in zip(row, grad)) / det for row in adjugate]
-        work.steps += 1
-        decrement = sum(gi * di for gi, di in zip(grad, step))
-        # A small exact decrement: one last full step ends the solve.
-        last = exact and decrement < _REDUCED_DECREMENT
-        t = 1.0
-        for _ in range(_MAX_STEP_HALVINGS):
-            trial = tuple(xi + t * di for xi, di in zip(x, step))
-            f_trial = value(trial)
-            if f_trial >= f + 1e-4 * t * decrement or (last and f_trial > -math.inf):
-                break
-            t *= 0.5
-        else:
-            raise _reduced_failure("objective stopped increasing", grad)
-        x, f = trial, f_trial
-        if last:
-            p = point(*x)
-            lam = (ab[3][0] / p[3] - ab[3][1] / (1.0 - p[3])) / (1.0 - p[1])
-            if not lam > 0.0:
-                raise _reduced_failure("constraint is slack on c = 0", grad)
-            return np.array(p), lam
-    raise _reduced_failure("step limit reached", grad)
-
-
-def _reduced_failure(reason: str, grad: Iterable[float]) -> NewtonConvergenceError:
-    return NewtonConvergenceError(
-        f"reduced solve failed: {reason}", mu=0.0, residual_norm=max(map(abs, grad)), restarts=0
-    )
-
-
 def _binding_m_step(
     stats: SufficientStats, theta_star: ParamSet, start: ParamSet, work: _Work
 ) -> BarrierState:
     """The reduced solve from start and its floor stage (see the module
     docstring). Raises NewtonConvergenceError naming the step that failed:
-    the reduced solve, the inward move, the floor stage or the objective check."""
+    the reduced solve, the floor stage or the objective check."""
 
     pairs = stats.pairs()
-    v, lam = _reduced_newton(pairs, _vec(start), work)
-    v[3] -= _MU_FLOOR / lam / (1.0 - v[1])
-    if not _margin(*v) > 0.0:
-        raise NewtonConvergenceError(
-            "floor stage start is not strictly feasible",
-            mu=_MU_FLOOR,
-            residual_norm=float(np.max(np.abs(_residual(pairs, v, lam, _MU_FLOOR)))),
-            restarts=0,
-        )
-    v, lam = _solve_stage(pairs, v, lam, _MU_FLOOR, work)
-    final = BarrierState(_to_theta(v), float(lam), _MU_FLOOR)
+    l0, g, k, _ = _newton(pairs, _slack(start)[:3] + (0.0,), 0.0, work)
+    # On c = 0 the dual is lam = (df/dr)/(1-g), and c = (1-g)k l0 e, so the
+    # floor stage starts at c = mu/lam, e = mu/(r df/dr), inside the box.
+    (a, b), r = pairs[3].tolist(), k * l0
+    rate = r * (a / r - b / (1.0 - r))
+    if not rate > _MU_FLOOR:
+        raise _failure("constraint is slack on c = 0", 0.0, ())
+    final = _state(_newton(pairs, (l0, g, k, _MU_FLOOR / rate), _MU_FLOOR, work), _MU_FLOOR)
     # The barrier gap at the floor is below 1e-10, so any real drop below a
     # feasible theta_star means the solver landed on the wrong point.
     if constraint_value(theta_star) > 0.0:
@@ -473,7 +374,6 @@ def _binding_m_step(
                 "constrained M-step decreased the EM objective",
                 mu=_MU_FLOOR,
                 residual_norm=float(np.max(np.abs(kkt_residual(final, stats)))),
-                restarts=0,
             )
     return final
 
@@ -483,14 +383,21 @@ def _m_step(
 ) -> tuple[ParamSet, float, float, dict[str, object] | None]:
     """The constrained M-step from theta_star: the new theta, its dual (0.0
     exactly when the closed form is feasible), its KKT residual max-norm and
-    project_feasible's adjustment of theta_star."""
+    project_feasible's adjustment of theta_star. Rejects counts that put
+    the maximizer on the box."""
 
-    ratios = np.array(_estimable_ratios(stats))
+    ratios = np.array(closed_form_ratios(stats))
+    for label, (a, b) in zip(_PARAM_LABELS[1:], stats.pairs()[1:]):
+        if a == 0.0 or b == 0.0:
+            raise DegenerateStatsError(
+                f"cannot update {label!r}: one-sided expected counts put the "
+                f"maximizer on the boundary"
+            )
     start, adjustment = project_feasible(theta_star)
     if np.all((ratios > 0.0) & (ratios < 1.0)) and _margin(*ratios) > 0.0:
         # Inactive constraint: the KKT residual with lam = 0 is the gradient.
-        residual = float(np.max(np.abs(_qgrad(stats.pairs(), ratios))))
-        return _to_theta(ratios), 0.0, residual, adjustment
+        theta = ParamSet(*ratios.tolist())
+        return theta, 0.0, float(np.max(np.abs(objective_gradient(stats, theta)))), adjustment
     final = _binding_m_step(stats, theta_star, start, work)
     residual = float(np.max(np.abs(kkt_residual(final, stats))))
     return final.theta, final.dual, residual, adjustment

@@ -53,21 +53,22 @@ def random_attempts(rng: np.random.Generator, length: int) -> tuple[bool, ...]:
 def fail_floor_stage(monkeypatch, number: int) -> None:
     """Make floor stage number `number` of this process raise.
 
-    Each binding M-step runs exactly one interior_point._solve_stage, so
-    this fails the binding M-step of that number, counted across fits.
+    Each binding M-step calls interior_point._newton twice, for the reduced
+    solve at mu = 0 and for one floor stage at mu > 0, so this fails the
+    binding M-step of that number, counted across fits.
     """
 
     calls = 0
-    original = interior_point._solve_stage
+    original = interior_point._newton
 
-    def failing(pairs, v, lam, mu, work):
+    def failing(pairs, x, mu, work):
         nonlocal calls
-        calls += 1
-        if calls == number:
-            raise NewtonConvergenceError("injected", mu=mu, residual_norm=1.0, restarts=5)
-        return original(pairs, v, lam, mu, work)
+        calls += mu > 0.0
+        if mu > 0.0 and calls == number:
+            raise NewtonConvergenceError("injected", mu=mu, residual_norm=1.0)
+        return original(pairs, x, mu, work)
 
-    monkeypatch.setattr(interior_point, "_solve_stage", failing)
+    monkeypatch.setattr(interior_point, "_newton", failing)
 
 
 # The paper's barrier weights: 1.0 times 0.2 per stage while above the

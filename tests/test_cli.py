@@ -280,16 +280,16 @@ def test_fit_writes_the_partial_report_on_solver_failure(
     simulate = ["simulate", "--params", str(theta_file), "--learners", "100"]
     assert main([*simulate, "--steps", "10", "--seed", "1", "--out", str(data)]) == EXIT_OK
     reduced_calls = 0
-    original_reduced = interior_point._reduced_newton
+    original_newton = interior_point._newton
 
-    def failing_reduced(*args, **kwargs):
+    def failing_reduced(pairs, x, mu, work):
         nonlocal reduced_calls
-        reduced_calls += 1
-        if reduced_calls == 3:
-            raise interior_point._reduced_failure("injected", (1.0,))
-        return original_reduced(*args, **kwargs)
+        reduced_calls += mu == 0.0
+        if mu == 0.0 and reduced_calls == 3:
+            raise interior_point._failure("injected", 0.0, (1.0,))
+        return original_newton(pairs, x, mu, work)
 
-    monkeypatch.setattr(interior_point, "_reduced_newton", failing_reduced)
+    monkeypatch.setattr(interior_point, "_newton", failing_reduced)
     report_path = tmp_path / "report.json"
     code = main(
         ["fit", "--data", str(data), "--algorithm", "constrained", "--init-seed", "2"]

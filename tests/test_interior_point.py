@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bktfit.interior_point as interior_point
 from bktfit import (
@@ -35,7 +37,6 @@ from bktfit.interior_point import (
     _MU_FLOOR,
     constraint_gradient,
     constraint_value,
-    kkt_jacobian,
     objective_gradient,
     objective_hessian_diag,
     objective_value,
@@ -133,28 +134,45 @@ def test_kkt_residual_composition():
     assert residual[4] == pytest.approx(2.5 * constraint_value(TRUE_THETA) - 0.3)
 
 
-def test_kkt_jacobian_matches_finite_differences():
+def test_slack_derivatives_match_finite_differences():
+    # The Newton routine's gradient and exact Hessian in x = (l0, g, k, e),
+    # barrier term included, against central differences of the stage
+    # objective and of that gradient; the Gauss-Newton Hessian against
+    # J^T diag(objective Hessian) J from a differenced Jacobian of theta(x).
     rng = np.random.default_rng(25)
     stats, _, _ = _random_stats(rng)
-    theta = TRUE_THETA
-    dual, mu = 1.7, 0.2
-    jac = kkt_jacobian(BarrierState(theta=theta, dual=dual, mu=mu), stats)
-    h = 1e-6
-    fd = np.empty((5, 5))
-    base = np.array(theta.astuple() + (dual,))
-    for col in range(5):
-        plus, minus = base.copy(), base.copy()
-        plus[col] += h
-        minus[col] -= h
-        r_plus = kkt_residual(
-            BarrierState(theta=ParamSet(*plus[:4]), dual=plus[4], mu=mu), stats
-        )
-        r_minus = kkt_residual(
-            BarrierState(theta=ParamSet(*minus[:4]), dual=minus[4], mu=mu), stats
-        )
-        fd[:, col] = (r_plus - r_minus) / (2 * h)
-    scale = np.abs(jac).max()
-    np.testing.assert_allclose(jac, fd, rtol=1e-4, atol=1e-7 * scale)
+    ab = stats.pairs().tolist()
+    for mu in (0.0, 0.3):
+        for _ in range(5):
+            x = tuple(rng.uniform(0.1, 0.9, 4))
+
+            def stage_objective(y):
+                l0, g, k, e = y
+                barrier = mu * np.log((1 - g) * k * l0 * e) if mu else 0.0
+                return objective_value(stats, ParamSet(*interior_point._point(y))) + barrier
+
+            grad, exact, gauss_newton = interior_point._derivatives(ab, x, mu)
+            h = 1e-6
+            fd_grad, fd_hess, jac = np.empty(4), np.empty((4, 4)), np.empty((4, 4))
+            for col in range(4):
+                plus, minus = list(x), list(x)
+                plus[col] += h
+                minus[col] -= h
+                fd_grad[col] = (stage_objective(plus) - stage_objective(minus)) / (2 * h)
+                g_plus = interior_point._derivatives(ab, tuple(plus), mu)[0]
+                g_minus = interior_point._derivatives(ab, tuple(minus), mu)[0]
+                fd_hess[:, col] = (np.array(g_plus) - np.array(g_minus)) / (2 * h)
+                jac[:, col] = (
+                    np.array(interior_point._point(plus)) - np.array(interior_point._point(minus))
+                ) / (2 * h)
+            np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
+            scale = np.abs(exact).max()
+            np.testing.assert_allclose(exact, fd_hess, rtol=1e-5, atol=1e-7 * scale)
+            theta = ParamSet(*interior_point._point(x))
+            barrier = mu / np.array([x[0], 1 - x[1], x[2], x[3]]) ** 2
+            expected = jac.T @ np.diag(objective_hessian_diag(stats, theta)) @ jac
+            expected -= np.diag(barrier)
+            np.testing.assert_allclose(gauss_newton, expected, rtol=1e-6, atol=1e-7 * scale)
 
 
 def test_schedule_sequence_decreasing_to_floor():
@@ -220,7 +238,7 @@ def test_solve_barrier_subproblem_reaches_tolerance():
         )
         solved = solve_barrier_subproblem(stats, start)
         residual = np.abs(kkt_residual(solved, stats)).max()
-        assert residual < interior_point._NEWTON_TOLERANCE
+        assert residual < 1e-9
         assert solved.dual * constraint_value(solved.theta) == pytest.approx(mu, rel=1e-6)
 
 
@@ -331,16 +349,18 @@ def test_fit_constrained_records_restoration_of_infeasible_init():
 
 
 def _counting_stages(monkeypatch):
-    """Record the mu of every interior_point._solve_stage call in the returned list."""
+    """Record the mu of every barrier stage, an interior_point._newton call at
+    mu > 0, in the returned list."""
 
     mus = []
-    original = interior_point._solve_stage
+    original = interior_point._newton
 
-    def counted(pairs, v, lam, mu, work):
-        mus.append(mu)
-        return original(pairs, v, lam, mu, work)
+    def counted(pairs, x, mu, work):
+        if mu > 0.0:
+            mus.append(mu)
+        return original(pairs, x, mu, work)
 
-    monkeypatch.setattr(interior_point, "_solve_stage", counted)
+    monkeypatch.setattr(interior_point, "_newton", counted)
     return mus
 
 
@@ -359,44 +379,39 @@ def _three_binding_m_steps(monkeypatch):
     return dataset, init, fit_constrained(dataset, init, FitOptions(max_iterations=2))
 
 
-def _replace_third_call(monkeypatch, name, outcome):
-    """Make call number 3 of interior_point.<name> raise outcome, or return it."""
+def _replace_third_solve(monkeypatch, barrier, outcome):
+    """Make the third reduced solve (barrier False) or the third floor stage
+    (barrier True) of interior_point._newton raise outcome, or return it."""
 
     calls = 0
-    original = getattr(interior_point, name)
+    original = interior_point._newton
 
-    def replaced(*args):
+    def replaced(pairs, x, mu, work):
         nonlocal calls
-        calls += 1
-        if calls != 3:
-            return original(*args)
+        calls += (mu > 0.0) == barrier
+        if (mu > 0.0) != barrier or calls != 3:
+            return original(pairs, x, mu, work)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    monkeypatch.setattr(interior_point, name, replaced)
+    monkeypatch.setattr(interior_point, "_newton", replaced)
 
 
 @pytest.mark.parametrize(
-    "name, outcome, message",
+    "barrier, outcome, message",
     [
-        ("_reduced_newton", interior_point._reduced_failure("injected", (1.0,)), "reduced solve"),
-        # A point off c = 0 that the inward move cannot make feasible.
-        ("_reduced_newton", (np.array([0.5, 0.5, 0.5, 0.9]), 1.0), "not strictly feasible"),
-        (
-            "_solve_stage",
-            NewtonConvergenceError("floor", mu=_MU_FLOOR, residual_norm=1.0, restarts=5),
-            "floor",
-        ),
+        (False, interior_point._failure("injected", 0.0, (1.0,)), "reduced solve"),
+        (True, NewtonConvergenceError("floor", mu=_MU_FLOOR, residual_norm=1.0), "floor"),
         # A feasible point far below the current iterate on the objective.
-        ("_solve_stage", (np.array([0.5, 0.01, 0.01, 0.01]), 1.0), "decreased the EM objective"),
+        (True, interior_point._slack(ParamSet(0.5, 0.01, 0.01, 0.01)), "decreased the EM"),
     ],
-    ids=["reduced solve", "floor start", "floor stage", "objective drop"],
+    ids=["reduced solve", "floor stage", "objective drop"],
 )
-def test_one_failing_binding_m_step_stops_the_fit(monkeypatch, name, outcome, message):
+def test_one_failing_binding_m_step_stops_the_fit(monkeypatch, barrier, outcome, message):
     # The third binding M-step fails, so the fit stops with the first two.
     dataset, init, first_two = _three_binding_m_steps(monkeypatch)
-    _replace_third_call(monkeypatch, name, outcome)
+    _replace_third_solve(monkeypatch, barrier, outcome)
     with pytest.raises(NewtonConvergenceError, match=message) as info:
         fit_constrained(dataset, init)
     assert info.value.report == first_two
@@ -409,16 +424,16 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
     # there and keeps the first two.
     dataset, init, first_two = _three_binding_m_steps(monkeypatch)
     calls = 0
-    original = interior_point._solve_stage
+    original = interior_point._newton
 
-    def failing(pairs, v, lam, mu, work):
+    def failing(pairs, x, mu, work):
         nonlocal calls
-        calls += 1
-        if calls < 3:
-            return original(pairs, v, lam, mu, work)
-        raise NewtonConvergenceError("floor", mu=mu, residual_norm=1.0, restarts=5)
+        calls += mu > 0.0
+        if mu == 0.0 or calls < 3:
+            return original(pairs, x, mu, work)
+        raise NewtonConvergenceError("floor", mu=mu, residual_norm=1.0)
 
-    monkeypatch.setattr(interior_point, "_solve_stage", failing)
+    monkeypatch.setattr(interior_point, "_newton", failing)
     with pytest.raises(NewtonConvergenceError) as info:
         fit_constrained(dataset, init)
     assert calls == 3
@@ -440,7 +455,7 @@ def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
 
     def recording(stats, theta_star, start, work):
         final = original(stats, theta_star, start, work)
-        steps.append((stats.pairs(), final))
+        steps.append((stats, final))
         return final
 
     monkeypatch.setattr(interior_point, "_binding_m_step", recording)
@@ -454,12 +469,9 @@ def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
         assert len(steps) == report.diagnostics["barrier_m_steps"]
         # One floor stage per binding M-step.
         assert stages == [_MU_FLOOR] * len(steps)
-        for pairs, final in steps:
+        for stats, final in steps:
             assert final.mu == _MU_FLOOR
-            residual = interior_point._residual(
-                pairs, np.array(final.theta.astuple()), final.dual, final.mu
-            )
-            assert np.abs(residual).max() < 1e-8
+            assert np.abs(kkt_residual(final, stats)).max() < 1e-8
             assert constraint_value(final.theta) > 0
     assert len(steps) > 0
 
@@ -468,18 +480,30 @@ _ratio = st.floats(min_value=0.02, max_value=0.98)
 _count = st.floats(min_value=5.0, max_value=2000.0)
 
 
+def _binding_stats(ratios, totals):
+    """Expected counts whose closed form is the ratios, with the given totals."""
+
+    return SufficientStats(
+        *((p * n, (1 - p) * n) for p, n in zip(ratios, totals)),
+        learner_count=totals[0],
+        log_likelihood=0.0,
+    )
+
+
 @given(
     ratios=st.tuples(_ratio, _ratio, _ratio, _ratio),
     totals=st.tuples(_count, _count, _count, _count),
     star=st.tuples(_ratio, _ratio, _ratio, _ratio),
 )
+@example(ratios=(0.0209, 0.625, 0.02, 0.02), totals=(5.0,) * 4, star=(0.5,) * 4)
+@example(
+    ratios=(0.5, 0.826171875, 0.16719891579960847, 0.03125), totals=(5.0,) * 4, star=(0.5,) * 4
+)
 @settings(deadline=None)
 def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, star):
     # Expected counts whose closed form, the ratios, violates c.
     assume(constraint_value(ParamSet(*ratios)) < 0)
-    stats = SufficientStats(
-        *((p * n, (1 - p) * n) for p, n in zip(ratios, totals)), learner_count=1, log_likelihood=0.0
-    )
+    stats = _binding_stats(ratios, totals)
     theta_star = ParamSet(*star)
     start = project_feasible(theta_star)[0]
     with pytest.MonkeyPatch.context() as patch:
@@ -487,21 +511,80 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
         final = interior_point._binding_m_step(stats, theta_star, start, interior_point._Work())
     assert stages == [_MU_FLOOR]
     assert final.mu == _MU_FLOOR
-    # The closed-form dual of the reduced solve is the floor stage's.
-    _, dual = interior_point._reduced_newton(
-        stats.pairs(), np.array(start.astuple()), interior_point._Work()
-    )
-    assert final.dual == pytest.approx(dual, rel=1e-5)
+    # The dual on c = 0, lam = (df/dr)/(1-g), at the reduced solve's point
+    # after one more exact Newton step (the step the floor stage also takes).
+    pairs = stats.pairs()
+    l0, g, s, _ = start.astuple()
+    x = (l0, g, (1 - s - g) / (1 - g), 0.0)
+    for _ in range(2):
+        x = interior_point._newton(pairs, x, 0.0, interior_point._Work())
+    (a, b), r = pairs[3], x[2] * x[0]
+    dual = (a / r - b / (1 - r)) / (1 - x[1])
+    # The floor stage's dual is that dual plus a term linear in mu, large
+    # where the constraint is nearly slack (the first example: 1.6e-5
+    # relative); the stage at 2 mu cancels it.
+    twice = solve_barrier_subproblem(stats, BarrierState(final.theta, final.dual, 2 * _MU_FLOOR))
+    assert 2 * final.dual - twice.dual == pytest.approx(dual, rel=1e-5)
     assert constraint_value(final.theta) > 0
     assert np.abs(kkt_residual(final, stats)).max() < 1e-8
-    try:
-        reference = pure_barrier(stats, theta_star).theta
-    except NewtonConvergenceError:
-        return  # the pure barrier can stall where the reduced solve does not
+    reference = pure_barrier(stats, theta_star).theta
     np.testing.assert_allclose(
         final.theta.astuple(), reference.astuple(), rtol=0, atol=1e-7
     )
-    assert objective_value(stats, final.theta) >= objective_value(stats, reference)
+    # Both solve the floor stage with one routine, so they tie up to rounding.
+    best = objective_value(stats, reference)
+    assert objective_value(stats, final.theta) >= best - 1e-12 * abs(best)
+
+
+def test_binding_m_step_solves_the_lopsided_counts():
+    # A prior total under 2 against a transit total near 1.5e4: the reduced
+    # solve ends at l0 = 0.99987 with lam = 2.4e4, so the floor stage starts
+    # at c = 4e-15, near the rounding of c as a difference of O(1) terms.
+    stats = _binding_stats((0.359, 0.403, 0.822, 0.733), (1.75, 694, 27316, 14986))
+    theta_star = ParamSet(0.379, 0.823, 0.843, 0.619)
+    theta, dual, residual, _ = interior_point._m_step(stats, theta_star, interior_point._Work())
+    assert interior_point_m_step(stats, theta_star) == theta
+    assert constraint_value(theta) > 0 and dual > 0
+    certificate = np.abs(kkt_residual(BarrierState(theta, dual, _MU_FLOOR), stats)).max()
+    assert certificate == residual < 1e-8
+
+
+def _binding_draws(count):
+    """Realistic binding M-step inputs from generator seed 0: n learners
+    log-uniform in [1, 1e4], T in [2, 50] steps, ratios and theta_star uniform
+    in [0.02, 0.98], guess and slip totals splitting nT, a prior total of n
+    and a transit total of n(T-1); only draws whose ratios violate c."""
+
+    rng = np.random.default_rng(0)
+    draws = []
+    while len(draws) < count:
+        n = int(math.exp(rng.uniform(0.0, math.log(1e4))))
+        steps = int(rng.integers(2, 51))
+        ratios, star = rng.uniform(0.02, 0.98, 4), rng.uniform(0.02, 0.98, 4)
+        split = rng.uniform()
+        totals = (n, split * n * steps, (1 - split) * n * steps, n * (steps - 1))
+        if constraint_value(ParamSet(*ratios)) < 0:
+            draws.append((ratios, totals, ParamSet(*star)))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "count, scale",
+    # At ten times the counts, lam nears 1e6 and c = mu/lam can fall below
+    # the rounding of c's difference form; the four floats then keep c > 0
+    # only because the floor stage moves r down by a few ulps.
+    [(5000, 1), (400, 10)],
+    ids=["realistic counts", "ten times the counts"],
+)
+def test_binding_m_steps_succeed_on_a_sweep(count, scale):
+    # Large duals put many floor stages near the rounding of c, as above.
+    work = interior_point._Work()
+    for ratios, totals, theta_star in _binding_draws(count):
+        totals = tuple(scale * total for total in totals)
+        stats = _binding_stats(ratios, totals)
+        theta, dual, residual, _ = interior_point._m_step(stats, theta_star, work)
+        assert constraint_value(theta) > 0 and dual > 0
+        assert residual < 1e-9 * max(totals)
 
 
 def _public_m_step_fit(dataset, init):
