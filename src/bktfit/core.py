@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import _as_bool_tuple
+from .data import _flags
 
 __all__ = [
     "ParamSet",
@@ -328,7 +328,7 @@ def trace_sequence(theta: ParamSet, observations: Iterable[object]) -> list[floa
     entry t is the belief held after grading attempt t.
     """
 
-    obs = _as_bool_tuple(observations, "observation")
+    obs = _flags(observations, "observation")
     if not obs:
         raise ValueError("observations must contain at least one attempt")
     p = theta.l0

@@ -20,8 +20,10 @@ about 80 bytes per row of one block, some 1.3 MB whatever the file size.
 
 A Dataset holds its answers once, flat: one uint8 array of every learner's
 answers in order, and the learners' lengths. The readers and the simulator
-fill these arrays directly; AttemptSequence objects are built from them
-only when a dataset is iterated or indexed. The first E-step that reads a
+fill these arrays directly. AttemptSequence and HiddenPath hold the same
+encoding, bytes of one 0 or 1 per step: iterating or indexing a dataset
+cuts its answers' bytes into sequences, each checked in one pass, and a
+dataset built from sequences joins their bytes. The first E-step that reads a
 dataset sorts the learners by descending length into chunks (Dataset._chunks)
 and keeps, per chunk, the E-step's four count planes with a row per switch
 time, in the smallest unsigned type that holds the chunk's longest length;
@@ -30,9 +32,8 @@ every later E-step of every fit reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -70,30 +71,34 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the expected CSV layout."""
 
 
-def _as_bool_tuple(values: Iterable[object], what: str) -> tuple[bool, ...]:
-    out: list[bool] = []
+def _flags(values: Iterable[object], what: str) -> bytes:
+    """values as one byte per entry, 0 or 1. A bytes object is checked in one
+    pass; any other iterable entry by entry, each a bool or a number equal to 0 or 1."""
+
+    if isinstance(values, bytes):
+        if bad := values.translate(None, b"\x00\x01"):
+            raise ValueError(f"{what} entries must be 0/1 or boolean, got {bad[0]}")
+        return values
+    out = bytearray()
     for value in values:
-        if isinstance(value, bool):
-            out.append(value)
-            continue
         try:
             number = int(value)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             raise ValueError(f"{what} entries must be 0/1 or boolean, got {value!r}") from None
         if number != value or number not in (0, 1):
             raise ValueError(f"{what} entries must be 0/1 or boolean, got {value!r}")
-        out.append(bool(number))
-    return tuple(out)
+        out.append(number)
+    return bytes(out)
 
 
 @dataclass(frozen=True)
 class AttemptSequence:
-    """Ordered correctness record for one learner, True meaning correct."""
+    """Ordered correctness record for one learner: a byte per attempt, 1 meaning correct."""
 
-    attempts: tuple[bool, ...]
+    attempts: bytes
 
     def __post_init__(self) -> None:
-        attempts = _as_bool_tuple(self.attempts, "attempt")
+        attempts = _flags(self.attempts, "attempt")
         if not attempts:
             raise ValueError("an attempt sequence needs at least one attempt")
         object.__setattr__(self, "attempts", attempts)
@@ -101,51 +106,44 @@ class AttemptSequence:
     def __len__(self) -> int:
         return len(self.attempts)
 
-    def __iter__(self) -> Iterator[bool]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.attempts)
 
     def as_ints(self) -> list[int]:
-        return [int(a) for a in self.attempts]
+        return list(self.attempts)
 
 
 @dataclass(frozen=True)
 class HiddenPath:
-    """Proficiency states behind one attempt sequence.
+    """Proficiency states behind one attempt sequence: a byte per step, 1 meaning proficient.
 
-    Proficiency is absorbing, so the path must be monotone: once True it
-    stays True.
+    Proficiency is absorbing, so the path must be monotone: once 1 it stays 1.
     """
 
-    states: tuple[bool, ...]
+    states: bytes
 
     def __post_init__(self) -> None:
-        states = _as_bool_tuple(self.states, "state")
+        states = _flags(self.states, "state")
         if not states:
             raise ValueError("a hidden path needs at least one state")
-        for earlier, later in zip(states, states[1:]):
-            if earlier and not later:
-                raise ValueError("hidden path loses proficiency, which the model forbids")
+        if b"\x01\x00" in states:
+            raise ValueError("hidden path loses proficiency, which the model forbids")
         object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def __iter__(self) -> Iterator[bool]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.states)
 
 
 _Run = TypeVar("_Run", AttemptSequence, HiddenPath)
 
 
-def _runs(kind: type[_Run], flags: np.ndarray, bounds: list[int]) -> Iterator[_Run]:
-    """kind objects over flags[bounds[i]:bounds[i + 1]], flags being 0/1 already checked."""
+def _runs(kind: type[_Run], flags: bytes, bounds: list[int]) -> Iterator[_Run]:
+    """kind objects over flags[bounds[i]:bounds[i + 1]]."""
 
-    (name,) = (field.name for field in fields(kind))
-    flat = flags.astype(bool).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        run = object.__new__(kind)
-        object.__setattr__(run, name, tuple(flat[lo:hi]))
-        yield run
+    return (kind(flags[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 class _Chunk(NamedTuple):
@@ -172,7 +170,8 @@ class Dataset:
     """One attempt sequence per learner; lengths may differ.
 
     The answers live in one flat uint8 array, learner after learner; the
-    sequences are rebuilt from it when the dataset is iterated or indexed.
+    sequences are slices of its bytes, cut when the dataset is iterated or
+    indexed.
     """
 
     def __init__(self, sequences: Iterable[AttemptSequence | Iterable[object]]) -> None:
@@ -180,8 +179,7 @@ class Dataset:
         if not sequences:
             raise ValueError("a dataset needs at least one learner")
         lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-        attempts = chain.from_iterable(seq.attempts for seq in sequences)
-        self._set(np.fromiter(attempts, dtype=np.uint8, count=int(lengths.sum())), lengths)
+        self._set(np.frombuffer(b"".join(seq.attempts for seq in sequences), np.uint8), lengths)
 
     @classmethod
     def _of(cls, answers: np.ndarray, lengths: np.ndarray) -> Dataset:
@@ -200,12 +198,12 @@ class Dataset:
         return len(self._lengths)
 
     def __iter__(self) -> Iterator[AttemptSequence]:
-        return _runs(AttemptSequence, self._answers, self._bounds.tolist())
+        return _runs(AttemptSequence, self._answers.tobytes(), self._bounds.tolist())
 
     def __getitem__(self, index: int) -> AttemptSequence:
         learner = range(len(self))[index]
         lo, hi = self._bounds[learner : learner + 2].tolist()
-        return next(_runs(AttemptSequence, self._answers[lo:hi], [0, hi - lo]))
+        return AttemptSequence(self._answers[lo:hi].tobytes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -267,7 +265,7 @@ class Dataset:
 def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
     """The sequence itself, or one validated from an iterable of answers."""
 
-    return seq if isinstance(seq, AttemptSequence) else AttemptSequence(tuple(seq))
+    return seq if isinstance(seq, AttemptSequence) else AttemptSequence(seq)
 
 
 def as_dataset(data: Dataset | Iterable[object]) -> Dataset:
@@ -339,8 +337,7 @@ def write_ground_truth(
     mismatched = np.flatnonzero(lengths != dataset._lengths)
     if len(mismatched):
         raise ValueError(f"hidden path length mismatch for learner {mismatched[0]}")
-    states = chain.from_iterable(path.states for path in paths)
-    states = np.fromiter(states, dtype=np.uint8, count=len(dataset._answers))
+    states = np.frombuffer(b"".join(path.states for path in paths), np.uint8)
     _write_table(destination, _TRUTH_HEADER, dataset, dataset._answers, states)
 
 
@@ -535,7 +532,8 @@ def _read_table(source: str | Path, header: tuple[str, ...]) -> tuple[Dataset, l
             raise DatasetFormatError(
                 f"line 1: expected header {','.join(header)!r}, got {line!r}"
             )
-        for block in chain((first[end + 1 :],), blocks):
+        table.read(first[end + 1 :])
+        for block in blocks:
             table.read(block)
     return table.columns()
 
@@ -551,4 +549,4 @@ def read_ground_truth(source: str | Path) -> tuple[Dataset, tuple[HiddenPath, ..
     """Read a ground-truth CSV, returning attempts and hidden paths."""
 
     dataset, (states,) = _read_table(source, _TRUTH_HEADER)
-    return dataset, tuple(_runs(HiddenPath, states, dataset._bounds.tolist()))
+    return dataset, tuple(_runs(HiddenPath, states.tobytes(), dataset._bounds.tolist()))

@@ -262,6 +262,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     and the experiment goes on.
     """
 
+    _require_int(jobs, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     run_ids = range(config.runs)

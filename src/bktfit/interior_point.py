@@ -439,7 +439,6 @@ def fit_constrained(
     restorations: list[dict[str, object]] = []
     diagnostics: dict[str, object] = {
         "restorations": restorations,
-        "warm_start_adjustments": 0,
         "barrier_m_steps": 0,
         "newton_steps": 0,
         "mu_floor": _MU_FLOOR,
@@ -451,10 +450,8 @@ def fit_constrained(
         if dual > 0.0:  # only a binding M-step has a dual, and it is positive
             diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
         diagnostics["newton_steps"] = work.steps
-        if adjustment is not None:
-            diagnostics["warm_start_adjustments"] += 1  # type: ignore[operator]
-            if adjustment["margin_before"] <= 0.0:
-                restorations.append({"iteration": iteration, **adjustment})
+        if adjustment is not None and adjustment["margin_before"] <= 0.0:
+            restorations.append({"iteration": iteration, **adjustment})
         diagnostics["final_kkt_residual"] = residual
         diagnostics["final_dual"] = dual
         return theta_new

@@ -71,7 +71,7 @@ def monotone_paths(length: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(paths)
 
 
-def _path_factors(theta: ParamSet, states: tuple[bool, ...], attempts: tuple[bool, ...]):
+def _path_factors(theta: ParamSet, states: tuple[bool, ...], attempts: bytes):
     """Yield every probability factor of the joint P(y, path)."""
 
     yield theta.l0 if states[0] else 1.0 - theta.l0
@@ -87,12 +87,12 @@ def _path_factors(theta: ParamSet, states: tuple[bool, ...], attempts: tuple[boo
             yield theta.g if correct else 1.0 - theta.g
 
 
-def _path_weight(theta: ParamSet, states: tuple[bool, ...], attempts: tuple[bool, ...]) -> float:
+def _path_weight(theta: ParamSet, states: tuple[bool, ...], attempts: bytes) -> float:
     return math.prod(_path_factors(theta, states, attempts))
 
 
 def _path_log_weight(
-    theta: ParamSet, states: tuple[bool, ...], attempts: tuple[bool, ...]
+    theta: ParamSet, states: tuple[bool, ...], attempts: bytes
 ) -> float:
     return math.fsum(math.log(f) for f in _path_factors(theta, states, attempts))
 

@@ -203,9 +203,7 @@ def simulate_learner(
     # Zero words past the entropy hash as absent ones, so an empty seed is (0,).
     *prefix, last = _words(seed) or [0]
     states, answers = _sample(theta, prefix, np.array([last], dtype=np.uint32), length)
-    bounds = [0, length]
-    path = next(_runs(HiddenPath, states.ravel(), bounds))
-    return path, next(_runs(AttemptSequence, answers.ravel(), bounds))
+    return HiddenPath(states.tobytes()), AttemptSequence(answers.tobytes())
 
 
 def _simulate(
@@ -218,7 +216,7 @@ def _simulate(
     prefix = _words(tuple(seed) if isinstance(seed, Sequence) else (seed,))
     states, answers = _sample(theta, prefix, np.arange(learners, dtype=np.uint32), length)
     lengths = np.full(learners, length, dtype=np.int64)
-    return Dataset._of(answers.view(np.uint8).ravel(), lengths), states.ravel()
+    return Dataset._of(answers.view(np.uint8).ravel(), lengths), states
 
 
 def simulate_dataset_with_paths(
@@ -227,7 +225,7 @@ def simulate_dataset_with_paths(
     """Sample a dataset and keep the generating hidden paths for inspection."""
 
     dataset, states = _simulate(theta, learners, length, seed)
-    return dataset, tuple(_runs(HiddenPath, states, dataset._bounds.tolist()))
+    return dataset, tuple(_runs(HiddenPath, states.tobytes(), dataset._bounds.tolist()))
 
 
 def simulate_dataset(theta: ParamSet, learners: int, length: int, seed: Seed) -> Dataset:

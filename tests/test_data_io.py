@@ -48,6 +48,47 @@ def test_hidden_path_rejects_lost_proficiency():
         HiddenPath((True, False))
 
 
+def test_sequences_and_paths_hold_one_byte_per_step():
+    assert AttemptSequence((True, False)).attempts == b"\x01\x00"
+    assert HiddenPath([0, 1, 1]).states == b"\x00\x01\x01"
+    assert [type(seq.attempts) for seq in _toy_dataset()] == [bytes] * 3
+    assert type(_toy_dataset()[0].attempts) is bytes
+
+
+@pytest.mark.parametrize(
+    "attempts, bad", [(b"\x01\x02", "2"), (b"\x00\x07\x01\x02", "7"), (b"0", "48")]
+)
+def test_attempt_bytes_name_their_first_bad_byte(attempts, bad):
+    with pytest.raises(ValueError, match=f"attempt entries must be 0/1 or boolean, got {bad}$"):
+        AttemptSequence(attempts)
+
+
+def test_hidden_path_bytes_must_be_monotone():
+    assert len(HiddenPath(b"\x00\x01\x01")) == 3
+    with pytest.raises(ValueError, match="loses proficiency"):
+        HiddenPath(b"\x01\x00\x01")
+    with pytest.raises(ValueError, match="state entries must be 0/1 or boolean, got 2"):
+        HiddenPath(b"\x00\x02")
+
+
+def test_bools_ints_and_bytes_build_the_same_sequence():
+    built = [AttemptSequence((True, False, True)), AttemptSequence([1, 0, 1])]
+    built.append(AttemptSequence(b"\x01\x00\x01"))
+    assert built[0] == built[1] == built[2]
+    assert len({hash(seq) for seq in built}) == 1
+    paths = [HiddenPath((False, True)), HiddenPath([0, 1]), HiddenPath(b"\x00\x01")]
+    assert paths[0] == paths[1] == paths[2]
+    assert len({hash(path) for path in paths}) == 1
+
+
+def test_dataset_answers_are_every_answer_in_order():
+    answers = [(True, False, True), [0, 0], b"\x01", np.array([1, 1, 0])]
+    dataset = Dataset(answers)
+    assert dataset._answers.dtype == np.uint8
+    assert dataset._answers.tobytes() == b"\x01\x00\x01\x00\x00\x01\x01\x01\x00"
+    assert dataset._lengths.tolist() == [3, 2, 1, 3]
+
+
 def test_dataset_rejects_empty():
     with pytest.raises(ValueError):
         Dataset(())
@@ -358,7 +399,7 @@ def test_dataset_iteration_and_indexing_rebuild_the_sequences():
     dataset = Dataset(sequences)
     assert list(dataset) == sequences
     assert dataset[1] == dataset[-1] == sequences[1]
-    assert dataset[0].attempts == (True, False, True)
+    assert dataset[0].attempts == b"\x01\x00\x01"
     with pytest.raises(IndexError):
         dataset[2]
     assert dataset == Dataset(tuple(sequences))

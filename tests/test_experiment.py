@@ -228,6 +228,12 @@ def test_worker_count_is_capped_by_runs(monkeypatch, jobs, runs, workers):
     assert len(result.records) == runs * len(config.algorithms)
 
 
+@pytest.mark.parametrize("jobs", [True, 2.5, "2", None])
+def test_run_experiment_rejects_jobs_that_are_not_integers(jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        run_experiment(_tiny_config(), jobs=jobs)
+
+
 def test_summary_recomputable_from_records():
     result = run_experiment(_tiny_config())
     summary = result.summary()
