@@ -43,7 +43,8 @@ def closed_form_ratios(stats: SufficientStats) -> tuple[float, float, float, flo
     """Raw M-step ratios, which may sit exactly on 0 or 1."""
 
     ratios = []
-    for name, label, (a, b) in zip(PARAM_NAMES, _PARAM_LABELS, stats.pairs()):
+    pairs = (stats.prior, stats.guess, stats.slip, stats.transit)
+    for name, label, (a, b) in zip(PARAM_NAMES, _PARAM_LABELS, pairs):
         denominator = stats.learner_count if name == "l0" else a + b
         if denominator <= 0.0:
             raise DegenerateStatsError(
@@ -54,14 +55,9 @@ def closed_form_ratios(stats: SufficientStats) -> tuple[float, float, float, flo
 
 
 def _nudge_interior(ratios: tuple[float, float, float, float]) -> tuple[ParamSet, list[str]]:
-    values = {}
-    hits = []
-    for name, value in zip(PARAM_NAMES, ratios):
-        nudged = min(max(value, BOUNDARY_NUDGE), 1.0 - BOUNDARY_NUDGE)
-        if nudged != value:
-            hits.append(name)
-        values[name] = nudged
-    return ParamSet(**values), hits
+    nudged = [min(max(value, BOUNDARY_NUDGE), 1.0 - BOUNDARY_NUDGE) for value in ratios]
+    hits = [name for name, value, new in zip(PARAM_NAMES, ratios, nudged) if new != value]
+    return ParamSet(*nudged), hits
 
 
 def m_step_closed_form(stats: SufficientStats) -> ParamSet:

@@ -55,7 +55,7 @@ _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 
 # A chunk takes _CHUNK_CELLS // T learners (at least one), T the longest of
 # them; it keeps four count planes of T + 1 rows, and an E-step one workspace
-# of three float planes of T + 1 rows.
+# of two float planes of T + 1 rows, which reads the count planes in place.
 _CHUNK_CELLS = 1 << 15
 
 # The readers validate this many bytes at a time, cut at the last line end,

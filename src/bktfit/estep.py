@@ -31,14 +31,15 @@ are exact and a low rest, added after each learner's largest high W is taken off
 The E-step runs over a Dataset's chunks (see data.Dataset._chunks). Each chunk
 keeps the four counts of the table above as exact integer planes, (T+1, n) with
 a row per switch time: C, tau - C, wrong from tau on and right from tau on. They
-do not depend on theta; each sum weighted by q is still taken afresh, over one
-plane. An E-step fills three float planes per chunk: C copied from its plane,
-W and then q in place, and a scratch plane into which each other count plane is
-copied for its sum; rows past a learner's length get W = -inf and add exactly 0.
-Each sufficient_stats call allocates one workspace of three planes of its
-largest chunk (1.5 MiB at most unless a learner is longer than 32,768 steps),
-and posteriors runs the same kernel on a one-learner chunk. Per-learner rows
-are summed in ascending learner order, so results are bitwise reproducible.
+do not depend on theta; the sums weighted by q are taken afresh, all four in one
+einsum straight from the integer planes. An E-step fills two float planes per
+chunk, W and then q in place, and a scratch plane for W's low part; C delta is
+multiplied from C's integer plane, with no float copy of it. Rows past a
+learner's length get W = -inf and add exactly 0. Each sufficient_stats call
+allocates one workspace of two planes of its largest chunk (1 MiB at most
+unless a learner is longer than 32,768 steps), and posteriors runs the same
+kernel on a one-learner chunk. Per-learner rows are summed in ascending learner
+order, so results are bitwise reproducible.
 forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
 sequence in log space.
 """
@@ -64,7 +65,7 @@ __all__ = [
     "log_likelihood",
 ]
 
-_Weights = tuple[np.ndarray, np.ndarray]  # _log_weights: the tau-column, the scalars
+_Weights = tuple[np.ndarray, list[list[float]]]  # _log_weights: the tau-column, the scalars
 
 
 @dataclass(frozen=True)
@@ -113,47 +114,47 @@ class SufficientStats:
         return np.array([self.prior, self.guess, self.slip, self.transit])
 
 
-def _log_weights(theta: ParamSet, steps: int) -> _Weights:
-    """W's coefficients for up to steps answers, as rows of high and low parts: the
-    tau-column log P(tau) + tau log((1-g)/s), with the log r of tau < L, for
-    tau = 0..steps, and delta, log r, log(1-s), log s. High parts are multiples
-    of a power of two under which each high part of a W or a log-likelihood is
-    an integer below 2^53, so their sums are exact."""
+def _log_weights(theta: ParamSet, tau: np.ndarray) -> _Weights:
+    """W's coefficients for the switch times tau = 0..T (floats), as rows of high
+    and low parts: the tau-column log P(tau) + tau log((1-g)/s), with the log r
+    of tau < L, and delta, log r, log(1-s), log s as floats. High parts are
+    multiples of a power of two under which each high part of a W or a
+    log-likelihood is an integer below 2^53, so their sums are exact."""
 
-    p = np.array(theta.astuple(), dtype=np.longdouble)
+    p = np.array(theta.astuple()).astype(np.longdouble)
     (log_l0, log_g, log_s, log_r), (log_k0, log_kg, log_ks, log_kr) = np.log(p), np.log1p(-p)
     slope, offset = log_kg - log_s + log_kr, log_k0 + log_r - log_kr
     exact = np.array([slope, offset, log_l0, log_g + log_s - log_ks - log_kg, log_r, log_ks, log_s])
-    unit = math.ldexp(1.0, math.frexp(float(2 * (steps + 1) * abs(exact).sum()))[1] - 51)
+    unit = math.ldexp(1.0, math.frexp(float(2 * len(tau) * abs(exact).sum()))[1] - 51)
     high = np.rint(exact / unit) * unit
     parts = np.array([high, exact - high], dtype=float)
-    column = parts[:, :1] * np.arange(steps + 1) + parts[:, 1:2]
+    column = parts[:, :1] * tau + parts[:, 1:2]
     column[:, 0] = parts[:, 2]
-    return column, parts[:, 3:]
+    return column, parts[:, 3:].tolist()
 
 
 def _switch_posteriors(
     weights: _Weights, chunk: _Chunk, workspace: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """A chunk's q (T+1, n), each learner's posterior over switch times up to a factor,
-    C and a free plane, all in workspace; and each learner's high W peak."""
+    in workspace; and each learner's high W peak."""
 
-    plane = chunk.counts[0]
-    q, correct, scratch = workspace[: 3 * plane.size].reshape(3, *plane.shape)
+    correct = chunk.counts[0]
+    q, scratch = workspace[: 2 * correct.size].reshape(2, *correct.shape)
     column, ((delta, log_r, _, _), (delta_low, log_r_low, _, _)) = weights
-    np.copyto(correct, plane)
-    np.multiply(correct, delta, out=q)
+    # dtype=float: numpy<2 would take a uint8 plane times a float scalar in float16.
+    np.multiply(correct, delta, out=q, dtype=float)
     q += column[0, : len(q), None]
     q.reshape(-1)[chunk.last] -= log_r
     for row, start, stop in chunk.runs:
         q[row:, start:stop] = -np.inf
     peak = q.max(axis=0)
     q -= peak
-    np.multiply(correct, delta_low, out=scratch)
+    np.multiply(correct, delta_low, out=scratch, dtype=float)
     scratch += column[1, : len(q), None]
     q += scratch
     q.reshape(-1)[chunk.last] -= log_r_low
-    return np.exp(q, out=q), correct, scratch, peak
+    return np.exp(q, out=q), peak
 
 
 def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
@@ -192,8 +193,8 @@ def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
     (chunk,) = Dataset((seq,))._chunks
-    weights = _log_weights(theta, len(seq))
-    q = _switch_posteriors(weights, chunk, np.empty(3 * len(chunk.tau)))[0][:, 0]
+    weights = _log_weights(theta, chunk.tau)
+    q = _switch_posteriors(weights, chunk, np.empty(2 * len(chunk.tau)))[0][:, 0]
     q /= q.sum()
     proficient = np.cumsum(q)[:-1]  # P(tau <= t)
     novice = np.cumsum(q[:0:-1])[::-1]  # P(tau > t)
@@ -205,15 +206,12 @@ def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
 def _chunk_rows(weights: _Weights, chunk: _Chunk, workspace: np.ndarray) -> np.ndarray:
     """Per-learner (n, 9) rows of expected counts and log-likelihoods."""
 
-    q, correct, scratch, peak = _switch_posteriors(weights, chunk, workspace)
-    high, low = weights[1][:, 2:]
+    q, peak = _switch_posteriors(weights, chunk, workspace)
+    (_, _, *high), (_, _, *low) = weights[1]
     last, right, wrong = chunk.last, chunk.right, chunk.wrong
     # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
     rows = np.empty((9, len(last)))
-    rows[2] = np.einsum("ij,ij->j", q, correct)
-    for row, plane in enumerate(chunk.counts[1:], start=3):
-        np.copyto(scratch, plane)
-        rows[row] = np.einsum("ij,ij->j", q, scratch)
+    np.einsum("kij,ij->kj", chunk.counts, q, out=rows[2:6])
     rows[7] = np.einsum("ij,i->j", q[1:], chunk.tau[:-1])
     rows[0], rows[1] = q[0], q.reshape(-1)[last]
     q.reshape(-1)[last] = 0.0  # transit a stops before tau = L
@@ -233,8 +231,8 @@ def sufficient_stats(
 
     data = as_dataset(dataset)
     chunks = data._chunks
-    weights = _log_weights(theta, len(chunks[0].tau) - 1)
-    workspace = np.empty(3 * max(chunk.counts[0].size for chunk in chunks))
+    weights = _log_weights(theta, chunks[0].tau)
+    workspace = np.empty(2 * max(chunk.counts[0].size for chunk in chunks))
     per_learner = np.empty((len(data), 9))
     for chunk in chunks:
         per_learner[chunk.learners] = _chunk_rows(weights, chunk, workspace)

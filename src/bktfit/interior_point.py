@@ -386,18 +386,21 @@ def _m_step(
     project_feasible's adjustment of theta_star. Rejects counts that put
     the maximizer on the box."""
 
-    ratios = np.array(closed_form_ratios(stats))
-    for label, (a, b) in zip(_PARAM_LABELS[1:], stats.pairs()[1:]):
+    ratios = closed_form_ratios(stats)
+    pairs = (stats.prior, stats.guess, stats.slip, stats.transit)
+    for label, (a, b) in zip(_PARAM_LABELS[1:], pairs[1:]):
         if a == 0.0 or b == 0.0:
             raise DegenerateStatsError(
                 f"cannot update {label!r}: one-sided expected counts put the "
                 f"maximizer on the boundary"
             )
     start, adjustment = project_feasible(theta_star)
-    if np.all((ratios > 0.0) & (ratios < 1.0)) and _margin(*ratios) > 0.0:
-        # Inactive constraint: the KKT residual with lam = 0 is the gradient.
-        theta = ParamSet(*ratios.tolist())
-        return theta, 0.0, float(np.max(np.abs(objective_gradient(stats, theta)))), adjustment
+    if all(0.0 < p < 1.0 for p in ratios) and _margin(*ratios) > 0.0:
+        # Inactive constraint: the KKT residual with lam = 0 is the gradient
+        # a/p - b/(1-p), taken on floats as objective_gradient takes it.
+        theta = ParamSet(*ratios)
+        residual = max(abs(a / p - b / (1.0 - p)) for (a, b), p in zip(pairs, ratios))
+        return theta, 0.0, residual, adjustment
     final = _binding_m_step(stats, theta_star, start, work)
     residual = float(np.max(np.abs(kkt_residual(final, stats))))
     return final.theta, final.dual, residual, adjustment

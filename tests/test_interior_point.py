@@ -692,6 +692,33 @@ def test_first_m_step_takes_the_closed_form_only_when_it_is_feasible():
     assert seen["inactive"] >= 2 and seen["active"] >= 2
 
 
+def test_float_m_steps_match_the_array_formulas_bitwise():
+    # closed_form_ratios and the inactive M-step work on the stats' Python
+    # floats; each must give the bits of the same formula on (4, 2) arrays.
+    # Half the counts sit at a theta satisfying the constraint, scaled by
+    # totals across seven decades, so that both M-step branches occur.
+    rng = np.random.default_rng(23)
+    inactive = 0
+    for index in range(200):
+        learners = int(rng.integers(1, 5000))
+        target = np.array((random_valid_theta(rng) if index % 2 else random_theta(rng)).astuple())
+        totals = learners * 10.0 ** rng.uniform(-3.0, 4.0, 4)
+        totals[0] = learners
+        counts = np.column_stack((target * totals, (1.0 - target) * totals))
+        stats = SufficientStats(*map(tuple, counts.tolist()), learners, log_likelihood=-1.0)
+        pairs = stats.pairs()
+        expected = pairs[:, 0] / np.append(learners, pairs[1:].sum(axis=1))
+        ratios = closed_form_ratios(stats)
+        assert ratios == tuple(expected.tolist())
+        theta = ParamSet(*ratios)
+        if constraint_value(theta) > 0.0:
+            inactive += 1
+            got, dual, residual, _ = interior_point._m_step(stats, theta, interior_point._Work())
+            assert (got, dual) == (theta, 0.0)
+            assert residual == np.abs(objective_gradient(stats, theta)).max()
+    assert inactive >= 50
+
+
 def test_fit_constrained_matches_the_barrier_only_fit():
     def barrier_only(dataset, init):
         return _run_em(
