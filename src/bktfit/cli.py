@@ -22,7 +22,7 @@ from .baum_welch import DegenerateStatsError
 from .core import ParamSet, ParameterError, param_values, parse_object, validate_values
 from .data import read_dataset, write_dataset, write_ground_truth
 from .experiment import FITTERS, ExperimentConfig, run_experiment, write_experiment_artifacts
-from .fitting import FitOptions, FitReport, NewtonConvergenceError, random_init
+from .fitting import FitOptions, FitReport, random_init
 from .simulate import (
     DEFAULT_LEARNERS,
     DEFAULT_STEPS,
@@ -96,13 +96,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         loglik_tolerance=args.loglik_tolerance,
         param_tolerance=args.param_tolerance,
     )
-    try:
-        report = FITTERS[args.algorithm](dataset, init, options)
-    except NewtonConvergenceError as exc:
-        # Keep the fit up to the failed M-step; main still exits 4.
-        _write_report(exc.report, args.out)
-        raise
+    report = FITTERS[args.algorithm](dataset, init, options)
     _write_report(report, args.out)
+    if report.failure:
+        print(f"solver failure: {report.failure}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     if not report.converged:
         print(
             f"did not converge within {options.max_iterations} iterations",
@@ -190,9 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateStatsError as exc:
         print(f"degenerate result: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except NewtonConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (OSError, ValueError) as exc:
         # DatasetFormatError and ParameterError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ from .fitting import (
     ALGORITHM_CONSTRAINED,
     FitOptions,
     FitReport,
-    NewtonConvergenceError,
     random_init,
 )
 from .interior_point import fit_constrained
@@ -154,17 +153,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One algorithm's fit on one (dataset, init) pair.
-
-    failure is the message of the NewtonConvergenceError that stopped the
-    fit, and empty when no M-step failed; report is then the partial fit.
-    """
+    """One algorithm's fit on one (dataset, init) pair."""
 
     run_id: int
     algorithm: str
     report: FitReport
     wall_time: float
-    failure: str = ""
+
+    @property
+    def failure(self) -> str:
+        return self.report.failure
 
     @property
     def satisfied(self) -> bool:
@@ -242,13 +240,10 @@ def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunRecord, ...]
     init = random_init(config.init_seed(run_id))
     records = []
     for algorithm in config.algorithms:
-        started, failure = time.perf_counter(), ""
-        try:
-            report = FITTERS[algorithm](dataset, init, config.options)
-        except NewtonConvergenceError as exc:
-            report, failure = exc.report, str(exc)
+        started = time.perf_counter()
+        report = FITTERS[algorithm](dataset, init, config.options)
         elapsed = time.perf_counter() - started
-        records.append(RunRecord(run_id, algorithm, report, elapsed, failure))
+        records.append(RunRecord(run_id, algorithm, report, elapsed))
     return tuple(records)
 
 
@@ -257,9 +252,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
     At most min(jobs, runs) worker processes start, none when that is one.
     Results are merged in run order, so the output is independent of jobs.
-    A fit whose M-step raises NewtonConvergenceError is recorded with the
-    partial report the error carries and the error's message as failure,
-    and the experiment goes on.
+    A fit whose M-step fails is recorded with its partial report, whose
+    failure names the error, and the experiment goes on.
     """
 
     _require_int(jobs, "jobs")

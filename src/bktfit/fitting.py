@@ -74,7 +74,11 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one EM fit: estimate, trace, and constraint verdicts."""
+    """Outcome of one EM fit: estimate, trace, and constraint verdicts.
+
+    failure is the message of the NewtonConvergenceError that stopped the
+    fit after its last completed M-step, and empty when no M-step failed.
+    """
 
     algorithm: str
     theta_hat: ParamSet
@@ -84,6 +88,7 @@ class FitReport:
     converged: bool
     constraints: ConstraintReport
     diagnostics: dict[str, object] = field(default_factory=dict)
+    failure: str = ""
 
     @property
     def final_log_likelihood(self) -> float:
@@ -101,17 +106,14 @@ class NewtonConvergenceError(RuntimeError):
     routine's gradient in slack coordinates where it stopped, or of the KKT
     residual when the objective dropped.
 
-    Raised inside a fit, it carries the fit up to the last completed M-step
-    as `report` (estimate, trace, iteration count, diagnostics, with
-    converged False); it is None when raised outside a fit, as by
-    interior_point_m_step or solve_barrier_subproblem.
+    interior_point_m_step and solve_barrier_subproblem raise it; a fit stops
+    at it and returns its message as FitReport.failure.
     """
 
     def __init__(self, message: str, *, mu: float, residual_norm: float):
         super().__init__(f"{message} (mu={mu:g}, residual max-norm={residual_norm:g})")
         self.mu = mu
         self.residual_norm = residual_norm
-        self.report: FitReport | None = None
 
 
 def _run_em(
@@ -125,8 +127,10 @@ def _run_em(
     """The EM loop: E-step, m_step(stats, theta, iteration), stopping rule.
 
     Stops when the log-likelihood gain or the largest parameter change drops
-    below its tolerance, or at the iteration cap. diagnostics is the fitter's
-    own record, which its M-step fills in; the report carries it as is.
+    below its tolerance, at the iteration cap, or when m_step raises
+    NewtonConvergenceError, whose message becomes the report's failure.
+    diagnostics is the fitter's own record, which its M-step fills in; the
+    report carries it as is.
     """
 
     opts = options or FitOptions()
@@ -136,25 +140,13 @@ def _run_em(
     trace = [stats.log_likelihood]
     iterations = 0
     converged = False
-
-    def report() -> FitReport:
-        return FitReport(
-            algorithm=algorithm,
-            theta_hat=theta,
-            initial_theta=init,
-            loglik_trace=tuple(trace),
-            iterations=iterations,
-            converged=converged,
-            constraints=validate_params(theta),
-            diagnostics=diagnostics,
-        )
-
+    failure = ""
     for _ in range(opts.max_iterations):
         try:
             theta_new = m_step(stats, theta, iterations + 1)
         except NewtonConvergenceError as exc:
-            exc.report = report()
-            raise
+            failure = str(exc)
+            break
         iterations += 1
         delta = max(
             abs(new - old) for new, old in zip(theta_new.astuple(), theta.astuple())
@@ -165,7 +157,17 @@ def _run_em(
         if abs(trace[-1] - trace[-2]) < opts.loglik_tolerance or delta < opts.param_tolerance:
             converged = True
             break
-    return report()
+    return FitReport(
+        algorithm=algorithm,
+        theta_hat=theta,
+        initial_theta=init,
+        loglik_trace=tuple(trace),
+        iterations=iterations,
+        converged=converged,
+        constraints=validate_params(theta),
+        diagnostics=diagnostics,
+        failure=failure,
+    )
 
 
 def random_init(seed: int | Sequence[int]) -> ParamSet:

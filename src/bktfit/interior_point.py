@@ -430,11 +430,11 @@ def fit_constrained(
     iterate, keeps every iterate and the final estimate inside the
     behavioral constraints.
 
-    When an M-step fails, the fit raises NewtonConvergenceError carrying the
-    fit up to the last completed M-step. The diagnostics record genuine
-    restorations (margin <= 0, typically only the initial guess) and, over
-    the completed M-steps, the counts of binding M-steps and of Newton steps
-    (reduced and barrier). The log-likelihood trace is non-decreasing from
+    When an M-step fails, the fit stops and returns the fit up to the last
+    completed M-step, with the error's message as failure. The diagnostics
+    record genuine restorations (margin <= 0, typically only the initial
+    guess) and, over the completed M-steps, the counts of binding M-steps
+    and of Newton steps (reduced and barrier). The log-likelihood trace is non-decreasing from
     the first feasible iterate on: from an infeasible init, the projection
     can lose likelihood at iteration 1.
     """

@@ -299,6 +299,7 @@ def test_fit_writes_the_partial_report_on_solver_failure(
     assert reduced_calls == 3
     assert "solver failure: reduced solve failed: injected" in capsys.readouterr().err
     report = json.loads(report_path.read_text())
+    assert report["failure"].startswith("reduced solve failed: injected (mu=0,")
     assert report["converged"] is False
     assert report["iterations"] >= 2
     assert len(report["loglik_trace"]) == report["iterations"] + 1
@@ -533,6 +534,44 @@ def test_negative_seeds_exit_3(tmp_path, theta_file, capsys, source):
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, change, message",
+    [
+        ("simulate", ["--learners", "0"], "learners must be at least 1"),
+        ("experiment", ["--jobs", "0"], "jobs must be at least 1"),
+        ("config", {"num_datasets": 0}, "run count must be at least 1"),
+        ("config", {"algorithms": []}, "algorithms must not be empty"),
+        ("config", {"algorithms": ["constrained", "constrained"]}, "duplicate algorithm names"),
+        ("config", {"learners": 0}, "learners and steps must be at least 1"),
+    ],
+)
+def test_out_of_range_counts_exit_3(tmp_path, theta_file, capsys, source, change, message):
+    out = tmp_path / "out"
+    if source == "simulate":
+        argv = ["simulate", "--params", str(theta_file), *change, "--out", str(out)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**_TINY_CONFIG, **(change if source == "config" else {})}))
+        argv = ["experiment", "--config", str(config), "--out", str(out)]
+        argv += change if source == "experiment" else []
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_fit_on_all_correct_answers_is_degenerate(tmp_path, capsys):
+    # No answer is wrong, so no count pins the guess: the constrained M-step
+    # raises DegenerateStatsError and fit exits 5 without a report.
+    data = tmp_path / "all-correct.csv"
+    data.write_text("learner_id,step,correct\n0,1,1\n0,2,1\n1,1,1\n1,2,1\n")
+    out = tmp_path / "report.json"
+    argv = ["fit", "--data", str(data), "--algorithm", "constrained", "--out", str(out)]
+    assert main(argv) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate result: cannot update 'guess'")
     assert not out.exists()
 
 

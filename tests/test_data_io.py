@@ -71,6 +71,11 @@ def test_hidden_path_bytes_must_be_monotone():
         HiddenPath(b"\x00\x02")
 
 
+def test_hidden_path_needs_a_state():
+    with pytest.raises(ValueError, match="a hidden path needs at least one state"):
+        HiddenPath(b"")
+
+
 def test_bools_ints_and_bytes_build_the_same_sequence():
     built = [AttemptSequence((True, False, True)), AttemptSequence([1, 0, 1])]
     built.append(AttemptSequence(b"\x01\x00\x01"))
@@ -203,6 +208,24 @@ def test_ground_truth_round_trip(tmp_path):
     got_dataset, got_paths = read_ground_truth(destination)
     assert got_dataset == dataset
     assert got_paths == paths
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        ((HiddenPath((False, True)),), "need exactly one hidden path per learner"),
+        (
+            (HiddenPath((False, True)), HiddenPath((False, True))),
+            "hidden path length mismatch for learner 1",
+        ),
+    ],
+)
+def test_ground_truth_needs_one_matching_path_per_learner(tmp_path, paths, message):
+    dataset = Dataset((AttemptSequence((True, False)), AttemptSequence((False,))))
+    destination = tmp_path / "truth.csv"
+    with pytest.raises(ValueError, match=message):
+        write_ground_truth(dataset, paths, destination)
+    assert not destination.exists()
 
 
 def test_readers_accept_a_byte_order_mark(tmp_path):

@@ -162,13 +162,16 @@ def test_a_failed_binding_m_step_keeps_its_partial_report(monkeypatch):
         else:
             assert replace(record, wall_time=0.0) == replace(reference, wall_time=0.0)
     partial = failed.report
+    assert failed.failure == partial.failure
+    assert partial.failure.startswith("injected (mu=")
     assert not partial.converged
     assert partial.diagnostics["barrier_m_steps"] == 2
     dataset = simulate_dataset(
         config.true_theta, config.learners, config.steps, config.dataset_seed(1)
     )
     cut = replace(config.options, max_iterations=partial.iterations)
-    assert partial == fit_constrained(dataset, random_init(config.init_seed(1)), cut)
+    capped = fit_constrained(dataset, random_init(config.init_seed(1)), cut)
+    assert replace(partial, failure="") == capped
     assert partial.iterations < constrained[1].report.iterations
     assert result.summary()["algorithms"]["constrained"]["converged"] == 2
 
@@ -262,6 +265,13 @@ def test_records_csv_round_trip(tmp_path):
         assert row["fitted_l0"] == record.report.theta_hat.l0
         assert row["constraints_satisfied"] == record.satisfied
         assert row["log_likelihood"] == record.report.final_log_likelihood
+
+
+def test_rows_from_csv_rejects_another_header(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("learner_id,step,correct\r\n0,1,1\r\n")
+    with pytest.raises(ValueError, match="unexpected records header in"):
+        rows_from_csv(path)
 
 
 def test_scatter_svg_is_wellformed_and_marks_every_record(tmp_path):

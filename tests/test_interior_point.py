@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +230,21 @@ def test_barrier_state_rejects_infeasible_theta():
         BarrierState(theta=infeasible, dual=1.0, mu=1.0)
 
 
+@pytest.mark.parametrize(
+    "dual, mu, message",
+    [(-1.0, 1.0, "dual value must be non-negative"), (1.0, -1.0, "mu must be non-negative")],
+)
+def test_barrier_state_rejects_a_negative_dual_or_mu(dual, mu, message):
+    with pytest.raises(ValueError, match=message):
+        BarrierState(theta=TRUE_THETA, dual=dual, mu=mu)
+
+
+def test_solve_barrier_subproblem_needs_a_positive_mu():
+    stats = sufficient_stats(TRUE_THETA, simulate_dataset(TRUE_THETA, 20, 5, 1))
+    with pytest.raises(ValueError, match="a barrier stage needs mu > 0"):
+        solve_barrier_subproblem(stats, BarrierState(theta=TRUE_THETA, dual=0.0, mu=0.0))
+
+
 def test_solve_barrier_subproblem_reaches_tolerance():
     rng = np.random.default_rng(26)
     for _ in range(5):
@@ -409,12 +426,14 @@ def _replace_third_solve(monkeypatch, barrier, outcome):
     ids=["reduced solve", "floor stage", "objective drop"],
 )
 def test_one_failing_binding_m_step_stops_the_fit(monkeypatch, barrier, outcome, message):
-    # The third binding M-step fails, so the fit stops with the first two.
+    # The third binding M-step fails, so the fit stops with the first two
+    # and returns them with the error's message as its failure.
     dataset, init, first_two = _three_binding_m_steps(monkeypatch)
     _replace_third_solve(monkeypatch, barrier, outcome)
-    with pytest.raises(NewtonConvergenceError, match=message) as info:
-        fit_constrained(dataset, init)
-    assert info.value.report == first_two
+    report = fit_constrained(dataset, init)
+    assert re.search(message, report.failure)
+    assert replace(report, failure="") == first_two
+    assert first_two.failure == ""
     assert first_two.iterations == 2 and not first_two.converged
     assert first_two.constraints.satisfied
 
@@ -434,16 +453,22 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
         raise NewtonConvergenceError("floor", mu=mu, residual_norm=1.0)
 
     monkeypatch.setattr(interior_point, "_newton", failing)
-    with pytest.raises(NewtonConvergenceError) as info:
-        fit_constrained(dataset, init)
+    partial = fit_constrained(dataset, init)
     assert calls == 3
-    partial = info.value.report
+    assert partial.failure == f"floor (mu={_MU_FLOOR:g}, residual max-norm=1)"
     assert partial.iterations == 2
     assert len(partial.loglik_trace) == 3
     assert not partial.converged
     assert partial.constraints.satisfied
     assert partial.diagnostics["barrier_m_steps"] == 2
-    assert partial == first_two
+    assert replace(partial, failure="") == first_two
+    # Called directly, the M-step and a barrier stage still raise.
+    stats = sufficient_stats(partial.theta_hat, dataset)
+    with pytest.raises(NewtonConvergenceError, match="^floor") as info:
+        interior_point_m_step(stats, partial.theta_hat)
+    assert not hasattr(info.value, "report")
+    with pytest.raises(NewtonConvergenceError, match="^floor"):
+        solve_barrier_subproblem(stats, BarrierState(partial.theta_hat, 0.0, 1.0))
     monkeypatch.undo()
     full = fit_constrained(dataset, init)
     assert partial.loglik_trace == full.loglik_trace[:3]
