@@ -32,6 +32,9 @@ and the stop rules are module constants, not options. When a solve fails, or
 the result scores below the current iterate, the M-step raises
 NewtonConvergenceError.
 
+The M-step runs on the stats' Python floats, with numpy only in the public
+helpers that return arrays.
+
 The parameter box needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
 positive. Datasets whose counts vanish (all answers identical, or no
@@ -116,58 +119,69 @@ class BarrierState:
             raise ValueError("mu must be non-negative")
 
 
-def _vec(theta: ParamSet) -> np.ndarray:
-    return np.array(theta.astuple())
+def _ab(stats: SufficientStats) -> tuple[tuple[float, float], ...]:
+    """The four (a, b) pairs in (l0, g, s, r) order, as the stats' floats."""
+
+    return stats.prior, stats.guess, stats.slip, stats.transit
+
+
+def _margin_gradient(l0: float, g: float, s: float, r: float) -> list[float]:
+    return [1.0 - s - g, r - l0, -l0, g - 1.0]
+
+
+def _objective(ab: Iterable[tuple[float, float]], theta: Iterable[float]) -> float:
+    """The M-step objective: a log p + b log(1-p) summed over the parameters."""
+
+    return sum(a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, theta))
+
+
+def _residual(
+    ab: Iterable[tuple[float, float]], theta: tuple[float, ...], lam: float, mu: float
+) -> list[float]:
+    """The KKT residual [grad f + lam * grad c, lam*c - mu] at theta."""
+
+    top = [
+        a / p - b / (1.0 - p) + lam * dc
+        for (a, b), p, dc in zip(ab, theta, _margin_gradient(*theta))
+    ]
+    return top + [lam * _margin(*theta) - mu]
 
 
 def constraint_value(theta: ParamSet) -> float:
     """Signed feasibility margin c(theta) = (1-s-g)l0 - (1-g)r."""
 
-    return _margin(*_vec(theta))
+    return _margin(*theta.astuple())
 
 
 def constraint_gradient(theta: ParamSet) -> np.ndarray:
     """Gradient of the margin: (1-s-g, r-l0, -l0, g-1)."""
 
-    l0, g, s, r = _vec(theta)
-    return np.array([1.0 - s - g, r - l0, -l0, g - 1.0])
+    return np.array(_margin_gradient(*theta.astuple()))
 
 
 def objective_value(stats: SufficientStats, theta: ParamSet) -> float:
     """M-step objective (expected complete-data log-likelihood) at theta."""
 
-    pairs = stats.pairs()
-    v = _vec(theta)
-    return float(np.sum(pairs[:, 0] * np.log(v) + pairs[:, 1] * np.log1p(-v)))
+    return _objective(_ab(stats), theta.astuple())
 
 
 def objective_gradient(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
     """Per-parameter derivative a/p - b/(1-p)."""
 
-    pairs, v = stats.pairs(), _vec(theta)
-    return pairs[:, 0] / v - pairs[:, 1] / (1.0 - v)
+    return np.array(_residual(_ab(stats), theta.astuple(), 0.0, 0.0)[:4])
 
 
 def objective_hessian_diag(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
     """Diagonal second derivatives -a/p^2 - b/(1-p)^2; cross terms are zero."""
 
-    pairs, v = stats.pairs(), _vec(theta)
-    return -pairs[:, 0] / v**2 - pairs[:, 1] / (1.0 - v) ** 2
+    ab, v = _ab(stats), theta.astuple()
+    return np.array([-a / (p * p) - b / ((1.0 - p) * (1.0 - p)) for (a, b), p in zip(ab, v)])
 
 
 def kkt_residual(state: BarrierState, stats: SufficientStats) -> np.ndarray:
     """Five-component optimality residual at a barrier iterate."""
 
-    theta, lam = state.theta, state.dual
-    top = objective_gradient(stats, theta) + lam * constraint_gradient(theta)
-    return np.append(top, lam * constraint_value(theta) - state.mu)
-
-
-@dataclass
-class _Work:
-    """Solver work of one fit: Newton steps, reduced and barrier."""
-
-    steps: int = 0
+    return np.array(_residual(_ab(stats), state.theta.astuple(), state.dual, state.mu))
 
 
 def _point(x: tuple[float, ...]) -> tuple[float, float, float, float]:
@@ -254,25 +268,25 @@ def _ascent_step(
 
 
 def _newton(
-    pairs: np.ndarray, x: tuple[float, ...], mu: float, work: _Work
-) -> tuple[float, ...]:
+    ab: tuple[tuple[float, float], ...], x: tuple[float, ...], mu: float
+) -> tuple[tuple[float, ...], int]:
     """Maximize f(theta(x)) + mu log c over the open box (0,1)^4 from x, as
     the module docstring describes; at mu = 0, e keeps its start value.
-    Raises NewtonConvergenceError at mu, with the gradient's max-norm in x as
+    Returns the maximizer and the number of Newton steps taken. Raises
+    NewtonConvergenceError at mu, with the gradient's max-norm in x as
     residual."""
 
-    ab = pairs.tolist()
     n = 4 if mu > 0.0 else 3
 
     def value(x: tuple[float, ...]) -> float:
         if not all(0.0 < t < 1.0 for t in x[:n]):
             return -math.inf
-        f = sum(a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, _point(x)))
+        f = _objective(ab, _point(x))
         return f + mu * math.log((1.0 - x[1]) * x[2] * x[0] * x[3]) if mu else f
 
     stop = _DECREMENT * _MU_FLOOR if mu else _DECREMENT
     f = value(x)
-    for _ in range(_MAX_NEWTON_STEPS):
+    for steps in range(1, _MAX_NEWTON_STEPS + 1):
         grad, exact_hess, gn_hess = _derivatives(ab, x, mu)
         for exact, hess in ((True, exact_hess), (False, gn_hess)):
             solved = _ascent_step(hess, grad, n)
@@ -281,7 +295,6 @@ def _newton(
         else:
             raise _failure("Hessian is singular", mu, grad)
         step, decrement = solved
-        work.steps += 1
         full = exact and decrement < _DECREMENT
         t = 1.0
         for _ in range(_MAX_STEP_HALVINGS):
@@ -294,7 +307,7 @@ def _newton(
             raise _failure("objective stopped increasing", mu, grad)
         x, f = trial, f_trial
         if full and t == 1.0 and decrement < stop:
-            return x
+            return x, steps
     raise _failure("step limit reached", mu, grad)
 
 
@@ -314,7 +327,7 @@ def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> Bar
 
     if not start.mu > 0.0:
         raise ValueError("a barrier stage needs mu > 0")
-    x = _newton(stats.pairs(), _slack(start.theta), start.mu, _Work())
+    x, _ = _newton(_ab(stats), _slack(start.theta), start.mu)
     return _state(x, start.mu)
 
 
@@ -349,46 +362,18 @@ def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | Non
     return adjusted, info
 
 
-def _binding_m_step(
-    stats: SufficientStats, theta_star: ParamSet, start: ParamSet, work: _Work
-) -> BarrierState:
-    """The reduced solve from start and its floor stage (see the module
-    docstring). Raises NewtonConvergenceError naming the step that failed:
-    the reduced solve, the floor stage or the objective check."""
-
-    pairs = stats.pairs()
-    l0, g, k, _ = _newton(pairs, _slack(start)[:3] + (0.0,), 0.0, work)
-    # On c = 0 the dual is lam = (df/dr)/(1-g), and c = (1-g)k l0 e, so the
-    # floor stage starts at c = mu/lam, e = mu/(r df/dr), inside the box.
-    (a, b), r = pairs[3].tolist(), k * l0
-    rate = r * (a / r - b / (1.0 - r))
-    if not rate > _MU_FLOOR:
-        raise _failure("constraint is slack on c = 0", 0.0, ())
-    final = _state(_newton(pairs, (l0, g, k, _MU_FLOOR / rate), _MU_FLOOR, work), _MU_FLOOR)
-    # The barrier gap at the floor is below 1e-10, so any real drop below a
-    # feasible theta_star means the solver landed on the wrong point.
-    if constraint_value(theta_star) > 0.0:
-        drop = objective_value(stats, final.theta) - objective_value(stats, theta_star)
-        if drop < -1e-9:
-            raise NewtonConvergenceError(
-                "constrained M-step decreased the EM objective",
-                mu=_MU_FLOOR,
-                residual_norm=float(np.max(np.abs(kkt_residual(final, stats)))),
-            )
-    return final
-
-
 def _m_step(
-    stats: SufficientStats, theta_star: ParamSet, work: _Work
-) -> tuple[ParamSet, float, float, dict[str, object] | None]:
-    """The constrained M-step from theta_star: the new theta, its dual (0.0
-    exactly when the closed form is feasible), its KKT residual max-norm and
-    project_feasible's adjustment of theta_star. Rejects counts that put
-    the maximizer on the box."""
+    stats: SufficientStats, theta_star: ParamSet
+) -> tuple[ParamSet, float, float, dict[str, object] | None, int]:
+    """interior_point_m_step's theta, with its dual (0.0 exactly when the
+    closed form is feasible), its KKT residual max-norm, project_feasible's
+    adjustment of theta_star and the Newton steps taken. A failed binding
+    M-step raises NewtonConvergenceError naming the reduced solve, the floor
+    stage or the objective check."""
 
     ratios = closed_form_ratios(stats)
-    pairs = (stats.prior, stats.guess, stats.slip, stats.transit)
-    for label, (a, b) in zip(_PARAM_LABELS[1:], pairs[1:]):
+    ab = _ab(stats)
+    for label, (a, b) in zip(_PARAM_LABELS[1:], ab[1:]):
         if a == 0.0 or b == 0.0:
             raise DegenerateStatsError(
                 f"cannot update {label!r}: one-sided expected counts put the "
@@ -396,14 +381,26 @@ def _m_step(
             )
     start, adjustment = project_feasible(theta_star)
     if all(0.0 < p < 1.0 for p in ratios) and _margin(*ratios) > 0.0:
-        # Inactive constraint: the KKT residual with lam = 0 is the gradient
-        # a/p - b/(1-p), taken on floats as objective_gradient takes it.
-        theta = ParamSet(*ratios)
-        residual = max(abs(a / p - b / (1.0 - p)) for (a, b), p in zip(pairs, ratios))
-        return theta, 0.0, residual, adjustment
-    final = _binding_m_step(stats, theta_star, start, work)
-    residual = float(np.max(np.abs(kkt_residual(final, stats))))
-    return final.theta, final.dual, residual, adjustment
+        residual = max(map(abs, _residual(ab, ratios, 0.0, 0.0)))
+        return ParamSet(*ratios), 0.0, residual, adjustment, 0
+    (l0, g, k, _), reduced = _newton(ab, _slack(start)[:3] + (0.0,), 0.0)
+    # On c = 0 the dual is lam = (df/dr)/(1-g), and c = (1-g)k l0 e, so the
+    # floor stage starts at c = mu/lam, e = mu/(r df/dr), inside the box.
+    rate = k * l0 * _residual(ab, _point((l0, g, k, 0.0)), 0.0, 0.0)[3]
+    if not rate > _MU_FLOOR:
+        raise _failure("constraint is slack on c = 0", 0.0, ())
+    x, floor = _newton(ab, (l0, g, k, _MU_FLOOR / rate), _MU_FLOOR)
+    final = _state(x, _MU_FLOOR)
+    theta = final.theta.astuple()
+    residual = max(map(abs, _residual(ab, theta, final.dual, _MU_FLOOR)))
+    # The barrier gap at the floor is below 1e-10, so any real drop below a
+    # feasible theta_star means the solver landed on the wrong point.
+    drop = _objective(ab, theta) - _objective(ab, theta_star.astuple())
+    if constraint_value(theta_star) > 0.0 and drop < -1e-9:
+        raise NewtonConvergenceError(
+            "constrained M-step decreased the EM objective", mu=_MU_FLOOR, residual_norm=residual
+        )
+    return final.theta, final.dual, residual, adjustment, reduced + floor
 
 
 def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> ParamSet:
@@ -418,7 +415,7 @@ def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> Param
     objective check fails.
     """
 
-    return _m_step(stats, theta_star, _Work())[0]
+    return _m_step(stats, theta_star)[0]
 
 
 def fit_constrained(
@@ -446,13 +443,12 @@ def fit_constrained(
         "newton_steps": 0,
         "mu_floor": _MU_FLOOR,
     }
-    work = _Work()
 
     def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        theta_new, dual, residual, adjustment = _m_step(stats, theta, work)
+        theta_new, dual, residual, adjustment, steps = _m_step(stats, theta)
         if dual > 0.0:  # only a binding M-step has a dual, and it is positive
             diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
-        diagnostics["newton_steps"] = work.steps
+        diagnostics["newton_steps"] += steps  # type: ignore[operator]
         if adjustment is not None and adjustment["margin_before"] <= 0.0:
             restorations.append({"iteration": iteration, **adjustment})
         diagnostics["final_kkt_residual"] = residual

@@ -61,12 +61,12 @@ def fail_floor_stage(monkeypatch, number: int) -> None:
     calls = 0
     original = interior_point._newton
 
-    def failing(pairs, x, mu, work):
+    def failing(ab, x, mu):
         nonlocal calls
         calls += mu > 0.0
         if mu > 0.0 and calls == number:
             raise NewtonConvergenceError("injected", mu=mu, residual_norm=1.0)
-        return original(pairs, x, mu, work)
+        return original(ab, x, mu)
 
     monkeypatch.setattr(interior_point, "_newton", failing)
 

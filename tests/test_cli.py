@@ -102,6 +102,26 @@ def test_validate_missing_file_is_io_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"l0": 0.5, "g": 0.2', "invalid JSON"),
+        (
+            '{"l0": 1%s, "g": 0.2, "s": 0.1, "r": 0.1}' % ("0" * 399),
+            "parameter 'l0' is too large for a float",
+        ),
+    ],
+    ids=["truncated JSON", "400-digit l0"],
+)
+def test_validate_rejects_a_malformed_parameter_file(tmp_path, capsys, text, message):
+    path = tmp_path / "theta.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
     out = tmp_path / "data.csv"
     truth = tmp_path / "truth.csv"
@@ -282,12 +302,12 @@ def test_fit_writes_the_partial_report_on_solver_failure(
     reduced_calls = 0
     original_newton = interior_point._newton
 
-    def failing_reduced(pairs, x, mu, work):
+    def failing_reduced(ab, x, mu):
         nonlocal reduced_calls
         reduced_calls += mu == 0.0
         if mu == 0.0 and reduced_calls == 3:
             raise interior_point._failure("injected", 0.0, (1.0,))
-        return original_newton(pairs, x, mu, work)
+        return original_newton(ab, x, mu)
 
     monkeypatch.setattr(interior_point, "_newton", failing_reduced)
     report_path = tmp_path / "report.json"

@@ -45,6 +45,11 @@ def test_paramset_json_round_trip():
     assert ParamSet.from_json(TRUE_THETA.to_json()) == TRUE_THETA
 
 
+def test_paramset_from_json_rejects_invalid_json():
+    with pytest.raises(ParameterError, match="invalid parameter JSON"):
+        ParamSet.from_json("{")
+
+
 def test_paramset_from_dict_missing_key():
     with pytest.raises(ParameterError, match="missing parameter keys: r"):
         ParamSet.from_dict({"l0": 0.4, "g": 0.2, "s": 0.1})
@@ -126,6 +131,11 @@ def test_posterior_values():
 
 def test_apply_transition_value():
     assert apply_transition(TRUE_THETA, 0.4) == pytest.approx(0.4 + 0.3 * 0.6, rel=1e-15)
+
+
+def test_apply_transition_rejects_a_posterior_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"posterior must be in \[0, 1\], got 1.5"):
+        apply_transition(TRUE_THETA, 1.5)
 
 
 def test_trace_matches_manual_fold():

@@ -429,6 +429,13 @@ def test_dataset_iteration_and_indexing_rebuild_the_sequences():
     assert dataset != Dataset(sequences[:1])
 
 
+def test_dataset_is_unequal_to_other_types_and_repr_lists_its_sequences():
+    sequences = [AttemptSequence((True, False))]
+    dataset = Dataset(sequences)
+    assert (dataset == 3) is False
+    assert repr(dataset) == f"Dataset({sequences!r})"
+
+
 def test_read_rejects_a_quoted_cell(tmp_path):
     # Cells are split at bare commas; csv quoting is not unwrapped.
     path = tmp_path / "data.csv"

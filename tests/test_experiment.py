@@ -99,6 +99,11 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json(inits.to_json()) == inits
 
 
+def test_config_from_json_rejects_invalid_json():
+    with pytest.raises(ValueError, match="invalid config JSON"):
+        ExperimentConfig.from_json("{")
+
+
 def test_config_rejects_unknown_keys():
     payload = _tiny_config().to_dict()
     payload["extra"] = 1

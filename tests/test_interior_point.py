@@ -372,10 +372,10 @@ def _counting_stages(monkeypatch):
     mus = []
     original = interior_point._newton
 
-    def counted(pairs, x, mu, work):
+    def counted(ab, x, mu):
         if mu > 0.0:
             mus.append(mu)
-        return original(pairs, x, mu, work)
+        return original(ab, x, mu)
 
     monkeypatch.setattr(interior_point, "_newton", counted)
     return mus
@@ -403,11 +403,11 @@ def _replace_third_solve(monkeypatch, barrier, outcome):
     calls = 0
     original = interior_point._newton
 
-    def replaced(pairs, x, mu, work):
+    def replaced(ab, x, mu):
         nonlocal calls
         calls += (mu > 0.0) == barrier
         if (mu > 0.0) != barrier or calls != 3:
-            return original(pairs, x, mu, work)
+            return original(ab, x, mu)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -421,7 +421,7 @@ def _replace_third_solve(monkeypatch, barrier, outcome):
         (False, interior_point._failure("injected", 0.0, (1.0,)), "reduced solve"),
         (True, NewtonConvergenceError("floor", mu=_MU_FLOOR, residual_norm=1.0), "floor"),
         # A feasible point far below the current iterate on the objective.
-        (True, interior_point._slack(ParamSet(0.5, 0.01, 0.01, 0.01)), "decreased the EM"),
+        (True, (interior_point._slack(ParamSet(0.5, 0.01, 0.01, 0.01)), 1), "decreased the EM"),
     ],
     ids=["reduced solve", "floor stage", "objective drop"],
 )
@@ -445,11 +445,11 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
     calls = 0
     original = interior_point._newton
 
-    def failing(pairs, x, mu, work):
+    def failing(ab, x, mu):
         nonlocal calls
         calls += mu > 0.0
         if mu == 0.0 or calls < 3:
-            return original(pairs, x, mu, work)
+            return original(ab, x, mu)
         raise NewtonConvergenceError("floor", mu=mu, residual_norm=1.0)
 
     monkeypatch.setattr(interior_point, "_newton", failing)
@@ -474,16 +474,71 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
     assert partial.loglik_trace == full.loglik_trace[:3]
 
 
+# Counts whose closed form (0.5, 0.6, 0.5, 0.001) violates c, so the M-step binds.
+_BINDING_COUNTS = ((0.5, 0.6, 0.5, 0.001), (40.0, 200.0, 100.0, 300.0))
+
+
+def test_newton_fails_on_a_singular_hessian():
+    # With every count zero the objective is flat: no Hessian has a pivot.
+    with pytest.raises(
+        NewtonConvergenceError,
+        match=r"^reduced solve failed: Hessian is singular \(mu=0, residual max-norm=0\)$",
+    ):
+        interior_point._newton(((0.0, 0.0),) * 4, (0.5, 0.5, 0.5, 0.0), 0.0)
+
+
+def test_newton_fails_when_no_step_raises_the_objective(monkeypatch):
+    # With the backtracking cap at zero no trial point is tried, so the
+    # reduced solve fails at its first Newton step.
+    monkeypatch.setattr(interior_point, "_MAX_STEP_HALVINGS", 0)
+    stats = _binding_stats(*_BINDING_COUNTS)
+    with pytest.raises(
+        NewtonConvergenceError, match="^reduced solve failed: objective stopped increasing"
+    ):
+        interior_point_m_step(stats, TRUE_THETA)
+
+
+def test_newton_fails_at_the_step_limit(monkeypatch):
+    # One Newton step cannot bring a barrier stage's decrement below 1e-18.
+    monkeypatch.setattr(interior_point, "_MAX_NEWTON_STEPS", 1)
+    stats = sufficient_stats(TRUE_THETA, simulate_dataset(TRUE_THETA, 50, 8, 7))
+    with pytest.raises(
+        NewtonConvergenceError, match=r"^barrier stage failed: step limit reached \(mu=0.001,"
+    ):
+        solve_barrier_subproblem(stats, BarrierState(TRUE_THETA, 0.0, 1e-3))
+
+
+def test_binding_m_step_fails_when_the_constraint_is_slack_on_c_0(monkeypatch):
+    # A reduced solve ending at r = k l0 = 0.81, far above the closed-form
+    # r = 0.001, has df/dr < 0: no positive dual, so no floor stage starts.
+    calls = []
+
+    def reduced_far_off(ab, x, mu):
+        calls.append(mu)
+        return (0.9, 0.1, 0.9, 0.0), 1
+
+    monkeypatch.setattr(interior_point, "_newton", reduced_far_off)
+    stats = _binding_stats(*_BINDING_COUNTS)
+    with pytest.raises(
+        NewtonConvergenceError,
+        match=r"^reduced solve failed: constraint is slack on c = 0 \(mu=0, residual",
+    ):
+        interior_point_m_step(stats, TRUE_THETA)
+    assert calls == [0.0]
+
+
 def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
     steps = []
-    original = interior_point._binding_m_step
+    original = interior_point._m_step
 
-    def recording(stats, theta_star, start, work):
-        final = original(stats, theta_star, start, work)
-        steps.append((stats, final))
-        return final
+    def recording(stats, theta_star):
+        result = original(stats, theta_star)
+        theta, dual = result[:2]
+        if dual > 0.0:  # a binding M-step, which ends at the floor stage
+            steps.append((stats, BarrierState(theta, dual, _MU_FLOOR)))
+        return result
 
-    monkeypatch.setattr(interior_point, "_binding_m_step", recording)
+    monkeypatch.setattr(interior_point, "_m_step", recording)
     stages = _counting_stages(monkeypatch)
     rng = np.random.default_rng(34)
     for pair in range(10):
@@ -533,16 +588,17 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
     start = project_feasible(theta_star)[0]
     with pytest.MonkeyPatch.context() as patch:
         stages = _counting_stages(patch)
-        final = interior_point._binding_m_step(stats, theta_star, start, interior_point._Work())
-    assert stages == [_MU_FLOOR]
-    assert final.mu == _MU_FLOOR
+        theta, dual = interior_point._m_step(stats, theta_star)[:2]
+    # A binding M-step: its one barrier stage is the floor stage.
+    assert stages == [_MU_FLOOR] and dual > 0.0
+    final = BarrierState(theta, dual, _MU_FLOOR)
     # The dual on c = 0, lam = (df/dr)/(1-g), at the reduced solve's point
     # after one more exact Newton step (the step the floor stage also takes).
     pairs = stats.pairs()
     l0, g, s, _ = start.astuple()
     x = (l0, g, (1 - s - g) / (1 - g), 0.0)
     for _ in range(2):
-        x = interior_point._newton(pairs, x, 0.0, interior_point._Work())
+        x, _ = interior_point._newton(pairs.tolist(), x, 0.0)
     (a, b), r = pairs[3], x[2] * x[0]
     dual = (a / r - b / (1 - r)) / (1 - x[1])
     # The floor stage's dual is that dual plus a term linear in mu, large
@@ -567,7 +623,7 @@ def test_binding_m_step_solves_the_lopsided_counts():
     # at c = 4e-15, near the rounding of c as a difference of O(1) terms.
     stats = _binding_stats((0.359, 0.403, 0.822, 0.733), (1.75, 694, 27316, 14986))
     theta_star = ParamSet(0.379, 0.823, 0.843, 0.619)
-    theta, dual, residual, _ = interior_point._m_step(stats, theta_star, interior_point._Work())
+    theta, dual, residual, _, _ = interior_point._m_step(stats, theta_star)
     assert interior_point_m_step(stats, theta_star) == theta
     assert constraint_value(theta) > 0 and dual > 0
     certificate = np.abs(kkt_residual(BarrierState(theta, dual, _MU_FLOOR), stats)).max()
@@ -603,11 +659,10 @@ def _binding_draws(count):
 )
 def test_binding_m_steps_succeed_on_a_sweep(count, scale):
     # Large duals put many floor stages near the rounding of c, as above.
-    work = interior_point._Work()
     for ratios, totals, theta_star in _binding_draws(count):
         totals = tuple(scale * total for total in totals)
         stats = _binding_stats(ratios, totals)
-        theta, dual, residual, _ = interior_point._m_step(stats, theta_star, work)
+        theta, dual, residual, _, _ = interior_point._m_step(stats, theta_star)
         assert constraint_value(theta) > 0 and dual > 0
         assert residual < 1e-9 * max(totals)
 
@@ -649,7 +704,7 @@ def test_public_m_step_solves_the_pure_barrier_stall_counts():
         log_likelihood=0.0,
     )
     theta_star = ParamSet(0.0625, 0.25, 0.25, 0.5)
-    theta, dual, residual, _ = interior_point._m_step(stats, theta_star, interior_point._Work())
+    theta, dual, residual, _, _ = interior_point._m_step(stats, theta_star)
     assert interior_point_m_step(stats, theta_star) == theta
     assert constraint_value(theta) > 0 and dual > 0
     certificate = np.abs(kkt_residual(BarrierState(theta, dual, _MU_FLOOR), stats)).max()
@@ -718,12 +773,14 @@ def test_first_m_step_takes_the_closed_form_only_when_it_is_feasible():
 
 
 def test_float_m_steps_match_the_array_formulas_bitwise():
-    # closed_form_ratios and the inactive M-step work on the stats' Python
-    # floats; each must give the bits of the same formula on (4, 2) arrays.
-    # Half the counts sit at a theta satisfying the constraint, scaled by
-    # totals across seven decades, so that both M-step branches occur.
+    # closed_form_ratios and both M-step branches work on the stats' Python
+    # floats; each must give the bits of the same formula on (4, 2) arrays,
+    # written out here rather than taken from the module's array helpers,
+    # which share the float formulas. Half the counts sit at a theta
+    # satisfying the constraint, scaled by totals across seven decades, so
+    # that both M-step branches occur.
     rng = np.random.default_rng(23)
-    inactive = 0
+    inactive = binding = 0
     for index in range(200):
         learners = int(rng.integers(1, 5000))
         target = np.array((random_valid_theta(rng) if index % 2 else random_theta(rng)).astuple())
@@ -736,12 +793,19 @@ def test_float_m_steps_match_the_array_formulas_bitwise():
         ratios = closed_form_ratios(stats)
         assert ratios == tuple(expected.tolist())
         theta = ParamSet(*ratios)
+        got, dual, residual, _, _ = interior_point._m_step(stats, theta)
+        l0, g, s, r = v = np.array(got.astuple())
+        gradient = pairs[:, 0] / v - pairs[:, 1] / (1.0 - v)
         if constraint_value(theta) > 0.0:
             inactive += 1
-            got, dual, residual, _ = interior_point._m_step(stats, theta, interior_point._Work())
             assert (got, dual) == (theta, 0.0)
-            assert residual == np.abs(objective_gradient(stats, theta)).max()
-    assert inactive >= 50
+            assert residual == np.abs(gradient).max()
+        else:
+            binding += 1
+            top = gradient + dual * np.array([1.0 - s - g, r - l0, -l0, g - 1.0])
+            last = dual * ((1.0 - s - g) * l0 - (1.0 - g) * r) - 1e-10
+            assert residual == np.abs(np.append(top, last)).max()
+    assert inactive >= 50 and binding >= 50
 
 
 def test_fit_constrained_matches_the_barrier_only_fit():

@@ -34,6 +34,11 @@ def test_monotone_paths_count_and_shape():
     assert len(set(paths)) == 5
 
 
+def test_monotone_paths_need_a_step():
+    with pytest.raises(ValueError, match="length must be at least 1"):
+        monotone_paths(0)
+
+
 def test_single_step_likelihood():
     # P(correct) = l0 (1-s) + (1-l0) g
     value = enumerate_likelihood(TRUE_THETA, AttemptSequence((True,)))

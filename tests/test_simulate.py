@@ -142,6 +142,11 @@ def test_simulate_learner_shapes():
     assert len(attempts) == 5
 
 
+def test_simulate_learner_needs_a_step():
+    with pytest.raises(ValueError, match="length must be at least 1"):
+        simulate_learner(TRUE_THETA, 0, 0)
+
+
 def test_paths_are_absorbing():
     for index in range(200):
         path, _ = simulate_learner(TRUE_THETA, 15, (9, index))
