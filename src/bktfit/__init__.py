@@ -21,14 +21,11 @@ from .estep import forward_backward, log_likelihood, posteriors, sufficient_stat
 from .experiment import ExperimentConfig, run_experiment
 from .fitting import FitOptions, FitReport, random_init
 from .interior_point import (
-    BarrierState,
-    InfeasibleStateError,
     NewtonConvergenceError,
     fit_constrained,
     interior_point_m_step,
     kkt_residual,
     project_feasible,
-    solve_barrier_subproblem,
 )
 from .oracle import (
     enumerate_em_objective,
@@ -42,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttemptSequence",
-    "BarrierState",
     "ConstraintReport",
     "Dataset",
     "DatasetFormatError",
@@ -50,7 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "FitOptions",
     "FitReport",
-    "InfeasibleStateError",
     "NewtonConvergenceError",
     "ParamSet",
     "ParameterError",
@@ -73,7 +68,6 @@ __all__ = [
     "read_dataset",
     "run_experiment",
     "simulate_dataset",
-    "solve_barrier_subproblem",
     "sufficient_stats",
     "trace_sequence",
     "validate_params",

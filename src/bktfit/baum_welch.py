@@ -20,7 +20,7 @@ from typing import Iterable
 from .core import PARAM_NAMES, ParamSet
 from .data import Dataset
 from .estep import SufficientStats
-from .fitting import ALGORITHM_BAUM_WELCH, FitOptions, FitReport, _run_em
+from .fitting import ALGORITHM_BAUM_WELCH, FitOptions, FitReport, MStep, _run_em
 
 __all__ = [
     "DegenerateStatsError",
@@ -54,17 +54,29 @@ def closed_form_ratios(stats: SufficientStats) -> tuple[float, float, float, flo
     return tuple(ratios)  # type: ignore[return-value]
 
 
-def _nudge_interior(ratios: tuple[float, float, float, float]) -> tuple[ParamSet, list[str]]:
+def _m_step(stats: SufficientStats, theta: ParamSet | None = None) -> MStep:
+    """The closed-form update, nudged off exact boundaries, and the names of
+    the parameters it nudged; the current iterate theta is not used."""
+
+    ratios = closed_form_ratios(stats)
     nudged = [min(max(value, BOUNDARY_NUDGE), 1.0 - BOUNDARY_NUDGE) for value in ratios]
-    hits = [name for name, value, new in zip(PARAM_NAMES, ratios, nudged) if new != value]
-    return ParamSet(*nudged), hits
+    hits = tuple(name for name, value, new in zip(PARAM_NAMES, ratios, nudged) if new != value)
+    return MStep(ParamSet(*nudged), boundary_hits=hits)
 
 
 def m_step_closed_form(stats: SufficientStats) -> ParamSet:
     """Closed-form parameter update, nudged off exact boundaries."""
 
-    theta, _ = _nudge_interior(closed_form_ratios(stats))
-    return theta
+    return _m_step(stats).theta
+
+
+def _diagnostics(records: list[MStep]) -> dict[str, object]:
+    hits = [
+        {"iteration": iteration, "parameters": list(record.boundary_hits)}
+        for iteration, record in enumerate(records, 1)
+        if record.boundary_hits
+    ]
+    return {"boundary_hits": hits}
 
 
 def fit_baum_welch(
@@ -78,13 +90,5 @@ def fit_baum_welch(
     constraint verdicts say so without altering the estimate.
     """
 
-    boundary_hits: list[dict[str, object]] = []
+    return _run_em(ALGORITHM_BAUM_WELCH, dataset, init, options, _m_step, _diagnostics)
 
-    def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        theta_new, hits = _nudge_interior(closed_form_ratios(stats))
-        if hits:
-            boundary_hits.append({"iteration": iteration, "parameters": hits})
-        return theta_new
-
-    diagnostics = {"boundary_hits": boundary_hits}
-    return _run_em(ALGORITHM_BAUM_WELCH, dataset, init, options, m_step, diagnostics)

@@ -2,7 +2,9 @@
 
 Both fitters are generalized EM (Dempster, Laird & Rubin, 1977): the same
 E-step, stopping rule and log-likelihood trace around different M-steps.
-_run_em is that loop; each fitter passes in its M-step and its diagnostics.
+_run_em is that loop. Each fitter passes in its M-step, which returns an
+MStep record, and its _diagnostics, which turns the records of the completed
+M-steps into the report's diagnostics.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     ConstraintReport,
@@ -98,16 +100,37 @@ class FitReport:
         return asdict(self)
 
 
+class MStep(NamedTuple):
+    """One M-step's outcome, as both fitters' M-steps return it.
+
+    theta is the update. dual is the constraint's multiplier, 0.0 unless the
+    constraint bound, and kkt_residual the max-norm of the KKT residual at
+    (theta, dual), nan where the M-step does not certify its point.
+    reduced_steps and floor_steps count the Newton steps of the reduced solve
+    and of the floor stage. restoration is project_feasible's record when
+    the iterate the M-step started from violated c, else None, and
+    boundary_hits names the parameters nudged off the walls of the box.
+    """
+
+    theta: ParamSet
+    dual: float = 0.0
+    kkt_residual: float = math.nan
+    reduced_steps: int = 0
+    floor_steps: int = 0
+    restoration: dict[str, object] | None = None
+    boundary_hits: tuple[str, ...] = ()
+
+
 class NewtonConvergenceError(RuntimeError):
     """A constrained M-step failed: the Newton routine of the reduced solve
-    on c = 0 (reported at mu = 0) or of a barrier stage stopped short of its
+    on c = 0 (reported at mu = 0) or of the floor stage stopped short of its
     decrement, the constraint was slack on c = 0, or the result lowered the
     objective. Nothing restarts. residual_norm is the max-norm of the
     routine's gradient in slack coordinates where it stopped, or of the KKT
     residual when the objective dropped.
 
-    interior_point_m_step and solve_barrier_subproblem raise it; a fit stops
-    at it and returns its message as FitReport.failure.
+    interior_point_m_step raises it; a fit stops at it and returns its
+    message as FitReport.failure.
     """
 
     def __init__(self, message: str, *, mu: float, residual_norm: float):
@@ -121,16 +144,16 @@ def _run_em(
     dataset: Dataset | Iterable[object],
     init: ParamSet,
     options: FitOptions | None,
-    m_step: Callable[[SufficientStats, ParamSet, int], ParamSet],
-    diagnostics: dict[str, object],
+    m_step: Callable[[SufficientStats, ParamSet], MStep],
+    diagnostics: Callable[[list[MStep]], dict[str, object]],
 ) -> FitReport:
-    """The EM loop: E-step, m_step(stats, theta, iteration), stopping rule.
+    """The EM loop: E-step, m_step(stats, theta), stopping rule.
 
     Stops when the log-likelihood gain or the largest parameter change drops
     below its tolerance, at the iteration cap, or when m_step raises
-    NewtonConvergenceError, whose message becomes the report's failure.
-    diagnostics is the fitter's own record, which its M-step fills in; the
-    report carries it as is.
+    NewtonConvergenceError, whose message becomes the report's failure. The
+    report's diagnostics are diagnostics(records), from the MStep records of
+    the completed M-steps in order.
     """
 
     opts = options or FitOptions()
@@ -138,20 +161,20 @@ def _run_em(
     theta = init
     stats = sufficient_stats(theta, data)
     trace = [stats.log_likelihood]
-    iterations = 0
+    records: list[MStep] = []
     converged = False
     failure = ""
     for _ in range(opts.max_iterations):
         try:
-            theta_new = m_step(stats, theta, iterations + 1)
+            record = m_step(stats, theta)
         except NewtonConvergenceError as exc:
             failure = str(exc)
             break
-        iterations += 1
+        records.append(record)
         delta = max(
-            abs(new - old) for new, old in zip(theta_new.astuple(), theta.astuple())
+            abs(new - old) for new, old in zip(record.theta.astuple(), theta.astuple())
         )
-        theta = theta_new
+        theta = record.theta
         stats = sufficient_stats(theta, data)
         trace.append(stats.log_likelihood)
         if abs(trace[-1] - trace[-2]) < opts.loglik_tolerance or delta < opts.param_tolerance:
@@ -162,10 +185,10 @@ def _run_em(
         theta_hat=theta,
         initial_theta=init,
         loglik_trace=tuple(trace),
-        iterations=iterations,
+        iterations=len(records),
         converged=converged,
         constraints=validate_params(theta),
-        diagnostics=diagnostics,
+        diagnostics=diagnostics(records),
         failure=failure,
     )
 

@@ -25,12 +25,12 @@ the solve if that decrement is also below 1e-8 at mu = 0, or 1e-18 at mu > 0,
 where the dual mu/c rests on e alone. A binding M-step runs it twice. The
 reduced solve holds e at 0, the face c = 0, at mu = 0 (r eliminated as in
 Nocedal & Wright, Numerical Optimization, 2006, 15.2); its dual is
-lam = (df/dr)/(1-g). The floor stage runs at mu = 1e-10 from e where
-c = mu/lam, which makes c strictly positive. The certificate is the KKT
-residual in theta, [grad objective + lam * grad c,  lam*c - mu]. The floor
-and the stop rules are module constants, not options. When a solve fails, or
-the result scores below the current iterate, the M-step raises
-NewtonConvergenceError.
+lam = (df/dr)/(1-g). The floor stage, solve_barrier_subproblem, runs at
+mu = 1e-10 from e where c = mu/lam, which makes c strictly positive. The
+certificate is the KKT residual in theta, [grad objective + lam * grad c,
+lam*c - mu]. The floor and the stop rules are module constants, not options.
+When a solve fails, or the result scores below the current iterate, the
+M-step raises NewtonConvergenceError.
 
 The M-step runs on the stats' Python floats, with numpy only in the public
 helpers that return arrays.
@@ -45,7 +45,6 @@ rejected as degenerate up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -58,13 +57,12 @@ from .fitting import (
     ALGORITHM_CONSTRAINED,
     FitOptions,
     FitReport,
+    MStep,
     NewtonConvergenceError,
     _run_em,
 )
 
 __all__ = [
-    "BarrierState",
-    "InfeasibleStateError",
     "NewtonConvergenceError",
     "constraint_value",
     "constraint_gradient",
@@ -72,7 +70,6 @@ __all__ = [
     "objective_gradient",
     "objective_hessian_diag",
     "kkt_residual",
-    "solve_barrier_subproblem",
     "project_feasible",
     "interior_point_m_step",
     "fit_constrained",
@@ -93,30 +90,6 @@ _MU_FLOOR = 1e-10
 _MAX_NEWTON_STEPS = 100
 _MAX_STEP_HALVINGS = 45
 _DECREMENT = 1e-8
-
-
-class InfeasibleStateError(ValueError):
-    """A barrier iterate left the strictly feasible region c(theta) > 0."""
-
-
-@dataclass(frozen=True)
-class BarrierState:
-    """Primal-dual iterate: parameters, constraint multiplier, barrier weight."""
-
-    theta: ParamSet
-    dual: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        if constraint_value(self.theta) <= 0.0:
-            raise InfeasibleStateError(
-                f"constraint margin must be strictly positive, got "
-                f"{constraint_value(self.theta)!r}"
-            )
-        if self.dual < 0.0:
-            raise ValueError("dual value must be non-negative")
-        if self.mu < 0.0:
-            raise ValueError("mu must be non-negative")
 
 
 def _ab(stats: SufficientStats) -> tuple[tuple[float, float], ...]:
@@ -178,10 +151,11 @@ def objective_hessian_diag(stats: SufficientStats, theta: ParamSet) -> np.ndarra
     return np.array([-a / (p * p) - b / ((1.0 - p) * (1.0 - p)) for (a, b), p in zip(ab, v)])
 
 
-def kkt_residual(state: BarrierState, stats: SufficientStats) -> np.ndarray:
-    """Five-component optimality residual at a barrier iterate."""
+def kkt_residual(stats: SufficientStats, theta: ParamSet, dual: float, mu: float) -> np.ndarray:
+    """Five-component optimality residual [grad objective + dual * grad c,
+    dual*c - mu] at theta."""
 
-    return np.array(_residual(_ab(stats), state.theta.astuple(), state.dual, state.mu))
+    return np.array(_residual(_ab(stats), theta.astuple(), dual, mu))
 
 
 def _point(x: tuple[float, ...]) -> tuple[float, float, float, float]:
@@ -199,8 +173,8 @@ def _slack(theta: ParamSet) -> tuple[float, float, float, float]:
     return l0, g, k, _margin(l0, g, s, r) / ((1.0 - g) * k * l0)
 
 
-def _state(x: tuple[float, ...], mu: float) -> BarrierState:
-    """The barrier iterate at x, with the dual mu/c from c's product form.
+def _state(x: tuple[float, ...], mu: float) -> tuple[ParamSet, float]:
+    """theta at x, with the dual mu/c from c's product form.
 
     Where c is below the rounding of c's difference form, the four floats
     can still give c <= 0; r then moves down past that rounding.
@@ -210,7 +184,7 @@ def _state(x: tuple[float, ...], mu: float) -> BarrierState:
     _, _, s, r = _point(x)
     while not _margin(l0, g, s, r) > 0.0:
         r = math.nextafter(r + _margin(l0, g, s, r) / (1.0 - g), 0.0)
-    return BarrierState(ParamSet(l0, g, s, r), mu / ((1.0 - g) * k * l0 * e), mu)
+    return ParamSet(l0, g, s, r), mu / ((1.0 - g) * k * l0 * e)
 
 
 def _derivatives(
@@ -318,17 +292,16 @@ def _failure(reason: str, mu: float, grad: Iterable[float]) -> NewtonConvergence
     )
 
 
-def solve_barrier_subproblem(stats: SufficientStats, start: BarrierState) -> BarrierState:
-    """Maximize objective + mu*log(c) at start.mu > 0 from start.theta.
+def solve_barrier_subproblem(
+    ab: tuple[tuple[float, float], ...], x: tuple[float, ...], mu: float
+) -> tuple[tuple[float, ...], int]:
+    """One barrier stage: maximize objective + mu*log(c), mu > 0, over the
+    box from the slack coordinates x. Returns the maximizer in slack
+    coordinates, where e keeps its precision however small c is, and the
+    Newton steps taken; _state gives its theta and dual. Every binding
+    M-step runs one, the floor stage."""
 
-    Runs the module's Newton routine in slack coordinates; start.dual is not
-    used, and the result's dual is mu/c.
-    """
-
-    if not start.mu > 0.0:
-        raise ValueError("a barrier stage needs mu > 0")
-    x, _ = _newton(_ab(stats), _slack(start.theta), start.mu)
-    return _state(x, start.mu)
+    return _newton(ab, x, mu)
 
 
 def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | None]:
@@ -362,12 +335,10 @@ def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | Non
     return adjusted, info
 
 
-def _m_step(
-    stats: SufficientStats, theta_star: ParamSet
-) -> tuple[ParamSet, float, float, dict[str, object] | None, int]:
-    """interior_point_m_step's theta, with its dual (0.0 exactly when the
-    closed form is feasible), its KKT residual max-norm, project_feasible's
-    adjustment of theta_star and the Newton steps taken. A failed binding
+def _m_step(stats: SufficientStats, theta_star: ParamSet) -> MStep:
+    """interior_point_m_step's theta as an MStep record: its dual is 0.0
+    exactly when the closed form is feasible, and its restoration is
+    project_feasible's record when theta_star violates c. A failed binding
     M-step raises NewtonConvergenceError naming the reduced solve, the floor
     stage or the objective check."""
 
@@ -380,27 +351,28 @@ def _m_step(
                 f"maximizer on the boundary"
             )
     start, adjustment = project_feasible(theta_star)
+    feasible = constraint_value(theta_star) > 0.0
+    restoration = None if feasible else adjustment
     if all(0.0 < p < 1.0 for p in ratios) and _margin(*ratios) > 0.0:
         residual = max(map(abs, _residual(ab, ratios, 0.0, 0.0)))
-        return ParamSet(*ratios), 0.0, residual, adjustment, 0
+        return MStep(ParamSet(*ratios), 0.0, residual, restoration=restoration)
     (l0, g, k, _), reduced = _newton(ab, _slack(start)[:3] + (0.0,), 0.0)
     # On c = 0 the dual is lam = (df/dr)/(1-g), and c = (1-g)k l0 e, so the
     # floor stage starts at c = mu/lam, e = mu/(r df/dr), inside the box.
     rate = k * l0 * _residual(ab, _point((l0, g, k, 0.0)), 0.0, 0.0)[3]
     if not rate > _MU_FLOOR:
         raise _failure("constraint is slack on c = 0", 0.0, ())
-    x, floor = _newton(ab, (l0, g, k, _MU_FLOOR / rate), _MU_FLOOR)
-    final = _state(x, _MU_FLOOR)
-    theta = final.theta.astuple()
-    residual = max(map(abs, _residual(ab, theta, final.dual, _MU_FLOOR)))
+    x, floor = solve_barrier_subproblem(ab, (l0, g, k, _MU_FLOOR / rate), _MU_FLOOR)
+    theta, dual = _state(x, _MU_FLOOR)
+    residual = max(map(abs, _residual(ab, theta.astuple(), dual, _MU_FLOOR)))
     # The barrier gap at the floor is below 1e-10, so any real drop below a
     # feasible theta_star means the solver landed on the wrong point.
-    drop = _objective(ab, theta) - _objective(ab, theta_star.astuple())
-    if constraint_value(theta_star) > 0.0 and drop < -1e-9:
+    drop = _objective(ab, theta.astuple()) - _objective(ab, theta_star.astuple())
+    if feasible and drop < -1e-9:
         raise NewtonConvergenceError(
             "constrained M-step decreased the EM objective", mu=_MU_FLOOR, residual_norm=residual
         )
-    return final.theta, final.dual, residual, adjustment, reduced + floor
+    return MStep(theta, dual, residual, reduced, floor, restoration)
 
 
 def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> ParamSet:
@@ -415,7 +387,25 @@ def interior_point_m_step(stats: SufficientStats, theta_star: ParamSet) -> Param
     objective check fails.
     """
 
-    return _m_step(stats, theta_star)[0]
+    return _m_step(stats, theta_star).theta
+
+
+def _diagnostics(records: list[MStep]) -> dict[str, object]:
+    diagnostics: dict[str, object] = {
+        "restorations": [
+            {"iteration": iteration, **record.restoration}
+            for iteration, record in enumerate(records, 1)
+            if record.restoration is not None
+        ],
+        # Only a binding M-step has a dual, and it is positive.
+        "barrier_m_steps": sum(record.dual > 0.0 for record in records),
+        "newton_steps": sum(record.reduced_steps + record.floor_steps for record in records),
+        "mu_floor": _MU_FLOOR,
+    }
+    if records:
+        diagnostics["final_kkt_residual"] = records[-1].kkt_residual
+        diagnostics["final_dual"] = records[-1].dual
+    return diagnostics
 
 
 def fit_constrained(
@@ -431,28 +421,9 @@ def fit_constrained(
     completed M-step, with the error's message as failure. The diagnostics
     record genuine restorations (margin <= 0, typically only the initial
     guess) and, over the completed M-steps, the counts of binding M-steps
-    and of Newton steps (reduced and barrier). The log-likelihood trace is non-decreasing from
-    the first feasible iterate on: from an infeasible init, the projection
-    can lose likelihood at iteration 1.
+    and of Newton steps (reduced solve and floor stage). The log-likelihood
+    trace is non-decreasing from the first feasible iterate on: from an
+    infeasible init, the projection can lose likelihood at iteration 1.
     """
 
-    restorations: list[dict[str, object]] = []
-    diagnostics: dict[str, object] = {
-        "restorations": restorations,
-        "barrier_m_steps": 0,
-        "newton_steps": 0,
-        "mu_floor": _MU_FLOOR,
-    }
-
-    def m_step(stats: SufficientStats, theta: ParamSet, iteration: int) -> ParamSet:
-        theta_new, dual, residual, adjustment, steps = _m_step(stats, theta)
-        if dual > 0.0:  # only a binding M-step has a dual, and it is positive
-            diagnostics["barrier_m_steps"] += 1  # type: ignore[operator]
-        diagnostics["newton_steps"] += steps  # type: ignore[operator]
-        if adjustment is not None and adjustment["margin_before"] <= 0.0:
-            restorations.append({"iteration": iteration, **adjustment})
-        diagnostics["final_kkt_residual"] = residual
-        diagnostics["final_dual"] = dual
-        return theta_new
-
-    return _run_em(ALGORITHM_CONSTRAINED, dataset, init, options, m_step, diagnostics)
+    return _run_em(ALGORITHM_CONSTRAINED, dataset, init, options, _m_step, _diagnostics)

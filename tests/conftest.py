@@ -15,15 +15,7 @@ import numpy as np
 import pytest
 
 import bktfit.interior_point as interior_point
-from bktfit import (
-    BarrierState,
-    NewtonConvergenceError,
-    ParamSet,
-    project_feasible,
-    solve_barrier_subproblem,
-    validate_params,
-)
-from bktfit.interior_point import constraint_value
+from bktfit import NewtonConvergenceError, ParamSet, project_feasible, validate_params
 
 # Well-behaved generating parameters used across the suite: comfortably
 # inside every constraint (margin 0.0675, fixed point 0.346 < l0).
@@ -53,22 +45,22 @@ def random_attempts(rng: np.random.Generator, length: int) -> tuple[bool, ...]:
 def fail_floor_stage(monkeypatch, number: int) -> None:
     """Make floor stage number `number` of this process raise.
 
-    Each binding M-step calls interior_point._newton twice, for the reduced
-    solve at mu = 0 and for one floor stage at mu > 0, so this fails the
-    binding M-step of that number, counted across fits.
+    Each binding M-step runs one floor stage, a call of
+    interior_point.solve_barrier_subproblem, so this fails the binding
+    M-step of that number, counted across fits.
     """
 
     calls = 0
-    original = interior_point._newton
+    original = interior_point.solve_barrier_subproblem
 
     def failing(ab, x, mu):
         nonlocal calls
-        calls += mu > 0.0
-        if mu > 0.0 and calls == number:
+        calls += 1
+        if calls == number:
             raise NewtonConvergenceError("injected", mu=mu, residual_norm=1.0)
         return original(ab, x, mu)
 
-    monkeypatch.setattr(interior_point, "_newton", failing)
+    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", failing)
 
 
 # The paper's barrier weights: 1.0 times 0.2 per stage while above the
@@ -76,17 +68,17 @@ def fail_floor_stage(monkeypatch, number: int) -> None:
 PURE_BARRIER_MUS = (*accumulate([0.2] * 14, mul, initial=1.0), interior_point._MU_FLOOR)
 
 
-def pure_barrier(stats, theta_star: ParamSet) -> BarrierState:
+def pure_barrier(stats, theta_star: ParamSet) -> tuple[ParamSet, float]:
     """The paper's constrained M-step, kept as a reference: one
     solve_barrier_subproblem stage per weight in PURE_BARRIER_MUS, each
-    warm-started at the last, from theta_star projected inward."""
+    warm-started in slack coordinates at the last, from theta_star projected
+    inward. Returns theta and the dual mu/c at the last stage."""
 
-    theta = project_feasible(theta_star)[0]
-    dual = PURE_BARRIER_MUS[0] / constraint_value(theta)
+    ab = interior_point._ab(stats)
+    x = interior_point._slack(project_feasible(theta_star)[0])
     for mu in PURE_BARRIER_MUS:
-        state = solve_barrier_subproblem(stats, BarrierState(theta, dual, mu))
-        theta, dual = state.theta, state.dual
-    return state
+        x, _ = interior_point.solve_barrier_subproblem(ab, x, mu)
+    return interior_point._state(x, mu)
 
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []

@@ -394,3 +394,15 @@ def test_long_learners_with_extreme_parameters_match_exact_sums():
         np.testing.assert_allclose(
             _stats_row(sufficient_stats(theta, [seq])), _exact_counts_row(theta, seq), rtol=1e-12
         )
+
+
+def test_long_double_has_the_precision_the_estep_docstring_promises():
+    # W's coefficients are taken in np.longdouble and split into a high and a
+    # low part; the exactness above needs its 63-bit mantissa (x86-64's
+    # 80-bit long double). Where numpy's long double is a plain double, fits
+    # lose those bits.
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "np.longdouble has a "
+        f"{np.finfo(np.longdouble).nmant}-bit mantissa; the estep module docstring's "
+        "precision promise for W's coefficients assumes at least 63 bits"
+    )

@@ -12,11 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import bktfit.interior_point as interior_point
 from bktfit import (
-    BarrierState,
     DegenerateStatsError,
     ExperimentConfig,
     FitOptions,
-    InfeasibleStateError,
     NewtonConvergenceError,
     ParamSet,
     enumerate_em_objective,
@@ -28,13 +26,12 @@ from bktfit import (
     project_feasible,
     random_init,
     simulate_dataset,
-    solve_barrier_subproblem,
     sufficient_stats,
     validate_params,
 )
 from bktfit.baum_welch import closed_form_ratios
 from bktfit.estep import SufficientStats
-from bktfit.fitting import _run_em
+from bktfit.fitting import MStep, _run_em
 from bktfit.interior_point import (
     _MU_FLOOR,
     constraint_gradient,
@@ -42,10 +39,12 @@ from bktfit.interior_point import (
     objective_gradient,
     objective_hessian_diag,
     objective_value,
+    solve_barrier_subproblem,
 )
 from conftest import (
     PURE_BARRIER_MUS,
     TRUE_THETA,
+    fail_floor_stage,
     pure_barrier,
     random_theta,
     random_valid_theta,
@@ -127,8 +126,7 @@ def test_objective_derivatives_match_finite_differences():
 def test_kkt_residual_composition():
     rng = np.random.default_rng(24)
     stats, _, _ = _random_stats(rng)
-    state = BarrierState(theta=TRUE_THETA, dual=2.5, mu=0.3)
-    residual = kkt_residual(state, stats)
+    residual = kkt_residual(stats, TRUE_THETA, 2.5, 0.3)
     expected_top = objective_gradient(stats, TRUE_THETA) + 2.5 * constraint_gradient(
         TRUE_THETA
     )
@@ -223,40 +221,17 @@ def test_schedule_round_trip():
     assert report.diagnostics["mu_floor"] == _MU_FLOOR
 
 
-def test_barrier_state_rejects_infeasible_theta():
-    infeasible = ParamSet(l0=0.3, g=0.6, s=0.5, r=0.4)
-    assert constraint_value(infeasible) < 0
-    with pytest.raises(InfeasibleStateError):
-        BarrierState(theta=infeasible, dual=1.0, mu=1.0)
-
-
-@pytest.mark.parametrize(
-    "dual, mu, message",
-    [(-1.0, 1.0, "dual value must be non-negative"), (1.0, -1.0, "mu must be non-negative")],
-)
-def test_barrier_state_rejects_a_negative_dual_or_mu(dual, mu, message):
-    with pytest.raises(ValueError, match=message):
-        BarrierState(theta=TRUE_THETA, dual=dual, mu=mu)
-
-
-def test_solve_barrier_subproblem_needs_a_positive_mu():
-    stats = sufficient_stats(TRUE_THETA, simulate_dataset(TRUE_THETA, 20, 5, 1))
-    with pytest.raises(ValueError, match="a barrier stage needs mu > 0"):
-        solve_barrier_subproblem(stats, BarrierState(theta=TRUE_THETA, dual=0.0, mu=0.0))
-
-
 def test_solve_barrier_subproblem_reaches_tolerance():
     rng = np.random.default_rng(26)
     for _ in range(5):
         stats, _, _ = _random_stats(rng)
         mu = 1.0
-        start = BarrierState(
-            theta=TRUE_THETA, dual=mu / constraint_value(TRUE_THETA), mu=mu
-        )
-        solved = solve_barrier_subproblem(stats, start)
-        residual = np.abs(kkt_residual(solved, stats)).max()
+        start = interior_point._slack(TRUE_THETA)
+        x, _ = solve_barrier_subproblem(interior_point._ab(stats), start, mu)
+        theta, dual = interior_point._state(x, mu)
+        residual = np.abs(kkt_residual(stats, theta, dual, mu)).max()
         assert residual < 1e-9
-        assert solved.dual * constraint_value(solved.theta) == pytest.approx(mu, rel=1e-6)
+        assert dual * constraint_value(theta) == pytest.approx(mu, rel=1e-6)
 
 
 def test_m_step_matches_closed_form_when_constraint_inactive():
@@ -366,18 +341,17 @@ def test_fit_constrained_records_restoration_of_infeasible_init():
 
 
 def _counting_stages(monkeypatch):
-    """Record the mu of every barrier stage, an interior_point._newton call at
-    mu > 0, in the returned list."""
+    """Record the mu of every barrier stage, a call of
+    interior_point.solve_barrier_subproblem, in the returned list."""
 
     mus = []
-    original = interior_point._newton
+    original = interior_point.solve_barrier_subproblem
 
     def counted(ab, x, mu):
-        if mu > 0.0:
-            mus.append(mu)
+        mus.append(mu)
         return original(ab, x, mu)
 
-    monkeypatch.setattr(interior_point, "_newton", counted)
+    monkeypatch.setattr(interior_point, "solve_barrier_subproblem", counted)
     return mus
 
 
@@ -467,11 +441,26 @@ def test_solver_failure_keeps_the_partial_fit(monkeypatch):
     with pytest.raises(NewtonConvergenceError, match="^floor") as info:
         interior_point_m_step(stats, partial.theta_hat)
     assert not hasattr(info.value, "report")
+    x = interior_point._slack(partial.theta_hat)
     with pytest.raises(NewtonConvergenceError, match="^floor"):
-        solve_barrier_subproblem(stats, BarrierState(partial.theta_hat, 0.0, 1.0))
+        solve_barrier_subproblem(interior_point._ab(stats), x, 1.0)
     monkeypatch.undo()
     full = fit_constrained(dataset, init)
     assert partial.loglik_trace == full.loglik_trace[:3]
+
+
+def test_a_fit_whose_first_m_step_fails_has_no_final_m_step(monkeypatch):
+    # The first M-step of this fit binds, and its floor stage fails, so no
+    # M-step completes: the diagnostics count nothing and name no last M-step.
+    fail_floor_stage(monkeypatch, 1)
+    report = fit_constrained(simulate_dataset(TRUE_THETA, 50, 8, 106), random_init(3))
+    assert report.failure.startswith("injected") and report.iterations == 0
+    assert report.diagnostics == {
+        "restorations": [],
+        "barrier_m_steps": 0,
+        "newton_steps": 0,
+        "mu_floor": _MU_FLOOR,
+    }
 
 
 # Counts whose closed form (0.5, 0.6, 0.5, 0.001) violates c, so the M-step binds.
@@ -502,10 +491,11 @@ def test_newton_fails_at_the_step_limit(monkeypatch):
     # One Newton step cannot bring a barrier stage's decrement below 1e-18.
     monkeypatch.setattr(interior_point, "_MAX_NEWTON_STEPS", 1)
     stats = sufficient_stats(TRUE_THETA, simulate_dataset(TRUE_THETA, 50, 8, 7))
+    x = interior_point._slack(TRUE_THETA)
     with pytest.raises(
         NewtonConvergenceError, match=r"^barrier stage failed: step limit reached \(mu=0.001,"
     ):
-        solve_barrier_subproblem(stats, BarrierState(TRUE_THETA, 0.0, 1e-3))
+        solve_barrier_subproblem(interior_point._ab(stats), x, 1e-3)
 
 
 def test_binding_m_step_fails_when_the_constraint_is_slack_on_c_0(monkeypatch):
@@ -532,11 +522,10 @@ def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
     original = interior_point._m_step
 
     def recording(stats, theta_star):
-        result = original(stats, theta_star)
-        theta, dual = result[:2]
-        if dual > 0.0:  # a binding M-step, which ends at the floor stage
-            steps.append((stats, BarrierState(theta, dual, _MU_FLOOR)))
-        return result
+        record = original(stats, theta_star)
+        if record.dual > 0.0:  # a binding M-step, which ends at the floor stage
+            steps.append((stats, record))
+        return record
 
     monkeypatch.setattr(interior_point, "_m_step", recording)
     stages = _counting_stages(monkeypatch)
@@ -549,11 +538,32 @@ def test_binding_m_steps_end_at_the_floor_with_a_certificate(monkeypatch):
         assert len(steps) == report.diagnostics["barrier_m_steps"]
         # One floor stage per binding M-step.
         assert stages == [_MU_FLOOR] * len(steps)
-        for stats, final in steps:
-            assert final.mu == _MU_FLOOR
-            assert np.abs(kkt_residual(final, stats)).max() < 1e-8
-            assert constraint_value(final.theta) > 0
+        for stats, record in steps:
+            assert np.abs(kkt_residual(stats, record.theta, record.dual, _MU_FLOOR)).max() < 1e-8
+            assert constraint_value(record.theta) > 0
     assert len(steps) > 0
+
+
+def test_the_floor_stage_is_called_by_its_module_name(monkeypatch):
+    # The benchmark counts barrier stages by wrapping the module attribute
+    # interior_point.solve_barrier_subproblem: every binding M-step calls it
+    # exactly once, and no closed-form M-step calls it.
+    stages = _counting_stages(monkeypatch)
+    calls = []
+    original = interior_point._m_step
+
+    def recording(stats, theta_star):
+        before = len(stages)
+        record = original(stats, theta_star)
+        calls.append((record.dual > 0.0, len(stages) - before))
+        return record
+
+    monkeypatch.setattr(interior_point, "_m_step", recording)
+    # From this init 10 of the fit's 53 M-steps bind.
+    report = fit_constrained(simulate_dataset(TRUE_THETA, 50, 8, 1), random_init(2))
+    assert len(calls) == report.iterations
+    assert {binding for binding, _ in calls} == {True, False}
+    assert all(count == binding for binding, count in calls)
 
 
 _ratio = st.floats(min_value=0.02, max_value=0.98)
@@ -591,7 +601,6 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
         theta, dual = interior_point._m_step(stats, theta_star)[:2]
     # A binding M-step: its one barrier stage is the floor stage.
     assert stages == [_MU_FLOOR] and dual > 0.0
-    final = BarrierState(theta, dual, _MU_FLOOR)
     # The dual on c = 0, lam = (df/dr)/(1-g), at the reduced solve's point
     # after one more exact Newton step (the step the floor stage also takes).
     pairs = stats.pairs()
@@ -600,21 +609,19 @@ def test_reduced_solve_and_floor_stage_match_the_pure_barrier(ratios, totals, st
     for _ in range(2):
         x, _ = interior_point._newton(pairs.tolist(), x, 0.0)
     (a, b), r = pairs[3], x[2] * x[0]
-    dual = (a / r - b / (1 - r)) / (1 - x[1])
-    # The floor stage's dual is that dual plus a term linear in mu, large
+    lam = (a / r - b / (1 - r)) / (1 - x[1])
+    # The floor stage's dual is lam plus a term linear in mu, large
     # where the constraint is nearly slack (the first example: 1.6e-5
     # relative); the stage at 2 mu cancels it.
-    twice = solve_barrier_subproblem(stats, BarrierState(final.theta, final.dual, 2 * _MU_FLOOR))
-    assert 2 * final.dual - twice.dual == pytest.approx(dual, rel=1e-5)
-    assert constraint_value(final.theta) > 0
-    assert np.abs(kkt_residual(final, stats)).max() < 1e-8
-    reference = pure_barrier(stats, theta_star).theta
-    np.testing.assert_allclose(
-        final.theta.astuple(), reference.astuple(), rtol=0, atol=1e-7
-    )
+    x, _ = solve_barrier_subproblem(pairs.tolist(), interior_point._slack(theta), 2 * _MU_FLOOR)
+    assert 2 * dual - interior_point._state(x, 2 * _MU_FLOOR)[1] == pytest.approx(lam, rel=1e-5)
+    assert constraint_value(theta) > 0
+    assert np.abs(kkt_residual(stats, theta, dual, _MU_FLOOR)).max() < 1e-8
+    reference, _ = pure_barrier(stats, theta_star)
+    np.testing.assert_allclose(theta.astuple(), reference.astuple(), rtol=0, atol=1e-7)
     # Both solve the floor stage with one routine, so they tie up to rounding.
     best = objective_value(stats, reference)
-    assert objective_value(stats, final.theta) >= best - 1e-12 * abs(best)
+    assert objective_value(stats, theta) >= best - 1e-12 * abs(best)
 
 
 def test_binding_m_step_solves_the_lopsided_counts():
@@ -623,10 +630,10 @@ def test_binding_m_step_solves_the_lopsided_counts():
     # at c = 4e-15, near the rounding of c as a difference of O(1) terms.
     stats = _binding_stats((0.359, 0.403, 0.822, 0.733), (1.75, 694, 27316, 14986))
     theta_star = ParamSet(0.379, 0.823, 0.843, 0.619)
-    theta, dual, residual, _, _ = interior_point._m_step(stats, theta_star)
+    theta, dual, residual = interior_point._m_step(stats, theta_star)[:3]
     assert interior_point_m_step(stats, theta_star) == theta
     assert constraint_value(theta) > 0 and dual > 0
-    certificate = np.abs(kkt_residual(BarrierState(theta, dual, _MU_FLOOR), stats)).max()
+    certificate = np.abs(kkt_residual(stats, theta, dual, _MU_FLOOR)).max()
     assert certificate == residual < 1e-8
 
 
@@ -662,7 +669,7 @@ def test_binding_m_steps_succeed_on_a_sweep(count, scale):
     for ratios, totals, theta_star in _binding_draws(count):
         totals = tuple(scale * total for total in totals)
         stats = _binding_stats(ratios, totals)
-        theta, dual, residual, _, _ = interior_point._m_step(stats, theta_star)
+        theta, dual, residual = interior_point._m_step(stats, theta_star)[:3]
         assert constraint_value(theta) > 0 and dual > 0
         assert residual < 1e-9 * max(totals)
 
@@ -671,7 +678,12 @@ def _public_m_step_fit(dataset, init):
     """The EM loop over interior_point_m_step, as a library user would run it."""
 
     return _run_em(
-        "public-m-step", dataset, init, None, lambda s, t, i: interior_point_m_step(s, t), {}
+        "public-m-step",
+        dataset,
+        init,
+        None,
+        lambda stats, theta: MStep(interior_point_m_step(stats, theta)),
+        lambda records: {},
     )
 
 
@@ -704,10 +716,10 @@ def test_public_m_step_solves_the_pure_barrier_stall_counts():
         log_likelihood=0.0,
     )
     theta_star = ParamSet(0.0625, 0.25, 0.25, 0.5)
-    theta, dual, residual, _, _ = interior_point._m_step(stats, theta_star)
+    theta, dual, residual = interior_point._m_step(stats, theta_star)[:3]
     assert interior_point_m_step(stats, theta_star) == theta
     assert constraint_value(theta) > 0 and dual > 0
-    certificate = np.abs(kkt_residual(BarrierState(theta, dual, _MU_FLOOR), stats)).max()
+    certificate = np.abs(kkt_residual(stats, theta, dual, _MU_FLOOR)).max()
     assert certificate == residual < 1e-8
 
 
@@ -763,7 +775,7 @@ def test_first_m_step_takes_the_closed_form_only_when_it_is_feasible():
             assert report.diagnostics["final_kkt_residual"] == np.abs(gradient).max()
         else:
             seen["active"] += 1
-            barrier = pure_barrier(stats, reference).theta
+            barrier, _ = pure_barrier(stats, reference)
             np.testing.assert_allclose(
                 report.theta_hat.astuple(), barrier.astuple(), rtol=0, atol=1e-7
             )
@@ -793,7 +805,7 @@ def test_float_m_steps_match_the_array_formulas_bitwise():
         ratios = closed_form_ratios(stats)
         assert ratios == tuple(expected.tolist())
         theta = ParamSet(*ratios)
-        got, dual, residual, _, _ = interior_point._m_step(stats, theta)
+        got, dual, residual = interior_point._m_step(stats, theta)[:3]
         l0, g, s, r = v = np.array(got.astuple())
         gradient = pairs[:, 0] / v - pairs[:, 1] / (1.0 - v)
         if constraint_value(theta) > 0.0:
@@ -815,8 +827,8 @@ def test_fit_constrained_matches_the_barrier_only_fit():
             dataset,
             init,
             None,
-            lambda stats, theta, iteration: pure_barrier(stats, theta).theta,
-            {},
+            lambda stats, theta: MStep(pure_barrier(stats, theta)[0]),
+            lambda records: {},
         )
 
     rng = np.random.default_rng(33)
