@@ -14,6 +14,7 @@ validation), so batch scripts can branch on the outcome.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -177,8 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once: the tree depends only on constants, and parsing
+# leaves it as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

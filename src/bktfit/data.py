@@ -24,10 +24,13 @@ fill these arrays directly. AttemptSequence and HiddenPath hold the same
 encoding, bytes of one 0 or 1 per step: iterating or indexing a dataset
 cuts its answers' bytes into sequences, each checked in one pass, and a
 dataset built from sequences joins their bytes. The first E-step that reads a
-dataset sorts the learners by descending length into chunks (Dataset._chunks)
-and keeps, per chunk, the E-step's four count planes with a row per switch
-time, in the smallest unsigned type that holds the chunk's longest length;
-every later E-step of every fit reads them.
+dataset builds its layout (Dataset._layout) and keeps it for every later
+E-step of every fit: each distinct answer sequence once, as the column of the
+first learner who gave it, those learners sorted by descending length into
+chunks, each chunk with the E-step's four count planes, a row per switch time
+and a column per sequence, in the smallest unsigned type that holds the
+chunk's longest length; and each learner's slot, the column of its sequence.
+So the planes take memory per distinct sequence, not per learner.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AttemptSequence",
@@ -53,9 +57,10 @@ __all__ = [
 _DATASET_HEADER = ("learner_id", "step", "correct")
 _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 
-# A chunk takes _CHUNK_CELLS // T learners (at least one), T the longest of
-# them; it keeps four count planes of T + 1 rows, and an E-step one workspace
-# of two float planes of T + 1 rows, which reads the count planes in place.
+# A chunk takes _CHUNK_CELLS // T distinct sequences (at least one, then held
+# twice), T the longest of them; it keeps four count planes of T + 1 rows, and an
+# E-step one workspace of two float planes of T + 1 rows, which reads the count
+# planes in place.
 _CHUNK_CELLS = 1 << 15
 
 # The readers validate this many bytes at a time, cut at the last line end,
@@ -147,14 +152,16 @@ def _runs(kind: type[_Run], flags: bytes, bounds: list[int]) -> Iterator[_Run]:
 
 
 class _Chunk(NamedTuple):
-    """What every E-step reads of some learners, all of it independent of theta.
+    """What every E-step reads of some distinct answer sequences, all of it
+    independent of theta.
 
-    Planes have a row per switch time tau = 0..T, T the first learner's
-    length, and a column per learner; a learner's rows past its length L
-    are padding.
+    Planes have a row per switch time tau = 0..T, T the first sequence's
+    length, and a column per sequence, held by the first learner who gave
+    it; a column's rows past its length L are padding. A chunk of one
+    sequence holds it in both of two columns.
     """
 
-    learners: np.ndarray  # dataset indices, in stable descending-length order
+    learners: np.ndarray  # each column's first learner, in stable descending-length order
     # (4, T + 1, n) exact counts of path tau in np.min_scalar_type(T): the correct
     # answers before tau (C_tau), the wrong ones before tau (tau - C_tau), the
     # wrong ones from tau on and the correct ones from tau on (C_L - C_tau).
@@ -164,6 +171,16 @@ class _Chunk(NamedTuple):
     wrong: np.ndarray  # L - C_L, as floats
     runs: tuple[tuple[int, int, int], ...]  # (row, start, stop): padding from row on
     tau: np.ndarray  # 0..T, as floats
+
+
+class _Layout(NamedTuple):
+    """A dataset as the E-step reads it: its distinct answer sequences in chunks,
+    and where to find each learner's."""
+
+    chunks: tuple[_Chunk, ...]
+    # Each learner's column, counted through the chunks in order, of its answer
+    # sequence; slice(None) where that column is the learner's own index.
+    slot: np.ndarray | slice
 
 
 class Dataset:
@@ -216,28 +233,68 @@ class Dataset:
         return f"Dataset({list(self)!r})"
 
     @cached_property
-    def _chunks(self) -> tuple[_Chunk, ...]:
-        """The learners in stable descending-length order, cut into chunks of
-        _CHUNK_CELLS // T learners, each built on first use and kept."""
+    def _layout(self) -> _Layout:
+        """Each distinct answer sequence once, as the column of its first learner:
+        those learners in stable descending-length order, cut into chunks of
+        _CHUNK_CELLS // T of them; built on first use and kept."""
 
-        lengths = self._lengths
+        lengths, longest = self._lengths, int(self._lengths.max())
+        # windows[i, :n] is the n answers from flat index i on, zeros past the end.
+        padded = np.append(self._answers, np.zeros(longest, dtype=np.uint8))
+        windows = sliding_window_view(padded, longest)
         order = np.argsort(-lengths, kind="stable")
+        first = self._first_learners(order, windows)
+        distinct = order[first[order] == order]
         chunks, start = [], 0
-        while start < len(order):
-            learners = order[start : start + max(1, _CHUNK_CELLS // lengths[order[start]])]
+        while start < len(distinct):
+            learners = distinct[start : start + max(1, _CHUNK_CELLS // lengths[distinct[start]])]
             start += len(learners)
-            chunks.append(self._chunk(learners))
-        return tuple(chunks)
+            chunks.append(self._chunk(learners, windows))
+        columns = np.concatenate([chunk.learners for chunk in chunks])
+        if np.array_equal(columns, np.arange(len(self))):
+            return _Layout(tuple(chunks), slice(None))
+        column = np.empty(len(self), dtype=np.int64)
+        column[columns] = np.arange(len(columns))
+        return _Layout(tuple(chunks), column[first])
 
-    def _chunk(self, learners: np.ndarray) -> _Chunk:
-        """The chunk of these learners, the longest first."""
+    def _first_learners(self, order: np.ndarray, windows: np.ndarray) -> np.ndarray:
+        """Each learner's first learner with the same answers. order holds the
+        learners grouped by length, each group in dataset order; within a group,
+        the answers are packed to bytes and sorted stably, so equal answers
+        come out together with the first learner first."""
 
+        sizes = self._lengths[order]
+        cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+        first = np.empty(len(order), dtype=np.int64)
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            group = order[lo:hi]
+            bits = np.packbits(windows[self._bounds[group], : sizes[lo]], axis=1)
+            sort = np.lexsort(bits.T)
+            # Each row's bytes as one string, so rows compare in one call.
+            rows = bits.view(f"S{bits.shape[1]}")[sort, 0]
+            new = np.empty(len(group), dtype=bool)
+            new[0] = True
+            new[1:] = rows[1:] != rows[:-1]
+            first[group[sort]] = group[sort[new]][np.cumsum(new) - 1]
+        return first
+
+    def _chunk(self, learners: np.ndarray, windows: np.ndarray) -> _Chunk:
+        """The chunk of these learners, the longest first. A lone learner is held
+        twice: numpy sums a single column over tau in another order."""
+
+        if len(learners) == 1:
+            learners = learners.repeat(2)
         lengths, count = self._lengths[learners], len(learners)
         steps = int(lengths[0])
-        rows = np.arange(steps)[:, None]
-        filled = rows < lengths
-        answers = np.zeros(filled.shape, dtype=np.uint8)
-        answers[filled] = self._answers[(self._bounds[learners] + rows)[filled]]
+        starts = (np.flatnonzero(lengths[1:] < lengths[:-1]) + 1).tolist()
+        runs = tuple(  # learners of one length are a run of columns
+            (int(lengths[lo]) + 1, lo, hi)
+            for lo, hi in zip([0] + starts, starts + [count])
+            if lengths[lo] < steps
+        )
+        answers = windows[self._bounds[learners], :steps].T
+        for row, start, stop in runs:
+            answers[row - 1 :, start:stop] = 0  # the next learners' answers
         dtype = np.min_scalar_type(steps)
         counts = np.empty((4, steps + 1, count), dtype=dtype)
         correct, wrong_before, wrong_after, right_after = counts
@@ -252,12 +309,6 @@ class Dataset:
         # exceeds wrong, so the minimum makes the plane 0 there.
         np.minimum(wrong_before, wrong, out=wrong_after)
         np.subtract(wrong, wrong_after, out=wrong_after)
-        starts = (np.flatnonzero(lengths[1:] < lengths[:-1]) + 1).tolist()
-        runs = tuple(  # learners of one length are a run of columns
-            (int(lengths[lo]) + 1, lo, hi)
-            for lo, hi in zip([0] + starts, starts + [count])
-            if lengths[lo] < steps
-        )
         right, wrong, tau = right.astype(float), wrong.astype(float), np.arange(steps + 1.0)
         return _Chunk(learners, counts, last, right, wrong, runs, tau)
 

@@ -28,18 +28,24 @@ at 5,000 steps with a coordinate near 1e-6). So W's coefficients are taken in
 long double (80-bit on x86-64) and split into a high part on a grid where sums
 are exact and a low rest, added after each learner's largest high W is taken off.
 
-The E-step runs over a Dataset's chunks (see data.Dataset._chunks). Each chunk
-keeps the four counts of the table above as exact integer planes, (T+1, n) with
-a row per switch time: C, tau - C, wrong from tau on and right from tau on. They
-do not depend on theta; the sums weighted by q are taken afresh, all four in one
+The E-step runs over a Dataset's chunks (see data.Dataset._layout), which hold
+each distinct answer sequence once, as a column. Each chunk keeps the four
+counts of the table above as exact integer planes, (T+1, n) with a row per
+switch time: C, tau - C, wrong from tau on and right from tau on. They do not
+depend on theta; the sums weighted by q are taken afresh, all four in one
 einsum straight from the integer planes. An E-step fills two float planes per
 chunk, W and then q in place, and a scratch plane for W's low part; C delta is
 multiplied from C's integer plane, with no float copy of it. Rows past a
-learner's length get W = -inf and add exactly 0. Each sufficient_stats call
+sequence's length get W = -inf and add exactly 0. Each sufficient_stats call
 allocates one workspace of two planes of its largest chunk (1 MiB at most
 unless a learner is longer than 32,768 steps), and posteriors runs the same
-kernel on a one-learner chunk. Per-learner rows are summed in ascending learner
-order, so results are bitwise reproducible.
+kernel on the chunk of one sequence. A column's row of counts depends on theta
+and its answers alone, not on its chunk's width, padding or other columns
+(numpy sums a lone column in another order, so a chunk never has one). The
+rows fill a table, one per column, chunk after chunk; each learner's row is
+copied out of it by the learner's slot, and the rows are summed in ascending
+learner order, so results are bitwise reproducible and equal to those of a
+column per learner.
 forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
 sequence in log space.
 """
@@ -192,9 +198,9 @@ def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    (chunk,) = Dataset((seq,))._chunks
+    (chunk,) = Dataset((seq,))._layout.chunks
     weights = _log_weights(theta, chunk.tau)
-    q = _switch_posteriors(weights, chunk, np.empty(2 * len(chunk.tau)))[0][:, 0]
+    q = _switch_posteriors(weights, chunk, np.empty(2 * chunk.counts[0].size))[0][:, 0]
     q /= q.sum()
     proficient = np.cumsum(q)[:-1]  # P(tau <= t)
     novice = np.cumsum(q[:0:-1])[::-1]  # P(tau > t)
@@ -204,7 +210,7 @@ def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
 
 
 def _chunk_rows(weights: _Weights, chunk: _Chunk, workspace: np.ndarray) -> np.ndarray:
-    """Per-learner (n, 9) rows of expected counts and log-likelihoods."""
+    """Per-column (n, 9) rows of expected counts and log-likelihoods."""
 
     q, peak = _switch_posteriors(weights, chunk, workspace)
     (_, _, *high), (_, _, *low) = weights[1]
@@ -230,14 +236,16 @@ def sufficient_stats(
     """Expected counts for every parameter plus the dataset log-likelihood."""
 
     data = as_dataset(dataset)
-    chunks = data._chunks
+    chunks, slot = data._layout
     weights = _log_weights(theta, chunks[0].tau)
     workspace = np.empty(2 * max(chunk.counts[0].size for chunk in chunks))
-    per_learner = np.empty((len(data), 9))
+    rows = np.empty((sum(len(chunk.learners) for chunk in chunks), 9))  # a row per column
+    stop = 0
     for chunk in chunks:
-        per_learner[chunk.learners] = _chunk_rows(weights, chunk, workspace)
-    # Fixed reduction order: sum over learners in ascending index order.
-    totals = per_learner.sum(axis=0).tolist()
+        start, stop = stop, stop + len(chunk.learners)
+        rows[start:stop] = _chunk_rows(weights, chunk, workspace)
+    # Each learner's row by its slot, summed in the fixed order of ascending learner index.
+    totals = rows[slot].sum(axis=0).tolist()
     pairs = [tuple(totals[i : i + 2]) for i in range(0, 8, 2)]
     return SufficientStats(*pairs, learner_count=len(data), log_likelihood=totals[8])
 

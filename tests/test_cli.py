@@ -412,6 +412,31 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_main_answers_each_call_alike_in_one_process(tmp_path, theta_file, capsys):
+    # main parses with one parser per process; no call may leave a trace in it.
+    missing = str(tmp_path / "missing.csv")
+    calls = [
+        (["validate", str(theta_file)], EXIT_OK),
+        (["fit", "--data", missing, "--algorithm", "constrained"], EXIT_IO),
+        (["fit", "--data", missing, "--algorithm", "nonsense"], EXIT_USAGE),
+        ([], EXIT_USAGE),
+        (["simulate", "--params", str(theta_file), "--sidecar", missing, "--out", "x"], EXIT_USAGE),
+        (["simulate", "--learners", "3", "--out", missing], EXIT_USAGE),
+        (["fit", "--help"], EXIT_OK),
+        (["--help"], EXIT_OK),
+    ]
+    first = []
+    for argv, code in calls:
+        assert main(argv) == code
+        first.append(capsys.readouterr())
+    assert all(out or err for out, err in first)
+    for _ in range(2):
+        for (argv, code), want in zip(reversed(calls), reversed(first)):
+            assert main(argv) == code
+            assert capsys.readouterr() == want
+    assert first[-1].out == build_parser().format_help()
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     config = {
         "true_theta": TRUE_THETA.to_dict(),

@@ -103,9 +103,9 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
     monkeypatch.setattr(data, "_CHUNK_CELLS", 6)
     answers = ((1, 0), (0, 1, 1), (1,), (1, 1, 0), (0, 0))
     dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
-    assert "_chunks" not in vars(dataset)
-    chunks = dataset._chunks
-    assert chunks is dataset._chunks
+    assert "_layout" not in vars(dataset)
+    chunks, slot = dataset._layout
+    assert chunks is dataset._layout.chunks
     # Stable descending length: the two length-3 and the two length-2
     # learners keep their dataset order. Six cells take two learners of
     # length 3, then three of length 2 or less.
@@ -131,6 +131,8 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
     assert second.right.tolist() == [1.0, 0.0, 1.0] and second.wrong.tolist() == [1.0, 2.0, 0.0]
     assert first.runs == () and second.runs == ((2, 2, 3),)
     assert first.tau.tolist() == [0.0, 1.0, 2.0, 3.0] and second.tau.tolist() == [0.0, 1.0, 2.0]
+    # The five answer sequences differ: each learner has a column of its own.
+    assert slot.tolist() == [2, 0, 4, 1, 3]
 
 
 @pytest.mark.parametrize(
@@ -141,7 +143,7 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
     lengths = [1] * 5 + rng.integers(1, 31, 95).tolist() + ([longest] if longest else [])
     answers = [rng.integers(0, 2, n) for n in rng.permutation(lengths)]
     dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
-    chunks = dataset._chunks
+    chunks = dataset._layout.chunks
     assert chunks[0].counts.dtype == dtype
     for chunk in chunks:
         steps, count = len(chunk.tau) - 1, len(chunk.learners)
@@ -186,11 +188,53 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
 
 
 def test_dataset_chunks_keep_dataset_order_among_equal_lengths():
+    # 200 learners of lengths 1-4: at most 30 distinct answer sequences, each
+    # held by the first learner that gave it.
     rng = np.random.default_rng(3)
     lengths = rng.integers(1, 5, 200).tolist()
-    dataset = Dataset(tuple(AttemptSequence((True,) * n) for n in lengths))
-    order = np.concatenate([chunk.learners for chunk in dataset._chunks]).tolist()
-    assert order == sorted(range(200), key=lambda i: (-lengths[i], i))
+    answers = [tuple(rng.integers(0, 2, n).tolist()) for n in lengths]
+    dataset = Dataset(answers)
+    order = np.concatenate([chunk.learners for chunk in dataset._layout.chunks]).tolist()
+    firsts = [i for i in range(200) if answers[i] not in answers[:i]]
+    assert order == sorted(firsts, key=lambda i: (-lengths[i], i))
+    assert 16 < len(order) <= 30
+
+
+@pytest.mark.parametrize("cells", [40, 300, data._CHUNK_CELLS])
+def test_layout_holds_each_distinct_answer_sequence_once(monkeypatch, cells):
+    monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(23)
+    pool = [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 40)]
+    answers = [pool[i] for i in rng.integers(0, 40, 300)]
+    answers += [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 30)]
+    dataset = Dataset(answers)
+    chunks, slot = dataset._layout
+    columns = np.concatenate([chunk.learners for chunk in chunks])
+    held = [answers[i] for i in columns.tolist()]
+    # Each distinct sequence is held once, save a chunk's lone sequence, held twice.
+    twice = [chunk.learners.tolist() for chunk in chunks if len(set(chunk.learners.tolist())) == 1]
+    assert all(len(learners) == 2 for learners in twice)
+    assert len(held) == len(set(answers)) + len(twice) and set(held) == set(answers)
+    # Every learner's slot is a column with its answers.
+    for learner, column in enumerate(np.arange(len(answers))[slot].tolist()):
+        assert held[column] == answers[learner]
+    # The columns are each sequence's first learner, in stable descending-length order.
+    firsts = [i for i in range(len(answers)) if answers[i] not in answers[:i]]
+    distinct = list(dict.fromkeys(columns.tolist()))
+    assert distinct == sorted(firsts, key=lambda i: (-len(answers[i]), i))
+    assert len(chunks) > 1 or cells == data._CHUNK_CELLS
+
+
+def test_layout_slot_is_the_identity_where_no_learner_moves():
+    chunks, slot = Dataset([(0, 1), (1, 0), (1, 1), (0, 0)])._layout
+    assert slot == slice(None) and chunks[0].learners.tolist() == [0, 1, 2, 3]
+    # Sorting by length moves learners, and so does a repeated sequence.
+    assert Dataset([(0,), (1, 0)])._layout.slot.tolist() == [1, 0]
+    assert Dataset([(1, 0), (0, 1), (1, 0)])._layout.slot.tolist() == [0, 1, 0]
+    # One sequence alone in a chunk is held twice, in two columns.
+    (chunk,), slot = Dataset([(1, 0, 1)] * 3)._layout
+    assert chunk.learners.tolist() == [0, 0] and chunk.counts.shape == (4, 4, 2)
+    assert slot.tolist() in ([0, 0, 0], [1, 1, 1])
 
 
 def test_dataset_round_trip(tmp_path):

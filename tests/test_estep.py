@@ -177,12 +177,37 @@ def test_chunk_boundaries_leave_the_stats_unchanged(monkeypatch):
     for cells in (1, 3, 20, default):
         monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
         dataset = Dataset(tuple(sequences))
-        chunks[cells] = len(dataset._chunks)
+        chunks[cells] = len(dataset._layout.chunks)
         got[cells] = _stats_row(sufficient_stats(theta, dataset))
         np.testing.assert_allclose(got[cells], oracle, rtol=1e-12)
-    assert chunks[1] == len(sequences) > chunks[3] > chunks[20] > chunks[default] == 1
+    # A chunk holds each distinct sequence once: the six length-1 learners give two.
+    distinct = len({seq.attempts for seq in sequences})
+    assert chunks[1] == distinct < len(sequences)
+    assert chunks[1] > chunks[3] > chunks[20] > chunks[default] == 1
     for row in got.values():
-        np.testing.assert_allclose(row, got[1], rtol=1e-13)
+        assert np.array_equal(row, got[1])
+
+
+def test_stats_are_the_in_order_sum_of_each_learners_own_row():
+    # A learner's row depends on theta and its answers alone, not on its chunk's
+    # width, padding or neighbours. So rows taken one learner at a time and
+    # summed in dataset order give the dataset's stats bit for bit, however
+    # many learners share a sequence and wherever their columns lie.
+    rng = np.random.default_rng(24)
+    pool = [random_attempts(rng, int(n)) for n in rng.integers(1, 31, 25)]
+    sequences = [AttemptSequence(pool[i]) for i in rng.integers(0, 25, 400)]
+    sequences += [sequences[i] for i in rng.permutation(400)]  # a permuted copy
+    sequences.insert(137, AttemptSequence(random_attempts(rng, 300)))  # uint16 planes
+    theta = random_theta(rng)
+    dataset = Dataset(tuple(sequences))
+    assert len(dataset._layout.chunks[0].tau) == 301
+    weights = estep._log_weights(theta, np.arange(301.0))
+    own = []
+    for seq in sequences:
+        # The learner's sequence in both columns of a chunk of its own.
+        (chunk,) = Dataset((seq, seq))._layout.chunks
+        own.append(estep._chunk_rows(weights, chunk, np.empty(2 * chunk.counts[0].size))[0])
+    assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), np.array(own).sum(axis=0))
 
 
 def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
@@ -191,7 +216,7 @@ def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
     sequences = [AttemptSequence(random_attempts(rng, 1)) for _ in range(30)]
     sequences.insert(11, AttemptSequence(random_attempts(rng, 2000)))
     dataset = Dataset(tuple(sequences))
-    cells = [(len(chunk.tau) - 1) * len(chunk.learners) for chunk in dataset._chunks]
+    cells = [(len(chunk.tau) - 1) * len(chunk.learners) for chunk in dataset._layout.chunks]
     assert max(cells) <= data._CHUNK_CELLS
     stats = _stats_row(sufficient_stats(theta, dataset))
     assert np.all(np.isfinite(stats))
@@ -210,7 +235,7 @@ def test_count_planes_of_every_width_give_the_per_sequence_counts():
     lengths = rng.permutation([1] * 4 + rng.integers(1, 31, 36).tolist() + [300, 70_000])
     sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
     dataset = Dataset(tuple(sequences))
-    widths = [chunk.counts.dtype for chunk in dataset._chunks]
+    widths = [chunk.counts.dtype for chunk in dataset._layout.chunks]
     assert widths == [np.uint32, np.uint16]  # the short learners share the 300-step chunk
     stats = _stats_row(sufficient_stats(theta, dataset))
     looped = sum(
@@ -219,8 +244,9 @@ def test_count_planes_of_every_width_give_the_per_sequence_counts():
     )
     np.testing.assert_allclose(stats, looped, rtol=1e-12)
     # The kernel reads each plane as exact doubles, so the plane's width is invisible.
-    wide = tuple(chunk._replace(counts=chunk.counts.astype(float)) for chunk in dataset._chunks)
-    vars(dataset)["_chunks"] = wide
+    chunks = dataset._layout.chunks
+    wide = tuple(chunk._replace(counts=chunk.counts.astype(float)) for chunk in chunks)
+    vars(dataset)["_layout"] = dataset._layout._replace(chunks=wide)
     assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), stats)
 
 
@@ -250,7 +276,7 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
         for seq in sequences
     )
     default = _stats_row(sufficient_stats(theta, Dataset(tuple(sequences))))
-    assert len(Dataset(tuple(sequences))._chunks) == 1
+    assert len(Dataset(tuple(sequences))._layout.chunks) == 1
 
     # NaN in every workspace cell before each chunk: a cell the chunk reads
     # without writing it first turns its rows into NaN.
@@ -263,11 +289,12 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
         return kernel(weights, chunk, workspace)
 
     monkeypatch.setattr(estep, "_switch_posteriors", poisoned)
-    for cells in (26, 40, 80):
+    # Chunk sizes under which the 47 distinct sequences fill chunks of many shapes.
+    for cells in (26, 44, 74):
         monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
         dataset = Dataset(tuple(sequences))
-        chunks = dataset._chunks
-        # Every chunk holds two or more learners, so its sums over time run
+        chunks = dataset._layout.chunks
+        # Every chunk holds two or more columns, so its sums over time run
         # in the same order as in the one default chunk.
         shapes = [chunk.counts.shape[1:] for chunk in chunks]  # (T + 1, n)
         assert min(count for _, count in shapes) >= 2
@@ -289,8 +316,9 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
 
 def test_one_estep_on_wide_data_allocates_one_workspace():
     dataset = simulate_dataset(TRUE_THETA, 2000, 50, 1)
-    chunks = dataset._chunks
-    assert [chunk.counts.shape for chunk in chunks] == [(4, 51, 655)] * 3 + [(4, 51, 35)]
+    chunks = dataset._layout.chunks
+    # 1,990 of the 2,000 answer sequences are distinct, and each is held once.
+    assert [chunk.counts.shape for chunk in chunks] == [(4, 51, 655)] * 3 + [(4, 51, 25)]
     assert all(chunk.counts.dtype == np.uint8 for chunk in chunks)
     # Two planes of 51 rows, one per switch time, by the widest chunk; the
     # chunks above are built and kept, so only the E-step's own arrays count.
@@ -406,3 +434,4 @@ def test_long_double_has_the_precision_the_estep_docstring_promises():
         f"{np.finfo(np.longdouble).nmant}-bit mantissa; the estep module docstring's "
         "precision promise for W's coefficients assumes at least 63 bits"
     )
+
