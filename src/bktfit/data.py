@@ -29,7 +29,9 @@ E-step of every fit: each distinct answer sequence once, as the column of the
 first learner who gave it, those learners sorted by descending length into
 chunks, each chunk with the E-step's four count planes, a row per switch time
 and a column per sequence, in the smallest unsigned type that holds the
-chunk's longest length; and each learner's slot, the column of its sequence.
+chunk's longest length; each learner's slot, the column of its sequence; and,
+for the E-step's tail over every column at once, each column's correct and
+wrong answer counts as floats, and the size of the workspace its chunks share.
 So the planes take memory per distinct sequence, not per learner.
 """
 
@@ -167,20 +169,26 @@ class _Chunk(NamedTuple):
     # wrong ones from tau on and the correct ones from tau on (C_L - C_tau).
     counts: np.ndarray
     last: np.ndarray  # each learner's tau = L cell, as a flat index into a plane
-    right: np.ndarray  # C_L, as floats
-    wrong: np.ndarray  # L - C_L, as floats
     runs: tuple[tuple[int, int, int], ...]  # (row, start, stop): padding from row on
     tau: np.ndarray  # 0..T, as floats
 
 
 class _Layout(NamedTuple):
     """A dataset as the E-step reads it: its distinct answer sequences in chunks,
-    and where to find each learner's."""
+    where to find each learner's, what the E-step's tail reads of every column
+    at once, and the size of the one workspace the chunks share.
+
+    Columns are counted through the chunks in order, so column j of the
+    E-step's (9, columns) table and right[j] and wrong[j] are one sequence's.
+    """
 
     chunks: tuple[_Chunk, ...]
-    # Each learner's column, counted through the chunks in order, of its answer
-    # sequence; slice(None) where that column is the learner's own index.
+    # Each learner's column of its answer sequence; slice(None) where that
+    # column is the learner's own index.
     slot: np.ndarray | slice
+    right: np.ndarray  # each column's C_L, as floats
+    wrong: np.ndarray  # each column's L - C_L, as floats
+    workspace: int  # two planes of the largest chunk, in floats
 
 
 class Dataset:
@@ -252,10 +260,15 @@ class Dataset:
             chunks.append(self._chunk(learners, windows))
         columns = np.concatenate([chunk.learners for chunk in chunks])
         if np.array_equal(columns, np.arange(len(self))):
-            return _Layout(tuple(chunks), slice(None))
-        column = np.empty(len(self), dtype=np.int64)
-        column[columns] = np.arange(len(columns))
-        return _Layout(tuple(chunks), column[first])
+            slot: np.ndarray | slice = slice(None)
+        else:
+            column = np.empty(len(self), dtype=np.int64)
+            column[columns] = np.arange(len(columns))
+            slot = column[first]
+        right = np.concatenate([chunk.counts[0].reshape(-1)[chunk.last] for chunk in chunks])
+        right = right.astype(float)
+        workspace = 2 * max(chunk.counts[0].size for chunk in chunks)
+        return _Layout(tuple(chunks), slot, right, lengths[columns] - right, workspace)
 
     def _first_learners(self, order: np.ndarray, windows: np.ndarray) -> np.ndarray:
         """Each learner's first learner with the same answers. order holds the
@@ -309,8 +322,7 @@ class Dataset:
         # exceeds wrong, so the minimum makes the plane 0 there.
         np.minimum(wrong_before, wrong, out=wrong_after)
         np.subtract(wrong, wrong_after, out=wrong_after)
-        right, wrong, tau = right.astype(float), wrong.astype(float), np.arange(steps + 1.0)
-        return _Chunk(learners, counts, last, right, wrong, runs, tau)
+        return _Chunk(learners, counts, last, runs, np.arange(steps + 1.0))
 
 
 def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:

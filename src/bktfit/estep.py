@@ -34,18 +34,24 @@ counts of the table above as exact integer planes, (T+1, n) with a row per
 switch time: C, tau - C, wrong from tau on and right from tau on. They do not
 depend on theta; the sums weighted by q are taken afresh, all four in one
 einsum straight from the integer planes. An E-step fills two float planes per
-chunk, W and then q in place, and a scratch plane for W's low part; C delta is
-multiplied from C's integer plane, with no float copy of it. Rows past a
-sequence's length get W = -inf and add exactly 0. Each sufficient_stats call
-allocates one workspace of two planes of its largest chunk (1 MiB at most
-unless a learner is longer than 32,768 steps), and posteriors runs the same
-kernel on the chunk of one sequence. A column's row of counts depends on theta
-and its answers alone, not on its chunk's width, padding or other columns
-(numpy sums a lone column in another order, so a chunk never has one). The
-rows fill a table, one per column, chunk after chunk; each learner's row is
-copied out of it by the learner's slot, and the rows are summed in ascending
-learner order, so results are bitwise reproducible and equal to those of a
-column per learner.
+chunk: a scratch plane, which takes C cast to doubles once, then W's low part;
+and W, then q in place. Rows past a sequence's length get W = -inf and add
+exactly 0. Each sufficient_stats call allocates one workspace of two planes of
+its largest chunk (1 MiB at most unless a learner is longer than 32,768 steps).
+A column's row of counts depends on theta, its answers and the grid of W's
+high parts (set by the dataset's longest sequence) alone, not on its chunk's
+width, padding or other columns (numpy sums a lone column in another order,
+so a chunk never has one). Each chunk writes what depends on its q into
+a (9, columns) table: q at tau = 0 and at tau = L, the four-plane sums, the
+tau sum, the sum over tau >= 1 and the W peak. The rest of each row, the
+totals, the division and the log-likelihood, then runs once over every column,
+with the same expressions in the same order, after the workspace is freed. The
+table is copied to C-ordered (columns, 9) rows, each learner's row is gathered
+by its slot, and one einsum adds the rows in ascending learner order, as
+sum(axis=0) does on a C-ordered array (on a Fortran-ordered one both add in
+another order). So results are bitwise reproducible and equal to those of a
+column per learner. posteriors runs the same kernel on a chunk built for its
+one sequence alone.
 forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
 sequence in log space.
 """
@@ -59,7 +65,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ParamSet
-from .data import AttemptSequence, Dataset, _Chunk, as_dataset
+from .data import AttemptSequence, Dataset, _Chunk, _Layout, as_dataset
 
 __all__ = [
     "ForwardBackward",
@@ -148,15 +154,15 @@ def _switch_posteriors(
     correct = chunk.counts[0]
     q, scratch = workspace[: 2 * correct.size].reshape(2, *correct.shape)
     column, ((delta, log_r, _, _), (delta_low, log_r_low, _, _)) = weights
-    # dtype=float: numpy<2 would take a uint8 plane times a float scalar in float16.
-    np.multiply(correct, delta, out=q, dtype=float)
+    np.copyto(scratch, correct)  # C as exact doubles, cast once
+    np.multiply(scratch, delta, out=q)
     q += column[0, : len(q), None]
     q.reshape(-1)[chunk.last] -= log_r
     for row, start, stop in chunk.runs:
         q[row:, start:stop] = -np.inf
     peak = q.max(axis=0)
     q -= peak
-    np.multiply(correct, delta_low, out=scratch, dtype=float)
+    scratch *= delta_low
     scratch += column[1, : len(q), None]
     q += scratch
     q.reshape(-1)[chunk.last] -= log_r_low
@@ -198,7 +204,9 @@ def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    (chunk,) = Dataset((seq,))._layout.chunks
+    dataset = Dataset((seq,))
+    # The chunk of the one learner alone: its answers are the only window.
+    chunk = dataset._chunk(np.zeros(1, dtype=np.int64), dataset._answers[None])
     weights = _log_weights(theta, chunk.tau)
     q = _switch_posteriors(weights, chunk, np.empty(2 * chunk.counts[0].size))[0][:, 0]
     q /= q.sum()
@@ -209,25 +217,32 @@ def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     return Posteriors(gamma=np.column_stack((novice, proficient)), xi=xi)
 
 
-def _chunk_rows(weights: _Weights, chunk: _Chunk, workspace: np.ndarray) -> np.ndarray:
-    """Per-column (n, 9) rows of expected counts and log-likelihoods."""
+def _column_rows(weights: _Weights, layout: _Layout) -> np.ndarray:
+    """Each column's row of expected counts and log-likelihood, as a C-ordered
+    (columns, 9) array: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood."""
 
-    q, peak = _switch_posteriors(weights, chunk, workspace)
+    workspace = np.empty(layout.workspace)
+    table = np.empty((9, len(layout.right)))
+    stop = 0
+    for chunk in layout.chunks:
+        start, stop = stop, stop + len(chunk.learners)
+        rows = table[:, start:stop]
+        q, rows[8] = _switch_posteriors(weights, chunk, workspace)  # row 8: the W peak
+        np.einsum("kij,ij->kj", chunk.counts, q, out=rows[2:6])
+        rows[7] = np.einsum("ij,i->j", q[1:], chunk.tau[:-1])
+        rows[0], rows[1] = q[0], q.reshape(-1)[chunk.last]
+        q.reshape(-1)[chunk.last] = 0.0  # transit a stops before tau = L
+        rows[6] = q[1:].sum(axis=0)
+    del q, workspace  # freed before the tail's temporaries and the transposed copy
     (_, _, *high), (_, _, *low) = weights[1]
-    last, right, wrong = chunk.last, chunk.right, chunk.wrong
-    # Columns: prior a/b, guess a/b, slip a/b, transit a/b, log-likelihood.
-    rows = np.empty((9, len(last)))
-    np.einsum("kij,ij->kj", chunk.counts, q, out=rows[2:6])
-    rows[7] = np.einsum("ij,i->j", q[1:], chunk.tau[:-1])
-    rows[0], rows[1] = q[0], q.reshape(-1)[last]
-    q.reshape(-1)[last] = 0.0  # transit a stops before tau = L
-    rows[6] = q[1:].sum(axis=0)
-    rows[1] += rows[6]
-    total = rows[0] + rows[1]
-    rows[:8] /= total
-    rows[8] = peak + right * high[0] + wrong * high[1]
-    rows[8] += np.log(total) + right * low[0] + wrong * low[1]
-    return rows.T
+    right, wrong = layout.right, layout.wrong
+    table[1] += table[6]
+    total = table[0] + table[1]
+    table[:8] /= total
+    table[8] += right * high[0]  # peak + right high + wrong high, left to right
+    table[8] += wrong * high[1]
+    table[8] += np.log(total) + right * low[0] + wrong * low[1]
+    return np.ascontiguousarray(table.T)
 
 
 def sufficient_stats(
@@ -236,16 +251,13 @@ def sufficient_stats(
     """Expected counts for every parameter plus the dataset log-likelihood."""
 
     data = as_dataset(dataset)
-    chunks, slot = data._layout
-    weights = _log_weights(theta, chunks[0].tau)
-    workspace = np.empty(2 * max(chunk.counts[0].size for chunk in chunks))
-    rows = np.empty((sum(len(chunk.learners) for chunk in chunks), 9))  # a row per column
-    stop = 0
-    for chunk in chunks:
-        start, stop = stop, stop + len(chunk.learners)
-        rows[start:stop] = _chunk_rows(weights, chunk, workspace)
-    # Each learner's row by its slot, summed in the fixed order of ascending learner index.
-    totals = rows[slot].sum(axis=0).tolist()
+    layout = data._layout
+    rows = _column_rows(_log_weights(theta, layout.chunks[0].tau), layout)
+    if not isinstance(layout.slot, slice):
+        rows = np.take(rows, layout.slot, axis=0)  # each learner's row
+    # einsum adds the C-ordered rows one after another, in ascending learner
+    # order, as sum(axis=0) does; on a Fortran-ordered array both reorder.
+    totals = np.einsum("ij->j", rows).tolist()
     pairs = [tuple(totals[i : i + 2]) for i in range(0, 8, 2)]
     return SufficientStats(*pairs, learner_count=len(data), log_likelihood=totals[8])
 

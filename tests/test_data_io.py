@@ -104,7 +104,7 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
     answers = ((1, 0), (0, 1, 1), (1,), (1, 1, 0), (0, 0))
     dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
     assert "_layout" not in vars(dataset)
-    chunks, slot = dataset._layout
+    chunks, slot, right, wrong, workspace = dataset._layout
     assert chunks is dataset._layout.chunks
     # Stable descending length: the two length-3 and the two length-2
     # learners keep their dataset order. Six cells take two learners of
@@ -127,8 +127,11 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
         [[1, 0, 1], [0, 0, 0], [0, 0, 0]],
     ]
     assert first.last.tolist() == [6, 7] and second.last.tolist() == [6, 7, 5]
-    assert first.right.tolist() == [2.0, 2.0] and first.wrong.tolist() == [1.0, 1.0]
-    assert second.right.tolist() == [1.0, 0.0, 1.0] and second.wrong.tolist() == [1.0, 2.0, 0.0]
+    # C_L and L - C_L of every column, the first chunk's columns first.
+    assert right.tolist() == [2.0, 2.0] + [1.0, 0.0, 1.0]
+    assert wrong.tolist() == [1.0, 1.0] + [1.0, 2.0, 0.0]
+    assert right.dtype == wrong.dtype == float
+    assert workspace == 2 * 3 * 3  # two planes of the larger chunk, 3 x 3 against 4 x 2
     assert first.runs == () and second.runs == ((2, 2, 3),)
     assert first.tau.tolist() == [0.0, 1.0, 2.0, 3.0] and second.tau.tolist() == [0.0, 1.0, 2.0]
     # The five answer sequences differ: each learner has a column of its own.
@@ -143,8 +146,11 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
     lengths = [1] * 5 + rng.integers(1, 31, 95).tolist() + ([longest] if longest else [])
     answers = [rng.integers(0, 2, n) for n in rng.permutation(lengths)]
     dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
-    chunks = dataset._layout.chunks
+    chunks, _, right, wrong, workspace = dataset._layout
     assert chunks[0].counts.dtype == dtype
+    assert len(right) == len(wrong) == sum(len(chunk.learners) for chunk in chunks)
+    assert workspace == 2 * max(chunk.counts[0].size for chunk in chunks)
+    offset = 0
     for chunk in chunks:
         steps, count = len(chunk.tau) - 1, len(chunk.learners)
         plane_type = chunk.counts.dtype
@@ -157,7 +163,9 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
         arrays = [field for field in chunk if isinstance(field, np.ndarray)]
         planes = sum(array.nbytes for array in arrays if array.ndim > 1)
         assert planes <= 4 * (steps + 1) * count * plane_type.itemsize
-        vectors = (chunk.learners, chunk.last, chunk.right, chunk.wrong)
+        own = slice(offset, offset + count)  # the chunk's columns of the layout
+        offset += count
+        vectors = (chunk.learners, chunk.last, right[own], wrong[own])
         assert all(vector.shape == (count,) for vector in vectors)
         assert chunk.tau.tolist() == list(range(steps + 1))
         tau = np.arange(steps + 1)
@@ -178,7 +186,7 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
             for plane, expected in zip(chunk.counts[:, :, column], want):
                 assert np.array_equal(plane, expected)
             assert chunk.counts[0].reshape(-1)[chunk.last[column]] == seq.sum()
-            assert (chunk.right[column], chunk.wrong[column]) == (seq.sum(), length - seq.sum())
+            assert (right[own][column], wrong[own][column]) == (seq.sum(), length - seq.sum())
         padding = tau[:, None] > np.array([len(answers[i]) for i in chunk.learners.tolist()])
         for row, start, stop in chunk.runs:
             assert padding[row:, start:stop].all() and not padding[row - 1, start:stop].any()
@@ -208,7 +216,7 @@ def test_layout_holds_each_distinct_answer_sequence_once(monkeypatch, cells):
     answers = [pool[i] for i in rng.integers(0, 40, 300)]
     answers += [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 30)]
     dataset = Dataset(answers)
-    chunks, slot = dataset._layout
+    chunks, slot, *_ = dataset._layout
     columns = np.concatenate([chunk.learners for chunk in chunks])
     held = [answers[i] for i in columns.tolist()]
     # Each distinct sequence is held once, save a chunk's lone sequence, held twice.
@@ -226,13 +234,13 @@ def test_layout_holds_each_distinct_answer_sequence_once(monkeypatch, cells):
 
 
 def test_layout_slot_is_the_identity_where_no_learner_moves():
-    chunks, slot = Dataset([(0, 1), (1, 0), (1, 1), (0, 0)])._layout
+    chunks, slot, *_ = Dataset([(0, 1), (1, 0), (1, 1), (0, 0)])._layout
     assert slot == slice(None) and chunks[0].learners.tolist() == [0, 1, 2, 3]
     # Sorting by length moves learners, and so does a repeated sequence.
     assert Dataset([(0,), (1, 0)])._layout.slot.tolist() == [1, 0]
     assert Dataset([(1, 0), (0, 1), (1, 0)])._layout.slot.tolist() == [0, 1, 0]
     # One sequence alone in a chunk is held twice, in two columns.
-    (chunk,), slot = Dataset([(1, 0, 1)] * 3)._layout
+    (chunk,), slot, *_ = Dataset([(1, 0, 1)] * 3)._layout
     assert chunk.learners.tolist() == [0, 0] and chunk.counts.shape == (4, 4, 2)
     assert slot.tolist() in ([0, 0, 0], [1, 1, 1])
 

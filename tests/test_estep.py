@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import tracemalloc
 
@@ -66,6 +67,35 @@ def test_posteriors_match_oracle():
         want = enumerate_posteriors(theta, seq)
         np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(got.xi, want.xi, rtol=1e-12, atol=1e-300)
+
+
+def test_posteriors_build_the_chunk_of_their_one_sequence_directly(monkeypatch):
+    # posteriors builds the chunk of its sequence without the dataset layout;
+    # it is the chunk the layout of that sequence alone holds, so the
+    # posteriors keep their bits, uint16 planes and a length-1 sequence included.
+    rng = np.random.default_rng(26)
+    read = []
+    kernel = estep._switch_posteriors
+
+    def recorded(weights, chunk, workspace):
+        read.append(chunk)
+        return kernel(weights, chunk, workspace)
+
+    monkeypatch.setattr(estep, "_switch_posteriors", recorded)
+    for length in (1, 2, 5, 12, 300):
+        theta = random_theta(rng)
+        seq = AttemptSequence(random_attempts(rng, length))
+        got = posteriors(theta, seq)
+        (chunk,) = read  # one kernel call, on one chunk
+        (want,) = Dataset((seq,))._layout.chunks
+        for field, expected in zip(chunk, want):
+            assert np.asarray(field).dtype == np.asarray(expected).dtype
+            assert np.array_equal(field, expected)
+        read.clear()
+        if length <= 12:
+            oracle = enumerate_posteriors(theta, seq)
+            np.testing.assert_allclose(got.gamma, oracle.gamma, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(got.xi, oracle.xi, rtol=1e-12, atol=1e-300)
 
 
 def test_posterior_invariants():
@@ -205,9 +235,42 @@ def test_stats_are_the_in_order_sum_of_each_learners_own_row():
     own = []
     for seq in sequences:
         # The learner's sequence in both columns of a chunk of its own.
-        (chunk,) = Dataset((seq, seq))._layout.chunks
-        own.append(estep._chunk_rows(weights, chunk, np.empty(2 * chunk.counts[0].size))[0])
+        own.append(estep._column_rows(weights, Dataset((seq, seq))._layout)[0])
     assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), np.array(own).sum(axis=0))
+
+
+def _left_fold(rows):
+    """The rows added one after another, as Python floats."""
+
+    return functools.reduce(lambda total, row: [a + b for a, b in zip(total, row)], rows)
+
+
+def test_stats_are_a_left_fold_of_the_learners_rows_in_learner_order(monkeypatch):
+    # Over 8,192 learners (numpy's buffer size), a permuted copy and rows from
+    # 1e-12 to 1e12 of either sign, adding in any other order, pairwise or in
+    # blocks, changes the bits.
+    rng = np.random.default_rng(25)
+    pool = [random_attempts(rng, int(n)) for n in rng.integers(1, 21, 40)]
+    sequences = [AttemptSequence(pool[i]) for i in rng.integers(0, 40, 4500)]
+    sequences += [sequences[i] for i in rng.permutation(4500)]
+    shared = Dataset(tuple(sequences))
+    distinct = Dataset([random_attempts(rng, 30) for _ in range(9000)])
+    assert not isinstance(shared._layout.slot, slice)
+    assert isinstance(distinct._layout.slot, slice)  # no gather: the columns are the learners
+    theta = random_theta(rng)
+    for dataset in (shared, distinct):
+        layout = dataset._layout
+        slot = np.arange(len(layout.right))[layout.slot].tolist()
+        columns = estep._column_rows(estep._log_weights(theta, layout.chunks[0].tau), layout)
+        want = _left_fold(columns[column].tolist() for column in slot)
+        assert _stats_row(sufficient_stats(theta, dataset)).tolist() == want
+        # The same fold of made-up rows.
+        magnitudes = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), columns.shape))
+        rows = magnitudes * rng.choice([-1.0, 1.0], columns.shape)
+        monkeypatch.setattr(estep, "_column_rows", lambda weights, layout: rows)
+        want = _left_fold(rows[column].tolist() for column in slot)
+        assert _stats_row(sufficient_stats(theta, dataset)).tolist() == want
+        monkeypatch.undo()
 
 
 def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
