@@ -10,7 +10,22 @@ bytes: a leading UTF-8 byte-order mark is skipped, lines end in LF or CRLF
 (the last one may lack its line end), and cells are split at bare commas,
 so a quoted cell is malformed like any other. Every malformed line raises
 DatasetFormatError naming its line number, which `bktfit` reports with
-exit code 3. The writers write UTF-8 with CRLF line ends, the bytes of
+exit code 3. A file with CR-only line ends is one line, and fails as a
+header.
+
+The readers check a file in blocks of 64 KiB cut after their last LF, a line
+longer than that joined whole from its pieces. A block takes one pass to find
+its marks, the bytes below "0" (every LF, CR and comma, and any stray byte),
+and one count of its bytes above "9". The marks of lines that can make rows
+repeat one pattern (commas, then CR for CRLF, then LF), so one comparison
+finds the first line that cannot; between the marks, each cell is digits,
+read as a decimal with one table lookup per digit position, and a learner cell
+only where its bytes differ from the line above's. A block's temporaries come
+to about 1 MiB; beyond them a read keeps the learner ids it has seen and a
+byte per row, so with tracemalloc, reading the writer's 2.0 MiB file of
+200,000 rows peaked at 2.1 MiB, and its 8.6 MiB file of 800,000 rows at 6.2 MiB.
+
+The writers write UTF-8 with CRLF line ends, the bytes of
 csv.writer with lineterminator "\\r\\n", in blocks of 16,384 rows
 (_WRITE_ROWS): numpy computes a block's learner indices and steps and
 their decimal digits, lays the block out as one byte matrix of fixed-width
@@ -26,12 +41,13 @@ cuts its answers' bytes into sequences, each checked in one pass, and a
 dataset built from sequences joins their bytes. The first E-step that reads a
 dataset builds its layout (Dataset._layout) and keeps it for every later
 E-step of every fit: each distinct answer sequence once, as the column of the
-first learner who gave it, those learners sorted by descending length into
-chunks, each chunk with the E-step's four count planes, a row per switch time
-and a column per sequence, in the smallest unsigned type that holds the
-chunk's longest length; each learner's slot, the column of its sequence; and,
-for the E-step's tail over every column at once, each column's correct and
-wrong answer counts as floats, and the size of the workspace its chunks share.
+first learner who gave it (one sort of the learners' packed answers finds
+them), those learners sorted by descending length into chunks, each chunk
+with the E-step's four count planes, a row per switch time and a column per
+sequence, in the smallest unsigned type that holds the chunk's longest
+length; each learner's slot, the column of its sequence; and, for the
+E-step's tail over every column at once, each column's correct and wrong
+answer counts as floats, and the size of the workspace its chunks share.
 So the planes take memory per distinct sequence, not per learner.
 """
 
@@ -65,13 +81,27 @@ _TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
 # planes in place.
 _CHUNK_CELLS = 1 << 15
 
-# The readers validate this many bytes at a time, cut at the last line end,
-# so their temporaries stay a few times this size whatever the file size.
+# The layout sorts learners by keys of up to _SORT_ANSWERS answers each, as
+# low bits, then an end bit: with n answers left, cut to _SORT_ANSWERS + 1
+# (which stands for more), a key is the packed bits & _SORT_BITS[n] | _SORT_END[n].
+_SORT_ANSWERS = 56
+_SORT_BITS = np.array([(1 << min(n, _SORT_ANSWERS)) - 1 for n in range(58)], dtype=np.uint64)
+_SORT_END = np.array([1 << n for n in range(58)], dtype=np.uint64)
+
+# The readers validate this many bytes at a time, cut at the last line end;
+# a block's temporaries are about 16 times its size (see the module docstring).
 _BLOCK_BYTES = 1 << 16
 _WRITE_ROWS = 1 << 14  # rows formatted per write
 _BOM = b"\xef\xbb\xbf"
-_LF, _CR, _COMMA, _ZERO = 10, 13, 44, 48
+_LF, _CR, _COMMA, _ZERO, _NINE = 10, 13, 44, 48, 57
 _MAX_DIGITS = 18  # every decimal of up to 18 digits fits an int64
+# _DIGITS[k][byte]: the byte's digit times 10**k, and 0 for a mark (a byte
+# below "0"), so the mark before a cell reads as a leading zero.
+_DIGITS = np.zeros((_MAX_DIGITS, 256), dtype=np.int64)
+_DIGITS[:, _ZERO : _ZERO + 10] = 10 ** np.arange(_MAX_DIGITS)[:, None] * np.arange(10)
+# Shifting the eight bytes before a cell's end right by _CELL_SHIFTS[size]
+# leaves the cell's bytes; a cell of no or more than eight bytes leaves 0.
+_CELL_SHIFTS = np.array([64, 56, 48, 40, 32, 24, 16, 8, 0, 64], dtype=np.uint64)
 
 
 class DatasetFormatError(ValueError):
@@ -251,7 +281,7 @@ class Dataset:
         padded = np.append(self._answers, np.zeros(longest, dtype=np.uint8))
         windows = sliding_window_view(padded, longest)
         order = np.argsort(-lengths, kind="stable")
-        first = self._first_learners(order, windows)
+        first = self._first_learners()
         distinct = order[first[order] == order]
         chunks, start = [], 0
         while start < len(distinct):
@@ -270,25 +300,34 @@ class Dataset:
         workspace = 2 * max(chunk.counts[0].size for chunk in chunks)
         return _Layout(tuple(chunks), slot, right, lengths[columns] - right, workspace)
 
-    def _first_learners(self, order: np.ndarray, windows: np.ndarray) -> np.ndarray:
-        """Each learner's first learner with the same answers. order holds the
-        learners grouped by length, each group in dataset order; within a group,
-        the answers are packed to bytes and sorted stably, so equal answers
-        come out together with the first learner first."""
+    def _first_learners(self) -> np.ndarray:
+        """Each learner's first learner with the same answers.
 
-        sizes = self._lengths[order]
-        cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
-        first = np.empty(len(order), dtype=np.int64)
-        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
-            group = order[lo:hi]
-            bits = np.packbits(windows[self._bounds[group], : sizes[lo]], axis=1)
-            sort = np.lexsort(bits.T)
-            # Each row's bytes as one string, so rows compare in one call.
-            rows = bits.view(f"S{bits.shape[1]}")[sort, 0]
-            new = np.empty(len(group), dtype=bool)
+        A learner's key is its first 56 answers as bits of an integer, with
+        one more bit set just past its last answer, or past the 56 if it has
+        more. One sort of the keys puts learners with equal answers and
+        lengths together; the smallest index of each run of equal keys is
+        their first learner. Learners longer than 56 are sorted again by that
+        first learner and the key of their next 56 answers, and so on.
+        """
+
+        lengths = self._lengths
+        bits = np.append(np.packbits(self._answers, bitorder="little"), np.zeros(8, np.uint8))
+        # words[i]: the 64 bits from byte i of the packed answers on.
+        words = np.ndarray(len(bits) - 7, "<u8", bits, 0, (1,))
+        # Each learner's first learner so far; the first sort needs no such key.
+        first, rows = np.zeros(len(self), dtype=np.int64), np.arange(len(self))
+        for offset in range(0, int(lengths.max()), _SORT_ANSWERS):
+            rows = rows[lengths[rows] > offset]  # in dataset order
+            at = (self._bounds[rows] + offset).astype(np.uint64)
+            left = np.minimum(lengths[rows] - offset, _SORT_ANSWERS + 1)
+            keys = words[at >> np.uint64(3)] >> (at & np.uint64(7)) & _SORT_BITS[left] | _SORT_END[left]
+            sort = np.lexsort((keys, first[rows])) if offset else np.argsort(keys)
+            keys, classes, learners = keys[sort], first[rows][sort], rows[sort]
+            new = np.empty(len(rows), dtype=bool)
             new[0] = True
-            new[1:] = rows[1:] != rows[:-1]
-            first[group[sort]] = group[sort[new]][np.cumsum(new) - 1]
+            new[1:] = (keys[1:] != keys[:-1]) | (classes[1:] != classes[:-1])
+            first[learners] = np.minimum.reduceat(learners, np.flatnonzero(new))[np.cumsum(new) - 1]
         return first
 
     def _chunk(self, learners: np.ndarray, windows: np.ndarray) -> _Chunk:
@@ -428,26 +467,31 @@ def _text(line: bytes) -> str:
 
 
 def _blocks(handle: BinaryIO) -> Iterator[bytes]:
-    """The file after its byte-order mark, in pieces of whole lines, each ending in LF."""
+    """The file after its byte-order mark, in pieces of whole lines, each ending in LF.
 
-    rest = handle.read(len(_BOM)).removeprefix(_BOM)
+    A line longer than a block is gathered as a list of pieces and joined
+    once, so a piece takes time linear in its size.
+    """
+
+    rest = [handle.read(len(_BOM)).removeprefix(_BOM)]
     while block := handle.read(_BLOCK_BYTES):
         cut = block.rfind(b"\n") + 1
         if cut:
-            yield rest + block[:cut]
-            rest = block[cut:]
+            yield b"".join([*rest, block[:cut]])
+            rest = [block[cut:]]
         else:
-            rest += block
-    if rest:
-        yield rest.removesuffix(b"\n") + b"\n"
+            rest.append(block)
+    if tail := b"".join(rest):
+        yield tail.removesuffix(b"\n") + b"\n"
 
 
 class _Table:
     """A CSV read under way: the validated columns so far and the last row's state.
 
-    Each block is checked with array operations. The first line that fails
-    any check is then checked again alone, in the order a row-by-row read
-    would check it, to raise that read's message for it.
+    Each block is checked with array operations over its marks (see the
+    module docstring). The first line that fails any check is then checked
+    again alone, in the order a row-by-row read would check it, to raise
+    that read's message for it: fail builds every message.
     """
 
     def __init__(self, width: int) -> None:
@@ -458,6 +502,13 @@ class _Table:
         self.rows = 0  # data rows read, each one line after the header
         self.starts: list[np.ndarray] = []  # row index of each learner's first row
         self.flags: list[list[np.ndarray]] = [[] for _ in range(width - 2)]
+        # The marks of lines that can make rows, k marks a line: width for
+        # lines that end in LF, width + 1 for CRLF; tiled as long as needed.
+        commas = [_COMMA] * (width - 1)
+        self.patterns = {
+            width: np.array(commas + [_LF], dtype=np.uint8),
+            width + 1: np.array(commas + [_CR, _LF], dtype=np.uint8),
+        }
 
     def code(self, value: int) -> int:
         """value itself when it fits an int64, else a negative code unique to it."""
@@ -466,57 +517,93 @@ class _Table:
             return value
         return self.huge.setdefault(value, -1 - len(self.huge))
 
+    def pattern(self, k: int, size: int) -> np.ndarray:
+        """The first size marks of lines that can make rows, of k marks each."""
+
+        marks = self.patterns[k]
+        if len(marks) < size:
+            marks = self.patterns[k] = np.tile(marks[:k], 2 * size // k + 1)
+        return marks[:size]
+
     def counts(self, data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The codes of the decimal cells data[lo:hi], taken to hold digits only."""
+        """The codes of the decimal cells data[lo:hi], taken to hold digits only,
+        each cell preceded by a mark."""
 
         sizes = hi - lo
+        shortest, longest = int(sizes.min(initial=_MAX_DIGITS)), int(sizes.max(initial=0))
         values = np.zeros(len(lo), dtype=np.int64)
-        for k in range(min(int(sizes.max(initial=0)), _MAX_DIGITS), 0, -1):
-            values = values * 10 + np.where(sizes >= k, data[hi - k] - _ZERO, 0)
-        for i in np.flatnonzero(sizes > _MAX_DIGITS).tolist():
-            values[i] = self.code(int(data[lo[i] : hi[i]].tobytes()))
+        for k in range(min(longest, _MAX_DIGITS)):
+            digits = _DIGITS[k].take(data[hi - (k + 1)])
+            if k > shortest:  # past a shorter cell's mark lie other cells' bytes
+                digits[sizes < k] = 0
+            values += digits
+        if longest > _MAX_DIGITS:
+            for i in np.flatnonzero(sizes > _MAX_DIGITS).tolist():
+                values[i] = self.code(int(data[lo[i] : hi[i]].tobytes()))
         return values
 
     def read(self, block: bytes) -> None:
         """Check and keep the rows of one block of whole lines."""
 
-        data = np.frombuffer(block, dtype=np.uint8)
-        lf = np.flatnonzero(data == _LF)
-        if not len(lf):
-            return
-        begins = np.concatenate(([0], lf[:-1] + 1))
-        cr = (data[lf - 1] == _CR) & (lf > begins)
-        ends = lf - cr
+        buffer = bytes(8) + block  # so that every cell has eight bytes before its end
+        data = np.frombuffer(buffer, dtype=np.uint8, offset=8)
+        # The marks: every LF, CR, comma and other byte below "0", in one pass.
+        marks = np.flatnonzero(data < _ZERO)
+        kinds = data[marks]
         width = self.width
 
-        # Lines whose bytes cannot make a row: a wrong comma count, or a
-        # byte other than a digit or comma before the line end.
-        commas = np.flatnonzero(data == _COMMA)
-        bad = np.diff(np.searchsorted(commas, lf), prepend=0) != width - 1
-        others = np.flatnonzero((data - _ZERO > 9) & (data != _COMMA))
-        if len(others) != len(lf) + np.count_nonzero(cr):
-            stray = np.setdiff1d(others, np.concatenate((lf, ends[cr])))
-            bad[np.searchsorted(lf, stray)] = True
-        n = int(np.argmax(bad)) if bad.any() else len(lf)
+        # A line that can make a row has as marks width - 1 commas, its CR if
+        # it ends in CRLF, and its LF. Where the marks are those of lines that
+        # all end as the block's last does, they are taken as they stand (a CR
+        # not just before its LF is then in the line's last cell, which it
+        # makes too long); else each CR just before an LF is dropped.
+        k = width + block.endswith(b"\r\n")
+        same = kinds == self.pattern(k, len(kinds))
+        if not same.all():
+            line_ends = np.flatnonzero(kinds == _CR)
+            line_ends = line_ends[data[marks[line_ends] + 1] == _LF]
+            marks, kinds, k = np.delete(marks, line_ends), np.delete(kinds, line_ends), width
+            same = kinds == self.pattern(k, len(kinds))
+        # The lines before the first mark out of pattern are lines that can make rows.
+        clean = bool(same.all())
+        n = len(kinds) // k if clean else int(np.argmin(same)) // k
+        # So are their LFs, up to the first line with a byte above "9".
+        lf = marks[k - 1 :: k][:n]
+        if np.count_nonzero(data > _NINE):
+            n = min(n, int(np.searchsorted(lf, np.argmax(data > _NINE))))
+            clean, lf = False, lf[:n]
 
-        # The lines before it: every cell is digits, so check the values.
-        cut = commas[: n * (width - 1)].reshape(n, width - 1)
-        lo = np.column_stack((begins[:n], cut + 1))
-        hi = np.column_stack((cut, ends[:n]))
-        learners = self.counts(data, lo[:, 0], hi[:, 0])
-        steps = self.counts(data, lo[:, 1], hi[:, 1])
-        flags = data[lo[:, 2:]] - _ZERO
-        wrong = (hi[:, 1] == lo[:, 1]) | (hi[:, 0] == lo[:, 0])
-        wrong |= ((hi[:, 2:] - lo[:, 2:] != 1) | (flags > 1)).any(axis=1)
+        # The lines before it: every cell is digits, up to the line's next mark.
+        cr = data[lf - 1] == _CR  # data[-1] is the block's last LF
+        hi = [marks[j::k][:n] for j in range(width - 1)] + [lf - cr]
+        lo = [np.concatenate(([0], lf + 1))[:-1]] + [end + 1 for end in hi[:-1]]
+        # A learner cell is parsed only where its bytes differ from the line
+        # before's, told apart by the cell's bytes as one integer, its key;
+        # a cell of no or more than eight bytes keys to 0 and is always parsed.
+        # words[i]: the eight bytes before data[i], the last the highest.
+        words = np.ndarray(len(block) + 1, "<u8", buffer, 0, (1,))
+        keys = words[hi[0]] >> _CELL_SHIFTS[np.minimum(hi[0] - lo[0], 9)]
+        fresh = keys == 0
+        fresh[1:] |= keys[1:] != keys[:-1]
+        fresh[:1] = True
+        at = np.flatnonzero(fresh)
+        ids = self.counts(data, lo[0][at], hi[0][at])
         last = self.last or (0, 0, 0)
-        new = learners != np.concatenate(([last[0]], learners))[:-1]
-        new[:1] |= self.last is None
+        changed = ids != np.concatenate(([last[0]], ids))[:-1]
+        changed[:1] |= self.last is None
+        starts = at[changed]  # each learner's first line
+        firsts = ids[changed].tolist()
+        new = np.zeros(n, dtype=bool)
+        new[starts] = True
+        steps = self.counts(data, lo[1], hi[1])
+        flags = [data[begin] - _ZERO for begin in lo[2:]]
+        wrong = hi[0] == lo[0]  # an empty learner; an empty step reads as 0, never a step
         wrong |= steps != np.where(new, 1, np.concatenate(([last[1]], steps))[:-1] + 1)
+        for begin, end, values in zip(lo[2:], hi[2:], flags):
+            wrong |= (end - begin != 1) | (values > 1)
         if width == 4:
-            lost = np.concatenate(([last[2]], flags[:, 1]))[:-1] > flags[:, 1]
+            lost = np.concatenate(([last[2]], flags[1]))[:-1] > flags[1]
             wrong |= ~new & lost
-        starts = np.flatnonzero(new)
-        firsts = learners[starts].tolist()
         if len(set(firsts)) < len(firsts) or not self.seen.isdisjoint(firsts):
             seen = set(self.seen)
             for start, learner in zip(starts.tolist(), firsts):
@@ -524,21 +611,23 @@ class _Table:
                     wrong[start] = True
                     break
                 seen.add(learner)
-        if wrong.any() or n < len(lf):
+        if wrong.any() or not clean:
             i = int(np.argmax(wrong)) if wrong.any() else n
             previous = self.last
             if i:
-                previous = (int(learners[i - 1]), int(steps[i - 1]), int(flags[i - 1, -1]))
-            self.seen.update(learners[starts[starts < i]].tolist())
-            self.fail(_text(block[begins[i] : lf[i]]), self.rows + i + 2, previous)
+                learner = ids[np.searchsorted(at, i - 1, side="right") - 1]
+                previous = (int(learner), int(steps[i - 1]), int(flags[-1][i - 1]))
+            self.seen.update(firsts[: np.searchsorted(starts, i)])
+            begin = int(lf[i - 1]) + 1 if i else 0
+            self.fail(_text(block[begin : block.index(b"\n", begin)]), self.rows + i + 2, previous)
 
         self.starts.append(self.rows + starts)
-        for column, values in zip(self.flags, flags.T):
+        for column, values in zip(self.flags, flags):
             column.append(values)
         self.seen.update(firsts)
         self.rows += n
         if n:
-            self.last = (int(learners[-1]), int(steps[-1]), int(flags[-1, -1]))
+            self.last = (int(ids[-1]), int(steps[-1]), int(flags[-1][-1]))
 
     def fail(self, line: str, lineno: int, previous: tuple[int, int, int] | None) -> None:
         """Raise the error a row-by-row read raises first on this line."""

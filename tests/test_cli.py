@@ -357,6 +357,17 @@ def test_fit_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     assert "codec" not in err
 
 
+def test_fit_on_cr_only_line_ends_exits_3(tmp_path, capsys):
+    # Classic Mac line ends: the file is one line, which is no header.
+    data = tmp_path / "mac.csv"
+    data.write_bytes(b"learner_id,step,correct\r0,1,1\r0,2,0\r")
+    report = tmp_path / "report.json"
+    code = main(["fit", "--data", str(data), "--algorithm", "constrained", "--out", str(report)])
+    assert code == EXIT_IO == 3
+    assert "line 1: expected header" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("flag", ["--param-tolerance", "--loglik-tolerance"])
 def test_fit_rejects_an_infinite_tolerance(tmp_path, dataset_file, capsys, flag):
     out = tmp_path / "report.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 import tracemalloc
 from unittest import mock
 
@@ -243,6 +244,41 @@ def test_layout_slot_is_the_identity_where_no_learner_moves():
     (chunk,), slot, *_ = Dataset([(1, 0, 1)] * 3)._layout
     assert chunk.learners.tolist() == [0, 0] and chunk.counts.shape == (4, 4, 2)
     assert slot.tolist() in ([0, 0, 0], [1, 1, 1])
+
+
+def _reference_first_learners(dataset: Dataset) -> np.ndarray:
+    """Each learner's first learner with the same answers, by a dict of tuples."""
+
+    firsts: dict[tuple[int, ...], int] = {}
+    return np.array([firsts.setdefault(tuple(seq), i) for i, seq in enumerate(dataset)])
+
+
+def _layouts_equal(got, want) -> bool:
+    if isinstance(got, np.ndarray):
+        return isinstance(want, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(got, tuple):
+        return len(got) == len(want) and all(map(_layouts_equal, got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("lengths", [1, 30, 300])
+def test_layout_groups_answers_as_the_reference_does(monkeypatch, lengths):
+    # Learners share a pool of sequences, so every length has repeats, and
+    # lengths past 56 answers take more than one sort key.
+    rng = np.random.default_rng(lengths)
+    sizes = rng.permutation(np.arange(1, lengths + 1) * (1 if lengths > 1 else 70))
+    pool = [rng.integers(0, 2, n) for n in sizes.tolist() for _ in range(3)]
+    pool += [np.concatenate((seq[:-1], 1 - seq[-1:])) for seq in pool[::3]]  # last answer differs
+    answers = [pool[i] for i in rng.integers(0, len(pool), 4 * len(pool))]
+    dataset = Dataset(tuple(AttemptSequence(a.tolist()) for a in answers))
+    first = _reference_first_learners(dataset)
+    assert np.array_equal(dataset._first_learners(), first)
+    assert len(set(first.tolist())) < len(dataset)
+    got = dataset._layout
+    monkeypatch.setattr(Dataset, "_first_learners", lambda self: first)
+    want = Dataset(tuple(AttemptSequence(a.tolist()) for a in answers))._layout
+    for field in ("chunks", "slot", "right", "wrong", "workspace"):
+        assert _layouts_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_dataset_round_trip(tmp_path):
@@ -576,14 +612,14 @@ _IDS = st.one_of(
 
 
 @st.composite
-def _table_files(draw, width: int, valid: bool = True) -> bytes:
+def _table_files(draw, width: int, valid: bool = True, ids=_IDS) -> bytes:
     """A dataset (width 3) or ground-truth (width 4) file, in any accepted framing.
 
     Unless valid, a learner id may repeat, which splits a learner into
     blocks or restarts one at step 1, and a learner may lose proficiency.
     """
 
-    ids = draw(st.lists(_IDS, min_size=1, max_size=6, unique=valid))
+    ids = draw(st.lists(ids, min_size=1, max_size=6, unique=valid))
     lines = [",".join(["learner_id", "step", "correct", "proficient"][:width])]
     for learner_id in ids:
         length = draw(st.integers(1, 5))
@@ -652,6 +688,56 @@ def test_single_byte_corruptions_read_or_fail_as_the_reference(
     tail = raw[at + (edit != "insert") :]
     corrupted = raw[:at] + (bytes([byte]) if edit != "delete" else b"") + tail
     _assert_reads_as_reference(tmp_path / "table.csv", corrupted, width, block)
+
+
+def test_a_line_of_many_blocks_is_read_in_time_linear_in_its_length(tmp_path):
+    # CR-only line ends (classic Mac) make the whole file one line, here of
+    # 125,000 blocks: joining them one at a time copied the line so far for
+    # each, in time quadratic in its length.
+    path = tmp_path / "mac.csv"
+    path.write_bytes(b"learner_id,step,correct" + b"\r0,1,1" * 333_333 + b"\r")
+    with mock.patch.object(data, "_BLOCK_BYTES", 16):
+        start = time.perf_counter()
+        with pytest.raises(DatasetFormatError, match="^line 1: expected header"):
+            read_dataset(path)
+        assert time.perf_counter() - start < 2.0
+
+
+def _ragged_dataset(learners: int, seed: int) -> Dataset:
+    full = simulate_dataset(TRUE_THETA, learners, 30, seed)
+    cut = np.random.default_rng(seed).integers(1, 31, learners).tolist()
+    return Dataset(AttemptSequence(seq.attempts[:n]) for seq, n in zip(full, cut))
+
+
+@pytest.mark.parametrize("block", [97, 4096, data._BLOCK_BYTES])
+def test_large_files_read_back_at_any_block_size(tmp_path, block):
+    # 2,000 learners of 1-30 answers, about 31,000 rows: blocks cut lines,
+    # cells and CRLFs many times over, within and between learners.
+    dataset = _ragged_dataset(2000, 5)
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    write_dataset(dataset, crlf)
+    lf.write_bytes(b"\xef\xbb\xbf" + crlf.read_bytes().replace(b"\r\n", b"\n"))
+    with mock.patch.object(data, "_BLOCK_BYTES", block):
+        for path in (crlf, lf):
+            assert read_dataset(path) == dataset
+
+
+# Learner cells of about the 8 bytes that the reader compares as one integer,
+# leading zeros included: "01234567" and "91234567" differ in their first
+# byte only, the lowest of that integer.
+_EIGHT_BYTE_IDS = st.builds(
+    lambda head, tail: head * 10**7 + tail,
+    st.integers(0, 10),
+    st.sampled_from([0, 1, 1_234_567, 9_999_999]),
+)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draws=st.data(), valid=st.booleans(), block=_BLOCKS)
+def test_eight_byte_learner_cells_read_as_the_reference(tmp_path, width, draws, valid, block):
+    raw = draws.draw(_table_files(width, valid, _EIGHT_BYTE_IDS))
+    _assert_reads_as_reference(tmp_path / "table.csv", raw, width, block)
 
 
 def test_read_dataset_memory_stays_within_a_constant_of_the_file_size(tmp_path):
