@@ -3,21 +3,21 @@
 Dataset files are UTF-8 CSV with header ``learner_id,step,correct``:
 learner_id is a non-negative integer, step starts at 1 and increments by 1
 within a learner, correct is 0 or 1, and rows are sorted by learner then
-step. The optional ground-truth variant carries one extra ``proficient``
-column with the hidden state that generated each attempt. learner_id and
-step cells hold ASCII decimal digits only. The readers take the file as
-bytes: a leading UTF-8 byte-order mark is skipped, lines end in LF or CRLF
-(the last one may lack its line end), and cells are split at bare commas,
-so a quoted cell is malformed like any other. Every malformed line raises
-DatasetFormatError naming its line number, which `bktfit` reports with
-exit code 3. A file with CR-only line ends is one line, and fails as a
-header.
+step. The ground-truth layout carries one extra ``proficient`` column with the
+hidden state that generated each attempt; it is write-only, for inspection,
+and nothing reads it back. learner_id and step cells hold ASCII decimal digits
+only. The reader takes the file as bytes: a leading UTF-8 byte-order mark is
+skipped, lines end in LF or CRLF (the last one may lack its line end), and
+cells are split at bare commas, so a quoted cell is malformed like any other.
+Every malformed line raises DatasetFormatError naming its line number, which
+`bktfit` reports with exit code 3; a message quotes at most 80 characters of a
+line or cell. A file with CR-only line ends is one line, and fails as a header.
 
-The readers check a file in blocks of 64 KiB cut after their last LF, a line
+The reader checks a file in blocks of 64 KiB cut after their last LF, a line
 longer than that joined whole from its pieces. A block takes one pass to find
 its marks, the bytes below "0" (every LF, CR and comma, and any stray byte),
 and one count of its bytes above "9". The marks of lines that can make rows
-repeat one pattern (commas, then CR for CRLF, then LF), so one comparison
+repeat one pattern (two commas, then CR for CRLF, then LF), so one comparison
 finds the first line that cannot; between the marks, each cell is digits,
 read as a decimal with one table lookup per digit position, and a learner cell
 only where its bytes differ from the line above's. A block's temporaries come
@@ -34,7 +34,7 @@ and hands the rest to the file in one write. The writer's temporaries are
 about 80 bytes per row of one block, some 1.3 MB whatever the file size.
 
 A Dataset holds its answers once, flat: one uint8 array of every learner's
-answers in order, and the learners' lengths. The readers and the simulator
+answers in order, and the learners' lengths. The reader and the simulator
 fill these arrays directly. AttemptSequence and HiddenPath hold the same
 encoding, bytes of one 0 or 1 per step: iterating or indexing a dataset
 cuts its answers' bytes into sequences, each checked in one pass, and a
@@ -68,12 +68,11 @@ __all__ = [
     "DatasetFormatError",
     "read_dataset",
     "write_dataset",
-    "read_ground_truth",
     "write_ground_truth",
 ]
 
-_DATASET_HEADER = ("learner_id", "step", "correct")
-_TRUTH_HEADER = ("learner_id", "step", "correct", "proficient")
+_DATASET_HEADER = "learner_id,step,correct"
+_TRUTH_HEADER = _DATASET_HEADER + ",proficient"
 
 # A chunk takes _CHUNK_CELLS // T distinct sequences (at least one, then held
 # twice), T the longest of them; it keeps four count planes of T + 1 rows, and an
@@ -88,7 +87,7 @@ _SORT_ANSWERS = 56
 _SORT_BITS = np.array([(1 << min(n, _SORT_ANSWERS)) - 1 for n in range(58)], dtype=np.uint64)
 _SORT_END = np.array([1 << n for n in range(58)], dtype=np.uint64)
 
-# The readers validate this many bytes at a time, cut at the last line end;
+# The reader validates this many bytes at a time, cut at the last line end;
 # a block's temporaries are about 16 times its size (see the module docstring).
 _BLOCK_BYTES = 1 << 16
 _WRITE_ROWS = 1 << 14  # rows formatted per write
@@ -99,6 +98,7 @@ _MAX_DIGITS = 18  # every decimal of up to 18 digits fits an int64
 # below "0"), so the mark before a cell reads as a leading zero.
 _DIGITS = np.zeros((_MAX_DIGITS, 256), dtype=np.int64)
 _DIGITS[:, _ZERO : _ZERO + 10] = 10 ** np.arange(_MAX_DIGITS)[:, None] * np.arange(10)
+_QUOTED = 80  # characters of a line or cell that an error message quotes
 # Shifting the eight bytes before a cell's end right by _CELL_SHIFTS[size]
 # leaves the cell's bytes; a cell of no or more than eight bytes leaves 0.
 _CELL_SHIFTS = np.array([64, 56, 48, 40, 32, 24, 16, 8, 0, 64], dtype=np.uint64)
@@ -389,7 +389,7 @@ def _decimals(out: np.ndarray, keep: np.ndarray, values: np.ndarray) -> None:
 
 
 def _write_table(
-    destination: str | Path, header: tuple[str, ...], dataset: Dataset, *flags: np.ndarray
+    destination: str | Path, header: str, dataset: Dataset, *flags: np.ndarray
 ) -> None:
     """Write one row per attempt: learner index, step, then each flag column as 0/1.
 
@@ -401,7 +401,7 @@ def _write_table(
 
     bounds, total = dataset._bounds, len(dataset._answers)
     with open(destination, "wb") as handle:
-        handle.write((",".join(header) + "\r\n").encode())
+        handle.write((header + "\r\n").encode())
         for lo in range(0, total, _WRITE_ROWS):
             hi = min(lo + _WRITE_ROWS, total)
             rows = np.arange(lo, hi)
@@ -443,20 +443,23 @@ def write_ground_truth(
     _write_table(destination, _TRUTH_HEADER, dataset, dataset._answers, states)
 
 
-def _parse_binary(text: str, column: str, lineno: int) -> bool:
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise DatasetFormatError(f"line {lineno}: {column} must be 0 or 1, got {text!r}")
+def _quote(text: str) -> str:
+    """text quoted, cut after _QUOTED characters: a message stays short on any line."""
+
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
-def _parse_count(text: str, column: str, lineno: int) -> int:
-    # int() would also take "1_0", "+2", " 7" and non-ASCII digits.
+def _cell_digits(text: str, column: str, lineno: int) -> str:
+    """The cell's digits without leading zeros, as str(int(text)), with no int():
+    int() also takes "1_0", "+2", " 7" and non-ASCII digits, and refuses more
+    than 4,300 digits."""
+
     if text.isascii() and text.isdigit():
-        return int(text)
+        return text.lstrip("0") or "0"
     raise DatasetFormatError(
-        f"line {lineno}: {column} must be a non-negative decimal integer, got {text!r}"
+        f"line {lineno}: {column} must be a non-negative decimal integer, got {_quote(text)}"
     )
 
 
@@ -494,28 +497,29 @@ class _Table:
     that read's message for it: fail builds every message.
     """
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.last: tuple[int, int, int] | None = None  # learner code, step, proficient
+    def __init__(self) -> None:
+        self.last: tuple[int, int] | None = None  # learner code, step
         self.seen: set[int] = set()  # codes of every learner read so far
-        self.huge: dict[int, int] = {}  # the negative codes of cells beyond int64
+        self.huge: dict[str, int] = {}  # the negative codes of cells beyond int64
         self.rows = 0  # data rows read, each one line after the header
         self.starts: list[np.ndarray] = []  # row index of each learner's first row
-        self.flags: list[list[np.ndarray]] = [[] for _ in range(width - 2)]
-        # The marks of lines that can make rows, k marks a line: width for
-        # lines that end in LF, width + 1 for CRLF; tiled as long as needed.
-        commas = [_COMMA] * (width - 1)
+        self.answers: list[np.ndarray] = []  # each block's correct column, as 0/1 bytes
+        # The marks of lines that can make rows, k marks a line: 3 for lines
+        # that end in LF, 4 for CRLF; tiled as long as needed.
         self.patterns = {
-            width: np.array(commas + [_LF], dtype=np.uint8),
-            width + 1: np.array(commas + [_CR, _LF], dtype=np.uint8),
+            3: np.array([_COMMA, _COMMA, _LF], dtype=np.uint8),
+            4: np.array([_COMMA, _COMMA, _CR, _LF], dtype=np.uint8),
         }
 
-    def code(self, value: int) -> int:
-        """value itself when it fits an int64, else a negative code unique to it."""
+    def code(self, digits: str) -> int:
+        """The decimal's value when it fits an int64, else a negative code unique
+        to it, kept by its digits without leading zeros: int() refuses more
+        than 4,300 digits, and "007" is learner 7."""
 
-        if value < 1 << 63:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) < 20 and (value := int(digits)) < 1 << 63:
             return value
-        return self.huge.setdefault(value, -1 - len(self.huge))
+        return self.huge.setdefault(digits, -1 - len(self.huge))
 
     def pattern(self, k: int, size: int) -> np.ndarray:
         """The first size marks of lines that can make rows, of k marks each."""
@@ -539,7 +543,7 @@ class _Table:
             values += digits
         if longest > _MAX_DIGITS:
             for i in np.flatnonzero(sizes > _MAX_DIGITS).tolist():
-                values[i] = self.code(int(data[lo[i] : hi[i]].tobytes()))
+                values[i] = self.code(data[lo[i] : hi[i]].tobytes().decode())
         return values
 
     def read(self, block: bytes) -> None:
@@ -550,19 +554,18 @@ class _Table:
         # The marks: every LF, CR, comma and other byte below "0", in one pass.
         marks = np.flatnonzero(data < _ZERO)
         kinds = data[marks]
-        width = self.width
 
-        # A line that can make a row has as marks width - 1 commas, its CR if
-        # it ends in CRLF, and its LF. Where the marks are those of lines that
+        # A line that can make a row has as marks two commas, its CR if it
+        # ends in CRLF, and its LF. Where the marks are those of lines that
         # all end as the block's last does, they are taken as they stand (a CR
         # not just before its LF is then in the line's last cell, which it
         # makes too long); else each CR just before an LF is dropped.
-        k = width + block.endswith(b"\r\n")
+        k = 3 + block.endswith(b"\r\n")
         same = kinds == self.pattern(k, len(kinds))
         if not same.all():
             line_ends = np.flatnonzero(kinds == _CR)
             line_ends = line_ends[data[marks[line_ends] + 1] == _LF]
-            marks, kinds, k = np.delete(marks, line_ends), np.delete(kinds, line_ends), width
+            marks, kinds, k = np.delete(marks, line_ends), np.delete(kinds, line_ends), 3
             same = kinds == self.pattern(k, len(kinds))
         # The lines before the first mark out of pattern are lines that can make rows.
         clean = bool(same.all())
@@ -575,8 +578,8 @@ class _Table:
 
         # The lines before it: every cell is digits, up to the line's next mark.
         cr = data[lf - 1] == _CR  # data[-1] is the block's last LF
-        hi = [marks[j::k][:n] for j in range(width - 1)] + [lf - cr]
-        lo = [np.concatenate(([0], lf + 1))[:-1]] + [end + 1 for end in hi[:-1]]
+        hi = [marks[0::k][:n], marks[1::k][:n], lf - cr]
+        lo = [np.concatenate(([0], lf + 1))[:-1], hi[0] + 1, hi[1] + 1]
         # A learner cell is parsed only where its bytes differ from the line
         # before's, told apart by the cell's bytes as one integer, its key;
         # a cell of no or more than eight bytes keys to 0 and is always parsed.
@@ -588,7 +591,7 @@ class _Table:
         fresh[:1] = True
         at = np.flatnonzero(fresh)
         ids = self.counts(data, lo[0][at], hi[0][at])
-        last = self.last or (0, 0, 0)
+        last = self.last or (0, 0)
         changed = ids != np.concatenate(([last[0]], ids))[:-1]
         changed[:1] |= self.last is None
         starts = at[changed]  # each learner's first line
@@ -596,14 +599,10 @@ class _Table:
         new = np.zeros(n, dtype=bool)
         new[starts] = True
         steps = self.counts(data, lo[1], hi[1])
-        flags = [data[begin] - _ZERO for begin in lo[2:]]
+        answers = data[lo[2]] - _ZERO
         wrong = hi[0] == lo[0]  # an empty learner; an empty step reads as 0, never a step
         wrong |= steps != np.where(new, 1, np.concatenate(([last[1]], steps))[:-1] + 1)
-        for begin, end, values in zip(lo[2:], hi[2:], flags):
-            wrong |= (end - begin != 1) | (values > 1)
-        if width == 4:
-            lost = np.concatenate(([last[2]], flags[1]))[:-1] > flags[1]
-            wrong |= ~new & lost
+        wrong |= (hi[2] - lo[2] != 1) | (answers > 1)
         if len(set(firsts)) < len(firsts) or not self.seen.isdisjoint(firsts):
             seen = set(self.seen)
             for start, learner in zip(starts.tolist(), firsts):
@@ -616,30 +615,30 @@ class _Table:
             previous = self.last
             if i:
                 learner = ids[np.searchsorted(at, i - 1, side="right") - 1]
-                previous = (int(learner), int(steps[i - 1]), int(flags[-1][i - 1]))
+                previous = (int(learner), int(steps[i - 1]))
             self.seen.update(firsts[: np.searchsorted(starts, i)])
             begin = int(lf[i - 1]) + 1 if i else 0
             self.fail(_text(block[begin : block.index(b"\n", begin)]), self.rows + i + 2, previous)
 
         self.starts.append(self.rows + starts)
-        for column, values in zip(self.flags, flags):
-            column.append(values)
+        self.answers.append(answers)
         self.seen.update(firsts)
         self.rows += n
         if n:
-            self.last = (int(ids[-1]), int(steps[-1]), int(flags[-1][-1]))
+            self.last = (int(ids[-1]), int(steps[-1]))
 
-    def fail(self, line: str, lineno: int, previous: tuple[int, int, int] | None) -> None:
+    def fail(self, line: str, lineno: int, previous: tuple[int, int] | None) -> None:
         """Raise the error a row-by-row read raises first on this line."""
 
         cells = line.split(",") if line else []
-        if len(cells) != self.width:
+        if len(cells) != 3:
+            raise DatasetFormatError(f"line {lineno}: expected 3 columns, got {len(cells)}")
+        learner_id = _cell_digits(cells[0], "learner_id", lineno)
+        step = _cell_digits(cells[1], "step", lineno)
+        if cells[2] not in ("0", "1"):
             raise DatasetFormatError(
-                f"line {lineno}: expected {self.width} columns, got {len(cells)}"
+                f"line {lineno}: correct must be 0 or 1, got {_quote(cells[2])}"
             )
-        learner_id = _parse_count(cells[0], "learner_id", lineno)
-        step = _parse_count(cells[1], "step", lineno)
-        _parse_binary(cells[2], "correct", lineno)
         learner = self.code(learner_id)
         new = previous is None or learner != previous[0]
         if new and learner in self.seen:
@@ -647,32 +646,17 @@ class _Table:
                 f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
             )
         expected = 1 if new else previous[1] + 1  # type: ignore[index]
-        if step != expected:
+        if step != str(expected):
             raise DatasetFormatError(
                 f"line {lineno}: expected step {expected} for learner {learner_id}, got {step}"
             )
-        if self.width == 4 and not _parse_binary(cells[3], "proficient", lineno):
-            if not new and previous[2]:  # type: ignore[index]
-                raise DatasetFormatError(
-                    f"line {lineno}: learner {learner_id} loses proficiency, "
-                    f"which the model forbids"
-                )
         raise AssertionError(f"line {lineno} failed an array check but no row check")
 
-    def columns(self) -> tuple[Dataset, list[np.ndarray]]:
-        """The dataset read, and the extra flag columns (proficient) row by row."""
 
-        if not self.rows:
-            raise DatasetFormatError("no data rows: dataset is empty")
-        lengths = np.diff(np.concatenate(self.starts), append=self.rows)
-        answers, *extra = (np.concatenate(column) for column in self.flags)
-        return Dataset._of(answers, lengths), extra
+def read_dataset(source: str | Path) -> Dataset:
+    """Read a dataset CSV, validating every row."""
 
-
-def _read_table(source: str | Path, header: tuple[str, ...]) -> tuple[Dataset, list[np.ndarray]]:
-    """Read and validate a CSV block by block into a dataset and its extra columns."""
-
-    table = _Table(len(header))
+    table = _Table()
     with open(source, "rb") as handle:
         blocks = _blocks(handle)
         first = next(blocks, None)
@@ -680,25 +664,14 @@ def _read_table(source: str | Path, header: tuple[str, ...]) -> tuple[Dataset, l
             raise DatasetFormatError("empty file: expected a header row")
         end = first.index(b"\n")
         line = _text(first[:end])
-        if line != ",".join(header):
+        if line != _DATASET_HEADER:
             raise DatasetFormatError(
-                f"line 1: expected header {','.join(header)!r}, got {line!r}"
+                f"line 1: expected header {_DATASET_HEADER!r}, got {_quote(line)}"
             )
         table.read(first[end + 1 :])
         for block in blocks:
             table.read(block)
-    return table.columns()
-
-
-def read_dataset(source: str | Path) -> Dataset:
-    """Read a dataset CSV, validating every row."""
-
-    dataset, _ = _read_table(source, _DATASET_HEADER)
-    return dataset
-
-
-def read_ground_truth(source: str | Path) -> tuple[Dataset, tuple[HiddenPath, ...]]:
-    """Read a ground-truth CSV, returning attempts and hidden paths."""
-
-    dataset, (states,) = _read_table(source, _TRUTH_HEADER)
-    return dataset, tuple(_runs(HiddenPath, states.tobytes(), dataset._bounds.tolist()))
+    if not table.rows:
+        raise DatasetFormatError("no data rows: dataset is empty")
+    lengths = np.diff(np.concatenate(table.starts), append=table.rows)
+    return Dataset._of(np.concatenate(table.answers), lengths)

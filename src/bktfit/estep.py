@@ -50,8 +50,7 @@ table is copied to C-ordered (columns, 9) rows, each learner's row is gathered
 by its slot, and one einsum adds the rows in ascending learner order, as
 sum(axis=0) does on a C-ordered array (on a Fortran-ordered one both add in
 another order). So results are bitwise reproducible and equal to those of a
-column per learner. posteriors runs the same kernel on a chunk built for its
-one sequence alone.
+column per learner.
 forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
 sequence in log space.
 """
@@ -204,11 +203,10 @@ def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    dataset = Dataset((seq,))
-    # The chunk of the one learner alone: its answers are the only window.
-    chunk = dataset._chunk(np.zeros(1, dtype=np.int64), dataset._answers[None])
+    layout = Dataset((seq,))._layout
+    chunk = layout.chunks[0]
     weights = _log_weights(theta, chunk.tau)
-    q = _switch_posteriors(weights, chunk, np.empty(2 * chunk.counts[0].size))[0][:, 0]
+    q = _switch_posteriors(weights, chunk, np.empty(layout.workspace))[0][:, 0]
     q /= q.sum()
     proficient = np.cumsum(q)[:-1]  # P(tau <= t)
     novice = np.cumsum(q[:0:-1])[::-1]  # P(tau > t)

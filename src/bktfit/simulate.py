@@ -26,10 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import ParamSet, _require_int
-from .data import AttemptSequence, Dataset, HiddenPath, _runs
+from .data import Dataset, HiddenPath, _runs
 
 __all__ = [
-    "simulate_learner",
     "simulate_dataset",
     "simulate_dataset_with_paths",
     "DEFAULT_LEARNERS",
@@ -67,16 +66,17 @@ _ONE, _TOP_BIT, _TOP_SIX, _MOD64 = np.uint64(1), np.uint64(63), np.uint64(58), n
 _DOUBLE_SHIFT, _DOUBLE_SCALE = np.uint64(11), 2.0**-53
 
 
-def _words(entropy: Seed) -> list[int]:
-    """The uint32 words SeedSequence(entropy) reads: each int's, low word first.
+def _words(seed: Seed) -> list[int]:
+    """The uint32 words SeedSequence reads of the seed's ints (an int seed is
+    one), each int's low word first.
 
     numpy checks the seed first, so a bad one raises numpy's own error.
     """
 
+    entropy = tuple(seed) if isinstance(seed, Sequence) else (seed,)
     np.random.SeedSequence(entropy)
-    values = entropy if isinstance(entropy, Sequence) else (entropy,)
     words = []
-    for value in map(operator.index, values):
+    for value in map(operator.index, entropy):
         words += [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
     return words
 
@@ -185,36 +185,19 @@ def _sample(
     return states, answers
 
 
-def _check_shape(learners: int, length: int) -> None:
+def _simulate(
+    theta: ParamSet, learners: int, length: int, seed: Seed
+) -> tuple[Dataset, np.ndarray]:
     _require_int(learners, "learners")
     _require_int(length, "length")
     if learners < 1:
         raise ValueError("learners must be at least 1")
     if length < 1:
         raise ValueError("length must be at least 1")
-
-
-def simulate_learner(
-    theta: ParamSet, length: int, seed: Seed
-) -> tuple[HiddenPath, AttemptSequence]:
-    """Sample one learner's hidden path and observed answers."""
-
-    _check_shape(1, length)
-    # Zero words past the entropy hash as absent ones, so an empty seed is (0,).
-    *prefix, last = _words(seed) or [0]
-    states, answers = _sample(theta, prefix, np.array([last], dtype=np.uint32), length)
-    return HiddenPath(states.tobytes()), AttemptSequence(answers.tobytes())
-
-
-def _simulate(
-    theta: ParamSet, learners: int, length: int, seed: Seed
-) -> tuple[Dataset, np.ndarray]:
-    _check_shape(learners, length)
     if learners > 2**32:
         # A learner index of 2**32 or more would take two entropy words.
         raise ValueError(f"learners must be at most 2**32, got {learners}")
-    prefix = _words(tuple(seed) if isinstance(seed, Sequence) else (seed,))
-    states, answers = _sample(theta, prefix, np.arange(learners, dtype=np.uint32), length)
+    states, answers = _sample(theta, _words(seed), np.arange(learners, dtype=np.uint32), length)
     lengths = np.full(learners, length, dtype=np.int64)
     return Dataset._of(answers.view(np.uint8).ravel(), lengths), states
 

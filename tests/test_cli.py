@@ -32,6 +32,7 @@ from bktfit.cli import (
 )
 from bktfit.data import HiddenPath
 from bktfit.experiment import FITTERS
+from bktfit.simulate import simulate_dataset_with_paths
 from conftest import TRUE_THETA, fail_floor_stage
 
 
@@ -146,7 +147,17 @@ def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
     dataset = read_dataset(out)
     assert len(dataset) == 10
     assert len(dataset[0]) == 5
-    assert truth.exists()
+    # The truth file holds the data file's rows, each with the state behind it.
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    with open(truth, newline="") as handle:
+        truth_rows = list(csv.reader(handle))
+    expected, paths = simulate_dataset_with_paths(TRUE_THETA, 10, 5, 3)
+    assert dataset == expected
+    states = [str(state) for path in paths for state in path]
+    assert truth_rows == [rows[0] + ["proficient"]] + [
+        row + [state] for row, state in zip(rows[1:], states, strict=True)
+    ]
     sidecar = json.loads((tmp_path / "data.csv.meta.json").read_text())
     assert sidecar == {
         "theta": TRUE_THETA.to_dict(),

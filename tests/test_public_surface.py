@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -41,4 +43,28 @@ def test_building_blocks_paragraph_names_only_package_attributes():
         target = bktfit
         for part in name.removeprefix("bktfit.").split("."):
             assert hasattr(target, part), f"README names {name!r}, which bktfit does not have"
+            target = getattr(target, part)
+
+
+# Calls in Library use that are not bktfit's: numpy's generator and the
+# constraint margin's math notation.
+_NOT_BKTFIT_CALLS = {"Generator", "c"}
+
+
+def test_every_call_library_use_names_is_a_package_attribute():
+    modules = [bktfit] + [
+        importlib.import_module(f"bktfit.{module.name}")
+        for module in pkgutil.iter_modules(bktfit.__path__)
+    ]
+    prose = "".join(_library_use().split("```")[0::2])
+    calls = [re.match(r"[\w.]+(?=\()", span) for span in _backticked(prose)]
+    names = [call.group().removeprefix("bktfit.") for call in calls if call]
+    assert "simulate_dataset" in names
+    for name in set(names) - _NOT_BKTFIT_CALLS:
+        head, _, rest = name.partition(".")
+        owners = [module for module in modules if hasattr(module, head)]
+        assert owners, f"README Library use calls {name!r}, which no bktfit module has"
+        target = getattr(owners[0], head)
+        for part in filter(None, rest.split(".")):
+            assert hasattr(target, part), f"README Library use calls {name!r}, which bktfit lacks"
             target = getattr(target, part)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bktfit import ParamSet, simulate, simulate_dataset
-from bktfit.simulate import simulate_dataset_with_paths, simulate_learner
+from bktfit.simulate import simulate_dataset_with_paths
 from conftest import TRUE_THETA
 
 
@@ -18,8 +18,8 @@ from conftest import TRUE_THETA
     [
         lambda: simulate_dataset(TRUE_THETA, 2.5, 4, 0),
         lambda: simulate_dataset(TRUE_THETA, 3, 4.0, 0),
-        lambda: simulate_learner(TRUE_THETA, 2.5, 0),
-        lambda: simulate_learner(TRUE_THETA, True, 0),
+        lambda: simulate_dataset_with_paths(TRUE_THETA, 3, 2.5, 0),
+        lambda: simulate_dataset(TRUE_THETA, 3, True, 0),
     ],
     ids=["learners", "steps", "length", "bool-length"],
 )
@@ -44,17 +44,20 @@ def _reference_learner(theta, length, seed):
 
 # Seeds of one to six entropy words. With the learner index, 2**64 + 3 and
 # (4, 1, 2) fill SeedSequence's four-word pool exactly, and the last seed
-# spills three words past it.
-_SEEDS = [0, (4, 1), 2**32, 2**64 + 3, (4, 1, 2), (2**33, 5, 6, 7, 8)]
+# spills three words past it. The empty seed gives learner i the stream of (i,).
+_SEEDS = [0, (4, 1), 2**32, 2**64 + 3, (4, 1, 2), (2**33, 5, 6, 7, 8), 42, (), True, [3, 0]]
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 300])
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
+    # Learner i draws the stream of (*seed, i). A slow learner keeps most
+    # transitions drawn.
     rng = np.random.default_rng(length)
-    for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4))]:
+    slow = ParamSet(0.3, 0.4, 0.2, 0.05)
+    for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4)), slow]:
         dataset, paths = simulate_dataset_with_paths(theta, 30, length, seed)
-        base = seed if isinstance(seed, tuple) else (seed,)
+        base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
         expected = [_reference_learner(theta, length, base + (i,)) for i in range(30)]
         assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
 
@@ -87,14 +90,6 @@ def test_simulator_peak_memory_is_the_output_plus_one_block(monkeypatch):
     # emission probabilities take 24 bytes per learner-step. The dense
     # (learners, 2 * steps) uniform matrix alone would be 8 MB.
     assert peak <= 2 * learners * steps + 24 * 1024 * steps + 2 * 2**20, peak
-
-
-@pytest.mark.parametrize("length", [1, 300])
-@pytest.mark.parametrize("seed", [*_SEEDS, 42, (), True, [3, 0]])
-def test_simulate_learner_draws_what_the_per_step_loop_draws(length, seed):
-    theta = ParamSet(0.3, 0.4, 0.2, 0.05)  # a slow learner keeps most transitions drawn
-    path, attempts = simulate_learner(theta, length, seed)
-    assert (path.states, attempts.attempts) == _reference_learner(theta, length, seed)
 
 
 def test_simulated_streams_match_their_recorded_hashes():
@@ -130,26 +125,16 @@ def test_simulate_refuses_learner_indices_past_one_entropy_word():
         simulate_dataset(TRUE_THETA, 2**32 + 1, 1, 0)
 
 
-def test_simulate_learner_is_deterministic():
-    a = simulate_learner(TRUE_THETA, 12, (3, 0))
-    b = simulate_learner(TRUE_THETA, 12, (3, 0))
-    assert a == b
-
-
-def test_simulate_learner_shapes():
-    path, attempts = simulate_learner(TRUE_THETA, 5, 42)
-    assert len(path) == 5
-    assert len(attempts) == 5
-
-
-def test_simulate_learner_needs_a_step():
+def test_simulate_needs_a_learner_and_a_step():
+    with pytest.raises(ValueError, match="learners must be at least 1"):
+        simulate_dataset(TRUE_THETA, 0, 3, 0)
     with pytest.raises(ValueError, match="length must be at least 1"):
-        simulate_learner(TRUE_THETA, 0, 0)
+        simulate_dataset_with_paths(TRUE_THETA, 3, 0, 0)
 
 
 def test_paths_are_absorbing():
-    for index in range(200):
-        path, _ = simulate_learner(TRUE_THETA, 15, (9, index))
+    _, paths = simulate_dataset_with_paths(TRUE_THETA, 200, 15, 9)
+    for path in paths:
         states = list(path)
         assert states == sorted(states)  # False before True, never back
 
@@ -164,8 +149,8 @@ def test_tuple_seeds_are_flattened_substreams():
     # A tuple seed must derive the same per-learner streams as manual
     # flattening, so experiment streams never collide.
     dataset = simulate_dataset(TRUE_THETA, 3, 6, (5, 0, 2))
-    manual = [simulate_learner(TRUE_THETA, 6, (5, 0, 2, i))[1] for i in range(3)]
-    assert list(dataset) == manual
+    manual = [_reference_learner(TRUE_THETA, 6, (5, 0, 2, i))[1] for i in range(3)]
+    assert [seq.attempts for seq in dataset] == manual
 
 
 def test_distinct_seeds_differ():
