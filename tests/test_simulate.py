@@ -44,22 +44,31 @@ def _reference_learner(theta, length, seed):
 
 # Seeds of one to six entropy words. With the learner index, 2**64 + 3 and
 # (4, 1, 2) fill SeedSequence's four-word pool exactly, and the last seed
-# spills three words past it. The empty seed gives learner i the stream of (i,).
-_SEEDS = [0, (4, 1), 2**32, 2**64 + 3, (4, 1, 2), (2**33, 5, 6, 7, 8), 42, (), True, [3, 0]]
+# spills three words past it.
+_SEEDS = [0, (4, 1), 2**32, 2**64 + 3, (4, 1, 2), (2**33, 5, 6, 7, 8)]
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 300])
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
-    # Learner i draws the stream of (*seed, i). A slow learner keeps most
-    # transitions drawn.
     rng = np.random.default_rng(length)
-    slow = ParamSet(0.3, 0.4, 0.2, 0.05)
-    for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4)), slow]:
+    for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4))]:
         dataset, paths = simulate_dataset_with_paths(theta, 30, length, seed)
-        base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+        base = seed if isinstance(seed, tuple) else (seed,)
         expected = [_reference_learner(theta, length, base + (i,)) for i in range(30)]
         assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+
+
+@pytest.mark.parametrize("length", [1, 300])
+@pytest.mark.parametrize("seed", [*_SEEDS, 42, (), True, [3, 0]])
+def test_simulate_learner_draws_what_the_per_step_loop_draws(length, seed):
+    # Learner i of a dataset draws the stream of (*seed, i); the empty seed
+    # gives learner i the stream of (i,).
+    theta = ParamSet(0.3, 0.4, 0.2, 0.05)  # a slow learner keeps most transitions drawn
+    dataset, paths = simulate_dataset_with_paths(theta, 3, length, seed)
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    expected = [_reference_learner(theta, length, base + (i,)) for i in range(3)]
+    assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
 
 
 def test_blocks_of_learners_draw_what_the_per_step_loop_draws(monkeypatch):
@@ -123,6 +132,18 @@ def test_simulate_refuses_learner_indices_past_one_entropy_word():
     # Index 2**32 would take a second entropy word; refused before any allocation.
     with pytest.raises(ValueError, match="at most 2\\*\\*32"):
         simulate_dataset(TRUE_THETA, 2**32 + 1, 1, 0)
+
+
+def test_simulate_learner_is_deterministic():
+    a = simulate_dataset_with_paths(TRUE_THETA, 1, 12, (3, 0))
+    b = simulate_dataset_with_paths(TRUE_THETA, 1, 12, (3, 0))
+    assert a == b
+
+
+def test_simulate_learner_shapes():
+    dataset, paths = simulate_dataset_with_paths(TRUE_THETA, 1, 5, 42)
+    assert len(paths[0]) == 5
+    assert len(dataset[0]) == 5
 
 
 def test_simulate_needs_a_learner_and_a_step():
