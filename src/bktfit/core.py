@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -160,10 +160,6 @@ def _require_int(value: object, what: str) -> None:
 
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _generator(seed: int | Sequence[int]) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def param_values(payload: object) -> dict[str, float]:

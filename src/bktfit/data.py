@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -443,12 +443,12 @@ def write_ground_truth(
     _write_table(destination, _TRUTH_HEADER, dataset, dataset._answers, states)
 
 
-def _quote(text: str) -> str:
-    """text quoted, cut after _QUOTED characters: a message stays short on any line."""
+def _quote(text: str, show: Callable[[str], str] = repr) -> str:
+    """text quoted, or shown by show, cut after _QUOTED characters: a message stays short."""
 
     if len(text) <= _QUOTED:
-        return repr(text)
-    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_QUOTED])}... ({len(text)} characters)"
 
 
 def _cell_digits(text: str, column: str, lineno: int) -> str:
@@ -641,14 +641,16 @@ class _Table:
             )
         learner = self.code(learner_id)
         new = previous is None or learner != previous[0]
+        shown = _quote(learner_id, str)
         if new and learner in self.seen:
             raise DatasetFormatError(
-                f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
+                f"line {lineno}: learner {shown} appears in non-contiguous blocks"
             )
         expected = 1 if new else previous[1] + 1  # type: ignore[index]
         if step != str(expected):
             raise DatasetFormatError(
-                f"line {lineno}: expected step {expected} for learner {learner_id}, got {step}"
+                f"line {lineno}: expected step {expected} for learner {shown}, "
+                f"got {_quote(step, str)}"
             )
         raise AssertionError(f"line {lineno} failed an array check but no row check")
 

@@ -12,18 +12,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     ConstraintReport,
     ParamSet,
-    _generator,
     _require_int,
     parse_object,
     validate_params,
 )
 from .data import Dataset, as_dataset
 from .estep import SufficientStats, sufficient_stats
+from .simulate import Seed, _random
 
 __all__ = [
     "ALGORITHM_BAUM_WELCH",
@@ -193,8 +193,14 @@ def _run_em(
     )
 
 
-def random_init(seed: int | Sequence[int]) -> ParamSet:
-    """Sample an initial guess uniformly from (INIT_LOW, INIT_HIGH)^4."""
+def random_init(seed: Seed) -> ParamSet:
+    """Sample an initial guess uniformly from (INIT_LOW, INIT_HIGH)^4.
 
-    l0, g, s, r = _generator(seed).uniform(INIT_LOW, INIT_HIGH, 4)
+    The guess is INIT_LOW + (INIT_HIGH - INIT_LOW) * u for the first four
+    draws u of the stream of Generator(PCG64(SeedSequence(seed))): what its
+    uniform(INIT_LOW, INIT_HIGH, 4) returns, derived without numpy's random
+    module. The seed is read as simulate_dataset reads it.
+    """
+
+    l0, g, s, r = (INIT_LOW + (INIT_HIGH - INIT_LOW) * u for u in _random(seed, 4))
     return ParamSet(l0=l0, g=g, s=s, r=r)

@@ -7,8 +7,7 @@ laid out as one initial-state uniform, then one uniform per attempt, then one
 uniform per between-attempt transition, so the stream layout does not depend
 on the sampled path.
 
-numpy builds those generators one learner at a time, at about 30 us each.
-Here the same streams are derived for a block of learners at once: numpy's
+The streams are derived here, for a block of learners at once: numpy's
 SeedSequence hash and PCG64's seeding and 128-bit LCG (XSL-RR output) are
 computed in uint32 and uint64 vectors over the block, and each draw's
 ``(output >> 11) * 2**-53`` is written into its column of the block's
@@ -16,12 +15,17 @@ uniforms, bit for bit what ``Generator.random`` returns. Besides the
 (block, 2 * length) float64 uniforms, a block's temporaries peak at about
 fourteen vectors of one 64-bit word per learner, 112 bytes a learner and
 448 KiB for a full block, whatever the length.
+
+``random_init`` draws its four uniforms from one such stream, derived on
+Python ints by the same SeedSequence code, and ``_words`` checks every seed.
+So no numpy generator is built, and numpy's random module, which would add
+about 6 MB to the process, is never imported.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +44,7 @@ __all__ = [
 DEFAULT_LEARNERS = 100
 DEFAULT_STEPS = 10
 
-Seed = int | Sequence[int]
+Seed = int | list[int] | tuple[int, ...]
 
 # Learners per block of uniforms: the (block, 2 * length) float64 draws are
 # the simulator's largest temporary, so this bounds its peak memory. On a
@@ -52,15 +56,16 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
-_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 
-# PCG64's 128-bit LCG multiplier as two 64-bit halves, and the low half's
-# 32-bit limbs for the high half of a 64 x 64-bit product. Every shift and
-# mask is a numpy scalar of its vector's type, so numpy 1.x and 2.x promote
-# alike.
-_MUL_HI, _MUL_LO = np.uint64(0x2360_ED05_1FC6_5DA4), np.uint64(0x4385_DF64_9FCC_F645)
-_MUL_LO_HI, _MUL_LO_LO = np.uint64(0x4385_DF64), np.uint64(0x9FCC_F645)
+# PCG64's 128-bit LCG multiplier. The vector path holds it as two 64-bit
+# halves, and the low half's 32-bit limbs for the high half of a 64 x 64-bit
+# product; there every shift and mask is a numpy scalar of its vector's type,
+# so numpy 1.x and 2.x promote alike.
+_MULTIPLIER = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+_MUL_HI, _MUL_LO = np.uint64(_MULTIPLIER >> 64), np.uint64(_MULTIPLIER & _MASK64)
+_MUL_LO_HI, _MUL_LO_LO = np.uint64(_MULTIPLIER >> 32 & _MASK32), np.uint64(_MULTIPLIER & _MASK32)
 _LOW32, _HALF = np.uint64(_MASK32), np.uint64(32)
 _ONE, _TOP_BIT, _TOP_SIX, _MOD64 = np.uint64(1), np.uint64(63), np.uint64(58), np.uint64(63)
 _DOUBLE_SHIFT, _DOUBLE_SCALE = np.uint64(11), 2.0**-53
@@ -70,43 +75,56 @@ def _words(seed: Seed) -> list[int]:
     """The uint32 words SeedSequence reads of the seed's ints (an int seed is
     one), each int's low word first.
 
-    numpy checks the seed first, so a bad one raises numpy's own error.
+    A seed is an int or a list or tuple of ints, none negative; a bool or a
+    numpy integer reads as its int. Text or a negative int raises ValueError,
+    any other seed TypeError.
     """
 
-    entropy = tuple(seed) if isinstance(seed, Sequence) else (seed,)
-    np.random.SeedSequence(entropy)
+    if isinstance(seed, (str, bytes)):
+        raise ValueError(f"seed must be an int or a list or tuple of ints, got {seed!r}")
     words = []
-    for value in map(operator.index, entropy):
-        words += [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    for value in seed if isinstance(seed, (list, tuple)) else (seed,):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"seed must be an int or a list or tuple of ints, got {seed!r}") from None
+        if value < 0:
+            raise ValueError(f"seed must hold no negative int, got {seed!r}")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
     return words
 
 
-def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One SeedSequence hash of a uint32 word vector, and the next hash constant."""
-
-    value = value ^ np.uint32(hash_const)
-    hash_const = hash_const * mult & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ value >> _XSHIFT, hash_const
+# A uint32 word, as an int or as a vector with one per learner. SeedSequence's
+# hash and mix treat both alike: their masks keep every int below 2**32, so
+# where one meets a vector it reads as a uint32 under numpy 1.x and 2.x alike.
+Word = int | np.ndarray
 
 
-def _pool(words: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence's entropy pool, mixed from uint32 word vectors."""
+def _hasher(hash_const: int, mult: int) -> Callable[[Word], Word]:
+    """SeedSequence's hash of a word, its constant advancing by mult at each word hashed."""
 
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hash_word(value: Word) -> Word:
         nonlocal hash_const
-        value, hash_const = _hash(value, hash_const, _MULT_A)
-        return value
+        # xor with the constant, then multiply by the next one.
+        value = (value ^ hash_const) * (hash_const := hash_const * mult & _MASK32) & _MASK32
+        return value ^ value >> 16
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_L * x - _MIX_R * y
-        return result ^ result >> _XSHIFT
+    return hash_word
+
+
+def _pool(words: list[Word]) -> list[Word]:
+    """SeedSequence's entropy pool, mixed from words."""
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: Word, y: Word) -> Word:
+        result = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return result ^ result >> 16
 
     # Words past the entropy hash as zeros.
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -117,16 +135,13 @@ def _pool(words: list[np.ndarray]) -> list[np.ndarray]:
     return pool
 
 
-def _pcg64_seeds(pool: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.generate_state(4, np.uint64) as four uint64 vectors."""
+def _pcg64_seeds(pool: list[Word]) -> list[Word]:
+    """SeedSequence.generate_state(8, np.uint32). Paired low word first, the
+    eight words are the four uint64 ones PCG64 seeds from: its initstate and
+    initseq, each high half first."""
 
-    # Eight uint32 words, paired low word first into four uint64 ones.
-    hash_const, seeds = _INIT_B, []
-    for i in range(0, 8, 2):
-        low, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        high, hash_const = _hash(pool[(i + 1) % _POOL_SIZE], hash_const, _MULT_B)
-        seeds.append(low.astype(np.uint64) | high.astype(np.uint64) << _HALF)
-    return seeds
+    hash_word = _hasher(_INIT_B, _MULT_B)
+    return [hash_word(pool[i % _POOL_SIZE]) for i in range(8)]
 
 
 def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
@@ -146,8 +161,10 @@ def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
 def _uniforms(prefix: list[int], last: np.ndarray, out: np.ndarray) -> None:
     """Row k of out: the first draws of Generator.random on SeedSequence(prefix + [last[k]])."""
 
-    words = [np.array([word], dtype=np.uint32) for word in prefix] + [last]
-    hi, lo, seq_hi, seq_lo = _pcg64_seeds(_pool(words))
+    words = _pcg64_seeds(_pool([*prefix, last]))
+    hi, lo, seq_hi, seq_lo = (
+        words[i].astype(np.uint64) | words[i + 1].astype(np.uint64) << _HALF for i in range(0, 8, 2)
+    )
     # PCG64 seeding: inc = initseq << 1 | 1; a step from state 0 gives inc,
     # initstate is added, and the state is stepped once more.
     inc_hi, inc_lo = seq_hi << _ONE | seq_lo >> _TOP_BIT, seq_lo << _ONE | _ONE
@@ -161,6 +178,23 @@ def _uniforms(prefix: list[int], last: np.ndarray, out: np.ndarray) -> None:
         x, rot = hi ^ lo, hi >> _TOP_SIX
         draw = x >> rot | x << (-rot & _MOD64)
         np.multiply(draw >> _DOUBLE_SHIFT, _DOUBLE_SCALE, out=column)
+
+
+def _random(seed: Seed, count: int) -> list[float]:
+    """The first count draws of Generator.random on SeedSequence(seed),
+    computed on Python ints: no generator is built."""
+
+    w = _pcg64_seeds(_pool(_words(seed)))
+    state, seq = (w[i] << 64 | w[i + 1] << 96 | w[i + 2] | w[i + 3] << 32 for i in (0, 4))
+    # PCG64 seeding as in _uniforms, then a step before each output.
+    inc = (seq << 1 | 1) & _MASK128
+    state = ((inc + state) * _MULTIPLIER + inc) & _MASK128
+    draws = []
+    for _ in range(count):
+        state = (state * _MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122  # XSL-RR
+        draws.append((((x >> rot | x << 64 - rot) & _MASK64) >> 11) * _DOUBLE_SCALE)
+    return draws
 
 
 def _sample(

@@ -657,3 +657,52 @@ def test_python_dash_m_runs_the_cli(tmp_path, theta_file):
             timeout=60,
         )
         assert done.returncode == expected, done.stderr
+
+
+# Every step below runs in a fresh process; numpy.random is then loaded only if
+# bktfit, or numpy itself, imports it.
+_RUN_WITHOUT_NUMPY_RANDOM = """
+import sys
+from pathlib import Path
+
+import numpy
+
+eager = "numpy.random" in sys.modules
+from bktfit import (
+    ExperimentConfig, ParamSet, fit_baum_welch, fit_constrained, random_init, run_experiment,
+    simulate_dataset,
+)
+from bktfit.cli import main
+
+folder = Path(sys.argv[1])
+theta = ParamSet(0.45, 0.25, 0.1, 0.3)
+data = simulate_dataset(theta, 30, 6, 1)
+fit_baum_welch(data, random_init(2))
+fit_constrained(data, random_init((0, 1, 2)))
+run_experiment(ExperimentConfig(true_theta=theta, num_datasets=2, learners=20, steps=5))
+(folder / "theta.json").write_text(theta.to_json())
+csv = str(folder / "data.csv")
+simulate = ["simulate", "--params", str(folder / "theta.json"), "--learners", "30"]
+assert main([*simulate, "--steps", "6", "--seed", "1", "--out", csv]) == 0
+fit = ["fit", "--data", csv, "--algorithm", "constrained", "--init-seed", "2"]
+assert main([*fit, "--out", str(folder / "report.json")]) == 0
+print(eager, "numpy.random" in sys.modules)
+"""
+
+
+def test_simulating_and_fitting_never_load_numpy_random(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY_RANDOM, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    eager, loaded = done.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy (1.x) imports numpy.random with numpy itself")
+    assert loaded == "False"

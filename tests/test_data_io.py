@@ -532,8 +532,8 @@ def _reference_table(raw: bytes) -> list[list[bool]]:
     lines = [line.removesuffix("\r") for line in lines]
     rows = [line.split(",") if line else [] for line in lines]
 
-    def quote(text: str) -> str:
-        return repr(text) if len(text) <= 80 else f"{text[:80]!r}... ({len(text)} characters)"
+    def quote(text: str, show=repr) -> str:
+        return show(text) if len(text) <= 80 else f"{show(text[:80])}... ({len(text)} characters)"
 
     if rows[0] != header:
         raise DatasetFormatError(
@@ -560,7 +560,8 @@ def _reference_table(raw: bytes) -> list[list[bool]]:
         if learner_id != current_id:
             if learner_id in seen:
                 raise DatasetFormatError(
-                    f"line {lineno}: learner {learner_id} appears in non-contiguous blocks"
+                    f"line {lineno}: learner {quote(str(learner_id), str)} appears in "
+                    "non-contiguous blocks"
                 )
             seen.add(learner_id)
             learners.append([])
@@ -569,7 +570,7 @@ def _reference_table(raw: bytes) -> list[list[bool]]:
         if step != len(attempts) + 1:
             raise DatasetFormatError(
                 f"line {lineno}: expected step {len(attempts) + 1} for learner "
-                f"{learner_id}, got {step}"
+                f"{quote(str(learner_id), str)}, got {quote(str(step), str)}"
             )
         attempts.append(row[2] == "1")
     if not learners:
@@ -679,18 +680,20 @@ def test_a_bad_cell_is_quoted_up_to_80_characters(tmp_path):
         assert str(error.value) == f"line 2: correct must be 0 or 1, got {shown}"
 
 
-# int() refuses strings of more than 4,300 digits.
+# int() refuses strings of more than 4,300 digits. Messages show the first
+# 80 digits of such a cell, as they quote 80 characters of any other.
 _LONG = "9" * 5_000
+_SHOWN = f"{_LONG[:80]}... (5000 characters)"
 
 
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ([f"{_LONG},2,1"], f"line 2: expected step 1 for learner {_LONG}, got 2"),
-        (["0,1,1", f"0,{_LONG},1"], f"line 3: expected step 2 for learner 0, got {_LONG}"),
+        ([f"{_LONG},2,1"], f"line 2: expected step 1 for learner {_SHOWN}, got 2"),
+        (["0,1,1", f"0,{_LONG},1"], f"line 3: expected step 2 for learner 0, got {_SHOWN}"),
         (
             [f"{_LONG},1,1", "5,1,0", f"000{_LONG},1,1"],
-            f"line 4: learner {_LONG} appears in non-contiguous blocks",
+            f"line 4: learner {_SHOWN} appears in non-contiguous blocks",
         ),
         ([f"{_LONG},1,1", f"{_LONG}x,2,1"], "line 3: learner_id must be a non-negative"),
     ],
@@ -702,6 +705,7 @@ def test_cells_of_more_than_4300_digits_fail_with_their_line(tmp_path, rows, mes
     with pytest.raises(DatasetFormatError) as error:
         read_dataset(path)
     assert str(error.value).startswith(message)
+    assert len(str(error.value)) < 200
 
 
 def test_long_learner_cells_are_one_learner_whatever_their_leading_zeros(tmp_path):

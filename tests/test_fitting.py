@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bktfit import FitOptions, fit_baum_welch, fit_constrained, random_init, simulate_dataset
@@ -80,6 +81,19 @@ def test_random_init_deterministic_and_bounded():
 def test_random_init_accepts_tuple_seeds():
     assert random_init((3, 1, 5)) == random_init((3, 1, 5))
     assert random_init((3, 1, 5)) != random_init((3, 1, 6))
+
+
+# Seeds of five to nine words reach the words SeedSequence mixes in past its
+# four-word pool.
+@pytest.mark.parametrize(
+    "seed",
+    [0, 7, True, np.int64(7), np.uint32(9), 2**40, 2**64 + 3, (), (0, 1, 0), (0, 1, 1), (0, 1, 99)]
+    + [tuple(range(1, words + 1)) for words in range(5, 10)]
+    + [(0,) * 9, (2**33, 5, 6, 7)],
+)
+def test_random_init_is_numpys_uniform_draw(seed):
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    assert random_init(seed).astuple() == tuple(expected.uniform(INIT_LOW, INIT_HIGH, 4))
 
 
 @pytest.mark.parametrize("fit", [fit_baum_welch, fit_constrained])

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bktfit import ParamSet, simulate, simulate_dataset
+from bktfit import ParamSet, random_init, simulate, simulate_dataset
 from bktfit.simulate import simulate_dataset_with_paths
 from conftest import TRUE_THETA
 
@@ -126,6 +126,37 @@ def test_simulate_rejects_seeds_numpy_rejects(seed, error):
 def test_simulate_reads_bool_and_list_seeds_as_their_ints():
     assert simulate_dataset(TRUE_THETA, 20, 6, True) == simulate_dataset(TRUE_THETA, 20, 6, 1)
     assert simulate_dataset(TRUE_THETA, 20, 6, [3, 4]) == simulate_dataset(TRUE_THETA, 20, 6, (3, 4))
+
+
+# simulate_dataset and random_init read a seed by one rule.
+_SEEDED = [lambda seed: simulate_dataset(TRUE_THETA, 3, 4, seed), random_init]
+
+
+@pytest.mark.parametrize("draw", _SEEDED, ids=["simulate_dataset", "random_init"])
+@pytest.mark.parametrize(
+    "seed, error",
+    [(None, TypeError), (((1, 2),), TypeError), (np.array([1, 2]), TypeError), (b"ab", ValueError)],
+    ids=["none", "nested", "array", "bytes"],
+)
+def test_seeds_are_ints_or_lists_or_tuples_of_ints(draw, seed, error):
+    with pytest.raises(error, match="seed must be an int or a list or tuple of ints"):
+        draw(seed)
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(-1, ValueError), ((1, -2), ValueError), (2.5, TypeError), ((1, 2.0), TypeError), ("ab", ValueError)],
+)
+def test_random_init_rejects_the_seeds_the_simulator_rejects(seed, error):
+    with pytest.raises(error, match="seed must"):
+        random_init(seed)
+
+
+@pytest.mark.parametrize("draw", _SEEDED, ids=["simulate_dataset", "random_init"])
+def test_bools_numpy_ints_and_lists_read_as_their_ints(draw):
+    assert draw(True) == draw(1)
+    assert draw(np.int64(7)) == draw(np.uint32(7)) == draw(7)
+    assert draw([3, np.int8(4)]) == draw((3, 4))
 
 
 def test_simulate_refuses_learner_indices_past_one_entropy_word():
