@@ -32,8 +32,9 @@ lam*c - mu]. The floor and the stop rules are module constants, not options.
 When a solve fails, or the result scores below the current iterate, the
 M-step raises NewtonConvergenceError.
 
-The M-step runs on the stats' Python floats, with numpy only in the public
-helpers that return arrays.
+The M-step runs on the stats' Python floats (numpy only in the public helpers
+that return arrays), with Newton steps written out and sums as left folds,
+unlike sum() from Python 3.12 on: fits are the same bits on every Python.
 
 The parameter box needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
@@ -54,18 +55,12 @@ from .core import ParamSet, _margin
 from .data import Dataset
 from .estep import SufficientStats
 from .fitting import (
-    ALGORITHM_CONSTRAINED,
-    FitOptions,
-    FitReport,
-    MStep,
-    NewtonConvergenceError,
-    _run_em,
+    ALGORITHM_CONSTRAINED, FitOptions, FitReport, MStep, NewtonConvergenceError, _run_em
 )
 
 __all__ = [
     "NewtonConvergenceError",
     "constraint_value",
-    "constraint_gradient",
     "objective_value",
     "objective_gradient",
     "objective_hessian_diag",
@@ -103,9 +98,11 @@ def _margin_gradient(l0: float, g: float, s: float, r: float) -> list[float]:
 
 
 def _objective(ab: Iterable[tuple[float, float]], theta: Iterable[float]) -> float:
-    """The M-step objective: a log p + b log(1-p) summed over the parameters."""
+    """The M-step objective: a log p + b log(1-p) summed over the parameters, left to right."""
 
-    return sum(a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, theta))
+    ((a0, b0), (ag, bg), (as_, bs), (ar, br)), (l0, g, s, r) = ab, theta
+    f = a0 * math.log(l0) + b0 * math.log1p(-l0) + (ag * math.log(g) + bg * math.log1p(-g))
+    return f + (as_ * math.log(s) + bs * math.log1p(-s)) + (ar * math.log(r) + br * math.log1p(-r))
 
 
 def _residual(
@@ -113,10 +110,8 @@ def _residual(
 ) -> list[float]:
     """The KKT residual [grad f + lam * grad c, lam*c - mu] at theta."""
 
-    top = [
-        a / p - b / (1.0 - p) + lam * dc
-        for (a, b), p, dc in zip(ab, theta, _margin_gradient(*theta))
-    ]
+    grad_c = _margin_gradient(*theta)
+    top = [a / p - b / (1.0 - p) + lam * dc for (a, b), p, dc in zip(ab, theta, grad_c)]
     return top + [lam * _margin(*theta) - mu]
 
 
@@ -124,12 +119,6 @@ def constraint_value(theta: ParamSet) -> float:
     """Signed feasibility margin c(theta) = (1-s-g)l0 - (1-g)r."""
 
     return _margin(*theta.astuple())
-
-
-def constraint_gradient(theta: ParamSet) -> np.ndarray:
-    """Gradient of the margin: (1-s-g, r-l0, -l0, g-1)."""
-
-    return np.array(_margin_gradient(*theta.astuple()))
 
 
 def objective_value(stats: SufficientStats, theta: ParamSet) -> float:
@@ -188,57 +177,69 @@ def _state(x: tuple[float, ...], mu: float) -> tuple[ParamSet, float]:
 
 
 def _derivatives(
-    ab: list[list[float]], x: tuple[float, ...], mu: float
+    ab: Iterable[tuple[float, float]], x: tuple[float, ...], mu: float
 ) -> tuple[list[float], list[list[float]], list[list[float]]]:
     """Gradient, exact Hessian and Gauss-Newton Hessian in x of f(theta(x)) + mu log c."""
 
-    l0, g, k, e = x
-    d1, d2 = [], []
-    for (a, b), q in zip(ab, _point(x)):
-        u, v = a / q, b / (1.0 - q)
-        d1.append(u - v)
-        d2.append(-u / q - v / (1.0 - q))
-    (f0, fg, fs, fr), (h0, hg, hs, hr) = d1, d2
+    (a0, b0), (ag, bg), (as_, bs), (ar, br) = ab
+    (l0, g, s, r), k, e = _point(x), x[2], x[3]
+    u0, ug, us, ur = a0 / l0, ag / g, as_ / s, ar / r
+    v0, vg, vs, vr = b0 / (1.0 - l0), bg / (1.0 - g), bs / (1.0 - s), br / (1.0 - r)
+    f0, fg, fs, fr = u0 - v0, ug - vg, us - vs, ur - vr
+    h0, hg = -u0 / l0 - v0 / (1.0 - l0), -ug / g - vg / (1.0 - g)
+    hs, hr = -us / s - vs / (1.0 - s), -ur / r - vr / (1.0 - r)
     # J = dtheta/dx: l0 and g are coordinates, and s and r have these rows.
     s1, s2 = k - 1.0, g - 1.0
     r0, r2, r3 = k * (1.0 - e), l0 * (1.0 - e), -k * l0
     grad = [f0 + fr * r0, fg + fs * s1, fs * s2 + fr * r2, fr * r3]
-    gn = [
-        [h0 + hr * r0 * r0, 0.0, hr * r0 * r2, hr * r0 * r3],
-        [0.0, hg + hs * s1 * s1, hs * s1 * s2, 0.0],
-        [hr * r0 * r2, hs * s1 * s2, hs * s2 * s2 + hr * r2 * r2, hr * r2 * r3],
-        [hr * r0 * r3, 0.0, hr * r2 * r3, hr * r3 * r3],
-    ]
+    diag = [h0 + hr * r0 * r0, hg + hs * s1 * s1, hs * s2 * s2 + hr * r2 * r2, hr * r3 * r3]
     if mu:  # log c = log l0 + log(1-g) + log k + log e
         for i, dlog in enumerate((1.0 / l0, -1.0 / (1.0 - g), 1.0 / k, 1.0 / e)):
             grad[i] += mu * dlog
-            gn[i][i] -= mu * dlog * dlog
-    exact = [row[:] for row in gn]
-    # The curvature of s in (g, k) and of r in (l0, k, e).
-    for i, j, term in ((1, 2, fs), (0, 2, fr * (1.0 - e)), (0, 3, -fr * k), (2, 3, -fr * l0)):
-        exact[i][j] += term
-        exact[j][i] += term
+            diag[i] -= mu * dlog * dlog
+    d0, d1, d2, d3 = diag
+    # J^T diag(f'') J, and the curvature of s in (g, k) and of r in (l0, k, e).
+    n02, n03, n12, n23 = hr * r0 * r2, hr * r0 * r3, hs * s1 * s2, hr * r2 * r3
+    x02, x03, x12, x23 = n02 + fr * (1.0 - e), n03 - fr * k, n12 + fs, n23 - fr * l0
+    exact = [[d0, 0.0, x02, x03], [0.0, d1, x12, 0.0], [x02, x12, d2, x23], [x03, 0.0, x23, d3]]
+    gn = [[d0, 0.0, n02, n03], [0.0, d1, n12, 0.0], [n02, n12, d2, n23], [n03, 0.0, n23, d3]]
     return grad, exact, gn
 
 
 def _ascent_step(
     hess: list[list[float]], grad: list[float], n: int
 ) -> tuple[list[float], float] | None:
-    """The Newton step -hess^-1 grad over the first n coordinates and its
-    decrement, by Gauss-Jordan elimination on [-hess | grad]; None unless
-    every pivot is positive, that is unless -hess is positive definite."""
+    """The Newton step -hess^-1 grad over the first n = 3 or 4 coordinates (0.0
+    past them) and its decrement; None unless -hess is positive definite. Gauss-Jordan
+    on [hess | grad] gives [-hess | grad]'s floats, negated outside grad's column."""
 
-    rows = [[-h for h in row[:n]] + [gi] for row, gi in zip(hess, grad[:n])]
-    for i, pivot_row in enumerate(rows):
-        if not pivot_row[i] > 0.0:
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = hess
+    a4, b4, c4, d4 = grad
+    if not a0 < 0.0:
+        return None
+    fb, fc, fd = b0 / a0, c0 / a0, d0 / a0
+    b1, b2, b3, b4 = b1 - fb * a1, b2 - fb * a2, b3 - fb * a3, b4 - fb * a4
+    c1, c2, c3, c4 = c1 - fc * a1, c2 - fc * a2, c3 - fc * a3, c4 - fc * a4
+    d1, d2, d3, d4 = d1 - fd * a1, d2 - fd * a2, d3 - fd * a3, d4 - fd * a4
+    if not b1 < 0.0:
+        return None
+    fa, fc, fd = a1 / b1, c1 / b1, d1 / b1
+    a2, a3, a4 = a2 - fa * b2, a3 - fa * b3, a4 - fa * b4
+    c2, c3, c4 = c2 - fc * b2, c3 - fc * b3, c4 - fc * b4
+    d2, d3, d4 = d2 - fd * b2, d3 - fd * b3, d4 - fd * b4
+    if not c2 < 0.0:
+        return None
+    fa, fb, fd = a2 / c2, b2 / c2, d2 / c2
+    a3, a4, b3, b4 = a3 - fa * c3, a4 - fa * c4, b3 - fb * c3, b4 - fb * c4
+    d3, d4 = d3 - fd * c3, d4 - fd * c4
+    if n == 4:
+        if not d3 < 0.0:
             return None
-        for row in rows:
-            if row is not pivot_row:
-                factor = row[i] / pivot_row[i]
-                for j in range(i + 1, n + 1):
-                    row[j] -= factor * pivot_row[j]
-    step = [row[n] / row[i] for i, row in enumerate(rows)]
-    return step, sum(g * d for g, d in zip(grad, step))
+        fa, fb, fc = a3 / d3, b3 / d3, c3 / d3
+        a4, b4, c4 = a4 - fa * d4, b4 - fb * d4, c4 - fc * d4
+    step = [a4 / -a0, b4 / -b1, c4 / -c2, d4 / -d3 if n == 4 else 0.0]
+    decrement = grad[0] * step[0] + grad[1] * step[1] + grad[2] * step[2]
+    return step, decrement + grad[3] * step[3] if n == 4 else decrement
 
 
 def _newton(
@@ -252,14 +253,14 @@ def _newton(
 
     n = 4 if mu > 0.0 else 3
 
-    def value(x: tuple[float, ...]) -> float:
-        if not all(0.0 < t < 1.0 for t in x[:n]):
+    def value(l0: float, g: float, k: float, e: float) -> float:
+        if not (0.0 < l0 < 1.0 and 0.0 < g < 1.0 and 0.0 < k < 1.0 and (n < 4 or 0.0 < e < 1.0)):
             return -math.inf
-        f = _objective(ab, _point(x))
-        return f + mu * math.log((1.0 - x[1]) * x[2] * x[0] * x[3]) if mu else f
+        f = _objective(ab, _point((l0, g, k, e)))
+        return f + mu * math.log((1.0 - g) * k * l0 * e) if mu else f
 
     stop = _DECREMENT * _MU_FLOOR if mu else _DECREMENT
-    f = value(x)
+    f = value(*x)
     for steps in range(1, _MAX_NEWTON_STEPS + 1):
         grad, exact_hess, gn_hess = _derivatives(ab, x, mu)
         for exact, hess in ((True, exact_hess), (False, gn_hess)):
@@ -270,16 +271,16 @@ def _newton(
             raise _failure("Hessian is singular", mu, grad)
         step, decrement = solved
         full = exact and decrement < _DECREMENT
+        (l0, g, k, e), (d0, d1, d2, d3) = x, step
         t = 1.0
         for _ in range(_MAX_STEP_HALVINGS):
-            trial = tuple(xi + t * di for xi, di in zip(x, step)) + x[n:]
-            f_trial = value(trial)
+            f_trial = value(l0 + t * d0, g + t * d1, k + t * d2, e + t * d3)
             if f_trial >= f + 1e-4 * t * decrement or (full and f_trial > -math.inf):
                 break
             t *= 0.5
         else:
             raise _failure("objective stopped increasing", mu, grad)
-        x, f = trial, f_trial
+        x, f = (l0 + t * d0, g + t * d1, k + t * d2, e + t * d3), f_trial
         if full and t == 1.0 and decrement < stop:
             return x, steps
     raise _failure("step limit reached", mu, grad)
@@ -304,6 +305,21 @@ def solve_barrier_subproblem(
     return _newton(ab, x, mu)
 
 
+def _pushed_inside(theta: ParamSet) -> ParamSet:
+    """theta, or project_feasible's adjusted vector when theta's margin is below ~1e-3."""
+
+    l0, g, s, r = theta.astuple()
+    if _margin(l0, g, s, r) >= _FEASIBLE_MARGIN:
+        return theta
+    target = min(_FEASIBLE_MARGIN, l0 / 4.0)
+    if (1.0 - s - g) * l0 < 2.0 * target:
+        shrink = (1.0 - 2.0 * target / l0) / (s + g)
+        s, g = s * shrink, g * shrink
+    if _margin(l0, g, s, r) < target:
+        r = ((1.0 - s - g) * l0 - target) / (1.0 - g)
+    return ParamSet(l0, g, s, r)
+
+
 def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | None]:
     """Return a parameter vector with margin at least ~1e-3.
 
@@ -314,25 +330,11 @@ def project_feasible(theta: ParamSet) -> tuple[ParamSet, dict[str, object] | Non
     a change record, or (theta, None) when theta already clears the margin.
     """
 
-    l0, g, s, r = theta.astuple()
-    before = _margin(l0, g, s, r)
-    if before >= _FEASIBLE_MARGIN:
+    adjusted = _pushed_inside(theta)
+    if adjusted is theta:
         return theta, None
-    target = min(_FEASIBLE_MARGIN, l0 / 4.0)
-    if (1.0 - s - g) * l0 < 2.0 * target:
-        shrink = (1.0 - 2.0 * target / l0) / (s + g)
-        s *= shrink
-        g *= shrink
-    if _margin(l0, g, s, r) < target:
-        r = ((1.0 - s - g) * l0 - target) / (1.0 - g)
-    adjusted = ParamSet(l0, g, s, r)
-    info: dict[str, object] = {
-        "margin_before": before,
-        "margin_after": constraint_value(adjusted),
-        "from": theta.to_dict(),
-        "to": adjusted.to_dict(),
-    }
-    return adjusted, info
+    margins = {"margin_before": constraint_value(theta), "margin_after": constraint_value(adjusted)}
+    return adjusted, {**margins, "from": theta.to_dict(), "to": adjusted.to_dict()}
 
 
 def _m_step(stats: SufficientStats, theta_star: ParamSet) -> MStep:
@@ -342,24 +344,22 @@ def _m_step(stats: SufficientStats, theta_star: ParamSet) -> MStep:
     M-step raises NewtonConvergenceError naming the reduced solve, the floor
     stage or the objective check."""
 
-    ratios = closed_form_ratios(stats)
-    ab = _ab(stats)
+    ratios, ab = closed_form_ratios(stats), _ab(stats)
     for label, (a, b) in zip(_PARAM_LABELS[1:], ab[1:]):
         if a == 0.0 or b == 0.0:
             raise DegenerateStatsError(
                 f"cannot update {label!r}: one-sided expected counts put the "
                 f"maximizer on the boundary"
             )
-    start, adjustment = project_feasible(theta_star)
     feasible = constraint_value(theta_star) > 0.0
-    restoration = None if feasible else adjustment
+    restoration = None if feasible else project_feasible(theta_star)[1]
     if all(0.0 < p < 1.0 for p in ratios) and _margin(*ratios) > 0.0:
         residual = max(map(abs, _residual(ab, ratios, 0.0, 0.0)))
         return MStep(ParamSet(*ratios), 0.0, residual, restoration=restoration)
-    (l0, g, k, _), reduced = _newton(ab, _slack(start)[:3] + (0.0,), 0.0)
+    (l0, g, k, _), reduced = _newton(ab, _slack(_pushed_inside(theta_star))[:3] + (0.0,), 0.0)
     # On c = 0 the dual is lam = (df/dr)/(1-g), and c = (1-g)k l0 e, so the
     # floor stage starts at c = mu/lam, e = mu/(r df/dr), inside the box.
-    rate = k * l0 * _residual(ab, _point((l0, g, k, 0.0)), 0.0, 0.0)[3]
+    rate = k * l0 * (ab[3][0] / (k * l0) - ab[3][1] / (1.0 - k * l0))
     if not rate > _MU_FLOOR:
         raise _failure("constraint is slack on c = 0", 0.0, ())
     x, floor = solve_barrier_subproblem(ab, (l0, g, k, _MU_FLOOR / rate), _MU_FLOOR)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import random
 import re
 from dataclasses import replace
 
@@ -34,7 +37,8 @@ from bktfit.estep import SufficientStats
 from bktfit.fitting import MStep, _run_em
 from bktfit.interior_point import (
     _MU_FLOOR,
-    constraint_gradient,
+    _margin_gradient,
+    _objective,
     constraint_value,
     objective_gradient,
     objective_hessian_diag,
@@ -68,7 +72,7 @@ def test_constraint_gradient_matches_finite_differences():
     h = 1e-7
     for _ in range(20):
         theta = random_theta(rng, 0.05, 0.95)
-        grad = constraint_gradient(theta)
+        grad = _margin_gradient(*theta.astuple())
         base = np.array(theta.astuple())
         for index in range(4):
             plus, minus = base.copy(), base.copy()
@@ -78,6 +82,18 @@ def test_constraint_gradient_matches_finite_differences():
                 constraint_value(ParamSet(*plus)) - constraint_value(ParamSet(*minus))
             ) / (2 * h)
             assert grad[index] == pytest.approx(fd, abs=1e-7)
+
+
+def test_objective_is_the_left_fold_of_its_terms():
+    # sum() adds floats with compensation from Python 3.12 on; the objective
+    # adds its four terms left to right, so its bits are the same on every
+    # Python version.
+    rng = random.Random(20)
+    for _ in range(400):
+        ab = [(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)) for _ in range(4)]
+        theta = [rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(4)]
+        terms = [a * math.log(p) + b * math.log1p(-p) for (a, b), p in zip(ab, theta)]
+        assert _objective(ab, theta) == functools.reduce(operator.add, terms)
 
 
 def test_objective_equals_enumerated_em_surrogate():
@@ -127,9 +143,9 @@ def test_kkt_residual_composition():
     rng = np.random.default_rng(24)
     stats, _, _ = _random_stats(rng)
     residual = kkt_residual(stats, TRUE_THETA, 2.5, 0.3)
-    expected_top = objective_gradient(stats, TRUE_THETA) + 2.5 * constraint_gradient(
-        TRUE_THETA
-    )
+    l0, g, s, r = TRUE_THETA.astuple()
+    margin_gradient = np.array([1 - s - g, r - l0, -l0, g - 1])
+    expected_top = objective_gradient(stats, TRUE_THETA) + 2.5 * margin_gradient
     np.testing.assert_allclose(residual[:4], expected_top, rtol=1e-14)
     assert residual[4] == pytest.approx(2.5 * constraint_value(TRUE_THETA) - 0.3)
 
@@ -474,6 +490,35 @@ def test_newton_fails_on_a_singular_hessian():
         match=r"^reduced solve failed: Hessian is singular \(mu=0, residual max-norm=0\)$",
     ):
         interior_point._newton(((0.0, 0.0),) * 4, (0.5, 0.5, 0.5, 0.0), 0.0)
+
+
+def test_binding_m_step_falls_back_to_gauss_newton():
+    # The first M-step of paired master seed 0, run 1: the projected start
+    # of the reduced solve, where the exact Hessian in (l0, g, k) is not
+    # negative definite, so the first Newton step takes the Gauss-Newton one.
+    stats = SufficientStats(
+        (79.94802257210448, 20.05197742789553),
+        (5.500977445333135, 17.73248109966465),
+        (153.2675189003353, 823.4990225546675),
+        (20.051977411738203, 3.181481117102255),
+        learner_count=100,
+        log_likelihood=0.0,
+    )
+    theta_star = ParamSet(
+        0.8137850389598954, 0.27883204474017265, 0.2544780273864751, 0.8828545186053273
+    )
+    assert theta_star == random_init((0, 1, 1))
+    ab = interior_point._ab(stats)
+    x = interior_point._slack(project_feasible(theta_star)[0])[:3] + (0.0,)
+    grad, exact, gauss_newton = interior_point._derivatives(ab, x, 0.0)
+    assert np.linalg.eigvalsh(np.array(exact)[:3, :3]).max() >= 0.0
+    assert interior_point._ascent_step(exact, grad, 3) is None
+    assert interior_point._ascent_step(gauss_newton, grad, 3) is not None
+    theta, dual, residual = interior_point._m_step(stats, theta_star)[:3]
+    assert theta == interior_point_m_step(stats, theta_star)
+    assert constraint_value(theta) > 0.0 and dual > 0.0
+    assert residual < 1e-8
+    assert np.abs(kkt_residual(stats, theta, dual, _MU_FLOOR)).max() == residual
 
 
 def test_newton_fails_when_no_step_raises_the_objective(monkeypatch):
