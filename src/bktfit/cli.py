@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .baum_welch import DegenerateStatsError
-from .core import ParamSet, ParameterError, param_values, parse_object, validate_values
+from .core import ParamSet, param_values, parse_object, validate_values
 from .data import read_dataset, write_dataset, write_ground_truth
 from .experiment import FITTERS, ExperimentConfig, run_experiment, write_experiment_artifacts
 from .fitting import FitOptions, FitReport, random_init
@@ -44,7 +44,7 @@ def _load_json(path: Path) -> object:
     try:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path}: invalid JSON: {exc}") from exc
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_params(path: Path) -> ParamSet:
@@ -115,7 +115,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_json(args.config.read_text())
+    config = ExperimentConfig.from_dict(_load_json(args.config))
     result = run_experiment(config, jobs=args.jobs)
     paths = write_experiment_artifacts(result, args.out, svg=args.svg)
     for path in paths.values():

@@ -33,7 +33,6 @@ separately.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
@@ -44,7 +43,6 @@ from .data import _flags
 
 __all__ = [
     "ParamSet",
-    "MasteryState",
     "ConstraintReport",
     "ParameterError",
     "UndefinedFixedPointError",
@@ -52,9 +50,6 @@ __all__ = [
     "validate_params",
     "validate_values",
     "fixed_point",
-    "predict_correct",
-    "posterior_given_obs",
-    "apply_transition",
     "trace_sequence",
 ]
 
@@ -101,16 +96,6 @@ class ParamSet:
     def from_dict(cls, mapping: object) -> "ParamSet":
         return cls(**param_values(mapping))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParamSet":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"invalid parameter JSON: {exc}") from exc
-        return cls.from_dict(payload)
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", dict: "a JSON object", list: "a list"}
@@ -175,24 +160,6 @@ def param_values(payload: object) -> dict[str, float]:
         if not math.isfinite(value):  # type: ignore[arg-type]
             raise ParameterError(f"parameter {key!r} must be a finite number, got {value!r}")
     return values  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class MasteryState:
-    """Current proficiency belief for one learner.
-
-    The belief may approach its bounds through iteration but 0 itself is
-    unreachable (a learner is never provably non-proficient), so p is kept
-    in (0, 1].
-    """
-
-    p: float
-
-    def __post_init__(self) -> None:
-        p = float(self.p)
-        if not (0.0 < p <= 1.0):
-            raise ParameterError(f"mastery probability must be in (0, 1], got {p!r}")
-        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -291,46 +258,27 @@ def fixed_point(theta: ParamSet) -> float:
     return (1.0 - theta.g) * theta.r / headroom
 
 
-def predict_correct(theta: ParamSet, state: MasteryState) -> float:
-    """Probability the next answer is correct given the current belief."""
-
-    p = state.p
-    return p * (1.0 - theta.s) + (1.0 - p) * theta.g
-
-
-def posterior_given_obs(theta: ParamSet, state: MasteryState, correct: bool) -> float:
-    """Proficiency belief conditioned on one observed answer."""
-
-    p = state.p
-    if correct:
-        hit = p * (1.0 - theta.s)
-        return hit / (hit + (1.0 - p) * theta.g)
-    miss = p * theta.s
-    return miss / (miss + (1.0 - p) * (1.0 - theta.g))
-
-
-def apply_transition(theta: ParamSet, posterior: float) -> float:
-    """Advance the conditioned belief by one learning opportunity."""
-
-    if not (0.0 <= posterior <= 1.0):
-        raise ValueError(f"posterior must be in [0, 1], got {posterior!r}")
-    return posterior + theta.r * (1.0 - posterior)
-
-
 def trace_sequence(theta: ParamSet, observations: Iterable[object]) -> list[float]:
     """Proficiency belief after each observed attempt, starting from l0.
 
     Each step conditions on the answer and then applies the transition, so
-    entry t is the belief held after grading attempt t.
+    entry t is the belief held after grading attempt t. Each posterior lies
+    in [0, 1] for theta in (0, 1)^4, so every entry lies in [r, 1].
     """
 
     obs = _flags(observations, "observation")
     if not obs:
         raise ValueError("observations must contain at least one attempt")
-    p = theta.l0
+    p, g, s, r = theta.astuple()
     trace: list[float] = []
     for y in obs:
-        p = apply_transition(theta, posterior_given_obs(theta, MasteryState(p), y))
+        if y:
+            hit = p * (1.0 - s)
+            q = hit / (hit + (1.0 - p) * g)
+        else:
+            miss = p * s
+            q = miss / (miss + (1.0 - p) * (1.0 - g))
+        p = q + r * (1.0 - q)
         trace.append(p)
     return trace
 

@@ -87,10 +87,9 @@ _SORT_ANSWERS = 56
 _SORT_BITS = np.array([(1 << min(n, _SORT_ANSWERS)) - 1 for n in range(58)], dtype=np.uint64)
 _SORT_END = np.array([1 << n for n in range(58)], dtype=np.uint64)
 
-# The reader validates this many bytes at a time, cut at the last line end;
-# a block's temporaries are about 16 times its size (see the module docstring).
+# A block's temporaries are about 16 times its size (see the module docstring).
 _BLOCK_BYTES = 1 << 16
-_WRITE_ROWS = 1 << 14  # rows formatted per write
+_WRITE_ROWS = 1 << 14
 _BOM = b"\xef\xbb\xbf"
 _LF, _CR, _COMMA, _ZERO, _NINE = 10, 13, 44, 48, 57
 _MAX_DIGITS = 18  # every decimal of up to 18 digits fits an int64
@@ -146,9 +145,6 @@ class AttemptSequence:
     def __iter__(self) -> Iterator[int]:
         return iter(self.attempts)
 
-    def as_ints(self) -> list[int]:
-        return list(self.attempts)
-
 
 @dataclass(frozen=True)
 class HiddenPath:
@@ -178,8 +174,6 @@ _Run = TypeVar("_Run", AttemptSequence, HiddenPath)
 
 
 def _runs(kind: type[_Run], flags: bytes, bounds: list[int]) -> Iterator[_Run]:
-    """kind objects over flags[bounds[i]:bounds[i + 1]]."""
-
     return (kind(flags[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
@@ -551,7 +545,6 @@ class _Table:
 
         buffer = bytes(8) + block  # so that every cell has eight bytes before its end
         data = np.frombuffer(buffer, dtype=np.uint8, offset=8)
-        # The marks: every LF, CR, comma and other byte below "0", in one pass.
         marks = np.flatnonzero(data < _ZERO)
         kinds = data[marks]
 

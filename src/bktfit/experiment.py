@@ -74,7 +74,7 @@ _CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Reproducible experiment description; round-trips through JSON."""
+    """Reproducible experiment description; round-trips through to_dict and from_dict."""
 
     true_theta: ParamSet
     num_datasets: int | None = None
@@ -138,17 +138,6 @@ class ExperimentConfig:
         if "options" in kwargs:
             kwargs["options"] = FitOptions.from_dict(kwargs["options"])
         return cls(**kwargs)  # type: ignore[arg-type]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid config JSON: {exc}") from exc
-        return cls.from_dict(payload)
 
 
 @dataclass(frozen=True)

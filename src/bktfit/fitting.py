@@ -65,9 +65,6 @@ class FitOptions:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, mapping: object) -> "FitOptions":
         kinds = {"max_iterations": int, "loglik_tolerance": float, "param_tolerance": float}

@@ -33,7 +33,7 @@ from bktfit import (
     sufficient_stats,
     trace_sequence,
 )
-from bktfit.core import PARAM_NAMES, MasteryState, ParamSet, apply_transition, posterior_given_obs
+from bktfit.core import PARAM_NAMES, ParamSet
 from bktfit.interior_point import (
     constraint_value,
     objective_gradient,
@@ -204,28 +204,20 @@ def test_criterion_6_belief_trace_limits(criterion):
             theta = random_valid_theta(rng)
             floor = fixed_point(theta)
 
-            p = theta.l0
-            for step in range(cap + 1):
+            walk = [theta.l0] + trace_sequence(theta, bytes(cap + 1))
+            for p, nxt in zip(walk, walk[1:]):
                 if p - floor <= 1e-6:
                     break
-                nxt = apply_transition(
-                    theta, posterior_given_obs(theta, MasteryState(p), False)
-                )
                 assert nxt <= p + 1e-15
                 assert nxt > floor - 1e-12
-                p = nxt
             else:
                 pytest.fail("all-incorrect trace did not reach the fixed point")
 
-            p = theta.l0
-            for step in range(cap + 1):
+            walk = [theta.l0] + trace_sequence(theta, b"\x01" * (cap + 1))
+            for p, nxt in zip(walk, walk[1:]):
                 if 1.0 - p <= 1e-6:
                     break
-                nxt = apply_transition(
-                    theta, posterior_given_obs(theta, MasteryState(p), True)
-                )
                 assert nxt >= p - 1e-15
-                p = nxt
             else:
                 pytest.fail("all-correct trace did not approach mastery")
 

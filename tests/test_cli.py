@@ -39,7 +39,7 @@ from conftest import TRUE_THETA, fail_floor_stage
 @pytest.fixture
 def theta_file(tmp_path):
     path = tmp_path / "theta.json"
-    path.write_text(TRUE_THETA.to_json())
+    path.write_text(json.dumps(TRUE_THETA.to_dict()))
     return path
 
 
@@ -121,6 +121,32 @@ def test_validate_rejects_a_malformed_parameter_file(tmp_path, capsys, text, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{json}"],
+        ["fit", "--data", "{csv}", "--algorithm", "constrained", "--init", "{json}"],
+        ["simulate", "--params", "{json}", "--out", "{out}"],
+        ["simulate", "--sidecar", "{json}", "--out", "{out}"],
+        ["experiment", "--config", "{json}", "--out", "{out}"],
+    ],
+    ids=["validate", "fit --init", "simulate --params", "simulate --sidecar", "experiment"],
+)
+def test_truncated_json_exits_3_naming_its_file(tmp_path, capsys, argv):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"l0": 0.5, "g": 0.2')
+    data = tmp_path / "data.csv"
+    data.write_text("learner_id,step,correct\n0,1,1\n0,2,0\n")
+    out = tmp_path / "out"
+    names = {"json": truncated, "csv": data, "out": out}
+    assert main([arg.format(**names) for arg in argv]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {truncated}: invalid JSON: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
@@ -237,7 +263,7 @@ def test_fit_reports_to_stdout_without_out_flag(dataset_file, capsys):
 
 def test_fit_with_explicit_init_file(tmp_path, dataset_file):
     init_path = tmp_path / "init.json"
-    init_path.write_text(random_init(8).to_json())
+    init_path.write_text(json.dumps(random_init(8).to_dict()))
     code = main(
         [
             "fit",
@@ -662,6 +688,7 @@ def test_python_dash_m_runs_the_cli(tmp_path, theta_file):
 # Every step below runs in a fresh process; numpy.random is then loaded only if
 # bktfit, or numpy itself, imports it.
 _RUN_WITHOUT_NUMPY_RANDOM = """
+import json
 import sys
 from pathlib import Path
 
@@ -680,7 +707,7 @@ data = simulate_dataset(theta, 30, 6, 1)
 fit_baum_welch(data, random_init(2))
 fit_constrained(data, random_init((0, 1, 2)))
 run_experiment(ExperimentConfig(true_theta=theta, num_datasets=2, learners=20, steps=5))
-(folder / "theta.json").write_text(theta.to_json())
+(folder / "theta.json").write_text(json.dumps(theta.to_dict()))
 csv = str(folder / "data.csv")
 simulate = ["simulate", "--params", str(folder / "theta.json"), "--learners", "30"]
 assert main([*simulate, "--steps", "6", "--seed", "1", "--out", csv]) == 0

@@ -14,13 +14,7 @@ from bktfit import (
     trace_sequence,
     validate_params,
 )
-from bktfit.core import (
-    MasteryState,
-    apply_transition,
-    posterior_given_obs,
-    predict_correct,
-    validate_values,
-)
+from bktfit.core import validate_values
 from conftest import TRUE_THETA
 
 
@@ -41,15 +35,6 @@ def test_paramset_dict_round_trip():
     assert ParamSet.from_dict(TRUE_THETA.to_dict()) == TRUE_THETA
 
 
-def test_paramset_json_round_trip():
-    assert ParamSet.from_json(TRUE_THETA.to_json()) == TRUE_THETA
-
-
-def test_paramset_from_json_rejects_invalid_json():
-    with pytest.raises(ParameterError, match="invalid parameter JSON"):
-        ParamSet.from_json("{")
-
-
 def test_paramset_from_dict_missing_key():
     with pytest.raises(ParameterError, match="missing parameter keys: r"):
         ParamSet.from_dict({"l0": 0.4, "g": 0.2, "s": 0.1})
@@ -63,14 +48,6 @@ def test_paramset_from_dict_unknown_key():
 def test_paramset_from_dict_rejects_booleans():
     with pytest.raises(ParameterError, match="must be a number"):
         ParamSet.from_dict({"l0": 0.4, "g": 0.2, "s": 0.1, "r": True})
-
-
-def test_mastery_state_bounds():
-    assert MasteryState(1.0).p == 1.0
-    with pytest.raises(ValueError):
-        MasteryState(0.0)
-    with pytest.raises(ValueError):
-        MasteryState(1.2)
 
 
 def test_fixed_point_value():
@@ -115,40 +92,49 @@ def test_validate_values_out_of_range_inputs():
     assert not report.satisfied
 
 
-def test_predict_correct_value():
-    # p(1-s) + (1-p)g with p = 0.5
-    value = predict_correct(TRUE_THETA, MasteryState(0.5))
-    assert value == pytest.approx(0.5 * 0.9 + 0.5 * 0.25, rel=1e-15)
-
-
 def test_posterior_values():
-    state = MasteryState(0.5)
-    post_correct = posterior_given_obs(TRUE_THETA, state, True)
-    assert post_correct == pytest.approx(0.45 / (0.45 + 0.125), rel=1e-15)
-    post_wrong = posterior_given_obs(TRUE_THETA, state, False)
-    assert post_wrong == pytest.approx(0.05 / (0.05 + 0.375), rel=1e-15)
+    # One step from l0 = 0.5: the answer's posterior, then the transition.
+    theta = ParamSet(l0=0.5, g=0.25, s=0.1, r=0.3)
+    post_correct = 0.45 / (0.45 + 0.125)
+    post_wrong = 0.05 / (0.05 + 0.375)
+    for answer, post in ((True, post_correct), (False, post_wrong)):
+        (belief,) = trace_sequence(theta, [answer])
+        assert belief == pytest.approx(post + 0.3 * (1 - post), rel=1e-15)
 
 
 def test_apply_transition_value():
-    assert apply_transition(TRUE_THETA, 0.4) == pytest.approx(0.4 + 0.3 * 0.6, rel=1e-15)
+    # With g = 1 - s an answer carries no news: the posterior stays 0.5 and the
+    # step is the transition alone, 0.5 + r * 0.5.
+    theta = ParamSet(l0=0.5, g=0.6, s=0.4, r=0.3)
+    for answer in (True, False):
+        assert trace_sequence(theta, [answer]) == [pytest.approx(0.5 + 0.3 * 0.5, rel=1e-15)]
 
 
-def test_apply_transition_rejects_a_posterior_outside_the_unit_interval():
-    with pytest.raises(ValueError, match=r"posterior must be in \[0, 1\], got 1.5"):
-        apply_transition(TRUE_THETA, 1.5)
+def _theta_draw(rng):
+    # One in four coordinates at an extreme, 1e-6 from either end of (0, 1).
+    extremes = rng.choice([1e-6, 1 - 1e-6], size=4)
+    values = np.where(rng.random(4) < 0.25, extremes, rng.uniform(1e-6, 1 - 1e-6, 4))
+    return ParamSet(*values.tolist())
 
 
 def test_trace_matches_manual_fold():
-    observations = [True, False, True]
-    trace = trace_sequence(TRUE_THETA, observations)
-    p = TRUE_THETA.l0
-    expected = []
-    for correct in observations:
-        q = posterior_given_obs(TRUE_THETA, MasteryState(p), correct)
-        p = apply_transition(TRUE_THETA, q)
-        expected.append(p)
-    assert trace == pytest.approx(expected, rel=1e-15)
-    assert len(trace) == 3
+    # The three formulas written out: trace_sequence returns their floats exactly.
+    rng = np.random.default_rng(34)
+    for _ in range(500):
+        theta = _theta_draw(rng)
+        observations = (rng.random(int(rng.integers(1, 60))) < rng.random()).tolist()
+        p, g, s, r = theta.astuple()
+        expected = []
+        for correct in observations:
+            if correct:
+                hit = p * (1.0 - s)
+                q = hit / (hit + (1.0 - p) * g)
+            else:
+                miss = p * s
+                q = miss / (miss + (1.0 - p) * (1.0 - g))
+            p = q + r * (1.0 - q)
+            expected.append(p)
+        assert trace_sequence(theta, observations) == expected
 
 
 def test_trace_accepts_int_observations():

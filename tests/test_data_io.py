@@ -41,7 +41,7 @@ def test_attempt_sequence_rejects_empty():
 
 
 def test_attempt_sequence_as_ints():
-    assert AttemptSequence((True, False)).as_ints() == [1, 0]
+    assert list(AttemptSequence((True, False))) == [1, 0]
 
 
 def test_hidden_path_rejects_lost_proficiency():

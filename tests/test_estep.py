@@ -130,7 +130,7 @@ def test_sufficient_stats_against_oracle_sums():
     total_ll = 0.0
     for seq in sequences:
         post = enumerate_posteriors(theta, seq)
-        y = np.array(seq.as_ints())
+        y = np.array(list(seq))
         prior += post.gamma[0, 1], post.gamma[0, 0]
         guess += (y * post.gamma[:, 0]).sum(), ((1 - y) * post.gamma[:, 0]).sum()
         slip += ((1 - y) * post.gamma[:, 1]).sum(), (y * post.gamma[:, 1]).sum()
@@ -169,7 +169,7 @@ def test_stats_pairs_layout():
 def _counts_row(seq, post, loglik):
     """One sequence's expected counts in (a, b) pair order, then its log-likelihood."""
 
-    y = np.array(seq.as_ints())
+    y = np.array(list(seq))
     g0, g1 = post.gamma[:, 0], post.gamma[:, 1]
     return np.array(
         [

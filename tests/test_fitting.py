@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def test_options_defaults():
 
 def test_options_round_trip():
     options = FitOptions(max_iterations=30, loglik_tolerance=1e-6)
-    assert FitOptions.from_dict(options.to_dict()) == options
+    assert FitOptions.from_dict(asdict(options)) == options
 
 
 def test_options_rejects_unknown_keys():

@@ -215,7 +215,7 @@ def test_first_attempt_rate_matches_model():
     # P(correct at step 1) = l0 (1-s) + (1-l0) g; Monte Carlo at 4 sigma.
     n = 20000
     dataset = simulate_dataset(TRUE_THETA, n, 1, 123)
-    rate = np.mean([seq.as_ints()[0] for seq in dataset])
+    rate = np.mean([seq.attempts[0] for seq in dataset])
     expected = TRUE_THETA.l0 * (1 - TRUE_THETA.s) + (1 - TRUE_THETA.l0) * TRUE_THETA.g
     sigma = np.sqrt(expected * (1 - expected) / n)
     assert abs(rate - expected) < 4 * sigma
