@@ -42,7 +42,9 @@ EXIT_DEGENERATE = 5
 
 def _load_json(path: Path) -> object:
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -51,15 +53,15 @@ def _load_params(path: Path) -> ParamSet:
     return ParamSet.from_dict(_load_json(path))
 
 
-_SIDECAR_KINDS = {"theta": dict, "learners": int, "steps": int, "seed": int}
+_SIDECAR_KEYS = ("theta", "learners", "steps", "seed")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sidecar is not None:
         fields = parse_object(
-            _load_json(args.sidecar), _SIDECAR_KINDS, "sidecar", required=_SIDECAR_KINDS
+            _load_json(args.sidecar), _SIDECAR_KEYS, "sidecar", required=_SIDECAR_KEYS
         )
-        theta = ParamSet.from_dict(fields["theta"])
+        theta = ParamSet(**param_values(fields["theta"], "sidecar 'theta'"))
         learners, steps, seed = fields["learners"], fields["steps"], fields["seed"]
     else:
         theta = _load_params(args.params)

@@ -34,8 +34,9 @@ separately.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -79,12 +80,13 @@ class ParamSet:
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
             value = getattr(self, name)
-            value = float(value)
-            if not (0.0 < value < 1.0) or not math.isfinite(value):
+            if type(value) is not float:  # fits build a ParamSet per M-step
+                value = _require_real(value, f"parameter {name!r}", ParameterError)
+                object.__setattr__(self, name, value)
+            if not 0.0 < value < 1.0:  # NaN fails this too
                 raise ParameterError(
                     f"parameter {name!r} must lie strictly between 0 and 1, got {value!r}"
                 )
-            object.__setattr__(self, name, value)
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.l0, self.g, self.s, self.r)
@@ -97,24 +99,19 @@ class ParamSet:
         return cls(**param_values(mapping))
 
 
-
-_KIND_NAMES = {float: "a number", int: "an integer", dict: "a JSON object", list: "a list"}
-
-
 def parse_object(
     payload: object,
-    kinds: Mapping[str, type],
+    names: Iterable[str],
     what: str,
     *,
     required: Iterable[str] = (),
     error: type[ValueError] = ValueError,
 ) -> dict[str, object]:
-    """Type-check a decoded JSON object and return its fields as keyword arguments.
+    """Shape-check a decoded JSON object and return its fields as keyword arguments.
 
-    kinds maps every allowed key to float, int, dict or list. A float field
-    takes any JSON number and returns a float; an int field refuses 2.5; no
-    field takes a boolean. Anything else raises `error`, so a malformed file
-    never reaches a constructor with a wrong type.
+    payload must be a JSON object that holds every required key and no key
+    outside names; anything else raises `error`. Values pass through as they
+    are: the constructor they feed checks them, from JSON and Python alike.
     """
 
     if not isinstance(payload, dict):
@@ -122,22 +119,10 @@ def parse_object(
     missing = [key for key in required if key not in payload]
     if missing:
         raise error(f"missing {what} keys: {', '.join(missing)}")
-    unknown = sorted(set(payload) - set(kinds))
+    unknown = sorted(set(payload) - set(names))
     if unknown:
         raise error(f"unknown {what} keys: {', '.join(unknown)}")
-    fields: dict[str, object] = {}
-    for key, value in payload.items():
-        kind = kinds[key]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise error(f"{what} {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-        if kind is float:
-            try:
-                value = float(value)
-            except OverflowError:
-                raise error(f"{what} {key!r} is too large for a float") from None
-        fields[key] = value
-    return fields
+    return dict(payload)
 
 
 def _require_int(value: object, what: str) -> None:
@@ -147,19 +132,36 @@ def _require_int(value: object, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def param_values(payload: object) -> dict[str, float]:
-    """The four parameters of a JSON object as finite floats, not yet range-checked.
+def _require_real(value: object, what: str, error: type[ValueError] = ValueError) -> float:
+    """value as a float; a bool, a str, bytes or any other non-real value raises `error`.
 
-    Python's JSON reader turns NaN, Infinity and 1e400 into floats that are
-    not finite; they are refused here, naming their key.
+    So does an int too large for a float, such as a JSON integer of 400 digits.
     """
 
-    kinds = dict.fromkeys(PARAM_NAMES, float)
-    values = parse_object(payload, kinds, "parameter", required=PARAM_NAMES, error=ParameterError)
-    for key, value in values.items():
-        if not math.isfinite(value):  # type: ignore[arg-type]
-            raise ParameterError(f"parameter {key!r} must be a finite number, got {value!r}")
-    return values  # type: ignore[return-value]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
+
+
+def param_values(payload: object, what: str = "parameter") -> dict[str, float]:
+    """The four parameters of a JSON object as finite floats, not yet range-checked.
+
+    what names the object in a shape error. Python's JSON reader turns NaN,
+    Infinity and 1e400 into floats that are not finite; they are refused
+    here, naming their key.
+    """
+
+    fields = parse_object(payload, PARAM_NAMES, what, required=PARAM_NAMES, error=ParameterError)
+    values = {}
+    for key, value in fields.items():
+        number = _require_real(value, f"parameter {key!r}", ParameterError)
+        if not math.isfinite(number):
+            raise ParameterError(f"parameter {key!r} must be a finite number, got {number!r}")
+        values[key] = number
+    return values
 
 
 @dataclass(frozen=True)

@@ -207,9 +207,7 @@ class _Layout(NamedTuple):
     """
 
     chunks: tuple[_Chunk, ...]
-    # Each learner's column of its answer sequence; slice(None) where that
-    # column is the learner's own index.
-    slot: np.ndarray | slice
+    slot: np.ndarray  # each learner's column of its answer sequence
     right: np.ndarray  # each column's C_L, as floats
     wrong: np.ndarray  # each column's L - C_L, as floats
     workspace: int  # two planes of the largest chunk, in floats
@@ -283,16 +281,12 @@ class Dataset:
             start += len(learners)
             chunks.append(self._chunk(learners, windows))
         columns = np.concatenate([chunk.learners for chunk in chunks])
-        if np.array_equal(columns, np.arange(len(self))):
-            slot: np.ndarray | slice = slice(None)
-        else:
-            column = np.empty(len(self), dtype=np.int64)
-            column[columns] = np.arange(len(columns))
-            slot = column[first]
+        column = np.empty(len(self), dtype=np.int64)
+        column[columns] = np.arange(len(columns))
         right = np.concatenate([chunk.counts[0].reshape(-1)[chunk.last] for chunk in chunks])
         right = right.astype(float)
         workspace = 2 * max(chunk.counts[0].size for chunk in chunks)
-        return _Layout(tuple(chunks), slot, right, lengths[columns] - right, workspace)
+        return _Layout(tuple(chunks), column[first], right, lengths[columns] - right, workspace)
 
     def _first_learners(self) -> np.ndarray:
         """Each learner's first learner with the same answers.

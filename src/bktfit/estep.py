@@ -251,8 +251,7 @@ def sufficient_stats(
     data = as_dataset(dataset)
     layout = data._layout
     rows = _column_rows(_log_weights(theta, layout.chunks[0].tau), layout)
-    if not isinstance(layout.slot, slice):
-        rows = np.take(rows, layout.slot, axis=0)  # each learner's row
+    rows = np.take(rows, layout.slot, axis=0)  # each learner's row
     # einsum adds the C-ordered rows one after another, in ascending learner
     # order, as sum(axis=0) does; on a Fortran-ordered array both reorder.
     totals = np.einsum("ij->j", rows).tolist()

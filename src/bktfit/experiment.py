@@ -21,14 +21,14 @@ import csv
 import functools
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .baum_welch import fit_baum_welch
-from .core import PARAM_NAMES, ParamSet, _require_int, parse_object
+from .core import PARAM_NAMES, ParamSet, _require_int, param_values, parse_object
 from .fitting import (
     ALGORITHM_BAUM_WELCH,
     ALGORITHM_CONSTRAINED,
@@ -57,12 +57,6 @@ MODE_DATASETS = "datasets"
 MODE_INITS = "inits"
 # The one map from an algorithm name to its fitter, for the CLI and experiments.
 FITTERS = {ALGORITHM_BAUM_WELCH: fit_baum_welch, ALGORITHM_CONSTRAINED: fit_constrained}
-
-_CONFIG_KINDS = {
-    **dict.fromkeys(("num_datasets", "num_inits", "learners", "steps", "master_seed"), int),
-    **dict.fromkeys(("true_theta", "options"), dict),
-    "algorithms": list,
-}
 
 _CSV_COLUMNS = (
     ["run_id", "algorithm", "converged", "iterations", "failure", "log_likelihood"]
@@ -94,14 +88,19 @@ class ExperimentConfig:
             raise ValueError(f"options must be a FitOptions, got {self.options!r}")
         if (self.num_datasets is None) == (self.num_inits is None):
             raise ValueError("set exactly one of num_datasets and num_inits")
-        _require_int(self.runs, "run count")
+        _require_int(self.runs, f"num_{self.mode}: run count")
         for name in ("learners", "steps", "master_seed"):
             _require_int(getattr(self, name), name)
         if self.runs < 1:
             raise ValueError("run count must be at least 1")
         if self.learners < 1 or self.steps < 1:
             raise ValueError("learners and steps must be at least 1")
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        algorithms = self.algorithms
+        if not isinstance(algorithms, (list, tuple)) or not all(
+            isinstance(name, str) for name in algorithms
+        ):
+            raise ValueError(f"algorithms must be a list or tuple of strings, got {algorithms!r}")
+        object.__setattr__(self, "algorithms", tuple(algorithms))
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
         unknown = [a for a in self.algorithms if a not in FITTERS]
@@ -133,8 +132,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, mapping: object) -> "ExperimentConfig":
-        kwargs = parse_object(mapping, _CONFIG_KINDS, "config", required=("true_theta",))
-        kwargs["true_theta"] = ParamSet.from_dict(kwargs["true_theta"])
+        names = [item.name for item in fields(cls)]
+        kwargs = parse_object(mapping, names, "config", required=("true_theta",))
+        kwargs["true_theta"] = ParamSet(**param_values(kwargs["true_theta"], "config 'true_theta'"))
         if "options" in kwargs:
             kwargs["options"] = FitOptions.from_dict(kwargs["options"])
         return cls(**kwargs)  # type: ignore[arg-type]

@@ -10,14 +10,14 @@ M-steps into the report's diagnostics.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     ConstraintReport,
     ParamSet,
     _require_int,
+    _require_real,
     parse_object,
     validate_params,
 )
@@ -58,17 +58,16 @@ class FitOptions:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         for name in ("loglik_tolerance", "param_tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            value = _require_real(getattr(self, name), name)
             # An infinite tolerance would stop every fit after one M-step.
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, mapping: object) -> "FitOptions":
-        kinds = {"max_iterations": int, "loglik_tolerance": float, "param_tolerance": float}
-        return cls(**parse_object(mapping, kinds, "fit option"))  # type: ignore[arg-type]
+        names = [item.name for item in fields(cls)]
+        return cls(**parse_object(mapping, names, "fit option"))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

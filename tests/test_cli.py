@@ -149,6 +149,32 @@ def test_truncated_json_exits_3_naming_its_file(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{json}"],
+        ["fit", "--data", "{csv}", "--algorithm", "constrained", "--init", "{json}"],
+        ["simulate", "--params", "{json}", "--out", "{out}"],
+        ["simulate", "--sidecar", "{json}", "--out", "{out}"],
+        ["experiment", "--config", "{json}", "--out", "{out}"],
+    ],
+    ids=["validate", "fit --init", "simulate --params", "simulate --sidecar", "experiment"],
+)
+def test_json_that_is_not_utf8_exits_3_naming_its_file(tmp_path, capsys, argv):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"l0": 0.5, "g": \xe9}')  # a Latin-1 e-acute
+    data = tmp_path / "data.csv"
+    data.write_text("learner_id,step,correct\n0,1,1\n0,2,0\n")
+    out = tmp_path / "out"
+    names = {"json": latin, "csv": data, "out": out}
+    assert main([arg.format(**names) for arg in argv]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {latin}: not UTF-8: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
     out = tmp_path / "data.csv"
     truth = tmp_path / "truth.csv"
@@ -588,6 +614,8 @@ def test_experiment_rejects_an_infinite_tolerance(tmp_path, capsys, key):
         ("simulate", {"seed": "1"}),
         # The barrier path and the Newton stop rules are solver constants.
         ("experiment", {"schedule": {"newton_tolerance": 1e-9}}),
+        # Its entry used to reach a set() unchecked: a TypeError traceback.
+        ("experiment", {"algorithms": [["constrained"]]}),
     ],
 )
 def test_mistyped_json_fields_exit_3(tmp_path, capsys, command, override):

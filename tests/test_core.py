@@ -50,6 +50,20 @@ def test_paramset_from_dict_rejects_booleans():
         ParamSet.from_dict({"l0": 0.4, "g": 0.2, "s": 0.1, "r": True})
 
 
+@pytest.mark.parametrize("text", ["0.5", b"0.5"], ids=["str", "bytes"])
+def test_paramset_refuses_strings_and_bytes(text):
+    # float() used to read both as 0.5, while a parameter file refused "0.5".
+    with pytest.raises(ParameterError, match="^parameter 'l0' must be a number"):
+        ParamSet(text, 0.2, 0.1, 0.1)
+    theta = ParamSet(np.float32(0.5), 0.2, 0.1, 0.1)
+    assert type(theta.l0) is float and theta.l0 == 0.5
+
+
+def test_paramset_names_an_int_too_large_for_a_float():
+    with pytest.raises(ParameterError, match="^parameter 'g' is too large for a float$"):
+        ParamSet(0.5, 10**400, 0.1, 0.1)
+
+
 def test_fixed_point_value():
     # (1-g) r / (1-s-g) = 0.75 * 0.3 / 0.65
     assert fixed_point(TRUE_THETA) == pytest.approx(0.225 / 0.65, rel=1e-15)

@@ -236,7 +236,7 @@ def test_layout_holds_each_distinct_answer_sequence_once(monkeypatch, cells):
 
 def test_layout_slot_is_the_identity_where_no_learner_moves():
     chunks, slot, *_ = Dataset([(0, 1), (1, 0), (1, 1), (0, 0)])._layout
-    assert slot == slice(None) and chunks[0].learners.tolist() == [0, 1, 2, 3]
+    assert slot.tolist() == [0, 1, 2, 3] and chunks[0].learners.tolist() == [0, 1, 2, 3]
     # Sorting by length moves learners, and so does a repeated sequence.
     assert Dataset([(0,), (1, 0)])._layout.slot.tolist() == [1, 0]
     assert Dataset([(1, 0), (0, 1), (1, 0)])._layout.slot.tolist() == [0, 1, 0]

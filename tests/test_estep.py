@@ -255,8 +255,6 @@ def test_stats_are_a_left_fold_of_the_learners_rows_in_learner_order(monkeypatch
     sequences += [sequences[i] for i in rng.permutation(4500)]
     shared = Dataset(tuple(sequences))
     distinct = Dataset([random_attempts(rng, 30) for _ in range(9000)])
-    assert not isinstance(shared._layout.slot, slice)
-    assert isinstance(distinct._layout.slot, slice)  # no gather: the columns are the learners
     theta = random_theta(rng)
     for dataset in (shared, distinct):
         layout = dataset._layout

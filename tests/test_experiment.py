@@ -88,6 +88,13 @@ def test_config_rejects_unknown_algorithm():
         _tiny_config(algorithms=("gradient-descent",))
 
 
+@pytest.mark.parametrize("algorithms", ["constrained", [["constrained"]], ("constrained", 1)])
+def test_config_rejects_algorithms_that_are_not_a_list_of_names(algorithms):
+    # A bare string used to be read letter by letter as algorithm names.
+    with pytest.raises(ValueError, match="^algorithms must be a list or tuple of strings"):
+        _tiny_config(algorithms=algorithms)
+
+
 def test_config_defaults_to_every_fitter():
     assert _tiny_config().algorithms == tuple(FITTERS) == ("baum-welch", "constrained")
 

@@ -64,6 +64,9 @@ def test_options_from_dict_rejects_wrong_types(payload):
         {"param_tolerance": "1e-8"},
         {"loglik_tolerance": True},
         {"param_tolerance": True},
+        # Compared below infinity, so it passed and ended every fit after one M-step.
+        {"loglik_tolerance": 10**400},
+        {"param_tolerance": 10**400},
     ],
 )
 def test_options_validation(kwargs):
