@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .baum_welch import DegenerateStatsError
-from .core import ParamSet, param_values, parse_object, validate_values
+from .core import ParamSet, _require_int, param_values, parse_object, validate_values
 from .data import read_dataset, write_dataset, write_ground_truth
 from .experiment import FITTERS, ExperimentConfig, run_experiment, write_experiment_artifacts
 from .fitting import FitOptions, FitReport, random_init
@@ -63,6 +63,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         theta = ParamSet(**param_values(fields["theta"], "sidecar 'theta'"))
         learners, steps, seed = fields["learners"], fields["steps"], fields["seed"]
+        # A sidecar records an int --seed; the simulator's wider seed rule
+        # would read a bool as its int and raise TypeError on a float.
+        _require_int(seed, "seed")
     else:
         theta = _load_params(args.params)
         learners, steps, seed = args.learners, args.steps, args.seed

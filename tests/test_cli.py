@@ -616,6 +616,11 @@ def test_experiment_rejects_an_infinite_tolerance(tmp_path, capsys, key):
         ("experiment", {"schedule": {"newton_tolerance": 1e-9}}),
         # Its entry used to reach a set() unchecked: a TypeError traceback.
         ("experiment", {"algorithms": [["constrained"]]}),
+        # Sidecars record an int --seed: a float, a bool or null is refused.
+        ("simulate", {"seed": 1.5}),
+        ("simulate", {"seed": True}),
+        ("simulate", {"seed": None}),
+        ("simulate", {"seed": [1]}),
     ],
 )
 def test_mistyped_json_fields_exit_3(tmp_path, capsys, command, override):
