@@ -42,16 +42,13 @@ class DegenerateStatsError(RuntimeError):
 def closed_form_ratios(stats: SufficientStats) -> tuple[float, float, float, float]:
     """Raw M-step ratios, which may sit exactly on 0 or 1."""
 
-    ratios = []
-    pairs = (stats.prior, stats.guess, stats.slip, stats.transit)
-    for name, label, (a, b) in zip(PARAM_NAMES, _PARAM_LABELS, pairs):
-        denominator = stats.learner_count if name == "l0" else a + b
-        if denominator <= 0.0:
-            raise DegenerateStatsError(
-                f"cannot update {label!r}: expected-count denominator is zero"
-            )
-        ratios.append(a / denominator)
-    return tuple(ratios)  # type: ignore[return-value]
+    (a0, _), (ag, bg), (as_, bs), (ar, br) = stats.prior, stats.guess, stats.slip, stats.transit
+    denominators = (stats.learner_count, ag + bg, as_ + bs, ar + br)
+    if min(denominators) <= 0.0:  # the int learner_count comes first, so min skips NaN
+        label = next(label for label, d in zip(_PARAM_LABELS, denominators) if d <= 0.0)
+        raise DegenerateStatsError(f"cannot update {label!r}: expected-count denominator is zero")
+    learners, guesses, slips, transits = denominators
+    return a0 / learners, ag / guesses, as_ / slips, ar / transits
 
 
 def _m_step(stats: SufficientStats, theta: ParamSet | None = None) -> MStep:
@@ -59,6 +56,10 @@ def _m_step(stats: SufficientStats, theta: ParamSet | None = None) -> MStep:
     the parameters it nudged; the current iterate theta is not used."""
 
     ratios = closed_form_ratios(stats)
+    l0, g, s, r = ratios
+    low, high = BOUNDARY_NUDGE, 1.0 - BOUNDARY_NUDGE
+    if low <= l0 <= high and low <= g <= high and low <= s <= high and low <= r <= high:
+        return MStep(ParamSet(l0, g, s, r))
     nudged = [min(max(value, BOUNDARY_NUDGE), 1.0 - BOUNDARY_NUDGE) for value in ratios]
     hits = tuple(name for name, value, new in zip(PARAM_NAMES, ratios, nudged) if new != value)
     return MStep(ParamSet(*nudged), boundary_hits=hits)

@@ -78,9 +78,15 @@ class ParamSet:
     r: float
 
     def __post_init__(self) -> None:
+        l0, g, s, r = self.l0, self.g, self.s, self.r
+        # Every M-step builds one from four floats in (0, 1), which need no more checks.
+        if type(l0) is type(g) is type(s) is type(r) is float and (
+            0.0 < l0 < 1.0 and 0.0 < g < 1.0 and 0.0 < s < 1.0 and 0.0 < r < 1.0
+        ):
+            return
         for name in PARAM_NAMES:
             value = getattr(self, name)
-            if type(value) is not float:  # fits build a ParamSet per M-step
+            if type(value) is not float:
                 value = _require_real(value, f"parameter {name!r}", ParameterError)
                 object.__setattr__(self, name, value)
             if not 0.0 < value < 1.0:  # NaN fails this too

@@ -132,11 +132,11 @@ def _log_weights(theta: ParamSet, tau: np.ndarray) -> _Weights:
     multiples of a power of two under which each high part of a W or a
     log-likelihood is an integer below 2^53, so their sums are exact."""
 
-    p = np.array(theta.astuple()).astype(np.longdouble)
+    p = np.array(theta.astuple(), dtype=np.longdouble)
     (log_l0, log_g, log_s, log_r), (log_k0, log_kg, log_ks, log_kr) = np.log(p), np.log1p(-p)
     slope, offset = log_kg - log_s + log_kr, log_k0 + log_r - log_kr
     exact = np.array([slope, offset, log_l0, log_g + log_s - log_ks - log_kg, log_r, log_ks, log_s])
-    unit = math.ldexp(1.0, math.frexp(float(2 * len(tau) * abs(exact).sum()))[1] - 51)
+    unit = math.ldexp(1.0, math.frexp(float(2 * len(tau) * np.add.reduce(abs(exact))))[1] - 51)
     high = np.rint(exact / unit) * unit
     parts = np.array([high, exact - high], dtype=float)
     column = parts[:, :1] * tau + parts[:, 1:2]
@@ -151,12 +151,16 @@ def _switch_posteriors(
     in workspace; and each learner's high W peak."""
 
     correct = chunk.counts[0]
-    q, scratch = workspace[: 2 * correct.size].reshape(2, *correct.shape)
+    size = correct.size
+    # The tau = L cells: the last row, a slice, where every sequence has length T.
+    last = chunk.last if chunk.runs else slice(size - len(chunk.learners), None)
+    flat, scratch = workspace[:size], workspace[size : 2 * size].reshape(correct.shape)
+    q = flat.reshape(correct.shape)
     column, ((delta, log_r, _, _), (delta_low, log_r_low, _, _)) = weights
     np.copyto(scratch, correct)  # C as exact doubles, cast once
     np.multiply(scratch, delta, out=q)
     q += column[0, : len(q), None]
-    q.reshape(-1)[chunk.last] -= log_r
+    flat[last] -= log_r
     for row, start, stop in chunk.runs:
         q[row:, start:stop] = -np.inf
     peak = q.max(axis=0)
@@ -164,7 +168,7 @@ def _switch_posteriors(
     scratch *= delta_low
     scratch += column[1, : len(q), None]
     q += scratch
-    q.reshape(-1)[chunk.last] -= log_r_low
+    flat[last] -= log_r_low
     return np.exp(q, out=q), peak
 
 
@@ -203,10 +207,11 @@ def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
     """State and transition posteriors for one sequence."""
 
-    layout = Dataset((seq,))._layout
-    chunk = layout.chunks[0]
+    dataset = Dataset((seq,))
+    # The chunk of the one learner alone: its answers are the only window.
+    chunk = dataset._chunk(np.zeros(1, dtype=np.intp), dataset._answers[None])
     weights = _log_weights(theta, chunk.tau)
-    q = _switch_posteriors(weights, chunk, np.empty(layout.workspace))[0][:, 0]
+    q = _switch_posteriors(weights, chunk, np.empty(2 * chunk.counts[0].size))[0][:, 0]
     q /= q.sum()
     proficient = np.cumsum(q)[:-1]  # P(tau <= t)
     novice = np.cumsum(q[:0:-1])[::-1]  # P(tau > t)
@@ -226,12 +231,14 @@ def _column_rows(weights: _Weights, layout: _Layout) -> np.ndarray:
         start, stop = stop, stop + len(chunk.learners)
         rows = table[:, start:stop]
         q, rows[8] = _switch_posteriors(weights, chunk, workspace)  # row 8: the W peak
+        flat, later = q.reshape(-1), q[1:]
+        last = chunk.last if chunk.runs else slice(flat.size - len(chunk.learners), None)
         np.einsum("kij,ij->kj", chunk.counts, q, out=rows[2:6])
-        rows[7] = np.einsum("ij,i->j", q[1:], chunk.tau[:-1])
-        rows[0], rows[1] = q[0], q.reshape(-1)[chunk.last]
-        q.reshape(-1)[chunk.last] = 0.0  # transit a stops before tau = L
-        rows[6] = q[1:].sum(axis=0)
-    del q, workspace  # freed before the tail's temporaries and the transposed copy
+        np.einsum("ij,i->j", later, chunk.tau[:-1], out=rows[7])
+        rows[0], rows[1] = q[0], flat[last]
+        flat[last] = 0.0  # transit a stops before tau = L
+        np.add.reduce(later, axis=0, out=rows[6])
+    del q, flat, later, workspace  # freed before the tail's temporaries and the transposed copy
     (_, _, *high), (_, _, *low) = weights[1]
     right, wrong = layout.right, layout.wrong
     table[1] += table[6]
@@ -239,7 +246,10 @@ def _column_rows(weights: _Weights, layout: _Layout) -> np.ndarray:
     table[:8] /= total
     table[8] += right * high[0]  # peak + right high + wrong high, left to right
     table[8] += wrong * high[1]
-    table[8] += np.log(total) + right * low[0] + wrong * low[1]
+    np.log(total, out=total)
+    total += right * low[0]
+    total += wrong * low[1]
+    table[8] += total
     return np.ascontiguousarray(table.T)
 
 
@@ -251,12 +261,11 @@ def sufficient_stats(
     data = as_dataset(dataset)
     layout = data._layout
     rows = _column_rows(_log_weights(theta, layout.chunks[0].tau), layout)
-    rows = np.take(rows, layout.slot, axis=0)  # each learner's row
+    rows = rows.take(layout.slot, axis=0)  # each learner's row
     # einsum adds the C-ordered rows one after another, in ascending learner
     # order, as sum(axis=0) does; on a Fortran-ordered array both reorder.
-    totals = np.einsum("ij->j", rows).tolist()
-    pairs = [tuple(totals[i : i + 2]) for i in range(0, 8, 2)]
-    return SufficientStats(*pairs, learner_count=len(data), log_likelihood=totals[8])
+    a0, b0, ag, bg, as_, bs, ar, br, loglik = np.einsum("ij->j", rows).tolist()
+    return SufficientStats((a0, b0), (ag, bg), (as_, bs), (ar, br), len(data), loglik)
 
 
 def log_likelihood(theta: ParamSet, dataset: Dataset | Iterable[AttemptSequence]) -> float:

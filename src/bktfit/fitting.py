@@ -167,10 +167,11 @@ def _run_em(
             failure = str(exc)
             break
         records.append(record)
+        new = record.theta
         delta = max(
-            abs(new - old) for new, old in zip(record.theta.astuple(), theta.astuple())
+            abs(new.l0 - theta.l0), abs(new.g - theta.g), abs(new.s - theta.s), abs(new.r - theta.r)
         )
-        theta = record.theta
+        theta = new
         stats = sufficient_stats(theta, data)
         trace.append(stats.log_likelihood)
         if abs(trace[-1] - trace[-2]) < opts.loglik_tolerance or delta < opts.param_tolerance:

@@ -110,9 +110,11 @@ def _residual(
 ) -> list[float]:
     """The KKT residual [grad f + lam * grad c, lam*c - mu] at theta."""
 
-    grad_c = _margin_gradient(*theta)
-    top = [a / p - b / (1.0 - p) + lam * dc for (a, b), p, dc in zip(ab, theta, grad_c)]
-    return top + [lam * _margin(*theta) - mu]
+    ((a0, b0), (ag, bg), (as_, bs), (ar, br)), (l0, g, s, r) = ab, theta
+    c0, cg, cs, cr = _margin_gradient(l0, g, s, r)
+    f0, fg = a0 / l0 - b0 / (1.0 - l0) + lam * c0, ag / g - bg / (1.0 - g) + lam * cg
+    fs, fr = as_ / s - bs / (1.0 - s) + lam * cs, ar / r - br / (1.0 - r) + lam * cr
+    return [f0, fg, fs, fr, lam * _margin(l0, g, s, r) - mu]
 
 
 def constraint_value(theta: ParamSet) -> float:
@@ -353,7 +355,7 @@ def _m_step(stats: SufficientStats, theta_star: ParamSet) -> MStep:
             )
     feasible = constraint_value(theta_star) > 0.0
     restoration = None if feasible else project_feasible(theta_star)[1]
-    if all(0.0 < p < 1.0 for p in ratios) and _margin(*ratios) > 0.0:
+    if 0.0 < min(ratios) and max(ratios) < 1.0 and _margin(*ratios) > 0.0:  # a NaN ratio fails c
         residual = max(map(abs, _residual(ab, ratios, 0.0, 0.0)))
         return MStep(ParamSet(*ratios), 0.0, residual, restoration=restoration)
     (l0, g, k, _), reduced = _newton(ab, _slack(_pushed_inside(theta_star))[:3] + (0.0,), 0.0)

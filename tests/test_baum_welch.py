@@ -11,10 +11,11 @@ from bktfit import (
     fit_baum_welch,
     m_step_closed_form,
     random_init,
+    read_dataset,
     simulate_dataset,
     sufficient_stats,
 )
-from bktfit.baum_welch import closed_form_ratios
+from bktfit.baum_welch import BOUNDARY_NUDGE, closed_form_ratios
 from bktfit.estep import SufficientStats
 from bktfit.fitting import ALGORITHM_BAUM_WELCH, FitOptions
 from conftest import TRUE_THETA
@@ -107,3 +108,27 @@ def test_fit_one_iteration_matches_manual_m_step():
     manual = m_step_closed_form(stats)
     report = fit_baum_welch(dataset, init, FitOptions(max_iterations=1))
     assert report.theta_hat == manual
+
+
+def test_boundary_hits_name_the_parameters_each_m_step_nudged(tmp_path):
+    # Two learners answer both steps correctly: every M-step's ratios put g at 1
+    # and s at 0, and the report lists both at each iteration.
+    path = tmp_path / "all-correct.csv"
+    path.write_text("learner_id,step,correct\n0,1,1\n0,2,1\n1,1,1\n1,2,1\n")
+    report = fit_baum_welch(read_dataset(path), random_init(0))
+    assert report.iterations >= 2
+    assert report.diagnostics["boundary_hits"] == [
+        {"iteration": k, "parameters": ["g", "s"]} for k in range(1, report.iterations + 1)
+    ]
+    # Paired master seed 0, run 0: every M-step's ratios are interior, so nothing is listed.
+    dataset = simulate_dataset(TRUE_THETA, 100, 10, (0, 0, 0))
+    interior = fit_baum_welch(dataset, random_init((0, 1, 0)))
+    assert interior.converged and interior.iterations > 2
+    assert interior.diagnostics["boundary_hits"] == []
+    # Run 2 reaches r = 0 at iteration 39 and stays there: interior M-steps, then r at each.
+    dataset = simulate_dataset(TRUE_THETA, 100, 10, (0, 0, 2))
+    floor = fit_baum_welch(dataset, random_init((0, 1, 2)))
+    hits = floor.diagnostics["boundary_hits"]
+    assert [hit["iteration"] for hit in hits] == list(range(39, floor.iterations + 1))
+    assert all(hit["parameters"] == ["r"] for hit in hits)
+    assert floor.theta_hat.r == BOUNDARY_NUDGE
