@@ -24,12 +24,7 @@ from .core import ParamSet, _require_int, param_values, parse_object, validate_v
 from .data import read_dataset, write_dataset, write_ground_truth
 from .experiment import FITTERS, ExperimentConfig, run_experiment, write_experiment_artifacts
 from .fitting import FitOptions, FitReport, random_init
-from .simulate import (
-    DEFAULT_LEARNERS,
-    DEFAULT_STEPS,
-    simulate_dataset,
-    simulate_dataset_with_paths,
-)
+from .simulate import DEFAULT_LEARNERS, DEFAULT_STEPS, simulate_dataset_with_paths
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -69,11 +64,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         theta = _load_params(args.params)
         learners, steps, seed = args.learners, args.steps, args.seed
-    if args.truth is None:
-        dataset = simulate_dataset(theta, learners, steps, seed)
-    else:
-        dataset, paths = simulate_dataset_with_paths(theta, learners, steps, seed)
-        write_ground_truth(dataset, paths, args.truth)
+    dataset, states = simulate_dataset_with_paths(theta, learners, steps, seed)
+    if args.truth is not None:
+        write_ground_truth(dataset, states, args.truth)
     write_dataset(dataset, args.out)
     sidecar = {
         "theta": theta.to_dict(),

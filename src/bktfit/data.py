@@ -35,10 +35,12 @@ about 80 bytes per row of one block, some 1.3 MB whatever the file size.
 
 A Dataset holds its answers once, flat: one uint8 array of every learner's
 answers in order, and the learners' lengths. The reader and the simulator
-fill these arrays directly. AttemptSequence and HiddenPath hold the same
-encoding, bytes of one 0 or 1 per step: iterating or indexing a dataset
-cuts its answers' bytes into sequences, each checked in one pass, and a
-dataset built from sequences joins their bytes. The first E-step that reads a
+fill these arrays directly. AttemptSequence holds the same encoding, bytes
+of one 0 or 1 per step: iterating or indexing a dataset cuts its answers'
+bytes into sequences, each checked in one pass, and a dataset built from
+sequences joins their bytes. The ground-truth writer takes the hidden
+states as one array in the same order, as the simulator returns them, and
+checks it with array operations. The first E-step that reads a
 dataset builds its layout (Dataset._layout) and keeps it for every later
 E-step of every fit: each distinct answer sequence once, as the column of the
 first learner who gave it (one sort of the learners' packed answers finds
@@ -56,14 +58,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AttemptSequence",
-    "HiddenPath",
     "Dataset",
     "DatasetFormatError",
     "read_dataset",
@@ -146,37 +147,6 @@ class AttemptSequence:
         return iter(self.attempts)
 
 
-@dataclass(frozen=True)
-class HiddenPath:
-    """Proficiency states behind one attempt sequence: a byte per step, 1 meaning proficient.
-
-    Proficiency is absorbing, so the path must be monotone: once 1 it stays 1.
-    """
-
-    states: bytes
-
-    def __post_init__(self) -> None:
-        states = _flags(self.states, "state")
-        if not states:
-            raise ValueError("a hidden path needs at least one state")
-        if b"\x01\x00" in states:
-            raise ValueError("hidden path loses proficiency, which the model forbids")
-        object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.states)
-
-
-_Run = TypeVar("_Run", AttemptSequence, HiddenPath)
-
-
-def _runs(kind: type[_Run], flags: bytes, bounds: list[int]) -> Iterator[_Run]:
-    return (kind(flags[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-
-
 class _Chunk(NamedTuple):
     """What every E-step reads of some distinct answer sequences, all of it
     independent of theta.
@@ -245,7 +215,8 @@ class Dataset:
         return len(self._lengths)
 
     def __iter__(self) -> Iterator[AttemptSequence]:
-        return _runs(AttemptSequence, self._answers.tobytes(), self._bounds.tolist())
+        answers, bounds = self._answers.tobytes(), self._bounds.tolist()
+        return (AttemptSequence(answers[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def __getitem__(self, index: int) -> AttemptSequence:
         learner = range(len(self))[index]
@@ -414,20 +385,29 @@ def write_dataset(dataset: Dataset | Iterable[object], destination: str | Path) 
 
 
 def write_ground_truth(
-    dataset: Dataset | Iterable[object], paths: Iterable[HiddenPath], destination: str | Path
+    dataset: Dataset | Iterable[object], states: np.ndarray, destination: str | Path
 ) -> None:
     """Write attempts, a dataset or any iterable of answer sequences, together
-    with the hidden states that generated them."""
+    with the hidden states that generated them.
+
+    states holds one 0/1 state per answer, 1 meaning proficient, in the
+    dataset's answer order: any array that ravels to that, such as the
+    (learners, steps) states of simulate_dataset_with_paths. Proficiency is
+    absorbing, so no learner's state may fall from 1 to 0. A count, value or
+    fall that breaks this raises ValueError before the file is opened.
+    """
 
     dataset = as_dataset(dataset)
-    paths = tuple(paths)
-    if len(paths) != len(dataset):
-        raise ValueError("need exactly one hidden path per learner")
-    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    mismatched = np.flatnonzero(lengths != dataset._lengths)
-    if len(mismatched):
-        raise ValueError(f"hidden path length mismatch for learner {mismatched[0]}")
-    states = np.frombuffer(b"".join(path.states for path in paths), np.uint8)
+    states, bounds = np.ravel(states), dataset._bounds
+    if len(states) != bounds[-1]:
+        raise ValueError(f"need one hidden state per answer, {bounds[-1]}, got {len(states)}")
+    if len(bad := np.flatnonzero((states != 0) & (states != 1))):
+        raise ValueError(f"state entries must be 0/1 or boolean, got {states[bad[0]]}")
+    falls = states[:-1] > states[1:]
+    falls[bounds[1:-1] - 1] = False  # the state before a learner's first is another's
+    if len(fell := np.flatnonzero(falls)):
+        learner = np.searchsorted(bounds, fell[0], side="right") - 1
+        raise ValueError(f"learner {learner} loses proficiency, which the model forbids")
     _write_table(destination, _TRUTH_HEADER, dataset, dataset._answers, states)
 
 

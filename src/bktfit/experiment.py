@@ -9,9 +9,8 @@ Two modes, one knob each:
 Seeding is derived, never shared: dataset i draws from the stream
 (master_seed, 0, i) and init i from (master_seed, 1, i), so results are
 reproducible from the config alone and identical for any --jobs setting.
-Records carry the full fit reports in memory; the CSV keeps the plot-ready
-columns (fitted coordinates, algorithm, constraint verdict) so figures can
-be regenerated without refitting.
+Records carry the full fit reports in memory; the CSV keeps one row of
+scalars per record, and the scatters are drawn from the records themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "records_to_csv",
-    "rows_from_csv",
     "scatter_svg",
     "write_experiment_artifacts",
 ]
@@ -268,32 +266,6 @@ def records_to_csv(records: Iterable[RunRecord], destination: str | Path) -> Non
             writer.writerow(record.to_row())
 
 
-def rows_from_csv(source: str | Path) -> list[dict[str, object]]:
-    """Typed plot rows from a records CSV; enough to redraw every figure."""
-
-    with open(source, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != _CSV_COLUMNS:
-            raise ValueError(f"unexpected records header in {source}")
-        rows: list[dict[str, object]] = []
-        for raw in reader:
-            row: dict[str, object] = {
-                "run_id": int(raw["run_id"]),
-                "algorithm": raw["algorithm"],
-                "converged": raw["converged"] == "true",
-                "iterations": int(raw["iterations"]),
-                "failure": raw["failure"],
-                "constraints_satisfied": raw["constraints_satisfied"] == "true",
-            }
-            for key in ("log_likelihood", "margin", "wall_time_s"):
-                row[key] = float(raw[key])
-            for name in PARAM_NAMES:
-                row[f"init_{name}"] = float(raw[f"init_{name}"])
-                row[f"fitted_{name}"] = float(raw[f"fitted_{name}"])
-            rows.append(row)
-    return rows
-
-
 _SVG_SIZE = 480
 _SVG_MARGIN = 56
 _SVG_COLORS = {True: "#2e7d32", False: "#c62828"}  # constraint verdict
@@ -314,16 +286,16 @@ def _svg_marker(algorithm: str, px: float, py: float, color: str) -> str:
 
 
 def scatter_svg(
-    rows: Sequence[Mapping[str, object]],
+    records: Iterable[RunRecord],
     x_param: str,
     y_param: str,
     true_theta: ParamSet | None = None,
 ) -> str:
-    """Self-contained scatter of fitted coordinates on the unit square.
+    """Self-contained scatter of the records' fitted coordinates on the unit square.
 
-    rows are the typed rows of rows_from_csv. Marker shape encodes the
-    algorithm (circle: baum-welch, triangle: constrained), color the
-    constraint verdict; an x marks the generating parameters when given.
+    Marker shape encodes the algorithm (circle: baum-welch, triangle:
+    constrained), color the constraint verdict; an x marks the generating
+    parameters when given.
     """
 
     if x_param not in PARAM_NAMES or y_param not in PARAM_NAMES:
@@ -355,10 +327,10 @@ def scatter_svg(
         f'<text x="16" y="{_SVG_SIZE / 2:.0f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 16 {_SVG_SIZE / 2:.0f})">fitted {y_param}</text>'
     )
-    for row in rows:
-        px, py = _svg_xy(float(row[f"fitted_{x_param}"]), float(row[f"fitted_{y_param}"]))
-        color = _SVG_COLORS[row["constraints_satisfied"]]  # type: ignore[index]
-        parts.append(_svg_marker(str(row["algorithm"]), px, py, color))
+    for record in records:
+        theta = record.report.theta_hat
+        px, py = _svg_xy(getattr(theta, x_param), getattr(theta, y_param))
+        parts.append(_svg_marker(record.algorithm, px, py, _SVG_COLORS[record.satisfied]))
     if true_theta is not None:
         px, py = _svg_xy(getattr(true_theta, x_param), getattr(true_theta, y_param))
         parts.append(
@@ -396,14 +368,13 @@ def write_experiment_artifacts(
     payload = {"config": result.config.to_dict(), "summary": result.summary()}
     paths["summary"].write_text(json.dumps(payload, indent=2) + "\n")
     if svg:
-        rows = rows_from_csv(paths["records"])
         for key, (x_param, y_param) in {
             "scatter_guess_slip": ("g", "s"),
             "scatter_prior_transit": ("l0", "r"),
         }.items():
             path = out / f"{key}.svg"
             path.write_text(
-                scatter_svg(rows, x_param, y_param, result.config.true_theta) + "\n"
+                scatter_svg(result.records, x_param, y_param, result.config.true_theta) + "\n"
             )
             paths[key] = path
     return paths

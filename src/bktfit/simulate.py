@@ -12,9 +12,9 @@ SeedSequence hash and PCG64's seeding and 128-bit LCG (XSL-RR output) are
 computed in uint32 and uint64 vectors over the block, and each draw's
 ``(output >> 11) * 2**-53`` is written into its column of the block's
 uniforms, bit for bit what ``Generator.random`` returns. Besides the
-(block, 2 * length) float64 uniforms, a block's temporaries peak at about
+(block, 2 * steps) float64 uniforms, a block's temporaries peak at about
 fourteen vectors of one 64-bit word per learner, 112 bytes a learner and
-448 KiB for a full block, whatever the length.
+448 KiB for a full block, whatever the number of steps.
 
 ``random_init`` draws its four uniforms from one such stream, derived on
 Python ints by the same SeedSequence code, and ``_words`` checks every seed.
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ParamSet, _require_int
-from .data import Dataset, HiddenPath, _runs
+from .data import Dataset
 
 __all__ = [
     "simulate_dataset",
@@ -46,7 +46,7 @@ DEFAULT_STEPS = 10
 
 Seed = int | list[int] | tuple[int, ...]
 
-# Learners per block of uniforms: the (block, 2 * length) float64 draws are
+# Learners per block of uniforms: the (block, 2 * steps) float64 draws are
 # the simulator's largest temporary, so this bounds its peak memory. On a
 # 2-core Xeon, blocks of 16,384 derived 10,000 x 30 streams no faster.
 _BLOCK = 4_096
@@ -198,55 +198,48 @@ def _random(seed: Seed, count: int) -> list[float]:
 
 
 def _sample(
-    theta: ParamSet, prefix: list[int], last: np.ndarray, length: int
+    theta: ParamSet, prefix: list[int], last: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(count, length) boolean states and answers, learner k seeded by prefix + [last[k]]."""
+    """(count, steps) boolean states and answers, learner k seeded by prefix + [last[k]]."""
 
     count = len(last)
-    states = np.empty((count, length), dtype=bool)
+    states = np.empty((count, steps), dtype=bool)
     answers = np.empty_like(states)
-    u = np.empty((min(count, _BLOCK), 2 * length))
+    u = np.empty((min(count, _BLOCK), 2 * steps))
     for lo in range(0, count, _BLOCK):
         block, drawn = u[: count - lo], states[lo : lo + _BLOCK]
         _uniforms(prefix, last[lo : lo + _BLOCK], block)
-        # Column 0 starts the path; column length + t decides whether a
+        # Column 0 starts the path; column steps + t decides whether a
         # learner not yet proficient becomes so before attempt t.
         np.less(block[:, 0], theta.l0, out=drawn[:, 0])
-        np.less(block[:, length + 1 :], theta.r, out=drawn[:, 1:])
+        np.less(block[:, steps + 1 :], theta.r, out=drawn[:, 1:])
         np.logical_or.accumulate(drawn, axis=1, out=drawn)
         emit = np.where(drawn, 1.0 - theta.s, theta.g)
-        np.less(block[:, 1 : length + 1], emit, out=answers[lo : lo + _BLOCK])
+        np.less(block[:, 1 : steps + 1], emit, out=answers[lo : lo + _BLOCK])
     return states, answers
 
 
-def _simulate(
-    theta: ParamSet, learners: int, length: int, seed: Seed
+def simulate_dataset_with_paths(
+    theta: ParamSet, learners: int, steps: int, seed: Seed
 ) -> tuple[Dataset, np.ndarray]:
+    """Sample a dataset and keep the generating hidden states for inspection:
+    a (learners, steps) uint8 array, 1 meaning proficient."""
+
     _require_int(learners, "learners")
-    _require_int(length, "length")
+    _require_int(steps, "steps")
     if learners < 1:
         raise ValueError("learners must be at least 1")
-    if length < 1:
-        raise ValueError("length must be at least 1")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     if learners > 2**32:
         # A learner index of 2**32 or more would take two entropy words.
         raise ValueError(f"learners must be at most 2**32, got {learners}")
-    states, answers = _sample(theta, _words(seed), np.arange(learners, dtype=np.uint32), length)
-    lengths = np.full(learners, length, dtype=np.int64)
-    return Dataset._of(answers.view(np.uint8).ravel(), lengths), states
+    states, answers = _sample(theta, _words(seed), np.arange(learners, dtype=np.uint32), steps)
+    lengths = np.full(learners, steps, dtype=np.int64)
+    return Dataset._of(answers.view(np.uint8).ravel(), lengths), states.view(np.uint8)
 
 
-def simulate_dataset_with_paths(
-    theta: ParamSet, learners: int, length: int, seed: Seed
-) -> tuple[Dataset, tuple[HiddenPath, ...]]:
-    """Sample a dataset and keep the generating hidden paths for inspection."""
-
-    dataset, states = _simulate(theta, learners, length, seed)
-    return dataset, tuple(_runs(HiddenPath, states.tobytes(), dataset._bounds.tolist()))
-
-
-def simulate_dataset(theta: ParamSet, learners: int, length: int, seed: Seed) -> Dataset:
+def simulate_dataset(theta: ParamSet, learners: int, steps: int, seed: Seed) -> Dataset:
     """Sample a dataset of independent learners."""
 
-    dataset, _ = _simulate(theta, learners, length, seed)
-    return dataset
+    return simulate_dataset_with_paths(theta, learners, steps, seed)[0]

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bktfit.interior_point as interior_point
-import bktfit.simulate as simulate_module
+import bktfit.cli as cli_module
 from bktfit import (
     ExperimentConfig,
     FitOptions,
@@ -30,7 +32,6 @@ from bktfit.cli import (
     build_parser,
     main,
 )
-from bktfit.data import HiddenPath
 from bktfit.experiment import FITTERS
 from bktfit.simulate import simulate_dataset_with_paths
 from conftest import TRUE_THETA, fail_floor_stage
@@ -204,9 +205,9 @@ def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
         rows = list(csv.reader(handle))
     with open(truth, newline="") as handle:
         truth_rows = list(csv.reader(handle))
-    expected, paths = simulate_dataset_with_paths(TRUE_THETA, 10, 5, 3)
+    expected, states = simulate_dataset_with_paths(TRUE_THETA, 10, 5, 3)
     assert dataset == expected
-    states = [str(state) for path in paths for state in path]
+    states = [str(state) for state in states.ravel().tolist()]
     assert truth_rows == [rows[0] + ["proficient"]] + [
         row + [state] for row, state in zip(rows[1:], states, strict=True)
     ]
@@ -220,21 +221,22 @@ def test_simulate_writes_dataset_truth_and_sidecar(tmp_path, theta_file):
 
 
 def test_simulate_builds_hidden_paths_only_for_truth(tmp_path, theta_file, monkeypatch):
-    kinds = []
-    runs = simulate_module._runs
+    # The simulator's state array goes to the truth writer as it is, and only with --truth.
+    written = []
+    write = cli_module.write_ground_truth
 
-    def counted(kind, *args):
-        kinds.append(kind)
-        return runs(kind, *args)
+    def counted(dataset, states, destination):
+        written.append((states.shape, states.dtype))
+        return write(dataset, states, destination)
 
-    monkeypatch.setattr(simulate_module, "_runs", counted)
+    monkeypatch.setattr(cli_module, "write_ground_truth", counted)
     argv = ["simulate", "--params", str(theta_file), "--learners", "30", "--steps", "7"]
     plain, with_truth = tmp_path / "plain.csv", tmp_path / "with-truth.csv"
     assert main([*argv, "--out", str(plain)]) == EXIT_OK
-    assert kinds == []
+    assert written == []
     truth = ["--truth", str(tmp_path / "truth.csv")]
     assert main([*argv, "--out", str(with_truth), *truth]) == EXIT_OK
-    assert kinds == [HiddenPath]
+    assert written == [((30, 7), np.uint8)]
     assert plain.read_bytes() == with_truth.read_bytes()
 
 
@@ -243,6 +245,42 @@ def test_simulate_regenerates_identically_from_sidecar(tmp_path, dataset_file):
     sidecar = dataset_file.parent / (dataset_file.name + ".meta.json")
     assert main(["simulate", "--sidecar", str(sidecar), "--out", str(regen)]) == EXIT_OK
     assert regen.read_text() == dataset_file.read_text()
+
+
+# SHA-256 of every file that simulate --truth and experiment --svg write for
+# these inputs; records.csv's wall_time_s column is left out of its digest.
+_GOLDEN_DIGESTS = {
+    "d.csv": "5ff3fe141cff981c9bcde3b8429066152955850f6cbca1c82cfed66650c4286a",
+    "t.csv": "62f851a854f69f008204baad131c409c4aec1583e7b22cb9c1eca482d9bad12e",
+    "runs/scatter_guess_slip.svg": "4217e4d5b22bd735dd5028736ea4337ffb3da33c9d33eaade5af2807f2aa117f",
+    "runs/scatter_prior_transit.svg": "281637f361ea3e4df90865f87a6adf308f1a180577a766d80718358700cd9a2d",
+    "runs/summary.json": "53cd0f92ff368bd2fd351ddaff61ffada02900102805e4149dc0dc9424285c55",
+    "runs/records.csv": "b218ea2e8f03f122eceb74bfb10d115789eea65319e60e8ea0c8a4901946f0e0",
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="the E-step's W coefficients need an 80-bit long double for these bits",
+)
+def test_simulate_truth_and_experiment_svg_keep_their_bytes(tmp_path, theta_file, capsys):
+    d, t = tmp_path / "d.csv", tmp_path / "t.csv"
+    argv = ["--params", str(theta_file), "--learners", "50", "--steps", "9", "--seed", "4"]
+    assert main(["simulate", *argv, "--out", str(d), "--truth", str(t)]) == EXIT_OK
+    config = {"true_theta": TRUE_THETA.to_dict(), "num_datasets": 6, "learners": 40}
+    config.update(steps=8, master_seed=3)
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    argv = ["--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "runs"), "--svg"]
+    assert main(["experiment", *argv]) == EXIT_OK
+    digests = {}
+    for name in _GOLDEN_DIGESTS:
+        data = (tmp_path / name).read_bytes()
+        if name.endswith("records.csv"):
+            # wall_time_s is the ninth column; no failure message holds a comma here.
+            lines = [line.split(b",") for line in data.split(b"\r\n")]
+            data = b"\r\n".join(b",".join(cells[:8] + cells[9:]) for cells in lines)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == _GOLDEN_DIGESTS
 
 
 def test_fit_constrained_exits_zero_and_satisfies(tmp_path, dataset_file):

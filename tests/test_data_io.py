@@ -21,7 +21,8 @@ from bktfit import (
     write_dataset,
 )
 from bktfit import data
-from bktfit.data import HiddenPath, write_ground_truth
+from bktfit.data import write_ground_truth
+from bktfit.simulate import simulate_dataset_with_paths
 from conftest import TRUE_THETA
 
 
@@ -44,14 +45,16 @@ def test_attempt_sequence_as_ints():
     assert list(AttemptSequence((True, False))) == [1, 0]
 
 
-def test_hidden_path_rejects_lost_proficiency():
-    with pytest.raises(ValueError, match="loses proficiency"):
-        HiddenPath((True, False))
+def test_hidden_path_rejects_lost_proficiency(tmp_path):
+    with pytest.raises(ValueError, match="learner 0 loses proficiency"):
+        write_ground_truth([[1, 0]], np.array([True, False]), tmp_path / "truth.csv")
+    assert not (tmp_path / "truth.csv").exists()
 
 
 def test_sequences_and_paths_hold_one_byte_per_step():
     assert AttemptSequence((True, False)).attempts == b"\x01\x00"
-    assert HiddenPath([0, 1, 1]).states == b"\x00\x01\x01"
+    _, states = simulate_dataset_with_paths(TRUE_THETA, 3, 4, 0)
+    assert states.dtype == np.uint8 and states.shape == (3, 4)
     assert [type(seq.attempts) for seq in _toy_dataset()] == [bytes] * 3
     assert type(_toy_dataset()[0].attempts) is bytes
 
@@ -64,17 +67,25 @@ def test_attempt_bytes_name_their_first_bad_byte(attempts, bad):
         AttemptSequence(attempts)
 
 
-def test_hidden_path_bytes_must_be_monotone():
-    assert len(HiddenPath(b"\x00\x01\x01")) == 3
-    with pytest.raises(ValueError, match="loses proficiency"):
-        HiddenPath(b"\x01\x00\x01")
-    with pytest.raises(ValueError, match="state entries must be 0/1 or boolean, got 2"):
-        HiddenPath(b"\x00\x02")
+def test_hidden_path_bytes_must_be_monotone(tmp_path):
+    # Learner 1's states fall within it; a learner may start below the last one's end.
+    dataset, destination = Dataset([[1, 0], [0, 1, 1], [1]]), tmp_path / "truth.csv"
+    write_ground_truth(dataset, np.array([1, 1, 0, 1, 1, 0], np.uint8), destination)
+    destination.unlink()
+    for states, message in [
+        ([1, 1, 1, 0, 1, 1], "learner 1 loses proficiency"),
+        ([0, 1, 0, 2, 1, 1], "state entries must be 0/1 or boolean, got 2$"),
+        ([0, 1, 0, 1, 0.5, 1], "state entries must be 0/1 or boolean, got 0.5$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            write_ground_truth(dataset, np.array(states), destination)
+        assert not destination.exists()
 
 
-def test_hidden_path_needs_a_state():
-    with pytest.raises(ValueError, match="a hidden path needs at least one state"):
-        HiddenPath(b"")
+def test_hidden_path_needs_a_state(tmp_path):
+    with pytest.raises(ValueError, match="need one hidden state per answer, 1, got 0"):
+        write_ground_truth([[1]], np.array([], np.uint8), tmp_path / "truth.csv")
+    assert not (tmp_path / "truth.csv").exists()
 
 
 def test_bools_ints_and_bytes_build_the_same_sequence():
@@ -82,9 +93,7 @@ def test_bools_ints_and_bytes_build_the_same_sequence():
     built.append(AttemptSequence(b"\x01\x00\x01"))
     assert built[0] == built[1] == built[2]
     assert len({hash(seq) for seq in built}) == 1
-    paths = [HiddenPath((False, True)), HiddenPath([0, 1]), HiddenPath(b"\x00\x01")]
-    assert paths[0] == paths[1] == paths[2]
-    assert len({hash(path) for path in paths}) == 1
+
 
 
 def test_dataset_answers_are_every_answer_in_order():
@@ -295,29 +304,29 @@ _TRUTH_COLUMNS = _COLUMNS + ("proficient",)
 def test_ground_truth_holds_answers_and_states_as_csv_writer_writes_them(tmp_path):
     # Nothing reads a ground-truth file back: its bytes are checked instead.
     dataset = Dataset((AttemptSequence((True, False)), AttemptSequence((False,))))
-    paths = (HiddenPath((False, True)), HiddenPath((True,)))
     destination = tmp_path / "truth.csv"
-    write_ground_truth(dataset, paths, destination)
+    write_ground_truth(dataset, np.array([0, 1, 1], np.uint8), destination)
     rows = [(0, 1, 1, 0), (0, 2, 0, 1), (1, 1, 0, 1)]
     assert destination.read_bytes() == _csv_bytes(_TRUTH_COLUMNS, rows)
 
 
-@pytest.mark.parametrize(
-    "paths, message",
-    [
-        ((HiddenPath((False, True)),), "need exactly one hidden path per learner"),
-        (
-            (HiddenPath((False, True)), HiddenPath((False, True))),
-            "hidden path length mismatch for learner 1",
-        ),
-    ],
-)
-def test_ground_truth_needs_one_matching_path_per_learner(tmp_path, paths, message):
+@pytest.mark.parametrize("count", [2, 4], ids=["fewer", "more"])
+def test_ground_truth_needs_one_state_per_answer(tmp_path, count):
     dataset = Dataset((AttemptSequence((True, False)), AttemptSequence((False,))))
     destination = tmp_path / "truth.csv"
-    with pytest.raises(ValueError, match=message):
-        write_ground_truth(dataset, paths, destination)
+    with pytest.raises(ValueError, match=f"need one hidden state per answer, 3, got {count}$"):
+        write_ground_truth(dataset, np.ones(count, np.uint8), destination)
     assert not destination.exists()
+
+
+def test_ground_truth_takes_the_simulator_states_as_they_are(tmp_path):
+    # A (learners, steps) array ravels to the dataset's answer order, and
+    # bools and ints write as the uint8 states do.
+    dataset, states = simulate_dataset_with_paths(TRUE_THETA, 4, 3, 5)
+    write_ground_truth(dataset, states, tmp_path / "grid.csv")
+    for flat in (states.ravel().astype(bool), states.ravel().tolist()):
+        write_ground_truth(dataset, np.array(flat), tmp_path / "flat.csv")
+        assert (tmp_path / "flat.csv").read_bytes() == (tmp_path / "grid.csv").read_bytes()
 
 
 def test_readers_accept_a_byte_order_mark(tmp_path):
@@ -342,11 +351,10 @@ def test_dataset_header_and_ids(tmp_path):
 
 def test_writers_take_any_iterable_of_answer_sequences(tmp_path):
     expected = Dataset((AttemptSequence((True, False)), AttemptSequence((False,))))
-    paths = (HiddenPath((False, True)), HiddenPath((True,)))
     for answers in ([[1, 0], [0]], iter([(True, False), (False,)])):
         write_dataset(answers, tmp_path / "data.csv")
         assert read_dataset(tmp_path / "data.csv") == expected
-    write_ground_truth(iter([[1, 0], [0]]), iter(paths), tmp_path / "truth.csv")
+    write_ground_truth(iter([[1, 0], [0]]), np.array([0, 1, 1]), tmp_path / "truth.csv")
     rows = [(0, 1, 1, 0), (0, 2, 0, 1), (1, 1, 0, 1)]
     assert (tmp_path / "truth.csv").read_bytes() == _csv_bytes(_TRUTH_COLUMNS, rows)
 
@@ -390,7 +398,7 @@ def test_writers_write_the_bytes_of_csv_writer(tmp_path, case):
     write_dataset(dataset, tmp_path / "data.csv")
     expected = _csv_bytes(_COLUMNS, [row[:3] for row in rows])
     assert (tmp_path / "data.csv").read_bytes() == expected
-    write_ground_truth(dataset, map(HiddenPath, states), tmp_path / "truth.csv")
+    write_ground_truth(dataset, np.concatenate(states), tmp_path / "truth.csv")
     expected = _csv_bytes(_TRUTH_COLUMNS, rows)
     assert (tmp_path / "truth.csv").read_bytes() == expected
 

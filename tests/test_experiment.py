@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import xml.etree.ElementTree as ElementTree
 from dataclasses import replace
@@ -21,7 +22,6 @@ from bktfit.experiment import (
     MODE_DATASETS,
     MODE_INITS,
     records_to_csv,
-    rows_from_csv,
     scatter_svg,
     write_experiment_artifacts,
 )
@@ -203,7 +203,8 @@ def test_a_failed_fit_is_told_from_a_capped_one(monkeypatch, tmp_path):
         assert summary["constrained"]["failed"] == failures
         assert summary["baum-welch"]["failed"] == 0
         paths = write_experiment_artifacts(result, tmp_path / str(failures))
-        rows = rows_from_csv(paths["records"])
+        with open(paths["records"], newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert [row["failure"] for row in rows] == [rec.failure for rec in result.records]
         written = json.loads(paths["summary"].read_text())["summary"]["algorithms"]
         assert written["constrained"]["failed"] == failures
@@ -265,28 +266,20 @@ def test_records_csv_round_trip(tmp_path):
     result = run_experiment(_tiny_config())
     path = tmp_path / "records.csv"
     records_to_csv(result.records, path)
-    rows = rows_from_csv(path)
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == len(result.records)
     for row, record in zip(rows, result.records):
-        assert row["run_id"] == record.run_id
+        assert int(row["run_id"]) == record.run_id
         assert row["algorithm"] == record.algorithm
-        assert row["fitted_l0"] == record.report.theta_hat.l0
-        assert row["constraints_satisfied"] == record.satisfied
-        assert row["log_likelihood"] == record.report.final_log_likelihood
+        assert float(row["fitted_l0"]) == record.report.theta_hat.l0
+        assert row["constraints_satisfied"] == str(record.satisfied).lower()
+        assert float(row["log_likelihood"]) == record.report.final_log_likelihood
 
 
-def test_rows_from_csv_rejects_another_header(tmp_path):
-    path = tmp_path / "records.csv"
-    path.write_text("learner_id,step,correct\r\n0,1,1\r\n")
-    with pytest.raises(ValueError, match="unexpected records header in"):
-        rows_from_csv(path)
-
-
-def test_scatter_svg_is_wellformed_and_marks_every_record(tmp_path):
+def test_scatter_svg_is_wellformed_and_marks_every_record():
     result = run_experiment(_tiny_config())
-    path = tmp_path / "records.csv"
-    records_to_csv(result.records, path)
-    svg = scatter_svg(rows_from_csv(path), "g", "s", TRUE_THETA)
+    svg = scatter_svg(result.records, "g", "s", TRUE_THETA)
     root = ElementTree.fromstring(svg)
     assert root.tag.endswith("svg")
     markers = [
@@ -294,6 +287,12 @@ def test_scatter_svg_is_wellformed_and_marks_every_record(tmp_path):
     ]
     # every record plus the two legend markers
     assert len(markers) == len(result.records) + 2
+    # Shape is the record's algorithm, color its constraint verdict.
+    shapes = {"baum-welch": "circle", "constrained": "polygon"}
+    colors = {True: "#2e7d32", False: "#c62828"}
+    drawn = [(el.tag.split("}")[-1], el.get("fill")) for el in markers[:-2]]
+    assert drawn == [(shapes[rec.algorithm], colors[rec.satisfied]) for rec in result.records]
+    assert {rec.satisfied for rec in result.records} == {True, False}
 
 
 def test_scatter_svg_rejects_unknown_axis():

@@ -68,3 +68,12 @@ def test_every_call_library_use_names_is_a_package_attribute():
         for part in filter(None, rest.split(".")):
             assert hasattr(target, part), f"README Library use calls {name!r}, which bktfit lacks"
             target = getattr(target, part)
+
+
+def test_library_use_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    # The constrained fit prints its estimate, a satisfied verdict and its margin.
+    printed = capsys.readouterr().out.split()
+    assert printed[-2] == "True" and float(printed[-1]) > 0

@@ -53,10 +53,10 @@ _SEEDS = [0, (4, 1), 2**32, 2**64 + 3, (4, 1, 2), (2**33, 5, 6, 7, 8)]
 def test_simulator_draws_what_the_per_step_loop_draws(length, seed):
     rng = np.random.default_rng(length)
     for theta in [TRUE_THETA, ParamSet(*rng.uniform(0.05, 0.95, 4))]:
-        dataset, paths = simulate_dataset_with_paths(theta, 30, length, seed)
+        dataset, states = simulate_dataset_with_paths(theta, 30, length, seed)
         base = seed if isinstance(seed, tuple) else (seed,)
         expected = [_reference_learner(theta, length, base + (i,)) for i in range(30)]
-        assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+        assert [(p.tobytes(), s.attempts) for p, s in zip(states, dataset)] == expected
 
 
 @pytest.mark.parametrize("length", [1, 300])
@@ -65,10 +65,10 @@ def test_simulate_learner_draws_what_the_per_step_loop_draws(length, seed):
     # Learner i of a dataset draws the stream of (*seed, i); the empty seed
     # gives learner i the stream of (i,).
     theta = ParamSet(0.3, 0.4, 0.2, 0.05)  # a slow learner keeps most transitions drawn
-    dataset, paths = simulate_dataset_with_paths(theta, 3, length, seed)
+    dataset, states = simulate_dataset_with_paths(theta, 3, length, seed)
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     expected = [_reference_learner(theta, length, base + (i,)) for i in range(3)]
-    assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+    assert [(p.tobytes(), s.attempts) for p, s in zip(states, dataset)] == expected
 
 
 def test_blocks_of_learners_draw_what_the_per_step_loop_draws(monkeypatch):
@@ -78,9 +78,9 @@ def test_blocks_of_learners_draw_what_the_per_step_loop_draws(monkeypatch):
     one_block = [simulate_dataset(TRUE_THETA, learners, 5, 3) for learners in counts]
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     for learners, whole in zip(counts, one_block):
-        dataset, paths = simulate_dataset_with_paths(TRUE_THETA, learners, 5, 3)
+        dataset, states = simulate_dataset_with_paths(TRUE_THETA, learners, 5, 3)
         expected = [_reference_learner(TRUE_THETA, 5, (3, i)) for i in range(learners)]
-        assert [(p.states, s.attempts) for p, s in zip(paths, dataset)] == expected
+        assert [(p.tobytes(), s.attempts) for p, s in zip(states, dataset)] == expected
         assert np.array_equal(dataset._answers, whole._answers)
 
 
@@ -103,13 +103,13 @@ def test_simulator_peak_memory_is_the_output_plus_one_block(monkeypatch):
 
 def test_simulated_streams_match_their_recorded_hashes():
     # Pins every draw of these streams, whatever numpy's own generators do later.
-    dataset, paths = simulate_dataset_with_paths(TRUE_THETA, 200, 12, (7, 0, 3))
+    dataset, states = simulate_dataset_with_paths(TRUE_THETA, 200, 12, (7, 0, 3))
     answers = b"".join(s.attempts for s in dataset)
-    states = b"".join(p.states for p in paths)
+    # The C-order bytes of the (learners, steps) states are every learner's path in turn.
     assert hashlib.sha256(answers).hexdigest() == (
         "85a68e664d8033a11cb2d0b099f9989dbe7572d8aaf4f5143a4c4f32f7edd7bd"
     )
-    assert hashlib.sha256(states).hexdigest() == (
+    assert hashlib.sha256(states.tobytes()).hexdigest() == (
         "e5dc96014101b89b460bf3f1a5df99176ad8f632728c3758f2811ec3cae0c665"
     )
 
@@ -168,27 +168,27 @@ def test_simulate_refuses_learner_indices_past_one_entropy_word():
 def test_simulate_learner_is_deterministic():
     a = simulate_dataset_with_paths(TRUE_THETA, 1, 12, (3, 0))
     b = simulate_dataset_with_paths(TRUE_THETA, 1, 12, (3, 0))
-    assert a == b
+    assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 def test_simulate_learner_shapes():
-    dataset, paths = simulate_dataset_with_paths(TRUE_THETA, 1, 5, 42)
-    assert len(paths[0]) == 5
+    dataset, states = simulate_dataset_with_paths(TRUE_THETA, 1, 5, 42)
+    assert states.shape == (1, 5) and states.dtype == np.uint8
     assert len(dataset[0]) == 5
 
 
 def test_simulate_needs_a_learner_and_a_step():
     with pytest.raises(ValueError, match="learners must be at least 1"):
         simulate_dataset(TRUE_THETA, 0, 3, 0)
-    with pytest.raises(ValueError, match="length must be at least 1"):
+    with pytest.raises(ValueError, match="steps must be at least 1"):
         simulate_dataset_with_paths(TRUE_THETA, 3, 0, 0)
 
 
 def test_paths_are_absorbing():
-    _, paths = simulate_dataset_with_paths(TRUE_THETA, 200, 15, 9)
-    for path in paths:
-        states = list(path)
-        assert states == sorted(states)  # False before True, never back
+    _, states = simulate_dataset_with_paths(TRUE_THETA, 200, 15, 9)
+    assert np.isin(states, (0, 1)).all()
+    for path in states.tolist():
+        assert path == sorted(path)  # 0 before 1, never back
 
 
 def test_dataset_prefix_stable_under_learner_count():
@@ -223,8 +223,8 @@ def test_first_attempt_rate_matches_model():
 
 def test_hidden_initial_rate_matches_prior():
     n = 20000
-    _, paths = simulate_dataset_with_paths(TRUE_THETA, n, 1, 321)
-    rate = np.mean([list(path)[0] for path in paths])
+    _, states = simulate_dataset_with_paths(TRUE_THETA, n, 1, 321)
+    rate = np.mean(states[:, 0])
     sigma = np.sqrt(TRUE_THETA.l0 * (1 - TRUE_THETA.l0) / n)
     assert abs(rate - TRUE_THETA.l0) < 4 * sigma
 
@@ -233,8 +233,8 @@ def test_transition_rate_matches_model():
     # Among learners not yet proficient at step 1, the chance of being
     # proficient at step 2 is r.
     n = 20000
-    _, paths = simulate_dataset_with_paths(TRUE_THETA, n, 2, 555)
-    eligible = [list(p) for p in paths if not list(p)[0]]
-    rate = np.mean([p[1] for p in eligible])
+    _, states = simulate_dataset_with_paths(TRUE_THETA, n, 2, 555)
+    eligible = states[states[:, 0] == 0]
+    rate = np.mean(eligible[:, 1])
     sigma = np.sqrt(TRUE_THETA.r * (1 - TRUE_THETA.r) / len(eligible))
     assert abs(rate - TRUE_THETA.r) < 4 * sigma
