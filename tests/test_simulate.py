@@ -114,6 +114,46 @@ def test_simulated_streams_match_their_recorded_hashes():
     )
 
 
+def test_streams_over_two_blocks_and_many_leaps_match_their_recorded_hashes():
+    # A full block of 4,096 learners takes its 80 draws one at a time, and
+    # the 904 left take them four at a time, from the seeded state and then
+    # in leaps.
+    dataset, states = simulate_dataset_with_paths(TRUE_THETA, 5000, 40, (11, 0, 0))
+    answers = b"".join(s.attempts for s in dataset)
+    assert hashlib.sha256(answers).hexdigest() == (
+        "f00ab7f77b5892740b70361793ea2a6d7e85580d7a75ecc7fa25966e90e3bed8"
+    )
+    assert hashlib.sha256(states.tobytes()).hexdigest() == (
+        "6dcde19ee664f6e7c444f885d64503b1729fc48a0917fba7c9ffea880cb28f0b"
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, "draws - 1", 10**6])
+@pytest.mark.parametrize(
+    "learners, steps, block",
+    [(1, 7, 4096), (9, 5, 5), (4, 1, 4096)],
+    ids=["one-learner", "two-blocks", "one-step"],
+)
+def test_every_jump_width_draws_what_the_per_step_loop_draws(monkeypatch, width, learners, steps, block):
+    # A block of n learners takes its draws _CELLS // n at a time: the first
+    # group from the seeded state, then each in one leap from the one
+    # before, the last group short where the width does not divide the
+    # 2 * steps draws. Two blocks of 5 and 4 learners take different widths.
+    draws = 2 * steps
+    width = draws - 1 if width == "draws - 1" else width
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(simulate, "_CELLS", width * min(learners, block), raising=False)
+    theta = ParamSet(0.3, 0.4, 0.2, 0.05)  # a slow learner keeps most transitions drawn
+    dataset, states = simulate_dataset_with_paths(theta, learners, steps, (6, 1))
+    expected = [_reference_learner(theta, steps, (6, 1, i)) for i in range(learners)]
+    assert [(p.tobytes(), s.attempts) for p, s in zip(states, dataset)] == expected
+    u = np.empty((learners, draws))
+    simulate._uniforms([6, 1], np.arange(learners, dtype=np.uint32), u)
+    for i, row in enumerate(u):
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, 1, i))))
+        assert row.tobytes() == stream.random(draws).tobytes()
+
+
 @pytest.mark.parametrize(
     "seed, error",
     [(-1, ValueError), ((1, -2), ValueError), (2.5, TypeError), ((1, 2.0), TypeError), ("ab", ValueError)],
