@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import pickle
 import time
 import tracemalloc
 from unittest import mock
@@ -86,6 +88,24 @@ def test_hidden_path_needs_a_state(tmp_path):
     with pytest.raises(ValueError, match="need one hidden state per answer, 1, got 0"):
         write_ground_truth([[1]], np.array([], np.uint8), tmp_path / "truth.csv")
     assert not (tmp_path / "truth.csv").exists()
+
+
+def test_attempt_sequence_is_a_frozen_value_checked_on_every_construction():
+    seq = AttemptSequence(attempts=(True, False, True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.attempts = b"\x01"  # type: ignore[misc]
+    assert pickle.loads(pickle.dumps(seq)) == seq
+    assert dataclasses.replace(seq) == seq
+    assert dataclasses.replace(seq, attempts=[0, 1]) == AttemptSequence(b"\x00\x01")
+    assert repr(seq) == "AttemptSequence(attempts=b'\\x01\\x00\\x01')"
+    assert hash(seq) == hash(AttemptSequence(b"\x01\x00\x01"))
+    for build in (AttemptSequence, lambda attempts: dataclasses.replace(seq, attempts=attempts)):
+        with pytest.raises(ValueError, match=r"^attempt entries must be 0/1 or boolean, got 2$"):
+            build([1, 2])
+        with pytest.raises(ValueError, match=r"^attempt entries must be 0/1 or boolean, got 'x'$"):
+            build(["x"])
+        with pytest.raises(ValueError, match="^an attempt sequence needs at least one attempt$"):
+            build(b"")
 
 
 def test_bools_ints_and_bytes_build_the_same_sequence():
@@ -401,6 +421,47 @@ def test_writers_write_the_bytes_of_csv_writer(tmp_path, case):
     write_ground_truth(dataset, np.concatenate(states), tmp_path / "truth.csv")
     expected = _csv_bytes(_TRUTH_COLUMNS, rows)
     assert (tmp_path / "truth.csv").read_bytes() == expected
+
+
+def _edge_lengths(case: str) -> list[int]:
+    if case == "learner-over-three-blocks":
+        # Learner 1 starts inside block 0, ends in block 2, and its steps
+        # cross 9,999/10,000 inside block 0.
+        return [5, 2 * data._WRITE_ROWS + 7, 3]
+    if case == "ids-cross-100000":
+        return [1] * 100_002  # ids 99,999 and 100,000 are rows of block 6
+    return [7] * 5_000  # 16,384 = 7 * 2,340 + 4: blocks 1 and 2 start inside a learner
+
+
+def _edge_rows(lengths: list[int]) -> tuple[Dataset, np.ndarray, list[tuple[int, ...]]]:
+    """A dataset of these lengths, its states, and its truth rows built one by one."""
+
+    rng = np.random.default_rng(len(lengths))
+    answers = rng.integers(0, 2, sum(lengths), dtype=np.uint8).tobytes()
+    switches = rng.integers(0, 40, len(lengths)).tolist()
+    rows, at = [], 0
+    for learner, (n, switch) in enumerate(zip(lengths, switches)):
+        rows += [(learner, step, answers[at + step - 1], int(step > switch)) for step in range(1, n + 1)]
+        at += n
+    dataset = Dataset(answers[lo : lo + n] for lo, n in zip(np.cumsum([0] + lengths).tolist(), lengths))
+    return dataset, np.array([row[3] for row in rows], dtype=np.uint8), rows
+
+
+@pytest.mark.parametrize("case", ["learner-over-three-blocks", "ids-cross-100000", "mid-learner"])
+def test_writer_edges_write_the_bytes_of_csv_writer(tmp_path, case):
+    dataset, states, rows = _edge_rows(_edge_lengths(case))
+    write_dataset(dataset, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == _csv_bytes(_COLUMNS, [row[:3] for row in rows])
+    write_ground_truth(dataset, states, tmp_path / "truth.csv")
+    assert (tmp_path / "truth.csv").read_bytes() == _csv_bytes(_TRUTH_COLUMNS, rows)
+
+
+def test_ground_truth_writes_bool_and_number_states_as_the_same_bytes(tmp_path):
+    dataset, states, rows = _edge_rows(_edge_lengths("learner-over-three-blocks"))
+    expected = _csv_bytes(_TRUTH_COLUMNS, rows)
+    for dtype in (bool, np.uint8, np.int64, np.float64):
+        write_ground_truth(dataset, states.astype(dtype), tmp_path / "truth.csv")
+        assert (tmp_path / "truth.csv").read_bytes() == expected, dtype
 
 
 def test_read_rejects_empty_file(tmp_path):
