@@ -2,8 +2,8 @@
 
 The package simulates learner response data from a two-state absorbing
 mastery model, fits it with plain Baum-Welch or with a barrier-method EM
-whose every iterate satisfies the behavioral constraints, and ships an
-enumeration oracle plus experiment harness for auditing both.
+whose every iterate satisfies the behavioral constraints, and runs paired
+experiments that compare the two.
 """
 
 from .baum_welch import DegenerateStatsError, fit_baum_welch, m_step_closed_form
@@ -17,7 +17,7 @@ from .core import (
     validate_params,
 )
 from .data import AttemptSequence, Dataset, DatasetFormatError, read_dataset, write_dataset
-from .estep import forward_backward, log_likelihood, posteriors, sufficient_stats
+from .estep import log_likelihood, posteriors, sufficient_stats
 from .experiment import ExperimentConfig, run_experiment
 from .fitting import FitOptions, FitReport, random_init
 from .interior_point import (
@@ -26,12 +26,6 @@ from .interior_point import (
     interior_point_m_step,
     kkt_residual,
     project_feasible,
-)
-from .oracle import (
-    enumerate_em_objective,
-    enumerate_likelihood,
-    enumerate_paths,
-    enumerate_posteriors,
 )
 from .simulate import simulate_dataset
 
@@ -50,14 +44,9 @@ __all__ = [
     "ParamSet",
     "ParameterError",
     "UndefinedFixedPointError",
-    "enumerate_em_objective",
-    "enumerate_likelihood",
-    "enumerate_paths",
-    "enumerate_posteriors",
     "fit_baum_welch",
     "fit_constrained",
     "fixed_point",
-    "forward_backward",
     "interior_point_m_step",
     "kkt_residual",
     "log_likelihood",

@@ -42,7 +42,7 @@ of one 0 or 1 per step: iterating or indexing a dataset cuts its answers'
 bytes into sequences, each checked in one pass, and a dataset built from
 sequences joins their bytes. The ground-truth writer takes the hidden
 states as one array in the same order, as the simulator returns them, and
-checks it with array operations. The first E-step that reads a
+checks it a block of _WRITE_ROWS at a time. The first E-step that reads a
 dataset builds its layout (Dataset._layout) and keeps it for every later
 E-step of every fit: each distinct answer sequence once, as the column of the
 first learner who gave it (one sort of the learners' packed answers finds
@@ -164,7 +164,7 @@ class _Chunk(NamedTuple):
     # answers before tau (C_tau), the wrong ones before tau (tau - C_tau), the
     # wrong ones from tau on and the correct ones from tau on (C_L - C_tau).
     counts: np.ndarray
-    last: np.ndarray  # each learner's tau = L cell, as a flat index into a plane
+    last: np.ndarray | slice  # the tau = L cells, flat; with no padding, the last row's slice
     runs: tuple[tuple[int, int, int], ...]  # (row, start, stop): padding from row on
     tau: np.ndarray  # 0..T, as floats
 
@@ -194,7 +194,7 @@ class Dataset:
     """
 
     def __init__(self, sequences: Iterable[AttemptSequence | Iterable[object]]) -> None:
-        sequences = [as_sequence(seq) for seq in sequences]
+        sequences = [s if isinstance(s, AttemptSequence) else AttemptSequence(s) for s in sequences]
         if not sequences:
             raise ValueError("a dataset needs at least one learner")
         lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
@@ -314,7 +314,7 @@ class Dataset:
         correct[0] = 0
         np.cumsum(answers, axis=0, dtype=dtype, out=correct[1:])
         np.subtract(np.arange(steps + 1, dtype=dtype)[:, None], correct, out=wrong_before)
-        last = lengths * count + np.arange(count)
+        last = lengths * count + np.arange(count) if runs else slice(steps * count, None)
         right = correct.reshape(-1)[last]
         wrong = (lengths - right).astype(dtype)
         np.subtract(right, correct, out=right_after)
@@ -323,12 +323,6 @@ class Dataset:
         np.minimum(wrong_before, wrong, out=wrong_after)
         np.subtract(wrong, wrong_after, out=wrong_after)
         return _Chunk(learners, counts, last, runs, np.arange(steps + 1.0))
-
-
-def as_sequence(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
-    """The sequence itself, or one validated from an iterable of answers."""
-
-    return seq if isinstance(seq, AttemptSequence) else AttemptSequence(seq)
 
 
 def as_dataset(data: Dataset | Iterable[object]) -> Dataset:
@@ -406,15 +400,24 @@ def write_ground_truth(
     """
 
     dataset = as_dataset(dataset)
-    states, bounds = np.ravel(states), dataset._bounds
-    if len(states) != bounds[-1]:
-        raise ValueError(f"need one hidden state per answer, {bounds[-1]}, got {len(states)}")
-    if len(bad := np.flatnonzero((states != 0) & (states != 1))):
-        raise ValueError(f"state entries must be 0/1 or boolean, got {states[bad[0]]}")
-    falls = states[:-1] > states[1:]
-    falls[bounds[1:-1] - 1] = False  # the state before a learner's first is another's
-    if len(fell := np.flatnonzero(falls)):
-        learner = np.searchsorted(bounds, fell[0], side="right") - 1
+    states, bounds, total = np.ravel(states), dataset._bounds, len(dataset._answers)
+    if len(states) != total:
+        raise ValueError(f"need one hidden state per answer, {total}, got {len(states)}")
+    fell = None  # the first state that falls at the next, within a learner
+    for lo in range(0, total, _WRITE_ROWS):
+        at = max(lo - 1, 0)  # the block with the state before it, for a fall across its edge
+        block = states[at : lo + _WRITE_ROWS]
+        if len(bad := np.flatnonzero((block != 0) & (block != 1))):
+            raise ValueError(f"state entries must be 0/1 or boolean, got {block[bad[0]]}")
+        if fell is None:
+            falls = block[:-1] > block[1:]
+            # The state before a learner's first is another's.
+            first, stop = np.searchsorted(bounds, [at + 1, at + len(block)])
+            falls[bounds[first:stop] - at - 1] = False
+            if len(down := np.flatnonzero(falls)):
+                fell = at + int(down[0])
+    if fell is not None:
+        learner = np.searchsorted(bounds, fell, side="right") - 1
         raise ValueError(f"learner {learner} loses proficiency, which the model forbids")
     _write_table(destination, _TRUTH_HEADER, dataset, dataset._answers, states)
 

@@ -51,8 +51,6 @@ by its slot, and one einsum adds the rows in ascending learner order, as
 sum(axis=0) does on a C-ordered array (on a Fortran-ordered one both add in
 another order). So results are bitwise reproducible and equal to those of a
 column per learner.
-forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
-sequence in log space.
 """
 
 from __future__ import annotations
@@ -67,26 +65,14 @@ from .core import ParamSet
 from .data import AttemptSequence, Dataset, _Chunk, _Layout, as_dataset
 
 __all__ = [
-    "ForwardBackward",
     "Posteriors",
     "SufficientStats",
-    "forward_backward",
     "posteriors",
     "sufficient_stats",
     "log_likelihood",
 ]
 
 _Weights = tuple[np.ndarray, list[list[float]]]  # _log_weights: the tau-column, the scalars
-
-
-@dataclass(frozen=True)
-class ForwardBackward:
-    """Per-step scaled forward/backward variables for one sequence."""
-
-    scaled_alpha: np.ndarray  # (T, 2), rows sum to 1
-    scaled_beta: np.ndarray  # (T, 2)
-    scale_factors: np.ndarray  # (T,), positive
-    log_likelihood: float
 
 
 @dataclass(frozen=True)
@@ -152,15 +138,13 @@ def _switch_posteriors(
 
     correct = chunk.counts[0]
     size = correct.size
-    # The tau = L cells: the last row, a slice, where every sequence has length T.
-    last = chunk.last if chunk.runs else slice(size - len(chunk.learners), None)
     flat, scratch = workspace[:size], workspace[size : 2 * size].reshape(correct.shape)
     q = flat.reshape(correct.shape)
     column, ((delta, log_r, _, _), (delta_low, log_r_low, _, _)) = weights
     np.copyto(scratch, correct)  # C as exact doubles, cast once
     np.multiply(scratch, delta, out=q)
     q += column[0, : len(q), None]
-    flat[last] -= log_r
+    flat[chunk.last] -= log_r
     for row, start, stop in chunk.runs:
         q[row:, start:stop] = -np.inf
     peak = q.max(axis=0)
@@ -168,40 +152,8 @@ def _switch_posteriors(
     scratch *= delta_low
     scratch += column[1, : len(q), None]
     q += scratch
-    flat[last] -= log_r_low
+    flat[chunk.last] -= log_r_low
     return np.exp(q, out=q), peak
-
-
-def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
-    """Scaled forward/backward pass over one sequence.
-
-    Each state's alpha and beta are carried as logs and combined with
-    logaddexp, so neither state's underflows against the other's however
-    small guess and slip are, and log_likelihood is exact. The arrays are
-    the exponentials of those logs: where a state's scaled alpha is below
-    the smallest double it reads 0, and its scaled beta, which can then
-    exceed the largest, reads inf.
-    """
-
-    answers = seq.attempts
-    l0, g, s, r = theta.astuple()
-    emit = ((math.log1p(-g), math.log(g)), (math.log(s), math.log1p(-s)))  # [state][answer]
-    stay, learn = math.log1p(-r), math.log(r)
-    alpha, scale = np.empty((len(answers), 2)), np.empty(len(answers))
-    raw0, raw1 = math.log1p(-l0), math.log(l0)
-    for t, answer in enumerate(answers):
-        raw0, raw1 = raw0 + emit[0][answer], raw1 + emit[1][answer]
-        scale[t] = np.logaddexp(raw0, raw1)
-        alpha[t] = raw0 - scale[t], raw1 - scale[t]
-        raw0, raw1 = alpha[t, 0] + stay, np.logaddexp(alpha[t, 0] + learn, alpha[t, 1])
-    beta = np.zeros((len(answers), 2))
-    for t in range(len(answers) - 1, 0, -1):
-        next0, next1 = emit[0][answers[t]] + beta[t, 0], emit[1][answers[t]] + beta[t, 1]
-        beta[t - 1] = np.logaddexp(stay + next0, learn + next1), next1
-        beta[t - 1] -= scale[t]
-    with np.errstate(over="ignore"):
-        beta = np.exp(beta)
-    return ForwardBackward(np.exp(alpha), beta, np.exp(scale), float(scale.sum()))
 
 
 def posteriors(theta: ParamSet, seq: AttemptSequence) -> Posteriors:
@@ -232,11 +184,10 @@ def _column_rows(weights: _Weights, layout: _Layout) -> np.ndarray:
         rows = table[:, start:stop]
         q, rows[8] = _switch_posteriors(weights, chunk, workspace)  # row 8: the W peak
         flat, later = q.reshape(-1), q[1:]
-        last = chunk.last if chunk.runs else slice(flat.size - len(chunk.learners), None)
         np.einsum("kij,ij->kj", chunk.counts, q, out=rows[2:6])
         np.einsum("ij,i->j", later, chunk.tau[:-1], out=rows[7])
-        rows[0], rows[1] = q[0], flat[last]
-        flat[last] = 0.0  # transit a stops before tau = L
+        rows[0], rows[1] = q[0], flat[chunk.last]
+        flat[chunk.last] = 0.0  # transit a stops before tau = L
         np.add.reduce(later, axis=0, out=rows[6])
     del q, flat, later, workspace  # freed before the tail's temporaries and the transposed copy
     (_, _, *high), (_, _, *low) = weights[1]

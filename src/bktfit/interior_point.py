@@ -38,9 +38,11 @@ unlike sum() from Python 3.12 on: fits are the same bits on every Python.
 
 The parameter box needs no extra barrier terms: the objective's log terms
 already blow up at the walls wherever the matching expected counts are
-positive. Datasets whose counts vanish (all answers identical, or no
-learner answering twice) push a parameter onto the wall, so they are
-rejected as degenerate up front.
+positive. Where a count vanishes (all answers identical, or no learner
+answering twice) the maximizer sits on a wall. Such data are not rejected
+up front: every M-step checks the guess, slip and transit counts first and
+raises DegenerateStatsError on the first that is one-sided, so on such data
+the fit's first M-step raises it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ __all__ = [
     "constraint_value",
     "objective_value",
     "objective_gradient",
-    "objective_hessian_diag",
     "kkt_residual",
     "project_feasible",
     "interior_point_m_step",
@@ -133,13 +134,6 @@ def objective_gradient(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
     """Per-parameter derivative a/p - b/(1-p)."""
 
     return np.array(_residual(_ab(stats), theta.astuple(), 0.0, 0.0)[:4])
-
-
-def objective_hessian_diag(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
-    """Diagonal second derivatives -a/p^2 - b/(1-p)^2; cross terms are zero."""
-
-    ab, v = _ab(stats), theta.astuple()
-    return np.array([-a / (p * p) - b / ((1.0 - p) * (1.0 - p)) for (a, b), p in zip(ab, v)])
 
 
 def kkt_residual(stats: SufficientStats, theta: ParamSet, dual: float, mu: float) -> np.ndarray:

@@ -1,12 +1,21 @@
-"""Brute-force reference implementations used only by tests.
+"""Reference implementations that only tests call.
 
-Because proficiency is absorbing, a length-T hidden path is determined by
-the step at which the learner becomes proficient: before step k for
-k = 1..T, or never. That leaves exactly T+1 paths, so exact likelihoods,
-posteriors, and the EM surrogate objective are cheap sums over paths.
-Everything here is computed with plain Python arithmetic, one factor at a
-time, independent of the E-step kernels it is used to check, and is never
-called inside a fitting loop.
+The package ships the estimator; these are the independent routes the tests
+check it against.
+
+Enumeration oracle. Because proficiency is absorbing, a length-T hidden path
+is determined by the step at which the learner becomes proficient: before
+step k for k = 1..T, or never. That leaves exactly T+1 paths, so exact
+likelihoods, posteriors, and the EM surrogate objective are cheap sums over
+paths. They are computed with plain Python arithmetic, one factor at a time,
+independent of the E-step kernels they check.
+
+forward_backward runs the scaled recursion (Rabiner, Proc. IEEE 1989) over one
+sequence in log space, a second route to each sequence's log-likelihood.
+
+objective_hessian_diag is the M-step objective's diagonal Hessian in theta,
+which criterion 2 certifies against finite differences of the enumerated
+objective.
 """
 
 from __future__ import annotations
@@ -17,20 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ParamSet
-from .data import AttemptSequence, Dataset, as_dataset, as_sequence
-from .estep import Posteriors
-
-__all__ = [
-    "MAX_ENUMERATION_LENGTH",
-    "SequenceTooLongError",
-    "PathEnumeration",
-    "monotone_paths",
-    "enumerate_paths",
-    "enumerate_likelihood",
-    "enumerate_posteriors",
-    "enumerate_em_objective",
-]
+from bktfit.core import ParamSet
+from bktfit.data import AttemptSequence, Dataset, as_dataset
+from bktfit.estep import Posteriors, SufficientStats
 
 # Enumeration is linear in T, but long sequences signal misuse of a
 # test-only helper.
@@ -54,7 +52,8 @@ class PathEnumeration:
 
 
 def _checked(seq: AttemptSequence | Iterable[object]) -> AttemptSequence:
-    seq = as_sequence(seq)
+    if not isinstance(seq, AttemptSequence):
+        seq = AttemptSequence(seq)
     if len(seq) > MAX_ENUMERATION_LENGTH:
         raise SequenceTooLongError(
             f"enumeration supports length <= {MAX_ENUMERATION_LENGTH}, got {len(seq)}"
@@ -164,3 +163,55 @@ def enumerate_em_objective(
                 (mass / norm) * _path_log_weight(theta, states, seq.attempts)
             )
     return math.fsum(total_terms)
+
+
+@dataclass(frozen=True)
+class ForwardBackward:
+    """Per-step scaled forward/backward variables for one sequence."""
+
+    scaled_alpha: np.ndarray  # (T, 2), rows sum to 1
+    scaled_beta: np.ndarray  # (T, 2)
+    scale_factors: np.ndarray  # (T,), positive
+    log_likelihood: float
+
+
+def forward_backward(theta: ParamSet, seq: AttemptSequence) -> ForwardBackward:
+    """Scaled forward/backward pass over one sequence.
+
+    Each state's alpha and beta are carried as logs and combined with
+    logaddexp, so neither state's underflows against the other's however
+    small guess and slip are, and log_likelihood is exact. The arrays are
+    the exponentials of those logs: where a state's scaled alpha is below
+    the smallest double it reads 0, and its scaled beta, which can then
+    exceed the largest, reads inf.
+    """
+
+    answers = seq.attempts
+    l0, g, s, r = theta.astuple()
+    emit = ((math.log1p(-g), math.log(g)), (math.log(s), math.log1p(-s)))  # [state][answer]
+    stay, learn = math.log1p(-r), math.log(r)
+    alpha, scale = np.empty((len(answers), 2)), np.empty(len(answers))
+    raw0, raw1 = math.log1p(-l0), math.log(l0)
+    for t, answer in enumerate(answers):
+        raw0, raw1 = raw0 + emit[0][answer], raw1 + emit[1][answer]
+        scale[t] = np.logaddexp(raw0, raw1)
+        alpha[t] = raw0 - scale[t], raw1 - scale[t]
+        raw0, raw1 = alpha[t, 0] + stay, np.logaddexp(alpha[t, 0] + learn, alpha[t, 1])
+    beta = np.zeros((len(answers), 2))
+    for t in range(len(answers) - 1, 0, -1):
+        next0, next1 = emit[0][answers[t]] + beta[t, 0], emit[1][answers[t]] + beta[t, 1]
+        beta[t - 1] = np.logaddexp(stay + next0, learn + next1), next1
+        beta[t - 1] -= scale[t]
+    with np.errstate(over="ignore"):
+        beta = np.exp(beta)
+    return ForwardBackward(np.exp(alpha), beta, np.exp(scale), float(scale.sum()))
+
+
+def objective_hessian_diag(stats: SufficientStats, theta: ParamSet) -> np.ndarray:
+    """The M-step objective's diagonal second derivatives -a/p^2 - b/(1-p)^2;
+    cross terms are zero."""
+
+    ab = (stats.prior, stats.guess, stats.slip, stats.transit)
+    return np.array(
+        [-a / (p * p) - b / ((1.0 - p) * (1.0 - p)) for (a, b), p in zip(ab, theta.astuple())]
+    )

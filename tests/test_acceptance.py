@@ -19,12 +19,8 @@ from bktfit import (
     AttemptSequence,
     ExperimentConfig,
     FitOptions,
-    enumerate_em_objective,
-    enumerate_likelihood,
-    enumerate_posteriors,
     fit_constrained,
     fixed_point,
-    forward_backward,
     interior_point_m_step,
     kkt_residual,
     posteriors,
@@ -37,11 +33,17 @@ from bktfit.core import PARAM_NAMES, ParamSet
 from bktfit.interior_point import (
     constraint_value,
     objective_gradient,
-    objective_hessian_diag,
     objective_value,
 )
 from bktfit.fitting import ALGORITHM_BAUM_WELCH, ALGORITHM_CONSTRAINED
 from conftest import TRUE_THETA, random_attempts, random_theta, random_valid_theta
+from reference import (
+    enumerate_em_objective,
+    enumerate_likelihood,
+    enumerate_posteriors,
+    forward_backward,
+    objective_hessian_diag,
+)
 
 
 def _jobs() -> int:

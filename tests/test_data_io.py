@@ -84,6 +84,26 @@ def test_hidden_path_bytes_must_be_monotone(tmp_path):
         assert not destination.exists()
 
 
+@pytest.mark.parametrize("edge", [-2, -1, 0, 3])
+def test_hidden_path_falls_are_found_across_check_blocks(tmp_path, edge):
+    # Learners of 7 answers over four blocks of states; the first block edge
+    # falls inside learner 2,340 (16,384 = 7 * 2,340 + 4).
+    dataset, destination = Dataset([[1] * 7] * 8_000), tmp_path / "truth.csv"
+    states = np.ones(56_000, np.uint8)
+    fell = data._WRITE_ROWS + edge  # the state at fell + 1 falls to 0
+    states[fell + 1] = 0
+    with pytest.raises(ValueError, match=f"learner {fell // 7} loses proficiency"):
+        write_ground_truth(dataset, states, destination)
+    # A bad value in a later block is reported before the fall.
+    states[-1] = 2
+    with pytest.raises(ValueError, match="state entries must be 0/1 or boolean, got 2$"):
+        write_ground_truth(dataset, states, destination)
+    assert not destination.exists()
+    # A learner may start below the last one's end, here at the block edge.
+    dataset = Dataset([[1] * data._WRITE_ROWS, [1] * 5])
+    write_ground_truth(dataset, np.repeat(np.uint8([1, 0]), [data._WRITE_ROWS, 5]), destination)
+
+
 def test_hidden_path_needs_a_state(tmp_path):
     with pytest.raises(ValueError, match="need one hidden state per answer, 1, got 0"):
         write_ground_truth([[1]], np.array([], np.uint8), tmp_path / "truth.csv")
@@ -156,7 +176,8 @@ def test_dataset_encodes_answers_once_time_major(monkeypatch):
         [[1, 2, 0], [1, 1, 0], [0, 0, 0]],
         [[1, 0, 1], [0, 0, 0], [0, 0, 0]],
     ]
-    assert first.last.tolist() == [6, 7] and second.last.tolist() == [6, 7, 5]
+    # A chunk without padding holds its tau = L cells as the slice of its last row.
+    assert first.last == slice(6, None) and second.last.tolist() == [6, 7, 5]
     # C_L and L - C_L of every column, the first chunk's columns first.
     assert right.tolist() == [2.0, 2.0] + [1.0, 0.0, 1.0]
     assert wrong.tolist() == [1.0, 1.0] + [1.0, 2.0, 0.0]
@@ -195,13 +216,16 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
         assert planes <= 4 * (steps + 1) * count * plane_type.itemsize
         own = slice(offset, offset + count)  # the chunk's columns of the layout
         offset += count
-        vectors = (chunk.learners, chunk.last, right[own], wrong[own])
+        # The tau = L cells: a slice of the last row exactly where no column has padding.
+        assert isinstance(chunk.last, slice) == (not chunk.runs)
+        last = np.arange(chunk.counts[0].size)[chunk.last]
+        vectors = (chunk.learners, last, right[own], wrong[own])
         assert all(vector.shape == (count,) for vector in vectors)
         assert chunk.tau.tolist() == list(range(steps + 1))
         tau = np.arange(steps + 1)
         for column, learner in enumerate(chunk.learners.tolist()):
             seq, length = answers[learner], len(answers[learner])
-            assert chunk.last[column] == length * count + column
+            assert last[column] == length * count + column
             # Counted from the back of the answers; past L every plane stays as at L,
             # except the two "from tau on" planes, which are 0.
             right_from = np.append(np.cumsum(seq[::-1])[::-1], 0)
@@ -215,7 +239,7 @@ def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
             )
             for plane, expected in zip(chunk.counts[:, :, column], want):
                 assert np.array_equal(plane, expected)
-            assert chunk.counts[0].reshape(-1)[chunk.last[column]] == seq.sum()
+            assert chunk.counts[0].reshape(-1)[last[column]] == seq.sum()
             assert (right[own][column], wrong[own][column]) == (seq.sum(), length - seq.sum())
         padding = tau[:, None] > np.array([len(answers[i]) for i in chunk.learners.tolist()])
         for row, start, stop in chunk.runs:
@@ -848,3 +872,23 @@ def test_write_dataset_memory_stays_within_a_constant_of_one_block(tmp_path):
         peaks.append(peak)
     assert peaks[1] <= 1.1 * peaks[0], peaks
     assert peaks[0] <= 100 * data._WRITE_ROWS + 2**20, peaks
+
+
+def test_ground_truth_memory_stays_within_a_constant_of_the_dataset_writer(tmp_path):
+    # The states are checked a block at a time: at 1.6M rows the truth
+    # writer peaks near write_dataset, not at full-length temporaries.
+    dataset, states = simulate_dataset_with_paths(TRUE_THETA, 80_000, 20, 0)
+    writes = (
+        lambda path: write_dataset(dataset, path),
+        lambda path: write_ground_truth(dataset, states, path),
+    )
+    peaks = []
+    for write in writes:
+        tracemalloc.start()
+        try:
+            write(tmp_path / "out.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0], peaks

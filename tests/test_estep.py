@@ -14,9 +14,6 @@ from bktfit import (
     AttemptSequence,
     Dataset,
     ParamSet,
-    enumerate_likelihood,
-    enumerate_posteriors,
-    forward_backward,
     log_likelihood,
     posteriors,
     simulate_dataset,
@@ -24,6 +21,7 @@ from bktfit import (
 )
 from bktfit import data, estep
 from conftest import TRUE_THETA, random_attempts, random_theta
+from reference import enumerate_likelihood, enumerate_posteriors, forward_backward
 
 
 def test_forward_backward_matches_oracle_likelihood():

@@ -20,7 +20,6 @@ from bktfit import (
     FitOptions,
     NewtonConvergenceError,
     ParamSet,
-    enumerate_em_objective,
     fit_baum_welch,
     fit_constrained,
     interior_point_m_step,
@@ -41,7 +40,6 @@ from bktfit.interior_point import (
     _objective,
     constraint_value,
     objective_gradient,
-    objective_hessian_diag,
     objective_value,
     solve_barrier_subproblem,
 )
@@ -53,6 +51,7 @@ from conftest import (
     random_theta,
     random_valid_theta,
 )
+from reference import enumerate_em_objective, objective_hessian_diag
 
 
 def _random_stats(rng, learners=25, steps=7):

@@ -13,16 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from bktfit import (
-    AttemptSequence,
-    ParamSet,
+from bktfit import AttemptSequence, ParamSet
+from conftest import TRUE_THETA, random_theta
+from reference import (
+    MAX_ENUMERATION_LENGTH,
+    SequenceTooLongError,
     enumerate_em_objective,
     enumerate_likelihood,
     enumerate_paths,
     enumerate_posteriors,
+    monotone_paths,
 )
-from bktfit.oracle import MAX_ENUMERATION_LENGTH, SequenceTooLongError, monotone_paths
-from conftest import TRUE_THETA, random_theta
 
 
 def test_monotone_paths_count_and_shape():

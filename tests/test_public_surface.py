@@ -77,3 +77,9 @@ def test_library_use_example_runs(capsys):
     # The constrained fit prints its estimate, a satisfied verdict and its margin.
     printed = capsys.readouterr().out.split()
     assert printed[-2] == "True" and float(printed[-1]) > 0
+
+
+def test_library_use_names_every_module_the_package_ships():
+    spans = _backticked("".join(_library_use().split("```")[0::2]))
+    listed = {match[1] for span in spans if (match := re.fullmatch(r"bktfit\.(\w+)", span))}
+    assert listed == {module.name for module in pkgutil.iter_modules(bktfit.__path__)}
