@@ -205,6 +205,13 @@ def _margin(l0: float, g: float, s: float, r: float) -> float:
     return (1.0 - s - g) * l0 - (1.0 - g) * r
 
 
+def _fixed_point(g: float, s: float, r: float) -> float | None:
+    """p_star = (1-g)r / (1-s-g), or None when s + g >= 1 (or either is NaN)."""
+
+    headroom = 1.0 - s - g
+    return (1.0 - g) * r / headroom if headroom > 0.0 else None
+
+
 def validate_values(l0: float, g: float, s: float, r: float) -> ConstraintReport:
     """Build a ConstraintReport from raw floats.
 
@@ -215,15 +222,10 @@ def validate_values(l0: float, g: float, s: float, r: float) -> ConstraintReport
     guess_in_range = _in_open_unit_interval(g)
     slip_in_range = _in_open_unit_interval(s)
     transit_in_range = _in_open_unit_interval(r)
-    headroom = 1.0 - s - g
-    proficient_advantage = headroom >= 0.0
+    proficient_advantage = 1.0 - s - g >= 0.0
     margin = _margin(l0, g, s, r)
-    if headroom > 0.0:
-        p_star: float | None = (1.0 - g) * r / headroom
-        prior_above_fixed_point = p_star < l0
-    else:
-        p_star = None
-        prior_above_fixed_point = False
+    p_star = _fixed_point(g, s, r)
+    prior_above_fixed_point = p_star is not None and p_star < l0
     prior_below_one = l0 < 1.0
     satisfied = (
         guess_in_range
@@ -258,12 +260,9 @@ def fixed_point(theta: ParamSet) -> float:
     p_star = (1-g)r / (1-s-g). Defined only when s + g < 1.
     """
 
-    headroom = 1.0 - theta.s - theta.g
-    if headroom <= 0.0:
-        raise UndefinedFixedPointError(
-            f"fixed point undefined: s + g = {theta.s + theta.g} >= 1"
-        )
-    return (1.0 - theta.g) * theta.r / headroom
+    if (p_star := _fixed_point(theta.g, theta.s, theta.r)) is None:
+        raise UndefinedFixedPointError(f"fixed point undefined: s + g = {theta.s + theta.g} >= 1")
+    return p_star
 
 
 def trace_sequence(theta: ParamSet, observations: Iterable[object]) -> list[float]:

@@ -42,28 +42,17 @@ of one 0 or 1 per step: iterating or indexing a dataset cuts its answers'
 bytes into sequences, each checked in one pass, and a dataset built from
 sequences joins their bytes. The ground-truth writer takes the hidden
 states as one array in the same order, as the simulator returns them, and
-checks it a block of _WRITE_ROWS at a time. The first E-step that reads a
-dataset builds its layout (Dataset._layout) and keeps it for every later
-E-step of every fit: each distinct answer sequence once, as the column of the
-first learner who gave it (one sort of the learners' packed answers finds
-them), those learners sorted by descending length into chunks, each chunk
-with the E-step's four count planes, a row per switch time and a column per
-sequence, in the smallest unsigned type that holds the chunk's longest
-length; each learner's slot, the column of its sequence; and, for the
-E-step's tail over every column at once, each column's correct and wrong
-answer counts as floats, and the size of the workspace its chunks share.
-So the planes take memory per distinct sequence, not per learner.
+checks it a block of _WRITE_ROWS at a time. A dataset's _layout is None
+until the first E-step that reads it keeps its own layout there (see estep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AttemptSequence",
@@ -76,19 +65,6 @@ __all__ = [
 
 _DATASET_HEADER = "learner_id,step,correct"
 _TRUTH_HEADER = _DATASET_HEADER + ",proficient"
-
-# A chunk takes _CHUNK_CELLS // T distinct sequences (at least one, then held
-# twice), T the longest of them; it keeps four count planes of T + 1 rows, and an
-# E-step one workspace of two float planes of T + 1 rows, which reads the count
-# planes in place.
-_CHUNK_CELLS = 1 << 15
-
-# The layout sorts learners by keys of up to _SORT_ANSWERS answers each, as
-# low bits, then an end bit: with n answers left, cut to _SORT_ANSWERS + 1
-# (which stands for more), a key is the packed bits & _SORT_BITS[n] | _SORT_END[n].
-_SORT_ANSWERS = 56
-_SORT_BITS = np.array([(1 << min(n, _SORT_ANSWERS)) - 1 for n in range(58)], dtype=np.uint64)
-_SORT_END = np.array([1 << n for n in range(58)], dtype=np.uint64)
 
 # A block's temporaries are about 16 times its size (see the module docstring).
 _BLOCK_BYTES = 1 << 16
@@ -149,42 +125,6 @@ class AttemptSequence:
         return iter(self.attempts)
 
 
-class _Chunk(NamedTuple):
-    """What every E-step reads of some distinct answer sequences, all of it
-    independent of theta.
-
-    Planes have a row per switch time tau = 0..T, T the first sequence's
-    length, and a column per sequence, held by the first learner who gave
-    it; a column's rows past its length L are padding. A chunk of one
-    sequence holds it in both of two columns.
-    """
-
-    learners: np.ndarray  # each column's first learner, in stable descending-length order
-    # (4, T + 1, n) exact counts of path tau in np.min_scalar_type(T): the correct
-    # answers before tau (C_tau), the wrong ones before tau (tau - C_tau), the
-    # wrong ones from tau on and the correct ones from tau on (C_L - C_tau).
-    counts: np.ndarray
-    last: np.ndarray | slice  # the tau = L cells, flat; with no padding, the last row's slice
-    runs: tuple[tuple[int, int, int], ...]  # (row, start, stop): padding from row on
-    tau: np.ndarray  # 0..T, as floats
-
-
-class _Layout(NamedTuple):
-    """A dataset as the E-step reads it: its distinct answer sequences in chunks,
-    where to find each learner's, what the E-step's tail reads of every column
-    at once, and the size of the one workspace the chunks share.
-
-    Columns are counted through the chunks in order, so column j of the
-    E-step's (9, columns) table and right[j] and wrong[j] are one sequence's.
-    """
-
-    chunks: tuple[_Chunk, ...]
-    slot: np.ndarray  # each learner's column of its answer sequence
-    right: np.ndarray  # each column's C_L, as floats
-    wrong: np.ndarray  # each column's L - C_L, as floats
-    workspace: int  # two planes of the largest chunk, in floats
-
-
 class Dataset:
     """One attempt sequence per learner; lengths may differ.
 
@@ -212,6 +152,7 @@ class Dataset:
         self._answers = answers
         self._lengths = lengths
         self._bounds = np.concatenate(([0], np.cumsum(lengths)))
+        self._layout: object = None  # the E-step's, stored on its first read
 
     def __len__(self) -> int:
         return len(self._lengths)
@@ -234,95 +175,6 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset({list(self)!r})"
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        """Each distinct answer sequence once, as the column of its first learner:
-        those learners in stable descending-length order, cut into chunks of
-        _CHUNK_CELLS // T of them; built on first use and kept."""
-
-        lengths, longest = self._lengths, int(self._lengths.max())
-        # windows[i, :n] is the n answers from flat index i on, zeros past the end.
-        padded = np.append(self._answers, np.zeros(longest, dtype=np.uint8))
-        windows = sliding_window_view(padded, longest)
-        order = np.argsort(-lengths, kind="stable")
-        first = self._first_learners()
-        distinct = order[first[order] == order]
-        chunks, start = [], 0
-        while start < len(distinct):
-            learners = distinct[start : start + max(1, _CHUNK_CELLS // lengths[distinct[start]])]
-            start += len(learners)
-            chunks.append(self._chunk(learners, windows))
-        columns = np.concatenate([chunk.learners for chunk in chunks])
-        column = np.empty(len(self), dtype=np.int64)
-        column[columns] = np.arange(len(columns))
-        right = np.concatenate([chunk.counts[0].reshape(-1)[chunk.last] for chunk in chunks])
-        right = right.astype(float)
-        workspace = 2 * max(chunk.counts[0].size for chunk in chunks)
-        return _Layout(tuple(chunks), column[first], right, lengths[columns] - right, workspace)
-
-    def _first_learners(self) -> np.ndarray:
-        """Each learner's first learner with the same answers.
-
-        A learner's key is its first 56 answers as bits of an integer, with
-        one more bit set just past its last answer, or past the 56 if it has
-        more. One sort of the keys puts learners with equal answers and
-        lengths together; the smallest index of each run of equal keys is
-        their first learner. Learners longer than 56 are sorted again by that
-        first learner and the key of their next 56 answers, and so on.
-        """
-
-        lengths = self._lengths
-        bits = np.append(np.packbits(self._answers, bitorder="little"), np.zeros(8, np.uint8))
-        # words[i]: the 64 bits from byte i of the packed answers on.
-        words = np.ndarray(len(bits) - 7, "<u8", bits, 0, (1,))
-        # Each learner's first learner so far; the first sort needs no such key.
-        first, rows = np.zeros(len(self), dtype=np.int64), np.arange(len(self))
-        for offset in range(0, int(lengths.max()), _SORT_ANSWERS):
-            rows = rows[lengths[rows] > offset]  # in dataset order
-            at = (self._bounds[rows] + offset).astype(np.uint64)
-            left = np.minimum(lengths[rows] - offset, _SORT_ANSWERS + 1)
-            keys = words[at >> np.uint64(3)] >> (at & np.uint64(7)) & _SORT_BITS[left] | _SORT_END[left]
-            sort = np.lexsort((keys, first[rows])) if offset else np.argsort(keys)
-            keys, classes, learners = keys[sort], first[rows][sort], rows[sort]
-            new = np.empty(len(rows), dtype=bool)
-            new[0] = True
-            new[1:] = (keys[1:] != keys[:-1]) | (classes[1:] != classes[:-1])
-            first[learners] = np.minimum.reduceat(learners, np.flatnonzero(new))[np.cumsum(new) - 1]
-        return first
-
-    def _chunk(self, learners: np.ndarray, windows: np.ndarray) -> _Chunk:
-        """The chunk of these learners, the longest first. A lone learner is held
-        twice: numpy sums a single column over tau in another order."""
-
-        if len(learners) == 1:
-            learners = learners.repeat(2)
-        lengths, count = self._lengths[learners], len(learners)
-        steps = int(lengths[0])
-        starts = (np.flatnonzero(lengths[1:] < lengths[:-1]) + 1).tolist()
-        runs = tuple(  # learners of one length are a run of columns
-            (int(lengths[lo]) + 1, lo, hi)
-            for lo, hi in zip([0] + starts, starts + [count])
-            if lengths[lo] < steps
-        )
-        answers = windows[self._bounds[learners], :steps].T
-        for row, start, stop in runs:
-            answers[row - 1 :, start:stop] = 0  # the next learners' answers
-        dtype = np.min_scalar_type(steps)
-        counts = np.empty((4, steps + 1, count), dtype=dtype)
-        correct, wrong_before, wrong_after, right_after = counts
-        correct[0] = 0
-        np.cumsum(answers, axis=0, dtype=dtype, out=correct[1:])
-        np.subtract(np.arange(steps + 1, dtype=dtype)[:, None], correct, out=wrong_before)
-        last = lengths * count + np.arange(count) if runs else slice(steps * count, None)
-        right = correct.reshape(-1)[last]
-        wrong = (lengths - right).astype(dtype)
-        np.subtract(right, correct, out=right_after)
-        # Wrong from tau on is wrong minus wrong before tau; past L, tau - C
-        # exceeds wrong, so the minimum makes the plane 0 there.
-        np.minimum(wrong_before, wrong, out=wrong_after)
-        np.subtract(wrong, wrong_after, out=wrong_after)
-        return _Chunk(learners, counts, last, runs, np.arange(steps + 1.0))
 
 
 def as_dataset(data: Dataset | Iterable[object]) -> Dataset:

@@ -149,191 +149,6 @@ def test_dataset_rejects_empty():
         Dataset(())
 
 
-def test_dataset_encodes_answers_once_time_major(monkeypatch):
-    monkeypatch.setattr(data, "_CHUNK_CELLS", 6)
-    answers = ((1, 0), (0, 1, 1), (1,), (1, 1, 0), (0, 0))
-    dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
-    assert "_layout" not in vars(dataset)
-    chunks, slot, right, wrong, workspace = dataset._layout
-    assert chunks is dataset._layout.chunks
-    # Stable descending length: the two length-3 and the two length-2
-    # learners keep their dataset order. Six cells take two learners of
-    # length 3, then three of length 2 or less.
-    assert [chunk.learners.tolist() for chunk in chunks] == [[1, 3], [0, 4, 2]]
-    first, second = chunks
-    assert first.counts.dtype == second.counts.dtype == np.uint8
-    # Planes by switch time tau: C, tau - C, wrong from tau on, right from tau on.
-    assert first.counts.tolist() == [
-        [[0, 0], [0, 1], [1, 2], [2, 2]],
-        [[0, 0], [1, 0], [1, 0], [1, 1]],
-        [[1, 1], [0, 1], [0, 1], [0, 0]],
-        [[2, 2], [2, 1], [1, 0], [0, 0]],
-    ]
-    # Learner 2 has one answer: its tau = 2 row is padding, 0 in the last two planes.
-    assert second.counts.tolist() == [
-        [[0, 0, 0], [1, 0, 1], [1, 0, 1]],
-        [[0, 0, 0], [0, 1, 0], [1, 2, 1]],
-        [[1, 2, 0], [1, 1, 0], [0, 0, 0]],
-        [[1, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ]
-    # A chunk without padding holds its tau = L cells as the slice of its last row.
-    assert first.last == slice(6, None) and second.last.tolist() == [6, 7, 5]
-    # C_L and L - C_L of every column, the first chunk's columns first.
-    assert right.tolist() == [2.0, 2.0] + [1.0, 0.0, 1.0]
-    assert wrong.tolist() == [1.0, 1.0] + [1.0, 2.0, 0.0]
-    assert right.dtype == wrong.dtype == float
-    assert workspace == 2 * 3 * 3  # two planes of the larger chunk, 3 x 3 against 4 x 2
-    assert first.runs == () and second.runs == ((2, 2, 3),)
-    assert first.tau.tolist() == [0.0, 1.0, 2.0, 3.0] and second.tau.tolist() == [0.0, 1.0, 2.0]
-    # The five answer sequences differ: each learner has a column of its own.
-    assert slot.tolist() == [2, 0, 4, 1, 3]
-
-
-@pytest.mark.parametrize(
-    "longest, dtype", [(None, np.uint8), (300, np.uint16), (70_000, np.uint32)]
-)
-def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
-    rng = np.random.default_rng(21)
-    lengths = [1] * 5 + rng.integers(1, 31, 95).tolist() + ([longest] if longest else [])
-    answers = [rng.integers(0, 2, n) for n in rng.permutation(lengths)]
-    dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
-    chunks, _, right, wrong, workspace = dataset._layout
-    assert chunks[0].counts.dtype == dtype
-    assert len(right) == len(wrong) == sum(len(chunk.learners) for chunk in chunks)
-    assert workspace == 2 * max(chunk.counts[0].size for chunk in chunks)
-    offset = 0
-    for chunk in chunks:
-        steps, count = len(chunk.tau) - 1, len(chunk.learners)
-        plane_type = chunk.counts.dtype
-        # The smallest unsigned type that holds T.
-        assert plane_type == np.min_scalar_type(steps) and plane_type.kind == "u"
-        assert np.iinfo(plane_type).max >= steps
-        assert plane_type == np.uint8 or np.iinfo(f"u{plane_type.itemsize // 2}").max < steps
-        assert chunk.counts.shape == (4, steps + 1, count)
-        # The count planes are all the chunk keeps per cell: no answer or float plane.
-        arrays = [field for field in chunk if isinstance(field, np.ndarray)]
-        planes = sum(array.nbytes for array in arrays if array.ndim > 1)
-        assert planes <= 4 * (steps + 1) * count * plane_type.itemsize
-        own = slice(offset, offset + count)  # the chunk's columns of the layout
-        offset += count
-        # The tau = L cells: a slice of the last row exactly where no column has padding.
-        assert isinstance(chunk.last, slice) == (not chunk.runs)
-        last = np.arange(chunk.counts[0].size)[chunk.last]
-        vectors = (chunk.learners, last, right[own], wrong[own])
-        assert all(vector.shape == (count,) for vector in vectors)
-        assert chunk.tau.tolist() == list(range(steps + 1))
-        tau = np.arange(steps + 1)
-        for column, learner in enumerate(chunk.learners.tolist()):
-            seq, length = answers[learner], len(answers[learner])
-            assert last[column] == length * count + column
-            # Counted from the back of the answers; past L every plane stays as at L,
-            # except the two "from tau on" planes, which are 0.
-            right_from = np.append(np.cumsum(seq[::-1])[::-1], 0)
-            wrong_from = np.append(np.cumsum(1 - seq[::-1])[::-1], 0)
-            before = np.pad(seq.sum() - right_from, (0, steps - length), mode="edge")
-            want = (
-                before,
-                tau - before,
-                np.pad(wrong_from, (0, steps - length)),
-                np.pad(right_from, (0, steps - length)),
-            )
-            for plane, expected in zip(chunk.counts[:, :, column], want):
-                assert np.array_equal(plane, expected)
-            assert chunk.counts[0].reshape(-1)[last[column]] == seq.sum()
-            assert (right[own][column], wrong[own][column]) == (seq.sum(), length - seq.sum())
-        padding = tau[:, None] > np.array([len(answers[i]) for i in chunk.learners.tolist()])
-        for row, start, stop in chunk.runs:
-            assert padding[row:, start:stop].all() and not padding[row - 1, start:stop].any()
-        assert sum(stop - start for _, start, stop in chunk.runs) == np.count_nonzero(
-            padding.any(axis=0)
-        )
-
-
-def test_dataset_chunks_keep_dataset_order_among_equal_lengths():
-    # 200 learners of lengths 1-4: at most 30 distinct answer sequences, each
-    # held by the first learner that gave it.
-    rng = np.random.default_rng(3)
-    lengths = rng.integers(1, 5, 200).tolist()
-    answers = [tuple(rng.integers(0, 2, n).tolist()) for n in lengths]
-    dataset = Dataset(answers)
-    order = np.concatenate([chunk.learners for chunk in dataset._layout.chunks]).tolist()
-    firsts = [i for i in range(200) if answers[i] not in answers[:i]]
-    assert order == sorted(firsts, key=lambda i: (-lengths[i], i))
-    assert 16 < len(order) <= 30
-
-
-@pytest.mark.parametrize("cells", [40, 300, data._CHUNK_CELLS])
-def test_layout_holds_each_distinct_answer_sequence_once(monkeypatch, cells):
-    monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
-    rng = np.random.default_rng(23)
-    pool = [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 40)]
-    answers = [pool[i] for i in rng.integers(0, 40, 300)]
-    answers += [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 30)]
-    dataset = Dataset(answers)
-    chunks, slot, *_ = dataset._layout
-    columns = np.concatenate([chunk.learners for chunk in chunks])
-    held = [answers[i] for i in columns.tolist()]
-    # Each distinct sequence is held once, save a chunk's lone sequence, held twice.
-    twice = [chunk.learners.tolist() for chunk in chunks if len(set(chunk.learners.tolist())) == 1]
-    assert all(len(learners) == 2 for learners in twice)
-    assert len(held) == len(set(answers)) + len(twice) and set(held) == set(answers)
-    # Every learner's slot is a column with its answers.
-    for learner, column in enumerate(np.arange(len(answers))[slot].tolist()):
-        assert held[column] == answers[learner]
-    # The columns are each sequence's first learner, in stable descending-length order.
-    firsts = [i for i in range(len(answers)) if answers[i] not in answers[:i]]
-    distinct = list(dict.fromkeys(columns.tolist()))
-    assert distinct == sorted(firsts, key=lambda i: (-len(answers[i]), i))
-    assert len(chunks) > 1 or cells == data._CHUNK_CELLS
-
-
-def test_layout_slot_is_the_identity_where_no_learner_moves():
-    chunks, slot, *_ = Dataset([(0, 1), (1, 0), (1, 1), (0, 0)])._layout
-    assert slot.tolist() == [0, 1, 2, 3] and chunks[0].learners.tolist() == [0, 1, 2, 3]
-    # Sorting by length moves learners, and so does a repeated sequence.
-    assert Dataset([(0,), (1, 0)])._layout.slot.tolist() == [1, 0]
-    assert Dataset([(1, 0), (0, 1), (1, 0)])._layout.slot.tolist() == [0, 1, 0]
-    # One sequence alone in a chunk is held twice, in two columns.
-    (chunk,), slot, *_ = Dataset([(1, 0, 1)] * 3)._layout
-    assert chunk.learners.tolist() == [0, 0] and chunk.counts.shape == (4, 4, 2)
-    assert slot.tolist() in ([0, 0, 0], [1, 1, 1])
-
-
-def _reference_first_learners(dataset: Dataset) -> np.ndarray:
-    """Each learner's first learner with the same answers, by a dict of tuples."""
-
-    firsts: dict[tuple[int, ...], int] = {}
-    return np.array([firsts.setdefault(tuple(seq), i) for i, seq in enumerate(dataset)])
-
-
-def _layouts_equal(got, want) -> bool:
-    if isinstance(got, np.ndarray):
-        return isinstance(want, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
-    if isinstance(got, tuple):
-        return len(got) == len(want) and all(map(_layouts_equal, got, want))
-    return got == want
-
-
-@pytest.mark.parametrize("lengths", [1, 30, 300])
-def test_layout_groups_answers_as_the_reference_does(monkeypatch, lengths):
-    # Learners share a pool of sequences, so every length has repeats, and
-    # lengths past 56 answers take more than one sort key.
-    rng = np.random.default_rng(lengths)
-    sizes = rng.permutation(np.arange(1, lengths + 1) * (1 if lengths > 1 else 70))
-    pool = [rng.integers(0, 2, n) for n in sizes.tolist() for _ in range(3)]
-    pool += [np.concatenate((seq[:-1], 1 - seq[-1:])) for seq in pool[::3]]  # last answer differs
-    answers = [pool[i] for i in rng.integers(0, len(pool), 4 * len(pool))]
-    dataset = Dataset(tuple(AttemptSequence(a.tolist()) for a in answers))
-    first = _reference_first_learners(dataset)
-    assert np.array_equal(dataset._first_learners(), first)
-    assert len(set(first.tolist())) < len(dataset)
-    got = dataset._layout
-    monkeypatch.setattr(Dataset, "_first_learners", lambda self: first)
-    want = Dataset(tuple(AttemptSequence(a.tolist()) for a in answers))._layout
-    for field in ("chunks", "slot", "right", "wrong", "workspace"):
-        assert _layouts_equal(getattr(got, field), getattr(want, field)), field
-
-
 def test_dataset_round_trip(tmp_path):
     dataset = _toy_dataset()
     path = tmp_path / "data.csv"

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import decimal
 import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +87,7 @@ def test_posteriors_build_the_chunk_of_their_one_sequence_directly(monkeypatch):
         seq = AttemptSequence(random_attempts(rng, length))
         got = posteriors(theta, seq)
         (chunk,) = read  # one kernel call, on one chunk
-        (want,) = Dataset((seq,))._layout.chunks
+        (want,) = estep._layout_of(Dataset((seq,))).chunks
         for field, expected in zip(chunk, want):
             assert np.asarray(field).dtype == np.asarray(expected).dtype
             assert np.array_equal(field, expected)
@@ -164,6 +166,204 @@ def test_stats_pairs_layout():
     np.testing.assert_allclose(pairs[3], stats.transit)
 
 
+def test_the_layout_is_the_estep_modules_own():
+    # data stores and reads answers; how the E-step lays them out is estep's alone.
+    for name in ("_Chunk", "_Layout", "_CHUNK_CELLS", "_chunk", "_first_learners"):
+        assert not hasattr(data, name) and not hasattr(data.Dataset, name), name
+    tree = ast.parse(Path(estep.__file__).read_text(encoding="utf-8"))
+    (names,) = [
+        [alias.name for alias in node.names]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "data"
+    ]
+    assert names and not [name for name in names if name.startswith("_")], names
+
+
+def test_dataset_encodes_answers_once_time_major(monkeypatch):
+    monkeypatch.setattr(estep, "_CHUNK_CELLS", 6)
+    answers = ((1, 0), (0, 1, 1), (1,), (1, 1, 0), (0, 0))
+    dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
+    assert dataset._layout is None
+    chunks, slot, right, wrong, workspace = estep._layout_of(dataset)
+    assert chunks is estep._layout_of(dataset).chunks
+    # Stable descending length: the two length-3 and the two length-2
+    # learners keep their dataset order. Six cells take two learners of
+    # length 3, then three of length 2 or less.
+    assert [chunk.learners.tolist() for chunk in chunks] == [[1, 3], [0, 4, 2]]
+    first, second = chunks
+    assert first.counts.dtype == second.counts.dtype == np.uint8
+    # Planes by switch time tau: C, tau - C, wrong from tau on, right from tau on.
+    assert first.counts.tolist() == [
+        [[0, 0], [0, 1], [1, 2], [2, 2]],
+        [[0, 0], [1, 0], [1, 0], [1, 1]],
+        [[1, 1], [0, 1], [0, 1], [0, 0]],
+        [[2, 2], [2, 1], [1, 0], [0, 0]],
+    ]
+    # Learner 2 has one answer: its tau = 2 row is padding, 0 in the last two planes.
+    assert second.counts.tolist() == [
+        [[0, 0, 0], [1, 0, 1], [1, 0, 1]],
+        [[0, 0, 0], [0, 1, 0], [1, 2, 1]],
+        [[1, 2, 0], [1, 1, 0], [0, 0, 0]],
+        [[1, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ]
+    # A chunk without padding holds its tau = L cells as the slice of its last row.
+    assert first.last == slice(6, None) and second.last.tolist() == [6, 7, 5]
+    # C_L and L - C_L of every column, the first chunk's columns first.
+    assert right.tolist() == [2.0, 2.0] + [1.0, 0.0, 1.0]
+    assert wrong.tolist() == [1.0, 1.0] + [1.0, 2.0, 0.0]
+    assert right.dtype == wrong.dtype == float
+    assert workspace == 2 * 3 * 3  # two planes of the larger chunk, 3 x 3 against 4 x 2
+    assert first.runs == () and second.runs == ((2, 2, 3),)
+    assert first.tau.tolist() == [0.0, 1.0, 2.0, 3.0] and second.tau.tolist() == [0.0, 1.0, 2.0]
+    # The five answer sequences differ: each learner has a column of its own.
+    assert slot.tolist() == [2, 0, 4, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "longest, dtype", [(None, np.uint8), (300, np.uint16), (70_000, np.uint32)]
+)
+def test_chunk_count_planes_match_counts_from_the_answers(longest, dtype):
+    rng = np.random.default_rng(21)
+    lengths = [1] * 5 + rng.integers(1, 31, 95).tolist() + ([longest] if longest else [])
+    answers = [rng.integers(0, 2, n) for n in rng.permutation(lengths)]
+    dataset = Dataset(tuple(AttemptSequence(a) for a in answers))
+    chunks, _, right, wrong, workspace = estep._layout_of(dataset)
+    assert chunks[0].counts.dtype == dtype
+    assert len(right) == len(wrong) == sum(len(chunk.learners) for chunk in chunks)
+    assert workspace == 2 * max(chunk.counts[0].size for chunk in chunks)
+    offset = 0
+    for chunk in chunks:
+        steps, count = len(chunk.tau) - 1, len(chunk.learners)
+        plane_type = chunk.counts.dtype
+        # The smallest unsigned type that holds T.
+        assert plane_type == np.min_scalar_type(steps) and plane_type.kind == "u"
+        assert np.iinfo(plane_type).max >= steps
+        assert plane_type == np.uint8 or np.iinfo(f"u{plane_type.itemsize // 2}").max < steps
+        assert chunk.counts.shape == (4, steps + 1, count)
+        # The count planes are all the chunk keeps per cell: no answer or float plane.
+        arrays = [field for field in chunk if isinstance(field, np.ndarray)]
+        planes = sum(array.nbytes for array in arrays if array.ndim > 1)
+        assert planes <= 4 * (steps + 1) * count * plane_type.itemsize
+        own = slice(offset, offset + count)  # the chunk's columns of the layout
+        offset += count
+        # The tau = L cells: a slice of the last row exactly where no column has padding.
+        assert isinstance(chunk.last, slice) == (not chunk.runs)
+        last = np.arange(chunk.counts[0].size)[chunk.last]
+        vectors = (chunk.learners, last, right[own], wrong[own])
+        assert all(vector.shape == (count,) for vector in vectors)
+        assert chunk.tau.tolist() == list(range(steps + 1))
+        tau = np.arange(steps + 1)
+        for column, learner in enumerate(chunk.learners.tolist()):
+            seq, length = answers[learner], len(answers[learner])
+            assert last[column] == length * count + column
+            # Counted from the back of the answers; past L every plane stays as at L,
+            # except the two "from tau on" planes, which are 0.
+            right_from = np.append(np.cumsum(seq[::-1])[::-1], 0)
+            wrong_from = np.append(np.cumsum(1 - seq[::-1])[::-1], 0)
+            before = np.pad(seq.sum() - right_from, (0, steps - length), mode="edge")
+            want = (
+                before,
+                tau - before,
+                np.pad(wrong_from, (0, steps - length)),
+                np.pad(right_from, (0, steps - length)),
+            )
+            for plane, expected in zip(chunk.counts[:, :, column], want):
+                assert np.array_equal(plane, expected)
+            assert chunk.counts[0].reshape(-1)[last[column]] == seq.sum()
+            assert (right[own][column], wrong[own][column]) == (seq.sum(), length - seq.sum())
+        padding = tau[:, None] > np.array([len(answers[i]) for i in chunk.learners.tolist()])
+        for row, start, stop in chunk.runs:
+            assert padding[row:, start:stop].all() and not padding[row - 1, start:stop].any()
+        assert sum(stop - start for _, start, stop in chunk.runs) == np.count_nonzero(
+            padding.any(axis=0)
+        )
+
+
+def test_dataset_chunks_keep_dataset_order_among_equal_lengths():
+    # 200 learners of lengths 1-4: at most 30 distinct answer sequences, each
+    # held by the first learner that gave it.
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 5, 200).tolist()
+    answers = [tuple(rng.integers(0, 2, n).tolist()) for n in lengths]
+    dataset = Dataset(answers)
+    order = np.concatenate([chunk.learners for chunk in estep._layout_of(dataset).chunks]).tolist()
+    firsts = [i for i in range(200) if answers[i] not in answers[:i]]
+    assert order == sorted(firsts, key=lambda i: (-lengths[i], i))
+    assert 16 < len(order) <= 30
+
+
+@pytest.mark.parametrize("cells", [40, 300, estep._CHUNK_CELLS])
+def test_layout_holds_each_distinct_answer_sequence_once(monkeypatch, cells):
+    monkeypatch.setattr(estep, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(23)
+    pool = [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 40)]
+    answers = [pool[i] for i in rng.integers(0, 40, 300)]
+    answers += [tuple(rng.integers(0, 2, n).tolist()) for n in rng.integers(1, 31, 30)]
+    dataset = Dataset(answers)
+    chunks, slot, *_ = estep._layout_of(dataset)
+    columns = np.concatenate([chunk.learners for chunk in chunks])
+    held = [answers[i] for i in columns.tolist()]
+    # Each distinct sequence is held once, save a chunk's lone sequence, held twice.
+    twice = [chunk.learners.tolist() for chunk in chunks if len(set(chunk.learners.tolist())) == 1]
+    assert all(len(learners) == 2 for learners in twice)
+    assert len(held) == len(set(answers)) + len(twice) and set(held) == set(answers)
+    # Every learner's slot is a column with its answers.
+    for learner, column in enumerate(np.arange(len(answers))[slot].tolist()):
+        assert held[column] == answers[learner]
+    # The columns are each sequence's first learner, in stable descending-length order.
+    firsts = [i for i in range(len(answers)) if answers[i] not in answers[:i]]
+    distinct = list(dict.fromkeys(columns.tolist()))
+    assert distinct == sorted(firsts, key=lambda i: (-len(answers[i]), i))
+    assert len(chunks) > 1 or cells == estep._CHUNK_CELLS
+
+
+def test_layout_slot_is_the_identity_where_no_learner_moves():
+    chunks, slot, *_ = estep._layout_of(Dataset([(0, 1), (1, 0), (1, 1), (0, 0)]))
+    assert slot.tolist() == [0, 1, 2, 3] and chunks[0].learners.tolist() == [0, 1, 2, 3]
+    # Sorting by length moves learners, and so does a repeated sequence.
+    assert estep._layout_of(Dataset([(0,), (1, 0)])).slot.tolist() == [1, 0]
+    assert estep._layout_of(Dataset([(1, 0), (0, 1), (1, 0)])).slot.tolist() == [0, 1, 0]
+    # One sequence alone in a chunk is held twice, in two columns.
+    (chunk,), slot, *_ = estep._layout_of(Dataset([(1, 0, 1)] * 3))
+    assert chunk.learners.tolist() == [0, 0] and chunk.counts.shape == (4, 4, 2)
+    assert slot.tolist() in ([0, 0, 0], [1, 1, 1])
+
+
+def _reference_first_learners(dataset: Dataset) -> np.ndarray:
+    """Each learner's first learner with the same answers, by a dict of tuples."""
+
+    firsts: dict[tuple[int, ...], int] = {}
+    return np.array([firsts.setdefault(tuple(seq), i) for i, seq in enumerate(dataset)])
+
+
+def _layouts_equal(got, want) -> bool:
+    if isinstance(got, np.ndarray):
+        return isinstance(want, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(got, tuple):
+        return len(got) == len(want) and all(map(_layouts_equal, got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("lengths", [1, 30, 300])
+def test_layout_groups_answers_as_the_reference_does(monkeypatch, lengths):
+    # Learners share a pool of sequences, so every length has repeats, and
+    # lengths past 56 answers take more than one sort key.
+    rng = np.random.default_rng(lengths)
+    sizes = rng.permutation(np.arange(1, lengths + 1) * (1 if lengths > 1 else 70))
+    pool = [rng.integers(0, 2, n) for n in sizes.tolist() for _ in range(3)]
+    pool += [np.concatenate((seq[:-1], 1 - seq[-1:])) for seq in pool[::3]]  # last answer differs
+    answers = [pool[i] for i in rng.integers(0, len(pool), 4 * len(pool))]
+    dataset = Dataset(tuple(AttemptSequence(a.tolist()) for a in answers))
+    first = _reference_first_learners(dataset)
+    assert np.array_equal(estep._first_learners(dataset), first)
+    assert len(set(first.tolist())) < len(dataset)
+    got = estep._layout_of(dataset)
+    monkeypatch.setattr(estep, "_first_learners", lambda dataset: first)
+    want = estep._layout_of(Dataset(tuple(AttemptSequence(a.tolist()) for a in answers)))
+    for field in ("chunks", "slot", "right", "wrong", "workspace"):
+        assert _layouts_equal(getattr(got, field), getattr(want, field)), field
+
+
 def _counts_row(seq, post, loglik):
     """One sequence's expected counts in (a, b) pair order, then its log-likelihood."""
 
@@ -200,12 +400,12 @@ def test_chunk_boundaries_leave_the_stats_unchanged(monkeypatch):
         for seq in sequences
     )
 
-    default = data._CHUNK_CELLS
+    default = estep._CHUNK_CELLS
     got, chunks = {}, {}
     for cells in (1, 3, 20, default):
-        monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(estep, "_CHUNK_CELLS", cells)
         dataset = Dataset(tuple(sequences))
-        chunks[cells] = len(dataset._layout.chunks)
+        chunks[cells] = len(estep._layout_of(dataset).chunks)
         got[cells] = _stats_row(sufficient_stats(theta, dataset))
         np.testing.assert_allclose(got[cells], oracle, rtol=1e-12)
     # A chunk holds each distinct sequence once: the six length-1 learners give two.
@@ -228,12 +428,12 @@ def test_stats_are_the_in_order_sum_of_each_learners_own_row():
     sequences.insert(137, AttemptSequence(random_attempts(rng, 300)))  # uint16 planes
     theta = random_theta(rng)
     dataset = Dataset(tuple(sequences))
-    assert len(dataset._layout.chunks[0].tau) == 301
+    assert len(estep._layout_of(dataset).chunks[0].tau) == 301
     weights = estep._log_weights(theta, np.arange(301.0))
     own = []
     for seq in sequences:
         # The learner's sequence in both columns of a chunk of its own.
-        own.append(estep._column_rows(weights, Dataset((seq, seq))._layout)[0])
+        own.append(estep._column_rows(weights, estep._layout_of(Dataset((seq, seq))))[0])
     assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), np.array(own).sum(axis=0))
 
 
@@ -255,7 +455,7 @@ def test_stats_are_a_left_fold_of_the_learners_rows_in_learner_order(monkeypatch
     distinct = Dataset([random_attempts(rng, 30) for _ in range(9000)])
     theta = random_theta(rng)
     for dataset in (shared, distinct):
-        layout = dataset._layout
+        layout = estep._layout_of(dataset)
         slot = np.arange(len(layout.right))[layout.slot].tolist()
         columns = estep._column_rows(estep._log_weights(theta, layout.chunks[0].tau), layout)
         want = _left_fold(columns[column].tolist() for column in slot)
@@ -275,8 +475,8 @@ def test_long_learner_among_length_one_learners_matches_per_sequence_loop():
     sequences = [AttemptSequence(random_attempts(rng, 1)) for _ in range(30)]
     sequences.insert(11, AttemptSequence(random_attempts(rng, 2000)))
     dataset = Dataset(tuple(sequences))
-    cells = [(len(chunk.tau) - 1) * len(chunk.learners) for chunk in dataset._layout.chunks]
-    assert max(cells) <= data._CHUNK_CELLS
+    cells = [(len(chunk.tau) - 1) * len(chunk.learners) for chunk in estep._layout_of(dataset).chunks]
+    assert max(cells) <= estep._CHUNK_CELLS
     stats = _stats_row(sufficient_stats(theta, dataset))
     assert np.all(np.isfinite(stats))
     looped = sum(
@@ -294,7 +494,7 @@ def test_count_planes_of_every_width_give_the_per_sequence_counts():
     lengths = rng.permutation([1] * 4 + rng.integers(1, 31, 36).tolist() + [300, 70_000])
     sequences = [AttemptSequence(random_attempts(rng, int(n))) for n in lengths]
     dataset = Dataset(tuple(sequences))
-    widths = [chunk.counts.dtype for chunk in dataset._layout.chunks]
+    widths = [chunk.counts.dtype for chunk in estep._layout_of(dataset).chunks]
     assert widths == [np.uint32, np.uint16]  # the short learners share the 300-step chunk
     stats = _stats_row(sufficient_stats(theta, dataset))
     looped = sum(
@@ -303,9 +503,9 @@ def test_count_planes_of_every_width_give_the_per_sequence_counts():
     )
     np.testing.assert_allclose(stats, looped, rtol=1e-12)
     # The kernel reads each plane as exact doubles, so the plane's width is invisible.
-    chunks = dataset._layout.chunks
+    chunks = estep._layout_of(dataset).chunks
     wide = tuple(chunk._replace(counts=chunk.counts.astype(float)) for chunk in chunks)
-    vars(dataset)["_layout"] = dataset._layout._replace(chunks=wide)
+    dataset._layout = estep._layout_of(dataset)._replace(chunks=wide)
     assert np.array_equal(_stats_row(sufficient_stats(theta, dataset)), stats)
 
 
@@ -335,7 +535,7 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
         for seq in sequences
     )
     default = _stats_row(sufficient_stats(theta, Dataset(tuple(sequences))))
-    assert len(Dataset(tuple(sequences))._layout.chunks) == 1
+    assert len(estep._layout_of(Dataset(tuple(sequences))).chunks) == 1
 
     # NaN in every workspace cell before each chunk: a cell the chunk reads
     # without writing it first turns its rows into NaN.
@@ -350,9 +550,9 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
     monkeypatch.setattr(estep, "_switch_posteriors", poisoned)
     # Chunk sizes under which the 47 distinct sequences fill chunks of many shapes.
     for cells in (26, 44, 74):
-        monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(estep, "_CHUNK_CELLS", cells)
         dataset = Dataset(tuple(sequences))
-        chunks = dataset._layout.chunks
+        chunks = estep._layout_of(dataset).chunks
         # Every chunk holds two or more columns, so its sums over time run
         # in the same order as in the one default chunk.
         shapes = [chunk.counts.shape[1:] for chunk in chunks]  # (T + 1, n)
@@ -375,7 +575,7 @@ def test_chunks_of_every_shape_share_one_workspace(monkeypatch):
 
 def test_one_estep_on_wide_data_allocates_one_workspace():
     dataset = simulate_dataset(TRUE_THETA, 2000, 50, 1)
-    chunks = dataset._layout.chunks
+    chunks = estep._layout_of(dataset).chunks
     # 1,990 of the 2,000 answer sequences are distinct, and each is held once.
     assert [chunk.counts.shape for chunk in chunks] == [(4, 51, 655)] * 3 + [(4, 51, 25)]
     assert all(chunk.counts.dtype == np.uint8 for chunk in chunks)
